@@ -2,7 +2,10 @@
 
 Normal consistency, Chamfer distance, Hausdorff distance, and F-score are
 computed from bidirectional exact nearest neighbors between two sampled
-point sets.  Conventions pinned here because they vary across codebases:
+point sets.  :func:`compare_meshes` runs one exact neighbor pass per pair
+(two k-d trees, two queries) and shares it across all four metrics; each
+metric function also computes the pass itself when called on its own.
+Conventions pinned here because they vary across codebases:
 Chamfer averages the two directed means, NC uses the absolute dot product
 (winding-robust), and F-score counts points within the threshold
 inclusively.
@@ -88,6 +91,7 @@ def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> Sampl
 
 
 def _nn(a: SampleSet, b: SampleSet):
+    """Exact nearest neighbors both ways: (d_ab, i_ab, d_ba, i_ba)."""
     if len(a.points) == 0 or len(b.points) == 0:
         raise ValueError("empty sample set")
     d_ab, i_ab = cKDTree(b.points).query(a.points)
@@ -95,27 +99,43 @@ def _nn(a: SampleSet, b: SampleSet):
     return d_ab, i_ab, d_ba, i_ba
 
 
-def chamfer_hausdorff(a: SampleSet, b: SampleSet) -> tuple[float, float]:
-    """(mean of the two directed NN means, max of the two directed maxima)."""
-    d_ab, _, d_ba, _ = _nn(a, b)
+def chamfer_hausdorff(a: SampleSet, b: SampleSet, nn=None) -> tuple[float, float]:
+    """(mean of the two directed NN means, max of the two directed maxima).
+
+    ``nn`` is a precomputed ``(d_ab, i_ab, d_ba, i_ba)`` neighbor pass
+    from a to b and back; computed here when omitted.
+    """
+    d_ab, _, d_ba, _ = _nn(a, b) if nn is None else nn
     cd = 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
     hd = max(float(d_ab.max()), float(d_ba.max()))
     return cd, hd
 
 
-def normal_consistency(a: SampleSet, b: SampleSet) -> float:
-    """Mean absolute normal dot product against nearest neighbors, both ways."""
-    _, i_ab, _, i_ba = _nn(a, b)
+def normal_consistency(a: SampleSet, b: SampleSet, nn=None) -> float:
+    """Mean absolute normal dot product against nearest neighbors, both ways.
+
+    ``nn`` is a precomputed ``(d_ab, i_ab, d_ba, i_ba)`` neighbor pass
+    from a to b and back; computed here when omitted.
+    """
+    _, i_ab, _, i_ba = _nn(a, b) if nn is None else nn
     fwd = np.abs(np.einsum("ij,ij->i", a.normals, b.normals[i_ab])).mean()
     bwd = np.abs(np.einsum("ij,ij->i", b.normals, a.normals[i_ba])).mean()
     return 0.5 * (float(fwd) + float(bwd))
 
 
-def f_score(a: SampleSet, b: SampleSet, tau: float = DEFAULT_TAU) -> float:
-    """Harmonic mean of precision/recall at distance threshold tau."""
-    if tau <= 0.0:
+def _check_tau(tau: float) -> None:
+    if not tau > 0.0:  # also rejects NaN
         raise ValueError("tau must be positive")
-    d_ab, _, d_ba, _ = _nn(a, b)
+
+
+def f_score(a: SampleSet, b: SampleSet, tau: float = DEFAULT_TAU, nn=None) -> float:
+    """Harmonic mean of precision/recall at distance threshold tau.
+
+    ``nn`` is a precomputed ``(d_ab, i_ab, d_ba, i_ba)`` neighbor pass
+    from a to b and back; computed here when omitted.
+    """
+    _check_tau(tau)
+    d_ab, _, d_ba, _ = _nn(a, b) if nn is None else nn
     precision = float((d_ab <= tau).mean())
     recall = float((d_ba <= tau).mean())
     if precision + recall == 0.0:
@@ -130,8 +150,18 @@ def compare_meshes(
     tau: float = DEFAULT_TAU,
     seed: int = 0,
 ) -> MetricReport:
-    """Sample both meshes and compute the four geometric metrics."""
+    """Sample both meshes and compute the four geometric metrics.
+
+    Arguments are checked before any sampling; one neighbor pass serves all
+    four metrics.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    _check_tau(tau)
     a = sample_surface(ref, n=n, seed=seed)
     b = sample_surface(pred, n=n, seed=seed)
-    cd, hd = chamfer_hausdorff(a, b)
-    return MetricReport(nc=normal_consistency(a, b), cd=cd, hd=hd, f1=f_score(a, b, tau))
+    nn = _nn(a, b)
+    cd, hd = chamfer_hausdorff(a, b, nn)
+    return MetricReport(
+        nc=normal_consistency(a, b, nn), cd=cd, hd=hd, f1=f_score(a, b, tau, nn)
+    )

@@ -9,6 +9,7 @@ sharing context.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -185,7 +186,14 @@ def write_tokens(t: TokenSequence, path) -> None:
 
 
 def read_tokens(path) -> TokenSequence:
-    """Read a token file back; bit-exact inverse of :func:`write_tokens`."""
+    """Read a token file back; bit-exact inverse of :func:`write_tokens`.
+
+    Raises :class:`TokenFileError` on anything ``write_tokens`` cannot
+    produce: bad magic or version, a short or overlong payload, out-of-range
+    ids, or a transform that would decode to non-finite positions.  The
+    header ``face_count`` is not checked against the stream, since
+    model-generated streams may legitimately disagree with it.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 6 or data[:4] != MAGIC:
@@ -202,6 +210,12 @@ def read_tokens(path) -> TokenSequence:
     count = struct.unpack_from("<I", data, 42)[0]
     if len(data) < fixed + 2 * count:
         raise TokenFileError("truncated payload")
+    if len(data) > fixed + 2 * count:
+        raise TokenFileError(f"{len(data) - fixed - 2 * count} trailing bytes after payload")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise TokenFileError(f"bad transform scale {scale}")
+    if not all(math.isfinite(v) for v in (cx, cy, cz)):
+        raise TokenFileError(f"non-finite transform center {(cx, cy, cz)}")
     tokens = list(struct.unpack_from(f"<{count}H", data, fixed))
     for tok in tokens:
         if tok >= VOCAB_SIZE:

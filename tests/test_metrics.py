@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import striptok.metrics as metrics
 from striptok import (
     Mesh,
     SampleSet,
@@ -13,7 +15,9 @@ from striptok import (
     f_score,
     normal_consistency,
     sample_surface,
+    write_obj,
 )
+from striptok.cli import main
 
 import synth
 
@@ -239,3 +243,69 @@ class TestInvariance:
         mesh = synth.icosphere(2)
         report = compare_meshes(mesh, mesh, n=2000, seed=7)
         assert report.nc == 1.0 and report.cd == 0.0 and report.hd == 0.0 and report.f1 == 1.0
+
+
+@pytest.fixture()
+def kdtree_count(monkeypatch):
+    """Counts k-d trees built through ``striptok.metrics.cKDTree``."""
+    built = []
+
+    class CountingKDTree(metrics.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "cKDTree", CountingKDTree)
+    return built
+
+
+def near_pair():
+    """A reference and a jittered copy: close, but no sample lands on its twin."""
+    ref = synth.icosphere(2)
+    rng = np.random.default_rng(21)
+    pts = np.asarray(ref.positions) + rng.normal(scale=0.01, size=(len(ref.positions), 3))
+    return ref, Mesh(positions=[tuple(p) for p in pts], faces=list(ref.faces))
+
+
+class TestSharedNeighbors:
+    def test_compare_equals_standalone_functions(self):
+        ref, pred = near_pair()
+        report = compare_meshes(ref, pred, n=3000, tau=0.01, seed=4)
+        a = sample_surface(ref, n=3000, seed=4)
+        b = sample_surface(pred, n=3000, seed=4)
+        cd, hd = chamfer_hausdorff(a, b)
+        assert 0.0 < report.cd < report.hd and 0.0 < report.f1 < 1.0
+        assert report.cd == cd and report.hd == hd
+        assert report.nc == normal_consistency(a, b)
+        assert report.f1 == f_score(a, b, tau=0.01)
+
+    def test_one_pass_builds_two_trees(self, kdtree_count):
+        ref, pred = near_pair()
+        compare_meshes(ref, pred, n=2000, seed=1)
+        assert len(kdtree_count) == 2
+
+    def test_precomputed_neighbors_match(self):
+        ref, pred = near_pair()
+        a = sample_surface(ref, n=2000, seed=2)
+        b = sample_surface(pred, n=2000, seed=3)
+        nn = metrics._nn(a, b)
+        assert chamfer_hausdorff(a, b, nn) == chamfer_hausdorff(a, b)
+        assert normal_consistency(a, b, nn) == normal_consistency(a, b)
+        assert f_score(a, b, 0.01, nn) == f_score(a, b, 0.01)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--tau", "0", "tau must be positive"), ("--tau", "nan", "tau must be positive"),
+         ("--samples", "0", "n must be at least 1")],
+    )
+    def test_bad_arguments_fail_before_sampling(self, tmp_path, monkeypatch, kdtree_count, flag, value, message):
+        sampled = []
+        monkeypatch.setattr(metrics, "sample_surface", lambda *a, **k: sampled.append(1))
+        mesh = tmp_path / "ico.obj"
+        write_obj(synth.icosphere(1), mesh)
+        report = tmp_path / "m.jsonl"
+        rc = main(["stats", str(mesh), "--ref", str(mesh), flag, value, "--report", str(report)])
+        assert rc == 1
+        row = json.loads(report.read_text())
+        assert row["error"] == f"ValueError: {message}"
+        assert sampled == [] and kdtree_count == []

@@ -319,6 +319,29 @@ class TestTokenFile:
         with pytest.raises(TokenFileError, match="out of range"):
             read_tokens(p)
 
+    def test_trailing_bytes(self, tmp_path):
+        seq = self._sample()
+        p = tmp_path / "t.sato"
+        write_tokens(seq, p)
+        p.write_bytes(p.read_bytes() + b"\x00\x00")
+        with pytest.raises(TokenFileError, match="trailing"):
+            read_tokens(p)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(3, float("nan")), (3, float("inf")), (3, 0.0), (3, -1.0), (0, float("nan")), (2, float("-inf"))],
+    )
+    def test_bad_transform(self, tmp_path, field, value):
+        # header doubles at byte 10: center x, y, z, then scale
+        seq = self._sample()
+        p = tmp_path / "t.sato"
+        write_tokens(seq, p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<d", raw, 10 + 8 * field, value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TokenFileError, match="transform"):
+            read_tokens(p)
+
     def test_flags_round_trip(self, tmp_path):
         q = quantize_mesh(synth.quad_grid(3, 3))
         seq = serialize(extract_strips(q, 2), uv_mode=True)
