@@ -8,6 +8,7 @@ from .mesh_io import (
     corpus_filter,
     load_obj,
     single_island,
+    split_quad_faces,
     uv_islands,
     write_obj,
 )
@@ -55,5 +56,6 @@ from .metrics import (
     normal_consistency,
     sample_surface,
 )
+from .cli import decode_tokens, encode_mesh
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 All commands process files independently (``--jobs`` parallelizes across
 files, never within one) and emit machine-readable reports ordered by input
 filename, so parallel and serial runs produce identical bytes.  Exit codes:
-0 success, 1 any file-level failure, 2 usage error.
+0 success, 1 any file-level failure, 2 usage error.  :func:`encode_mesh` and
+:func:`decode_tokens` are the one encode and decode chain every command uses.
 """
 
 from __future__ import annotations
@@ -50,188 +51,142 @@ def _shares_dict(stats):
     return {"c1": round(c1, 6), "c2": round(c2, 6), "c3": round(c3, 6)}
 
 
-def _mesh_partition(mesh, uv_mode):
-    """Partition for encoding plus a warning when uv data is missing."""
-    if not uv_mode:
-        return None, None
-    if mesh.face_uvs is None:
-        return single_island(mesh), "no uv data; falling back to a single island"
-    return uv_islands(mesh), None
+# The layer calls in these two functions resolve through this module's
+# globals, where the benchmark's --trace wrappers are installed.
+def encode_mesh(mesh, stride, partition=None, up_axis="y"):
+    """Quantize, strip and serialize a mesh; returns ``(q, strips, seq)``.
+
+    UV mode is on iff a partition is given: the first strip of each island
+    then carries an island-transition marker.
+    """
+    q = quantize_mesh(mesh, partition)
+    strips = extract_strips(q, stride, up_axis)
+    return q, strips, serialize(strips, uv_mode=partition is not None)
 
 
-def _encode_one(job):
-    path, cfg = job
-    src = Path(path)
-    row = {"file": src.name}
-    try:
-        mesh = load_obj(src)
-        degree = mesh.face_degree
-        expected = 3 if cfg["stride"] == 1 else 4
-        if degree != expected:
-            raise ValueError(
-                f"stride {cfg['stride']} expects degree-{expected} faces, file has degree {degree}"
-            )
-        partition, warning = _mesh_partition(mesh, cfg["uv"])
-        q = quantize_mesh(mesh, partition)
-        strips = extract_strips(q, cfg["stride"], cfg["up_axis"])
-        seq = serialize(strips, uv_mode=cfg["uv"])
-        out_dir = Path(cfg["output"]) if cfg["output"] else src.parent
-        out_path = out_dir / (src.stem + TOKEN_SUFFIX)
-        write_tokens(seq, out_path)
-        stats = compression_stats(seq)
+def decode_tokens(seq, stride=None):
+    """Parse and decode a token sequence; returns ``(mesh_q, partition, report)``.
+
+    ``stride`` defaults to the one stored in the header; passing the other
+    stride reads the same tokens as the other face type (the dual decode).
+    """
+    stride = stride or seq.header.source_stride
+    return decode(parse_tokens(seq), stride, seq.header.transform)
+
+
+def _encode_one(src, args, row):
+    mesh = load_obj(src)
+    partition = warning = None
+    if args.uv and mesh.face_uvs is None:
+        partition, warning = single_island(mesh), "no uv data; falling back to a single island"
+    elif args.uv:
+        partition = uv_islands(mesh)
+    q, strips, seq = encode_mesh(mesh, args.stride, partition, args.up_axis)
+    out_path = Path(args.output or src.parent) / (src.stem + TOKEN_SUFFIX)
+    write_tokens(seq, out_path)
+    stats = compression_stats(seq)
+    row.update(
+        faces=len(q.faces),
+        vertices=len(q.vertex_keys),
+        islands=q.island_count(),
+        strips=len(strips.strips),
+        tokens=stats.token_length,
+        comp_rate=round(stats.comp_rate, 6),
+        level_shares=_shares_dict(stats),
+        output=out_path.name,
+    )
+    if args.stride == 2:
+        row["comp_rate_quad12"] = round(stats.comp_rate_quad12, 6)
+    if warning:
+        row["warning"] = warning
+
+
+def _decode_one(src, args, row):
+    mesh_q, partition, report = decode_tokens(read_tokens(src), args.stride)
+    out_path = Path(args.output or src.parent) / (src.stem + ".decoded.obj")
+    write_obj(dequantize_mesh(mesh_q), out_path, partition)
+    row.update(
+        faces=len(mesh_q.faces),
+        vertices=len(mesh_q.vertex_keys),
+        islands=partition.island_count,
+        discarded=report.discarded_tokens,
+        dropped_strips=report.dropped_strips,
+        degenerate_faces=report.degenerate_faces,
+        duplicate_faces=report.duplicate_faces,
+        welds=report.welds,
+        output=out_path.name,
+    )
+
+
+def _roundtrip_one(src, args, row):
+    row["status"] = "fail"  # kept if anything below raises
+    mesh = load_obj(src)
+    stride = 1 if mesh.face_degree == 3 else 2
+    partition = uv_islands(mesh) if mesh.face_uvs is not None else None
+    if not is_edge_manifold(mesh):
+        row["note"] = "non_manifold"
+    q, _, seq = encode_mesh(mesh, stride, partition, args.up_axis)
+    decoded, _, report = decode_tokens(seq)
+    ok, detail = compare_quantized(q, decoded)
+    if not report.clean():
+        ok, detail = False, f"decode counters nonzero: {report}"
+    row["status"] = "pass" if ok else "fail"
+    if detail:
+        row["detail"] = detail
+
+
+def _filter_one(src, args, row):
+    mesh = load_obj(src)
+    partition = uv_islands(mesh) if mesh.face_uvs is not None else None
+    result = corpus_filter(mesh, partition)
+    row["accepted"] = result.accepted
+    if not result.accepted:
+        row["reason"] = result.reason
+    elif args.output:
+        shutil.copyfile(src, Path(args.output) / src.name)
+
+
+def _compare_one(src, args, row):
+    q, _, seq = encode_mesh(load_obj(src), 1, up_axis=args.up_axis)
+    sato = compression_stats(seq)
+    base = compression_stats(baseline_serialize(q))
+    row.update(
+        faces=len(q.faces),
+        sato_tokens=sato.token_length,
+        sato_transitions=sato.transitions,
+        sato_comp_rate=round(sato.comp_rate, 6),
+        baseline_tokens=base.token_length,
+        baseline_comp_rate=round(base.comp_rate, 6),
+    )
+
+
+def _stats_one(src, args, row):
+    if args.ref:
+        ref = load_obj(Path(args.ref))
+        pred = load_obj(src)
+        report = compare_meshes(ref, pred, n=args.samples, tau=args.tau, seed=args.seed)
         row.update(
-            faces=len(q.faces),
-            vertices=len(q.vertex_keys),
-            islands=q.island_count(),
-            strips=len(strips.strips),
+            nc=round(report.nc, 6),
+            cd=round(report.cd, 6),
+            hd=round(report.hd, 6),
+            f1=round(report.f1, 6),
+        )
+    else:
+        seq = read_tokens(src)
+        stats = compression_stats(seq)
+        stream = parse_tokens(seq)
+        row.update(
+            faces=seq.header.face_count,
+            stride=seq.header.source_stride,
+            uv_mode=seq.header.uv_mode,
             tokens=stats.token_length,
+            transitions=stats.transitions,
             comp_rate=round(stats.comp_rate, 6),
             level_shares=_shares_dict(stats),
-            output=out_path.name,
+            discarded=stream.discarded,
         )
-        if cfg["stride"] == 2:
+        if seq.header.source_stride == 2:
             row["comp_rate_quad12"] = round(stats.comp_rate_quad12, 6)
-        if warning:
-            row["warning"] = warning
-    except Exception as exc:  # noqa: BLE001 - reported per file
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _decode_one(job):
-    path, cfg = job
-    src = Path(path)
-    row = {"file": src.name}
-    try:
-        seq = read_tokens(src)
-        stride = cfg["stride"] if cfg["stride"] else seq.header.source_stride
-        mesh_q, partition, report = decode(parse_tokens(seq), stride, seq.header.transform)
-        out_dir = Path(cfg["output"]) if cfg["output"] else src.parent
-        out_path = out_dir / (src.stem + ".decoded.obj")
-        write_obj(dequantize_mesh(mesh_q), out_path, partition)
-        row.update(
-            faces=len(mesh_q.faces),
-            vertices=len(mesh_q.vertex_keys),
-            islands=partition.island_count,
-            discarded=report.discarded_tokens,
-            dropped_strips=report.dropped_strips,
-            degenerate_faces=report.degenerate_faces,
-            duplicate_faces=report.duplicate_faces,
-            welds=report.welds,
-            output=out_path.name,
-        )
-    except Exception as exc:  # noqa: BLE001
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _roundtrip_one(job):
-    path, cfg = job
-    src = Path(path)
-    row = {"file": src.name}
-    try:
-        mesh = load_obj(src)
-        stride = 1 if mesh.face_degree == 3 else 2
-        uv_mode = mesh.face_uvs is not None
-        partition = uv_islands(mesh) if uv_mode else None
-        if not is_edge_manifold(mesh):
-            row["note"] = "non_manifold"
-        q = quantize_mesh(mesh, partition)
-        strips = extract_strips(q, stride, cfg["up_axis"])
-        seq = serialize(strips, uv_mode=uv_mode)
-        decoded, _, report = decode(parse_tokens(seq), stride, seq.header.transform)
-        ok, detail = compare_quantized(q, decoded)
-        if not report.clean():
-            ok, detail = False, f"decode counters nonzero: {report}"
-        row["status"] = "pass" if ok else "fail"
-        if detail:
-            row["detail"] = detail
-    except Exception as exc:  # noqa: BLE001
-        row["status"] = "fail"
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _filter_one(job):
-    path, cfg = job
-    src = Path(path)
-    row = {"file": src.name}
-    try:
-        mesh = load_obj(src)
-        partition = uv_islands(mesh) if mesh.face_uvs is not None else None
-        result = corpus_filter(mesh, partition)
-        row["accepted"] = result.accepted
-        if not result.accepted:
-            row["reason"] = result.reason
-        elif cfg["output"]:
-            dest = Path(cfg["output"]) / src.name
-            shutil.copyfile(src, dest)
-    except Exception as exc:  # noqa: BLE001
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _compare_one(job):
-    path, cfg = job
-    src = Path(path)
-    row = {"file": src.name}
-    try:
-        mesh = load_obj(src)
-        if mesh.face_degree != 3:
-            raise ValueError("compare expects triangle meshes")
-        q = quantize_mesh(mesh)
-        strips = extract_strips(q, 1, cfg["up_axis"])
-        sato = compression_stats(serialize(strips, uv_mode=False))
-        base = compression_stats(baseline_serialize(q))
-        row.update(
-            faces=len(q.faces),
-            sato_tokens=sato.token_length,
-            sato_transitions=sato.transitions,
-            sato_comp_rate=round(sato.comp_rate, 6),
-            baseline_tokens=base.token_length,
-            baseline_comp_rate=round(base.comp_rate, 6),
-        )
-    except Exception as exc:  # noqa: BLE001
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _stats_one(job):
-    path, cfg = job
-    src = Path(path)
-    row = {"file": src.name}
-    try:
-        if cfg["ref"]:
-            ref = load_obj(Path(cfg["ref"]))
-            pred = load_obj(src)
-            report = compare_meshes(
-                ref, pred, n=cfg["samples"], tau=cfg["tau"], seed=cfg["seed"]
-            )
-            row.update(
-                nc=round(report.nc, 6),
-                cd=round(report.cd, 6),
-                hd=round(report.hd, 6),
-                f1=round(report.f1, 6),
-            )
-        else:
-            seq = read_tokens(src)
-            stats = compression_stats(seq)
-            stream = parse_tokens(seq)
-            row.update(
-                faces=seq.header.face_count,
-                stride=seq.header.source_stride,
-                uv_mode=seq.header.uv_mode,
-                tokens=stats.token_length,
-                transitions=stats.transitions,
-                comp_rate=round(stats.comp_rate, 6),
-                level_shares=_shares_dict(stats),
-                discarded=stream.discarded,
-            )
-            if seq.header.source_stride == 2:
-                row["comp_rate_quad12"] = round(stats.comp_rate_quad12, 6)
-    except Exception as exc:  # noqa: BLE001
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
 
 
 _WORKERS = {
@@ -244,13 +199,24 @@ _WORKERS = {
 }
 
 
-def _run_jobs(command, paths, cfg, jobs):
-    worker = _WORKERS[command]
-    items = [(str(p), cfg) for p in paths]
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
+def _run_one(job):
+    """One file's report row; any exception becomes the row's ``error``."""
+    path, args = job
+    src = Path(path)
+    row = {"file": src.name}
+    try:
+        _WORKERS[args.command](src, args, row)
+    except Exception as exc:  # noqa: BLE001 - reported per file
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+def _run_jobs(paths, args):
+    items = [(str(p), args) for p in paths]
+    if args.jobs > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            return list(pool.map(_run_one, items))
+    return [_run_one(item) for item in items]
 
 
 def _emit_jsonl(rows, report_path):
@@ -360,27 +326,15 @@ def main(argv=None) -> int:
         print(f"no {suffix} inputs found", file=sys.stderr)
         return 2
 
-    cfg = {
-        "stride": getattr(args, "stride", None),
-        "uv": getattr(args, "uv", False),
-        "up_axis": getattr(args, "up_axis", "y"),
-        "output": getattr(args, "output", None),
-        "ref": getattr(args, "ref", None),
-        "samples": getattr(args, "samples", 100_000),
-        "tau": getattr(args, "tau", 0.003),
-        "seed": getattr(args, "seed", 0),
-    }
-    if cfg["output"] and cmd in ("encode", "decode", "filter"):
-        Path(cfg["output"]).mkdir(parents=True, exist_ok=True)
-    if cmd == "encode" and cfg["stride"] is None:
-        cfg["stride"] = 1
+    if cmd in ("encode", "decode", "filter") and args.output:
+        Path(args.output).mkdir(parents=True, exist_ok=True)
 
-    rows = _run_jobs(cmd, paths, cfg, args.jobs)
+    rows = _run_jobs(paths, args)
 
     failed = any("error" in r or r.get("status") == "fail" for r in rows)
 
     if cmd == "compare":
-        _write_compare_csv(rows, cfg["output"])
+        _write_compare_csv(rows, args.output)
         print(
             f"published reference comp rates (context only, not asserted): {REFERENCE_COMP_RATES}",
             file=sys.stderr,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mesh_io import IslandPartition
+from .mesh_io import IslandPartition, split_quad_faces
 from .quantize import QuantizedMesh, Transform, decode_hier
 from .strips import Strip, strip_faces
 from .tokens import C2_BASE, C3_BASE, C1_T_BASE, TokenSequence, VOCAB_SIZE
@@ -244,17 +244,6 @@ def decode(
     return _decode_impl(stream, stride, transform, drop_duplicates=True)
 
 
-def _split_quad_faces(faces):
-    out = []
-    for f in faces:
-        if len(f) == 4:
-            out.append((f[0], f[1], f[3]))
-            out.append((f[1], f[2], f[3]))
-        else:
-            out.append(f)
-    return out
-
-
 def dual_decode_check(t: TokenSequence) -> bool:
     """True iff the stride-1 decode equals the diagonal split of the stride-2 decode.
 
@@ -266,4 +255,4 @@ def dual_decode_check(t: TokenSequence) -> bool:
     stream = parse_tokens(t)
     tri, _, _ = _decode_impl(stream, 1, t.header.transform, drop_duplicates=False)
     quad, _, _ = _decode_impl(stream, 2, t.header.transform, drop_duplicates=False)
-    return tri.faces == _split_quad_faces(quad.faces) and tri.vertex_keys == quad.vertex_keys
+    return tri.faces == split_quad_faces(quad.faces) and tri.vertex_keys == quad.vertex_keys

@@ -52,8 +52,24 @@ class IslandPartition:
     island_count: int
 
 
+def _relative_index(raw: int, defined: int, lineno: int) -> int:
+    """0-based index of a non-positive OBJ index.
+
+    A relative (negative) index counts back from the last of the ``defined``
+    records read so far (-1 is the latest); 0 is never valid.
+    """
+    if raw == 0:
+        raise ObjParseError("index 0 (OBJ indices are 1-based)", lineno)
+    if raw + defined < 0:
+        raise ObjParseError(f"relative index {raw} before the first of {defined} records", lineno)
+    return raw + defined
+
+
 def load_obj(path) -> Mesh:
-    """Parse an OBJ file into a Mesh (0-based indices, vn data ignored)."""
+    """Parse an OBJ file into a Mesh (0-based indices, vn data ignored).
+
+    Negative face indices are relative to the records defined so far.
+    """
     positions: list[tuple[float, float, float]] = []
     uv_coords: list[tuple[float, float]] = []
     faces: list[tuple[int, ...]] = []
@@ -102,17 +118,13 @@ def load_obj(path) -> Mesh:
                         v = int(fields[0])
                     except ValueError:
                         raise ObjParseError(f"bad face corner {corner!r}", lineno) from None
-                    if v <= 0:
-                        raise ObjParseError("only positive 1-based indices supported", lineno)
-                    vidx.append(v - 1)
+                    vidx.append(v - 1 if v > 0 else _relative_index(v, len(positions), lineno))
                     if len(fields) > 1 and fields[1]:
                         try:
                             t = int(fields[1])
                         except ValueError:
                             raise ObjParseError(f"bad uv index in {corner!r}", lineno) from None
-                        if t <= 0:
-                            raise ObjParseError("only positive 1-based indices supported", lineno)
-                        tidx.append(t - 1)
+                        tidx.append(t - 1 if t > 0 else _relative_index(t, len(uv_coords), lineno))
                 if tidx and len(tidx) != len(vidx):
                     raise ObjParseError("face mixes corners with and without uv", lineno)
                 if face_uvs and not tidx:
@@ -142,6 +154,23 @@ def load_obj(path) -> Mesh:
         uv_coords=uv_coords if uv_coords else None,
         face_uvs=face_uvs if face_uvs else None,
     )
+
+
+def split_quad_faces(faces):
+    """Triangulate quads along their (v1, v3) diagonal; triangles pass through.
+
+    Face order is kept and each quad becomes ``(v0, v1, v3), (v1, v2, v3)``.
+    This is the split the dual decode is defined by (a stride-1 decode of a
+    quad sequence equals it), and the one the metrics sample quads with.
+    """
+    out = []
+    for f in faces:
+        if len(f) == 4:
+            out.append((f[0], f[1], f[3]))
+            out.append((f[1], f[2], f[3]))
+        else:
+            out.append(f)
+    return out
 
 
 def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh_io import Mesh
+from .mesh_io import Mesh, split_quad_faces
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_TAU = 0.003
@@ -44,24 +44,16 @@ class MetricReport:
 
 def _triangles(mesh: Mesh) -> np.ndarray:
     pos = np.asarray(mesh.positions, dtype=np.float64)
-    faces = mesh.faces
-    if not faces:
+    if not mesh.faces:
         raise ValueError("mesh has no faces")
-    tris = []
-    for face in faces:
-        if len(face) == 3:
-            tris.append(face)
-        else:
-            tris.append((face[0], face[1], face[2]))
-            tris.append((face[0], face[2], face[3]))
-    idx = np.asarray(tris, dtype=np.int64)
-    return pos[idx]
+    return pos[np.asarray(split_quad_faces(mesh.faces), dtype=np.int64)]
 
 
 def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> SampleSet:
     """Draw n area-weighted points with face normals; deterministic per seed.
 
-    Quads are split along the (v0, v2) diagonal before sampling.
+    Quads are split along the (v1, v3) diagonal before sampling, as in the
+    dual decode, so a quad decode samples exactly like its stride-1 decode.
     """
     corners = _triangles(mesh)
     e1 = corners[:, 1] - corners[:, 0]

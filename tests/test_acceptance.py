@@ -21,15 +21,14 @@ from striptok import (
     compare_meshes,
     decode,
     decode_hier,
+    decode_tokens,
     dual_decode_check,
     encode_hier,
-    extract_strips,
+    encode_mesh,
     f_score,
     normalize,
     parse_tokens,
-    quantize_mesh,
     sample_surface,
-    serialize,
     to_grid,
     write_obj,
     write_tokens,
@@ -50,13 +49,6 @@ def ok(n, msg):
     print(f"\nACCEPTANCE {n:02d} PASS - {msg}")
 
 
-def encode_entry(entry):
-    q = quantize_mesh(entry.mesh, entry.partition)
-    ss = extract_strips(q, entry.stride)
-    seq = serialize(ss, uv_mode=entry.uv_mode)
-    return q, ss, seq
-
-
 def test_criterion_01_vocabulary():
     assert VOCAB.total_size == 4800
     spans = sorted(VOCAB.ranges.values())
@@ -69,8 +61,8 @@ def test_criterion_02_triangle_round_trip(tri_corpus):
     assert len(tri_corpus) >= 25
     t0 = time.time()
     for entry in tri_corpus:
-        q, _, seq = encode_entry(entry)
-        decoded, _, report = decode(parse_tokens(seq), 1, seq.header.transform)
+        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        decoded, _, report = decode_tokens(seq)
         assert report.clean(), entry.name
         good, detail = compare_quantized(q, decoded)
         assert good, f"{entry.name}: {detail}"
@@ -82,8 +74,8 @@ def test_criterion_02_triangle_round_trip(tri_corpus):
 def test_criterion_03_quad_round_trip(quad_corpus):
     t0 = time.time()
     for entry in quad_corpus:
-        q, _, seq = encode_entry(entry)
-        decoded, _, report = decode(parse_tokens(seq), 2, seq.header.transform)
+        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        decoded, _, report = decode_tokens(seq)
         assert report.clean(), entry.name
         good, detail = compare_quantized(q, decoded)
         assert good, f"{entry.name}: {detail}"
@@ -94,11 +86,10 @@ def test_criterion_03_quad_round_trip(quad_corpus):
 
 def test_criterion_04_dual_decode(quad_corpus):
     for entry in quad_corpus:
-        _, _, seq = encode_entry(entry)
+        _, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         assert dual_decode_check(seq), entry.name
-        stream = parse_tokens(seq)
-        tri, _, _ = decode(stream, 1, seq.header.transform)
-        quad, _, _ = decode(stream, 2, seq.header.transform)
+        tri, _, _ = decode_tokens(seq, 1)
+        quad, _, _ = decode_tokens(seq, 2)
         split = []
         for f in quad.faces:
             if len(f) == 4:
@@ -135,7 +126,7 @@ def test_criterion_05_compression(tri_corpus):
     t0 = time.time()
     rates = []
     for entry in tri_corpus:
-        _, ss, seq = encode_entry(entry)
+        _, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         stats = compression_stats(seq)
         rates.append(stats.comp_rate)
         assert stats.comp_rate <= 1.0, entry.name
@@ -143,10 +134,8 @@ def test_criterion_05_compression(tri_corpus):
             assert stats.comp_rate < 1.0, entry.name
 
     ribbon = synth.tri_ribbon(50)  # 100 triangles, single strip
-    q = quantize_mesh(ribbon)
-    ss = extract_strips(q, 1)
+    _, ss, seq = encode_mesh(ribbon, 1)
     assert len(ss.strips) == 1
-    seq = serialize(ss)
     expected = oracle_ribbon_token_count(50)
     assert len(seq.tokens) == expected
     rate_ribbon = compression_stats(seq).comp_rate
@@ -199,7 +188,7 @@ def greedy_patch_count(q, cap=7):
 def test_criterion_06_transition_economy(tri_corpus):
     worst = 0.0
     for entry in tri_corpus:
-        q, ss, seq = encode_entry(entry)
+        q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         stats = compression_stats(seq)
         assert stats.transitions == len(ss.strips)
         patches = greedy_patch_count(q)
@@ -284,7 +273,7 @@ def test_criterion_08_decoder_totality():
         check(tokens, 1 + (i & 1))
 
     # corrupted encoder output
-    base = serialize(extract_strips(quantize_mesh(synth.tri_grid(8, 8)), 1)).tokens
+    base = encode_mesh(synth.tri_grid(8, 8), 1)[2].tokens
     n_corrupt = 9_000
     for i in range(n_corrupt):
         tokens = list(base)
@@ -345,7 +334,7 @@ def test_criterion_09_metrics_sanity():
 def test_criterion_10_determinism(tri_corpus, quad_corpus, tmp_path):
     rng = random.Random(99)
     for entry in tri_corpus + quad_corpus:
-        _, _, seq = encode_entry(entry)
+        _, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         order = list(range(len(entry.mesh.faces)))
         rng.shuffle(order)
         shuffled = Mesh(
@@ -357,8 +346,7 @@ def test_criterion_10_determinism(tri_corpus, quad_corpus, tmp_path):
         from striptok import uv_islands
 
         partition = uv_islands(shuffled) if shuffled.face_uvs else None
-        q2 = quantize_mesh(shuffled, partition)
-        seq2 = serialize(extract_strips(q2, entry.stride), uv_mode=entry.uv_mode)
+        _, _, seq2 = encode_mesh(shuffled, entry.stride, partition)
         f1, f2 = tmp_path / "a.sato", tmp_path / "b.sato"
         write_tokens(seq, f1)
         write_tokens(seq2, f2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import random
 
@@ -306,3 +307,56 @@ class TestExitCodes:
         bad.write_text("f 1 2 3\n")
         rc = main(["encode", str(bad), "--report", str(tmp_path / "r.jsonl")])
         assert rc == 1
+
+
+class TestErrorRows:
+    """One malformed input gives that file an error row and exit code 1, in every command."""
+
+    @pytest.fixture()
+    def mixed(self, obj_dir, tmp_path):
+        (obj_dir / "bad.obj").write_text("v 0 0 0\nf 1 2 3\n")
+        toks = tmp_path / "tok"
+        rc = main(["encode", str(obj_dir / "grid.obj"), str(obj_dir / "ico.obj"),
+                   "--output", str(toks), "--report", str(tmp_path / "e.jsonl")])
+        assert rc == 0
+        (toks / "bad.sato").write_bytes(b"not a token file")
+        return obj_dir, toks
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "{objs}", "--output", "{out}"],
+            ["decode", "{toks}", "--output", "{out}"],
+            ["roundtrip", "{objs}"],
+            ["stats", "{toks}"],
+            ["stats", "{objs}", "--ref", "{objs}/grid.obj", "--samples", "500"],
+            ["filter", "{objs}", "--output", "{out}"],
+            ["compare", "{objs}", "--output", "{out}/cmp.csv"],
+        ],
+        ids=["encode", "decode", "roundtrip", "stats", "stats_ref", "filter", "compare"],
+    )
+    def test_malformed_file_error_row(self, mixed, tmp_path, argv):
+        objs, toks = mixed
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            out.mkdir()
+            report = tmp_path / f"r{jobs}.jsonl"
+            args = [a.format(objs=objs, toks=toks, out=out) for a in argv]
+            assert main(args + ["--report", str(report), "--jobs", jobs]) == 1
+            if argv[0] == "compare":  # the CSV has no error column: the row is left empty
+                with open(out / "cmp.csv", newline="", encoding="utf-8") as fh:
+                    rows = list(csv.DictReader(fh))
+                bad = [r for r in rows if r["file"] == "bad.obj"]
+                assert len(bad) == 1 and not any(v for k, v in bad[0].items() if k != "file")
+                assert all(r["sato_comp_rate"] for r in rows if r["file"] != "bad.obj")
+            else:
+                rows = read_jsonl(report)
+                bad = [r for r in rows if r["file"].startswith("bad.")]
+                assert len(bad) == 1 and "error" in bad[0]
+                assert all("error" not in r for r in rows if r is not bad[0])
+                if argv[0] == "roundtrip":
+                    assert bad[0]["status"] == "fail"
+                runs.append(report.read_bytes())
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[: len(runs) // 2] == runs[len(runs) // 2 :]

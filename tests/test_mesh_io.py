@@ -84,9 +84,35 @@ class TestLoadObj:
         assert mesh.face_uvs is None
 
     def test_negative_index_rejected(self, tmp_path):
-        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -1 -2 -3\n"
-        with pytest.raises(ObjParseError, match="positive"):
+        # relative indices may not reach before the first vertex
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -9 -1 -2\n"
+        with pytest.raises(ObjParseError, match="line 4: relative index -9"):
             load_obj(write_text(tmp_path / "neg.obj", text))
+
+    def test_zero_index_rejected(self, tmp_path):
+        for corner in ("0", "1/0"):
+            text = f"v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nf {corner} 2/1 3/1\n"
+            with pytest.raises(ObjParseError, match="index 0"):
+                load_obj(write_text(tmp_path / "zero.obj", text))
+
+    def test_relative_indices_match_absolute(self, tmp_path):
+        # each face refers back to the records defined just before it
+        absolute = (
+            "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\n"
+            "f 1/1 2/2 3/3 4/4\n"
+            "v 2 0 0\nv 2 1 0\nvt 0.5 0\nvt 0.5 1\n"
+            "f 2/2 5/5 6/6 3/3\n"
+        )
+        relative = (
+            "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\n"
+            "f -4/-4 -3/-3 -2/-2 -1/-1\n"
+            "v 2 0 0\nv 2 1 0\nvt 0.5 0\nvt 0.5 1\n"
+            "f -5/-5 -2/-2 -1/-1 -4/-4\n"
+        )
+        a = load_obj(write_text(tmp_path / "abs.obj", absolute))
+        r = load_obj(write_text(tmp_path / "rel.obj", relative))
+        assert r == a
+        assert a.faces == [(0, 1, 2, 3), (1, 4, 5, 2)]
 
 
 class TestWriteObj:

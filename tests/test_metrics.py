@@ -12,6 +12,9 @@ from striptok import (
     SampleSet,
     chamfer_hausdorff,
     compare_meshes,
+    decode_tokens,
+    dequantize_mesh,
+    encode_mesh,
     f_score,
     normal_consistency,
     sample_surface,
@@ -79,11 +82,30 @@ class TestSampling:
         c = sample_surface(mesh, n=1000, seed=10)
         assert not np.array_equal(a.points, c.points)
 
-    def test_quads_split_on_v0_v2(self):
-        mesh = synth.quad_grid(2, 2)
+    def test_quads_split_on_v1_v3(self):
+        # a bent quad: its two diagonals give different triangle pairs
+        mesh = Mesh(
+            positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)],
+            faces=[(0, 1, 2, 3)],
+        )
         s = sample_surface(mesh, n=2000, seed=0)
         assert len(s.points) == 2000
         assert np.allclose(np.linalg.norm(s.normals, axis=1), 1.0, atol=1e-12)
+        # (v0, v1, v3) lies in z = 0; (v1, v2, v3) has normal (-1, -1, 1) / sqrt(3)
+        on_v013 = np.all(np.isclose(s.normals, [0.0, 0.0, 1.0], atol=1e-12), axis=1)
+        on_v123 = np.all(np.isclose(s.normals, np.array([-1.0, -1.0, 1.0]) / math.sqrt(3.0), atol=1e-12), axis=1)
+        assert np.all(on_v013 | on_v123)
+        assert on_v013.any() and on_v123.any()
+        assert np.all(s.points[on_v013, 2] == 0.0)
+
+    def test_quad_decode_samples_like_its_stride1_decode(self):
+        _, _, seq = encode_mesh(synth.torus(16, 10), 2)
+        quad, _, _ = decode_tokens(seq)
+        tri, _, _ = decode_tokens(seq, 1)
+        a = sample_surface(dequantize_mesh(quad), n=5000, seed=3)
+        b = sample_surface(dequantize_mesh(tri), n=5000, seed=3)
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.normals, b.normals)
 
     def test_zero_area_error(self):
         mesh = Mesh(

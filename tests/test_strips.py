@@ -8,11 +8,11 @@ import pytest
 from striptok import (
     Mesh,
     Strip,
+    encode_mesh,
     extract_strips,
     key_order,
     quantize_mesh,
     seed_order,
-    serialize,
     strip_faces,
     to_grid,
     uv_islands,
@@ -236,14 +236,13 @@ class TestExtractQuads:
 
 
 class TestDeterminism:
-    def _tokens(self, mesh, partition, stride, uv):
-        q = quantize(mesh, partition)
-        return serialize(extract_strips(q, stride), uv_mode=uv).tokens
+    def _tokens(self, mesh, partition, stride):
+        return encode_mesh(mesh, stride, partition)[2].tokens
 
     def test_face_shuffle_invariance(self, full_corpus):
         rng = random.Random(21)
         for entry in full_corpus[::4]:
-            base = self._tokens(entry.mesh, entry.partition, entry.stride, entry.uv_mode)
+            base = self._tokens(entry.mesh, entry.partition, entry.stride)
             order = list(range(len(entry.mesh.faces)))
             rng.shuffle(order)
             faces = [entry.mesh.faces[i] for i in order]
@@ -255,11 +254,11 @@ class TestDeterminism:
                 face_uvs=fuvs,
             )
             partition = uv_islands(shuffled) if fuvs else None
-            assert self._tokens(shuffled, partition, entry.stride, entry.uv_mode) == base, entry.name
+            assert self._tokens(shuffled, partition, entry.stride) == base, entry.name
 
     def test_vertex_permutation_invariance(self):
         mesh = synth.icosphere(1)
-        base = self._tokens(mesh, None, 1, False)
+        base = self._tokens(mesh, None, 1)
         rng = random.Random(4)
         perm = list(range(len(mesh.positions)))
         rng.shuffle(perm)
@@ -270,7 +269,7 @@ class TestDeterminism:
             positions=[mesh.positions[i] for i in perm],
             faces=[tuple(inv[v] for v in f) for f in mesh.faces],
         )
-        assert self._tokens(permuted, None, 1, False) == base
+        assert self._tokens(permuted, None, 1) == base
 
 
 class TestIslands:
