@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mesh_io import IslandPartition, Mesh
 
 GRID = 512
@@ -135,6 +137,38 @@ def dequantize(g: GridCoord, t: Transform):
     return t.to_model(((g[0] + 0.5) / GRID, (g[1] + 0.5) / GRID, (g[2] + 0.5) / GRID))
 
 
+def pack_keys(grid) -> np.ndarray:
+    """Pack grid coordinates, an ``(n, 3)`` array, into one int64 each.
+
+    The code is ``x << 18 | y << 9 | z``: one-to-one on the 512^3 grid, and
+    ordered like the ``(x, y, z)`` tuples, so sorting codes sorts keys.
+    """
+    g = np.asarray(grid, dtype=np.int64).reshape(-1, 3)
+    return g[:, 0] << 18 | g[:, 1] << 9 | g[:, 2]
+
+
+def _unpack_keys(codes: np.ndarray) -> np.ndarray:
+    return np.stack([codes >> 18, (codes >> 9) & (GRID - 1), codes & (GRID - 1)], axis=1)
+
+
+def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of a 2-D array, and run heads.
+
+    ``heads[i]`` is True where ``rows[order][i]`` differs from the row before
+    it, so each run of equal rows starts at a head, in original row order.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    heads = np.ones(len(rows), dtype=bool)
+    heads[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, heads
+
+
+def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a 2-D int array as tuples of Python ints."""
+    return list(zip(*rows.T.tolist()))
+
+
 def quantize_mesh(
     mesh: Mesh,
     partition: IslandPartition | None = None,
@@ -149,65 +183,73 @@ def quantize_mesh(
     Passing ``transform`` skips the bounding-box fit and normalizes through
     the given transform instead, which makes re-quantizing a dequantized
     mesh reproduce its keys exactly.
+
+    The work is done on arrays of packed keys (:func:`pack_keys`), with the
+    results of the per-face definition: keys are numbered in order of first
+    occurrence over the corners of the non-degenerate faces, row-major, so
+    the key table holds exactly the keys the kept faces use.  Normalization
+    uses the float operations of :meth:`Transform.to_normalized` and snapping
+    those of :func:`to_grid`, so keys and transform are bit-identical to the
+    per-vertex definition.  Faces must share one degree (the :class:`Mesh`
+    contract).  Non-finite positions, or a transform that makes them
+    non-finite, raise ``ValueError``.
     """
     if not mesh.faces:
         raise ValueError("empty mesh")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):
         raise ValueError("partition does not match face count")
+    points = np.asarray(mesh.positions).reshape(len(mesh.positions), 3)
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite vertex coordinate")
     if transform is None:
-        normalized, transform = normalize(mesh)
-    else:
-        normalized = Mesh([transform.to_normalized(p) for p in mesh.positions], mesh.faces)
+        if not len(points):
+            raise ValueError("empty mesh")
+        lo = points.min(axis=0)
+        extent = (points.max(axis=0) - lo).max().item()
+        if extent <= 0.0:
+            raise ValueError("degenerate extent: all points identical")
+        transform = Transform(tuple(lo.tolist()), extent)
+    with np.errstate(all="ignore"):
+        normalized = (points - np.asarray(transform.center)) / transform.scale
+    if not np.isfinite(normalized).all():
+        raise ValueError("non-finite vertex coordinate")
 
-    grid_of_vertex = [to_grid(p) for p in normalized.positions]
+    out_of_range = (normalized < -EPS) | (normalized > 1.0 + EPS)
+    if out_of_range.any():
+        c = normalized.flat[np.argmax(out_of_range)]
+        raise ValueError(f"normalized coordinate out of range: {float(c)!r}")
+    grid = np.clip((normalized * GRID).astype(np.int64), 0, GRID - 1)
 
-    key_index: dict[GridCoord, int] = {}
-    vertex_keys: list[GridCoord] = []
-    faces: list[tuple[int, ...]] = []
-    labels: list[int] = []
-    seen_face_sets: set[frozenset[int]] = set()
-    dropped_degenerate = 0
-    dropped_duplicate = 0
-
-    for fi, face in enumerate(mesh.faces):
-        coords = [grid_of_vertex[v] for v in face]
-        if len(set(coords)) < len(face):
-            dropped_degenerate += 1
-            continue
-        idxs = []
-        for c in coords:
-            j = key_index.get(c)
-            if j is None:
-                j = len(vertex_keys)
-                key_index[c] = j
-                vertex_keys.append(c)
-            idxs.append(j)
-        fset = frozenset(idxs)
-        if fset in seen_face_sets:
-            dropped_duplicate += 1
-            continue
-        seen_face_sets.add(fset)
-        faces.append(tuple(idxs))
-        if partition is not None:
-            labels.append(partition.island_of_face[fi])
-
-    if not faces:
+    corners = pack_keys(grid)[np.asarray(mesh.faces)]
+    sets = np.sort(corners, axis=1)
+    degenerate = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
+    if degenerate.all():
         raise ValueError("all faces degenerate after quantization")
+    kept = np.flatnonzero(~degenerate)
+    corners, sets = corners[kept], sets[kept]
 
-    # Keys referencing only dropped faces never get created above, so the key
-    # table already holds exactly the referenced keys.
+    codes, first, inverse = np.unique(corners, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    key_of_code = np.empty_like(by_first)
+    key_of_code[by_first] = np.arange(len(by_first))
+    faces = key_of_code[inverse.reshape(-1)].reshape(corners.shape)
+
+    # of faces with equal key sets, the first (the run head) is kept
+    order, heads = sort_rows(sets)
+    unique = np.sort(order[heads])
+
     island_of_face: list[int] | None = None
     if partition is not None:
-        remap = {old: new for new, old in enumerate(sorted(set(labels)))}
-        island_of_face = [remap[l] for l in labels]
+        labels = np.asarray(partition.island_of_face)[kept[unique]]
+        island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1).tolist()
 
     return QuantizedMesh(
-        vertex_keys=vertex_keys,
-        faces=faces,
+        vertex_keys=_tuples(_unpack_keys(codes[by_first])),
+        faces=_tuples(faces[unique]),
         island_of_face=island_of_face,
         transform=transform,
-        dropped_degenerate=dropped_degenerate,
-        dropped_duplicate=dropped_duplicate,
+        dropped_degenerate=len(mesh.faces) - len(kept),
+        dropped_duplicate=len(kept) - len(unique),
     )
 
 

@@ -1,73 +1,127 @@
 """Exact comparison of a quantized mesh against its decoded reconstruction.
 
-Faces are matched by their unordered grid-coordinate sets (unique after
-quantization dedup), windings by cyclic-rotation equality, and partitions
-as label-free groupings of face sets.
+Both meshes become ``(F, d)`` arrays of packed grid keys
+(:func:`~striptok.quantize.pack_keys`).  Faces are matched by their
+unordered key sets: each row's distinct keys are sorted and both sides are
+lexsorted, so equal face multisets line up row for row.  A winding matches
+when the decoded row is a cyclic rotation of its matched source row, and the
+island partitions match when the (source label, decoded label) pairs over
+the matched faces form a bijection.  Only the loop over rotations runs in
+Python.  Meshes that repeat a key set, which neither quantization nor
+decoding produces, take a slower path that compares the label groups as
+sets, with one Python step per label.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import numpy as np
 
-from .quantize import QuantizedMesh
-
-
-def _face_coord_sets(q: QuantizedMesh):
-    return [frozenset(q.vertex_keys[v] for v in face) for face in q.faces]
+from .quantize import GRID, QuantizedMesh, pack_keys, sort_rows
 
 
-def _face_coord_tuples(q: QuantizedMesh):
-    return [tuple(q.vertex_keys[v] for v in face) for face in q.faces]
+def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):
+    """One int64 per vertex key of each mesh, equal exactly where the keys are."""
+    keys = np.array(source.vertex_keys + decoded.vertex_keys, dtype=np.int64).reshape(-1, 3)
+    if keys.size and (keys.min() < 0 or keys.max() >= GRID):
+        # not grid keys, so packing could collide: rank them jointly instead
+        codes = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    else:
+        codes = pack_keys(keys)
+    n = len(source.vertex_keys)
+    return codes[:n], codes[n:]
 
 
-def _is_rotation(a: tuple, b: tuple) -> bool:
-    if len(a) != len(b):
-        return False
-    n = len(a)
-    return any(a == tuple(b[(k + i) % n] for i in range(n)) for k in range(n))
+def _face_codes(q: QuantizedMesh, codes: np.ndarray) -> np.ndarray:
+    return codes[np.array(q.faces, dtype=np.int64).reshape(len(q.faces), q.face_degree)]
 
 
-def _grouping(face_sets, labels):
-    groups = defaultdict(set)
-    for fs, l in zip(face_sets, labels):
-        groups[l].add(fs)
-    return {frozenset(g) for g in groups.values()}
+def _set_rows(faces: np.ndarray, width: int) -> np.ndarray:
+    """Each face's distinct keys in ascending order, left-padded with -1 to ``width``."""
+    rows = np.sort(faces, axis=1)
+    repeated = rows[:, 1:] == rows[:, :-1]
+    if repeated.any():
+        rows[:, 1:][repeated] = -1
+        rows.sort(axis=1)
+    if rows.shape[1] < width:
+        rows = np.hstack([np.full((len(rows), width - rows.shape[1]), -1, dtype=np.int64), rows])
+    return rows
 
 
-def _island_key_sets(q: QuantizedMesh):
-    labels = q.island_of_face if q.island_of_face is not None else [0] * len(q.faces)
-    used = defaultdict(set)
-    for face, l in zip(q.faces, labels):
-        for v in face:
-            used[l].add(q.vertex_keys[v])
-    return used, labels
+def _multiset_detail(src_sets: np.ndarray, dec_sets: np.ndarray, n_src: int, n_dec: int) -> str:
+    """The mismatch message, from each side's distinct key-set rows."""
+    both = np.concatenate([src_sets, dec_sets])
+    common = len(both) - int(sort_rows(both)[1].sum())
+    return (
+        f"face multiset mismatch: {len(src_sets) - common} missing, {len(dec_sets) - common} extra "
+        f"({n_src} vs {n_dec} faces)"
+    )
+
+
+def _labels(q: QuantizedMesh) -> np.ndarray:
+    if q.island_of_face is None:
+        return np.zeros(len(q.faces), dtype=np.int64)
+    return np.asarray(q.island_of_face)
+
+
+def _is_bijection(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the pairs ``(a[i], b[i])`` match a's values one-to-one with b's."""
+    a_values, a = np.unique(a, return_inverse=True)
+    b_values, b = np.unique(b, return_inverse=True)
+    pairs = np.unique(a.reshape(-1) * len(b_values) + b.reshape(-1))
+    return len(pairs) == len(a_values) == len(b_values)
+
+
+def _groups(labels: np.ndarray, values: np.ndarray) -> list[bytes]:
+    """The distinct values under each label, sorted, as one bytes string per label."""
+    labels = np.unique(labels, return_inverse=True)[1].reshape(-1)
+    span = int(values.max()) + 1
+    labels, values = np.divmod(np.unique(labels * span + values), span)
+    return [v.tobytes() for v in np.split(values, np.flatnonzero(np.diff(labels)) + 1)]
 
 
 def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bool, str]:
     """Check face multiset, winding, island partition, and per-island key sets.
 
-    Returns (ok, detail); detail names the first divergence.
+    Returns (ok, detail); detail names the first divergence.  Faces must
+    share one degree within each mesh.
     """
-    src_sets = _face_coord_sets(source)
-    dec_sets = _face_coord_sets(decoded)
-    if Counter(src_sets) != Counter(dec_sets):
-        missing = set(src_sets) - set(dec_sets)
-        extra = set(dec_sets) - set(src_sets)
-        return False, (
-            f"face multiset mismatch: {len(missing)} missing, {len(extra)} extra "
-            f"({len(src_sets)} vs {len(dec_sets)} faces)"
-        )
+    if not source.faces and not decoded.faces:
+        return True, ""
+    src_codes, dec_codes = _key_codes(source, decoded)
+    src, dec = _face_codes(source, src_codes), _face_codes(decoded, dec_codes)
+    width = max(src.shape[1], dec.shape[1])
+    src_rows, dec_rows = _set_rows(src, width), _set_rows(dec, width)
+    (src_order, head), (dec_order, dec_head) = sort_rows(src_rows), sort_rows(dec_rows)
+    src_rows, dec_rows = src_rows[src_order], dec_rows[dec_order]
+    if len(src_rows) != len(dec_rows) or not np.array_equal(src_rows, dec_rows):
+        return False, _multiset_detail(src_rows[head], dec_rows[dec_head], len(src_rows), len(dec_rows))
 
-    by_set = dict(zip(src_sets, _face_coord_tuples(source)))
-    for fs, ft in zip(dec_sets, _face_coord_tuples(decoded)):
-        if not _is_rotation(ft, by_set[fs]):
-            return False, f"winding mismatch on face {sorted(fs)}"
+    # matched rows hold the same key set on both sides; like a dict keyed by
+    # key set, the last source face of a set is the one its windings must match
+    set_id = np.cumsum(head) - 1
+    run_end = np.flatnonzero(np.append(head[1:], True))
+    ref, got = src[src_order[run_end[set_id]]], dec[dec_order]
+    wound = np.zeros(len(got), dtype=bool)
+    if ref.shape[1] == got.shape[1]:
+        for k in range(got.shape[1]):
+            wound |= (got == np.roll(ref, k, axis=1)).all(axis=1)
+    if not wound.all():
+        face = decoded.faces[dec_order[~wound].min()]
+        return False, f"winding mismatch on face {sorted({decoded.vertex_keys[v] for v in face})}"
 
-    src_used, src_labels = _island_key_sets(source)
-    dec_used, dec_labels = _island_key_sets(decoded)
-    if _grouping(src_sets, src_labels) != _grouping(dec_sets, dec_labels):
+    src_labels, dec_labels = _labels(source), _labels(decoded)
+    if head.all():
+        # one face per key set: the label partitions agree iff the labels of
+        # matched faces correspond one-to-one, and then so do the key sets
+        if not _is_bijection(src_labels[src_order], dec_labels[dec_order]):
+            return False, "island partition mismatch"
+        return True, ""
+
+    # repeated key sets: labels can share faces, so compare the groups as sets
+    if set(_groups(src_labels[src_order], set_id)) != set(_groups(dec_labels[dec_order], set_id)):
         return False, "island partition mismatch"
-    if Counter(map(frozenset, src_used.values())) != Counter(map(frozenset, dec_used.values())):
+    src_keys = _groups(np.repeat(src_labels, src.shape[1]), src.reshape(-1))
+    dec_keys = _groups(np.repeat(dec_labels, dec.shape[1]), dec.reshape(-1))
+    if sorted(src_keys) != sorted(dec_keys):
         return False, "per-island vertex key sets mismatch"
-
     return True, ""

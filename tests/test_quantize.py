@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from striptok import (
     IDENTITY_TRANSFORM,
+    IslandPartition,
     Mesh,
     Transform,
     decode_hier,
@@ -19,6 +20,7 @@ from striptok import (
     to_grid,
 )
 
+import oracles
 import synth
 
 
@@ -195,3 +197,102 @@ class TestQuantizeMesh:
         assert q.dropped_duplicate == 1
         assert q.island_of_face == [0] * len(base.faces)
         assert q.island_count() == 1
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 5])
+    def test_bounding_box_path(self, bad, where):
+        mesh = synth.tri_grid(3, 3)
+        positions = list(mesh.positions)
+        positions[where] = (positions[where][0], bad, positions[where][2])
+        with pytest.raises(ValueError, match="^non-finite vertex coordinate$"):
+            quantize_mesh(Mesh(positions=positions, faces=mesh.faces))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [0, 5])
+    def test_transform_path(self, bad, where):
+        mesh = synth.tri_grid(3, 3)
+        q = quantize_mesh(mesh)
+        positions = list(mesh.positions)
+        positions[where] = (bad, positions[where][1], positions[where][2])
+        with pytest.raises(ValueError, match="^non-finite vertex coordinate$"):
+            quantize_mesh(Mesh(positions=positions, faces=mesh.faces), transform=q.transform)
+
+    @pytest.mark.parametrize("scale", [math.nan, 0.0])
+    def test_transform_makes_points_non_finite(self, scale):
+        mesh = synth.tri_grid(3, 3)
+        with pytest.raises(ValueError, match="^non-finite vertex coordinate$"):
+            quantize_mesh(mesh, transform=Transform((0.0, 0.0, 0.0), scale))
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and text of the ``ValueError`` it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def coarse_meshes(draw):
+    """Jittered grids on a coarse grid, so vertices share cells and faces collapse.
+
+    An unreferenced far vertex stretches the bounding box: with one grid cell
+    spanning up to a few grid steps, faces degenerate or coincide.  Some
+    faces are repeated, and island labels are sparse, so dropping can empty
+    islands.
+    """
+    quads = draw(st.booleans())
+    nx, nz = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    base = synth.quad_grid(nx, nz) if quads else synth.tri_grid(nx, nz)
+    jitter = st.floats(-0.5, 0.5)
+    positions = [
+        (p[0] + draw(jitter), draw(st.floats(0.0, 2.0)), p[2] + draw(jitter)) for p in base.positions
+    ]
+    positions.append((draw(st.floats(8.0, 2000.0)), 0.0, 0.0))
+    faces = list(base.faces)
+    for i in draw(st.lists(st.integers(0, len(faces) - 1), max_size=4)):
+        faces.append(faces[i][::-1] if draw(st.booleans()) else faces[i])
+    mesh = Mesh(positions=positions, faces=faces)
+    partition = None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 6).map(lambda l: 3 * l), min_size=len(faces), max_size=len(faces)))
+        partition = IslandPartition(labels, len(set(labels)))
+    return mesh, partition
+
+
+def _assert_same(got, want, n_faces):
+    assert got == want  # dataclass equality: keys, faces, labels, transform, drop counts
+    assert len(got.faces) + got.dropped_degenerate + got.dropped_duplicate == n_faces
+    assert all(type(c) is int for key in got.vertex_keys for c in key)
+    assert all(type(v) is int for face in got.faces for v in face)
+    assert got.island_of_face is None or all(type(l) is int for l in got.island_of_face)
+    assert all(type(k) is tuple for k in got.vertex_keys) and all(type(f) is tuple for f in got.faces)
+
+
+@given(coarse_meshes())
+@settings(max_examples=50, deadline=None)
+def test_quantize_matches_oracle(case):
+    mesh, partition = case
+    got = _outcome(quantize_mesh, mesh, partition)
+    assert got == _outcome(oracles.quantize_mesh, mesh, partition)
+    if isinstance(got, tuple):
+        return
+    _assert_same(got, oracles.quantize_mesh(mesh, partition), len(mesh.faces))
+
+    # the transform path: re-quantizing the dequantized mesh
+    again = dequantize_mesh(got)
+    labels = IslandPartition(got.island_of_face, got.island_count()) if partition else None
+    redo = quantize_mesh(again, labels, transform=got.transform)
+    _assert_same(redo, oracles.quantize_mesh(again, labels, transform=got.transform), len(again.faces))
+    assert redo.vertex_keys == got.vertex_keys and redo.faces == got.faces
+
+
+@given(coarse_meshes(), st.floats(0.25, 4.0), st.floats(-1.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_quantize_out_of_range_matches_oracle(case, scale, shift):
+    mesh, partition = case
+    transform = Transform((shift, shift, shift), scale)
+    got = _outcome(quantize_mesh, mesh, partition, transform=transform)
+    assert got == _outcome(oracles.quantize_mesh, mesh, partition, transform=transform)

@@ -1,0 +1,126 @@
+"""``compare_quantized`` against the per-face reference in ``oracles``."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
+from striptok import IDENTITY_TRANSFORM, Mesh, QuantizedMesh, decode_tokens, encode_mesh, uv_islands
+from striptok.verify import compare_quantized
+
+import oracles
+import synth
+
+
+@st.composite
+def round_trips(draw):
+    """A random tri or quad grid, encoded and decoded: (source, decoded)."""
+    quads = draw(st.booleans())
+    nx, nz = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    base = synth.quad_grid(nx, nz) if quads else synth.tri_grid(nx, nz)
+    heights = draw(st.lists(st.floats(0.0, 3.0), min_size=len(base.positions), max_size=len(base.positions)))
+    mesh = Mesh(positions=[(p[0], h, p[2]) for p, h in zip(base.positions, heights)], faces=base.faces)
+    regions = draw(st.one_of(st.none(), st.integers(1, 6)))
+    partition = None
+    if regions is not None:
+        mesh = synth.with_uv_groups(mesh, synth.grown_regions(mesh, regions))
+        partition = uv_islands(mesh)
+    source, _, seq = encode_mesh(mesh, 2 if quads else 1, partition)
+    decoded, _, _ = decode_tokens(seq)
+    return source, decoded
+
+
+def _labels(q: QuantizedMesh) -> list[int]:
+    return list(q.island_of_face) if q.island_of_face is not None else [0] * len(q.faces)
+
+
+def _perturb(q: QuantizedMesh, kind: str, i: int, j: int) -> QuantizedMesh:
+    """``q`` with one defect of the given kind; ``i``/``j`` pick faces."""
+    faces, labels = list(q.faces), _labels(q)
+    i, j = i % len(faces), j % len(faces)
+    a, b = labels[i], labels[j]
+    if kind == "reverse":
+        faces[i] = faces[i][::-1]
+    elif kind == "reflect":
+        # swap two neighbouring corners: same key set, not a rotation
+        f = faces[i]
+        faces[i] = (f[1], f[0]) + f[2:]
+    elif kind == "swap":
+        labels = [b if l == a else a if l == b else l for l in labels]
+    elif kind == "merge":
+        labels = [a if l == b else l for l in labels]
+    elif kind == "split":
+        labels = [max(labels) + 1 if l == a and k >= i else l for k, l in enumerate(labels)]
+    elif kind == "move":
+        labels[i] = b
+    elif kind == "drop":
+        del faces[i], labels[i]
+    elif kind == "replace":
+        keys = list(q.vertex_keys) + [(511, 511, 511)]
+        faces[i] = (len(keys) - 1,) + faces[i][1:]
+        return QuantizedMesh(keys, faces, labels, q.transform)
+    elif kind == "duplicate":
+        faces.append(faces[i])
+        labels.append(b)
+    return replace(q, faces=faces, island_of_face=labels)
+
+
+KINDS = ["reverse", "reflect", "swap", "merge", "split", "move", "drop", "replace", "duplicate"]
+
+
+@given(
+    round_trips(),
+    st.one_of(st.none(), st.sampled_from(KINDS)),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(["source", "decoded", "both"]),
+)
+@settings(max_examples=50, deadline=None)
+def test_compare_matches_oracle(case, kind, i, j, side):
+    source, decoded = case
+    if kind is not None:
+        # on both sides, a duplicated face gives repeated key sets that still match
+        if side != "decoded":
+            source = _perturb(source, kind, i, j)
+        if side != "source":
+            decoded = _perturb(decoded, kind, i, j)
+    assert compare_quantized(source, decoded) == oracles.compare_quantized(source, decoded)
+
+
+def _mesh(keys, faces, labels=None):
+    return QuantizedMesh(keys, faces, labels, IDENTITY_TRANSFORM)
+
+
+SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+
+
+def test_clean_pair_passes():
+    q = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], [0, 1])
+    rotated = _mesh(SQUARE[::-1], [(1, 0, 3), (2, 1, 3)], [5, 2])
+    assert compare_quantized(q, rotated) == (True, "")
+
+
+def test_edge_cases_match_oracle():
+    tri = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], [0, 1])
+    cases = [
+        (_mesh([], []), _mesh([], [])),
+        (tri, _mesh([], [])),
+        (_mesh([], []), tri),
+        # duplicate key sets carrying different labels on each side
+        (_mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 1]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 0])),
+        (_mesh(SQUARE, [(0, 1, 2), (1, 2, 0)], [0, 1]), _mesh(SQUARE, [(2, 0, 1), (0, 1, 2)], [3, 4])),
+        # windings are checked against the last source face with the key set
+        (_mesh(SQUARE, [(0, 1, 2), (0, 2, 1)], [0, 1]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 1])),
+        (_mesh(SQUARE, [(0, 2, 1), (0, 1, 2)], [0, 1]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 1])),
+        # degenerate faces and faces of another degree with the same key set
+        (_mesh(SQUARE, [(0, 1, 2, 2)]), _mesh(SQUARE, [(0, 1, 2)])),
+        (_mesh(SQUARE, [(0, 0, 1)]), _mesh(SQUARE, [(0, 1, 1)])),
+        (_mesh(SQUARE, [(0, 1, 2, 3)]), _mesh(SQUARE, [(0, 1, 2)])),
+        # keys off the 512 grid are compared as plain tuples
+        (_mesh([(0, 0, 512), (0, 1, 0), (2, 0, 0)], [(0, 1, 2)]), _mesh([(0, 1, 0), (0, 0, 512), (2, 0, 0)], [(1, 0, 2)])),
+        (_mesh([(0, 0, 512), (0, 1, 0), (2, 0, 0)], [(0, 1, 2)]), _mesh([(0, 1, 0), (0, 1, 0), (2, 0, 0)], [(1, 0, 2)])),
+        (_mesh([(-1, 0, 0), (0, 1, 0), (2, 0, 0)], [(0, 1, 2)]), _mesh([(-1, 0, 0), (0, 1, 0), (2, 0, 0)], [(0, 2, 1)])),
+    ]
+    for source, decoded in cases:
+        assert compare_quantized(source, decoded) == oracles.compare_quantized(source, decoded)
