@@ -335,6 +335,10 @@ def main(argv=None) -> int:
 
     if cmd == "compare":
         _write_compare_csv(rows, args.output)
+        # the CSV has no error column, so a failed file's reason goes to stderr
+        for r in rows:
+            if "error" in r:
+                print(f"{r['file']}: {r['error']}", file=sys.stderr)
         print(
             f"published reference comp rates (context only, not asserted): {REFERENCE_COMP_RATES}",
             file=sys.stderr,

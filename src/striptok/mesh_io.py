@@ -4,13 +4,19 @@ Only ``v``, ``vt`` and ``f`` records are interpreted; anything else is
 skipped.  Faces must be all triangles or all quads; mixed files are
 rejected.  Exported files group faces by island (``g island_<id>``) when a
 partition is supplied.
+
+Face adjacency (UV islands, the manifold check, and the strip walk in
+``strips``) is read from one stably sorted table of packed undirected edge
+keys, :func:`sorted_edge_keys`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 FACE_COUNT_RANGE = (500, 16000)
 ISLAND_COUNT_RANGE = (10, 300)
@@ -220,17 +226,47 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
-def _uv_edge_map(mesh: Mesh):
-    """Map each (vertex, uv) endpoint pair of a face edge to the faces using it."""
-    edges: dict[tuple, list[int]] = defaultdict(list)
-    for fi, (face, fuv) in enumerate(zip(mesh.faces, mesh.face_uvs)):
-        n = len(face)
-        for k in range(n):
-            a = (face[k], fuv[k])
-            b = (face[(k + 1) % n], fuv[(k + 1) % n])
-            key = (a, b) if a <= b else (b, a)
-            edges[key].append(fi)
-    return edges
+def face_array(faces) -> np.ndarray:
+    """Faces of one degree as an ``(F, d)`` int64 array (``(0, 0)`` if empty)."""
+    return np.asarray(faces, dtype=np.int64).reshape(len(faces), len(faces[0]) if len(faces) else 0)
+
+
+def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed undirected keys of every face edge, in stable sorted order.
+
+    ``faces`` is an ``(F, d)`` array of node ids in ``[0, n)``.  Edge ``k`` of
+    face ``f`` joins corners ``k`` and ``k + 1`` (mod ``d``) and is entry
+    ``f * d + k`` of the flattened edge list; its key is ``min * n + max``
+    of its two nodes, so both directions of an edge share one key.  Returns
+    ``(order, keys)``: the edge indices sorted by key, and the sorted keys.
+    Equal keys keep ascending edge (so face) order.
+    """
+    b = np.roll(faces, -1, axis=1)
+    keys = (np.minimum(faces, b) * n + np.maximum(faces, b)).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def _component_roots(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Lowest node id of each node's connected component under edges ``u``-``w``.
+
+    Min-label propagation: every edge hooks the root of its higher label
+    under the lower one, then pointer jumping flattens the forest, until
+    both ends of every edge have one root.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rw = root[u], root[w]
+        split = ru != rw
+        if not split.any():
+            return root
+        ru, rw = ru[split], rw[split]
+        np.minimum.at(root, np.maximum(ru, rw), np.minimum(ru, rw))
+        while True:
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
 
 
 def uv_islands(mesh: Mesh) -> IslandPartition:
@@ -238,35 +274,29 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
 
     Two faces are joined iff they share a 3D edge and reference identical uv
     indices at both endpoints of that edge; islands are the connected
-    components of that relation.
+    components of that relation, numbered in order of their lowest face.
     """
     if mesh.face_uvs is None:
         raise ValueError("mesh has no uv indices; use single_island instead")
-
-    adjacency: dict[int, list[int]] = defaultdict(list)
-    for users in _uv_edge_map(mesh).values():
-        if len(users) > 1:
-            for i in users:
-                for j in users:
-                    if i != j:
-                        adjacency[i].append(j)
-
     nfaces = len(mesh.faces)
-    labels = [-1] * nfaces
-    count = 0
-    for start in range(nfaces):
-        if labels[start] != -1:
-            continue
-        queue = deque([start])
-        labels[start] = count
-        while queue:
-            f = queue.popleft()
-            for g in adjacency[f]:
-                if labels[g] == -1:
-                    labels[g] = count
-                    queue.append(g)
-        count += 1
-    return IslandPartition(island_of_face=labels, island_count=count)
+    faces, fuvs = face_array(mesh.faces), face_array(mesh.face_uvs)
+    if faces.shape != fuvs.shape:
+        raise ValueError("face_uvs does not match faces")
+    if not nfaces:
+        return IslandPartition(island_of_face=[], island_count=0)
+
+    # one node per distinct (vertex, uv) corner
+    t0 = fuvs.min()
+    packed = (faces - faces.min()) * (fuvs.max() - t0 + 1) + (fuvs - t0)
+    uniq, nodes = np.unique(packed, return_inverse=True)
+    order, keys = sorted_edge_keys(nodes.reshape(faces.shape), len(uniq))
+
+    # faces of neighbouring equal keys share that (vertex, uv) edge
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    degree = faces.shape[1]
+    roots = _component_roots(nfaces, order[same] // degree, order[same + 1] // degree)
+    labels = np.unique(roots, return_inverse=True)[1].reshape(-1)
+    return IslandPartition(island_of_face=labels.tolist(), island_count=int(labels.max()) + 1)
 
 
 def single_island(mesh: Mesh) -> IslandPartition:
@@ -274,35 +304,34 @@ def single_island(mesh: Mesh) -> IslandPartition:
     return IslandPartition(island_of_face=[0] * len(mesh.faces), island_count=1)
 
 
-def _merged_faces(mesh: Mesh):
-    """Faces remapped through exact duplicate-position merging."""
-    index_of: dict[tuple[float, float, float], int] = {}
-    remap = []
-    for p in mesh.positions:
-        j = index_of.get(p)
-        if j is None:
-            j = len(index_of)
-            index_of[p] = j
-        remap.append(j)
-    merged = [tuple(remap[v] for v in face) for face in mesh.faces]
-    return merged, len(index_of)
+def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
+    """Faces as an ``(F, d)`` array remapped through exact duplicate-position
+    merging, and the merged vertex count.
+
+    Positions merge iff their bytes are equal; ``+ 0.0`` first turns -0.0
+    into 0.0, so the two merge, as equal float tuples do.
+    """
+    points = np.asarray(mesh.positions, dtype=np.float64).reshape(len(mesh.positions), 3) + 0.0
+    rows = np.ascontiguousarray(points).view(np.dtype((np.void, points.itemsize * 3))).reshape(-1)
+    uniq, remap = np.unique(rows, return_inverse=True)
+    return remap.reshape(-1)[face_array(mesh.faces)], len(uniq)
+
+
+def _edge_manifold(faces: np.ndarray, n: int) -> bool:
+    """True iff no edge key of ``faces`` occurs more than twice.
+
+    Edges whose two ends are one vertex are skipped.
+    """
+    if not faces.size:
+        return True
+    _, keys = sorted_edge_keys(faces, n)
+    keys = keys[keys // n != keys % n]
+    return not (keys[2:] == keys[:-2]).any()
 
 
 def is_edge_manifold(mesh: Mesh) -> bool:
     """True iff every edge bounds at most two faces after duplicate merge."""
-    merged, _ = _merged_faces(mesh)
-    edge_faces: dict[tuple[int, int], int] = defaultdict(int)
-    for face in merged:
-        n = len(face)
-        for k in range(n):
-            a, b = face[k], face[(k + 1) % n]
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            edge_faces[key] += 1
-            if edge_faces[key] > 2:
-                return False
-    return True
+    return _edge_manifold(*_merged_faces(mesh))
 
 
 @dataclass
@@ -319,10 +348,9 @@ def corpus_filter(mesh: Mesh, partition: IslandPartition | None = None) -> Filte
     count in [10, 300] when a partition is supplied.  Rejection names the
     first failing rule; it is a value, not an error.
     """
-    if not is_edge_manifold(mesh):
+    merged, vertex_count = _merged_faces(mesh)
+    if not _edge_manifold(merged, vertex_count):
         return FilterResult(False, "manifold")
-
-    _, vertex_count = _merged_faces(mesh)
 
     nfaces = len(mesh.faces)
     if not FACE_COUNT_RANGE[0] <= nfaces <= FACE_COUNT_RANGE[1]:

@@ -5,14 +5,18 @@ edge (the last two keys) appends one new vertex for triangles (stride 1)
 or a swapped pair for quads (stride 2).  Seeds are the lowest unvisited
 faces under a coordinate order, islands are traversed bottom-to-top along
 the configured vertical axis, and strips never leave their island.
+Faces across a frontier edge are found through its packed edge key
+(:func:`mesh_io.sorted_edge_keys`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .quantize import GridCoord, QuantizedMesh, Transform
+import numpy as np
+
+from .mesh_io import face_array, sorted_edge_keys
+from .quantize import GridCoord, QuantizedMesh, Transform, sort_rows
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
 
@@ -23,35 +27,46 @@ def key_order(coord: GridCoord, up_axis: str = "y"):
     return (coord[u], coord[(u + 1) % 3], coord[(u + 2) % 3])
 
 
-def vertex_ranks(q: QuantizedMesh, up_axis: str = "y") -> list[int]:
-    """Rank of each vertex key under :func:`key_order` (0 = lowest)."""
-    order = sorted(range(len(q.vertex_keys)), key=lambda i: key_order(q.vertex_keys[i], up_axis))
-    ranks = [0] * len(q.vertex_keys)
-    for r, i in enumerate(order):
-        ranks[i] = r
+def _rank_array(q: QuantizedMesh, up_axis: str) -> np.ndarray:
+    u = _AXIS[up_axis]
+    keys = np.asarray(q.vertex_keys, dtype=np.int64).reshape(len(q.vertex_keys), 3)
+    order = np.lexsort((keys[:, (u + 2) % 3], keys[:, (u + 1) % 3], keys[:, u]))
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))
     return ranks
 
 
-def _face_sort_keys(q: QuantizedMesh, ranks: list[int]):
-    return [tuple(sorted(ranks[v] for v in face)) for face in q.faces]
+def vertex_ranks(q: QuantizedMesh, up_axis: str = "y") -> list[int]:
+    """Rank of each vertex key under :func:`key_order` (0 = lowest).
+
+    Equal keys rank in index order.
+    """
+    return _rank_array(q, up_axis).tolist()
+
+
+def _face_order(faces: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Faces sorted by their sorted vertex-rank rows, and the run heads.
+
+    The order is stable (equal rows keep face order); ``heads`` marks the
+    first face of each run of equal rows, as :func:`quantize.sort_rows`.
+    """
+    if not len(faces):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    return sort_rows(np.sort(ranks[faces], axis=1))
 
 
 def seed_order(q: QuantizedMesh, island: int | None = None, up_axis: str = "y") -> list[int]:
     """Face indices ordered by their sorted vertex-rank tuples (lowest first)."""
-    ranks = vertex_ranks(q, up_axis)
-    fkeys = _face_sort_keys(q, ranks)
-    if island is None:
-        ids = range(len(q.faces))
-    else:
+    order, _ = _face_order(face_array(q.faces), _rank_array(q, up_axis))
+    if island is not None:
         if q.island_of_face is None:
             if island != 0:
                 raise ValueError(f"island {island} does not exist")
-            ids = range(len(q.faces))
         else:
-            ids = [i for i, l in enumerate(q.island_of_face) if l == island]
-            if not ids:
+            order = order[np.asarray(q.island_of_face)[order] == island]
+            if not len(order):
                 raise ValueError(f"island {island} does not exist")
-    return sorted(ids, key=lambda i: fkeys[i])
+    return order.tolist()
 
 
 @dataclass
@@ -70,25 +85,13 @@ class StripSet:
     transform: Transform
 
     def face_count(self) -> int:
-        return sum(len(strip_faces(s)) for s in self.strips)
-
-
-def _rotate_min_first(face: tuple[int, ...], ranks: list[int]) -> list[int]:
-    k = min(range(len(face)), key=lambda i: ranks[face[i]])
-    return [face[(k + i) % len(face)] for i in range(len(face))]
-
-
-def _edge_key(a: int, b: int):
-    return (a, b) if a < b else (b, a)
-
-
-def _build_edge_map(q: QuantizedMesh):
-    e2f: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for fi, face in enumerate(q.faces):
-        n = len(face)
-        for k in range(n):
-            e2f[_edge_key(face[k], face[(k + 1) % n])].append(fi)
-    return e2f
+        """Faces the strips decode to: ``sum(len(strip_faces(s)))``, counted."""
+        n = 0
+        for s in self.strips:
+            m = len(s.keys)
+            if m >= 3:
+                n += m - 2 if s.stride == 1 else (m - 2) // 2 + m % 2
+        return n
 
 
 def _quad_new_pair(face: tuple[int, ...], e0: int, e1: int) -> tuple[int, int]:
@@ -111,6 +114,12 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     reassembles the stored cyclic order.  Growth crosses the frontier edge
     to the unvisited face there (ties on non-manifold edges go to the
     lowest face) and stops at boundaries and visited faces.
+
+    "Lowest face" compares sorted vertex-rank tuples, ties going to the
+    lower face index; each face's tuple is replaced by its integer rank
+    among the distinct tuples.  The walk looks a frontier edge's key up in a
+    dict of edge ids and scans that edge's slice of face ids, in ascending
+    face order.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -121,34 +130,64 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
                 f"stride {stride} requires degree-{degree} faces, found degree {len(face)}"
             )
 
-    ranks = vertex_ranks(q, up_axis)
-    fkeys = _face_sort_keys(q, ranks)
-    e2f = _build_edge_map(q)
-    labels = q.island_of_face if q.island_of_face is not None else [0] * len(q.faces)
+    nfaces, nkeys = len(q.faces), len(q.vertex_keys)
+    if not nfaces:
+        return StripSet([], q.vertex_keys, [], stride, q.transform)
+    faces = face_array(q.faces)
+    rank_arr = _rank_array(q, up_axis)
+    order, heads = _face_order(faces, rank_arr)
+    # a seed starts at its lowest-ranked corner (the first, if repeated)
+    lowest_corner = np.argmin(rank_arr[faces], axis=1).tolist()
+    # equal sorted rank tuples get equal face ranks
+    face_rank = np.empty_like(order)
+    face_rank[order] = np.cumsum(heads) - 1
+    frank = face_rank.tolist()
 
-    faces_of_island: dict[int, list[int]] = defaultdict(list)
-    for fi, l in enumerate(labels):
-        faces_of_island[l].append(fi)
-    islands_in_order = sorted(faces_of_island, key=lambda l: min(fkeys[f] for f in faces_of_island[l]))
+    # islands by their lowest face; equal lowest face ranks (one key set in
+    # two islands) keep the order in which the islands first appear
+    labels = q.island_of_face if q.island_of_face is not None else [0] * nfaces
+    ids, first, island_idx = np.unique(
+        np.asarray(labels, dtype=np.int64), return_index=True, return_inverse=True
+    )
+    island_idx = island_idx.reshape(-1)
+    lowest = np.full(len(ids), nfaces)
+    np.minimum.at(lowest, island_idx, face_rank)
+    by_lowest = np.lexsort((first, lowest))
+    islands_in_order = ids[by_lowest].tolist()
 
-    visited = [False] * len(q.faces)
+    # each island's faces, lowest first: the seed queue
+    grouped = order[np.argsort(island_idx[order], kind="stable")]
+    bounds = np.cumsum(np.bincount(island_idx))
+    queues = np.split(grouped, bounds[:-1])
+
+    # CSR over edges: edge e's faces are edge_faces[starts[e]:starts[e + 1]]
+    edge_order, edge_keys = sorted_edge_keys(faces, nkeys)
+    starts = np.flatnonzero(np.r_[True, edge_keys[1:] != edge_keys[:-1]])
+    edge_of_key = dict(zip(edge_keys[starts].tolist(), range(len(starts))))
+    starts = starts.tolist() + [len(edge_keys)]
+    edge_faces = (edge_order // degree).tolist()
+
+    visited = [False] * nfaces
     strips: list[Strip] = []
 
     def next_face(e0: int, e1: int, island: int):
         best = None
-        for fi in e2f.get(_edge_key(e0, e1), ()):
+        eid = edge_of_key.get(e0 * nkeys + e1 if e0 < e1 else e1 * nkeys + e0)
+        if eid is None:
+            return None
+        for fi in edge_faces[starts[eid] : starts[eid + 1]]:
             if visited[fi] or labels[fi] != island:
                 continue
-            if best is None or fkeys[fi] < fkeys[best]:
+            if best is None or frank[fi] < frank[best]:
                 best = fi
         return best
 
-    for island in islands_in_order:
-        queue = sorted(faces_of_island[island], key=lambda f: fkeys[f])
-        for seed in queue:
+    for island, queue in zip(islands_in_order, (queues[i] for i in by_lowest)):
+        for seed in queue.tolist():
             if visited[seed]:
                 continue
-            keys = _rotate_min_first(q.faces[seed], ranks)
+            face, k = q.faces[seed], lowest_corner[seed]
+            keys = list(face[k:] + face[:k])
             if stride == 2:
                 keys[-1], keys[-2] = keys[-2], keys[-1]
             visited[seed] = True

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from striptok import IslandPartition, Mesh, uv_islands
 
 import synth
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
+# failure prints the blob that replays it locally (@reproduce_failure).
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @dataclass

@@ -360,3 +360,15 @@ class TestErrorRows:
                 runs.append(report.read_bytes())
             runs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert runs[: len(runs) // 2] == runs[len(runs) // 2 :]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_compare_error_goes_to_stderr(self, mixed, tmp_path, capsys, jobs):
+        objs, _ = mixed
+        csv_path = tmp_path / "cmp.csv"
+        assert main(["compare", str(objs), "--output", str(csv_path), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("bad.obj: ")] == [
+            "bad.obj: ValueError: face index 2 out of range (1 vertices)"
+        ]
+        assert not any(line.startswith(("grid.obj", "ico.obj")) for line in err)
+        assert "bad.obj" in csv_path.read_text()

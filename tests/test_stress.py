@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from striptok import (
     Mesh,
@@ -25,9 +25,12 @@ from striptok import (
     write_obj,
     write_tokens,
 )
+from striptok.mesh_io import is_edge_manifold
 from striptok.verify import compare_quantized
 
+import oracles
 import synth
+from strategies import random_grids, random_surfaces
 
 
 def random_heightfield(nx, nz, seed, quads=False):
@@ -66,25 +69,28 @@ def test_random_quad_heightfield_round_trip(seed):
     assert good, detail
 
 
-@st.composite
-def random_grids(draw):
-    """A tri or quad grid with random heights, with or without UV islands."""
-    quads = draw(st.booleans())
-    nx, nz = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    base = synth.quad_grid(nx, nz) if quads else synth.tri_grid(nx, nz)
-    heights = draw(st.lists(st.floats(0.0, 3.0), min_size=len(base.positions), max_size=len(base.positions)))
-    mesh = Mesh(positions=[(p[0], h, p[2]) for p, h in zip(base.positions, heights)], faces=base.faces)
-    regions = draw(st.one_of(st.none(), st.integers(1, 6)))
-    if regions is not None:
-        mesh = synth.with_uv_groups(mesh, synth.grown_regions(mesh, regions))
-    return mesh, 2 if quads else 1
-
-
 @given(random_grids())
 @settings(max_examples=50, deadline=None)
 def test_random_grid_round_trip_property(case):
     mesh, stride = case
     partition = uv_islands(mesh) if mesh.face_uvs else None
+    q, _, seq = encode_mesh(mesh, stride, partition)
+    decoded, _, report = decode_tokens(seq)
+    assert report.clean()
+    good, detail = compare_quantized(q, decoded)
+    assert good, detail
+
+
+@given(random_surfaces())
+@settings(max_examples=50, deadline=None)
+def test_random_surface_round_trip_property(case):
+    # jittered spheres and tori with holes: boundaries, non-grid valences
+    mesh, stride = case
+    assert is_edge_manifold(mesh) == oracles.is_edge_manifold(mesh)
+    partition = None
+    if mesh.face_uvs:
+        partition = uv_islands(mesh)
+        assert partition == oracles.uv_islands(mesh)
     q, _, seq = encode_mesh(mesh, stride, partition)
     decoded, _, report = decode_tokens(seq)
     assert report.clean()

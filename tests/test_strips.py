@@ -6,8 +6,10 @@ from collections import Counter
 import pytest
 
 from striptok import (
+    IDENTITY_TRANSFORM,
     Mesh,
     Strip,
+    StripSet,
     encode_mesh,
     extract_strips,
     key_order,
@@ -110,6 +112,13 @@ class TestStripFaces:
 
     def test_too_short(self):
         assert strip_faces(Strip(keys=[0, 1], island=0, stride=1)) == []
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_face_count_equals_strip_faces(self, stride):
+        for m in range(13):
+            s = Strip(keys=list(range(m)), island=0, stride=stride)
+            ss = StripSet([s, s], [], [0], stride, IDENTITY_TRANSFORM)
+            assert ss.face_count() == 2 * len(strip_faces(s)), m
 
 
 class TestExtractTriangles:
