@@ -5,34 +5,64 @@ counted, never raised.  Parsing restores full three-level codes through a
 prefix cache; decoding segments the vertex stream into strips at marker
 events, welds coincident coordinates within each island, and assembles
 faces at the requested stride.
+
+Decoding works on the ``(n, 4)`` event array.  Strip heads are event 0
+and every marker; a strip's island id is the number of island markers up
+to its head (a cumulative sum), and the islands that keep a face are
+renumbered densely at the end.  Kept vertices are numbered by
+first occurrence of their ``(island, packed key)`` pair, so equal codes
+weld within an island and never across two.  Faces are index arithmetic
+on each strip's run of vertex ids, one row per face; at stride 2 a
+trailing triangle is padded to four columns with -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mesh_io import IslandPartition, split_quad_faces
-from .quantize import QuantizedMesh, Transform, decode_hier
-from .strips import Strip, strip_faces
+from .quantize import QuantizedMesh, Transform, _tuples, _unpack_keys, decode_hier, sort_rows
 from .tokens import C2_BASE, C3_BASE, C1_T_BASE, TokenSequence, VOCAB_SIZE
 
 EV_VERTEX = 0
 EV_STRIP = 1
 EV_ISLAND = 2
 
+# a packed grid key takes 27 bits; the island id goes above them
+_KEY_BITS = 27
+_KEY_MASK = (1 << _KEY_BITS) - 1
+
+# corner offsets from a face's first strip position, by face variant:
+# stride 1 even/odd step (odd steps flip), stride 2 quad/trailing triangle
+_CORNERS = {
+    1: np.array([[0, 1, 2], [0, 2, 1]]),
+    2: np.array([[0, 1, 3, 2], [0, 1, 2, 0]]),
+}
+
 
 @dataclass
 class VertexStream:
-    """Parsed events as (kind, c1, c2, c3) tuples with discard accounting.
+    """Parsed events as an ``(n, 4)`` int64 array of (kind, c1, c2, c3) rows,
+    with discard accounting.
 
     ``kind`` is EV_VERTEX / EV_STRIP / EV_ISLAND; marker events carry the
     full code of their seed vertex.  ``consumed_tokens + discarded`` always
-    equals the input length.
+    equals the input length (:meth:`check`).
     """
 
-    events: list[tuple[int, int, int, int]]
+    events: np.ndarray
     discarded: int
     consumed_tokens: int
+
+    def check(self, n_tokens: int) -> None:
+        """Raise ``AssertionError`` unless consumed + discarded == ``n_tokens``."""
+        if self.consumed_tokens + self.discarded != n_tokens:
+            raise AssertionError(
+                f"consumed_tokens {self.consumed_tokens} + discarded {self.discarded}"
+                f" != {n_tokens} tokens"
+            )
 
 
 def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
@@ -45,7 +75,8 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
     vertex and dangling prefixes at end of stream are discarded likewise.
     """
     tokens = t.tokens if isinstance(t, TokenSequence) else t
-    events: list[tuple[int, int, int, int]] = []
+    flat: list[int] = []  # kind, c1, c2, c3 of each event in turn
+    emit = flat.extend
     discarded = 0
     consumed = 0
     cache_c1 = -1
@@ -92,20 +123,20 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
                 continue
             c3 = tok - C3_BASE
             if state == 2:
-                events.append((p_kind, p_c1, p_c2, c3))
+                emit((p_kind, p_c1, p_c2, c3))
                 consumed += 3
                 cache_c1, cache_c2 = p_c1, p_c2
                 state = 0
                 break
             if state == 3:
-                events.append((EV_VERTEX, cache_c1, p_c2, c3))
+                emit((EV_VERTEX, cache_c1, p_c2, c3))
                 consumed += 2
                 cache_c2 = p_c2
                 state = 0
                 break
             if state == 0:
                 if cache_c1 >= 0:
-                    events.append((EV_VERTEX, cache_c1, cache_c2, c3))
+                    emit((EV_VERTEX, cache_c1, cache_c2, c3))
                     consumed += 1
                 else:
                     discarded += 1
@@ -117,6 +148,7 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
 
     if state:
         discarded += 2 if state == 2 else 1
+    events = np.array(flat, dtype=np.int64).reshape(-1, 4)
     return VertexStream(events=events, discarded=discarded, consumed_tokens=consumed)
 
 
@@ -124,7 +156,7 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
 class DecodeReport:
     """Drop/weld accounting: every token is either discarded at parse time,
     part of a dropped short strip, or a vertex of a kept strip; every implied
-    face is either emitted, degenerate, or a duplicate."""
+    face is either emitted, degenerate, or a duplicate (:meth:`check`)."""
 
     discarded_tokens: int = 0
     dropped_strips: int = 0
@@ -144,86 +176,124 @@ class DecodeReport:
             or self.duplicate_faces
         )
 
+    def check(self, n_events: int, n_faces: int) -> None:
+        """Raise ``AssertionError`` unless the event and face counts balance.
 
-def _segment(stream: VertexStream):
-    """Group events into (island, codes) strips; stream start opens both."""
-    strips: list[tuple[int, list[tuple[int, int, int]]]] = []
-    island = 0
-    current: list[tuple[int, int, int]] | None = None
-    for kind, c1, c2, c3 in stream.events:
-        if current is None:
-            current = [(c1, c2, c3)]
-            continue
-        if kind == EV_ISLAND:
-            strips.append((island, current))
-            island += 1
-            current = [(c1, c2, c3)]
-        elif kind == EV_STRIP:
-            strips.append((island, current))
-            current = [(c1, c2, c3)]
-        else:
-            current.append((c1, c2, c3))
-    if current is not None:
-        strips.append((island, current))
-    return strips
+        ``n_events`` is the length of the decoded stream's events and
+        ``n_faces`` the number of faces the decode emitted.
+        """
+        if self.kept_strip_vertices + self.dropped_strip_vertices != n_events:
+            raise AssertionError(
+                f"events {n_events} != kept strip vertices {self.kept_strip_vertices}"
+                f" + dropped strip vertices {self.dropped_strip_vertices}"
+            )
+        if self.implied_faces != n_faces + self.degenerate_faces + self.duplicate_faces:
+            raise AssertionError(
+                f"implied faces {self.implied_faces} != emitted {n_faces}"
+                f" + degenerate {self.degenerate_faces} + duplicate {self.duplicate_faces}"
+            )
+
+
+def _nothing_kept(transform, report):
+    return (
+        QuantizedMesh(vertex_keys=[], faces=[], island_of_face=[], transform=transform),
+        IslandPartition(island_of_face=[], island_count=0),
+        report,
+    )
 
 
 def _decode_impl(stream, stride, transform, drop_duplicates):
+    # NumPy's array methods are used over its functions where both exist:
+    # most calls see a few dozen events, where per-call overhead dominates
     report = DecodeReport(discarded_tokens=stream.discarded)
-    vertex_keys: list[tuple[int, int, int]] = []
-    weld_maps: dict[int, dict[tuple[int, int, int], int]] = {}
-    faces: list[tuple[int, ...]] = []
-    labels: list[int] = []
-    seen: set[frozenset[int]] = set()
+    events = stream.events
+    n = len(events)
+    if not n:
+        return _nothing_kept(transform, report)
+    bounds = np.empty(n + 1, dtype=bool)  # strip heads, then the stream end
+    np.not_equal(events[:, 0], EV_VERTEX, out=bounds[:n])
+    bounds[0] = bounds[n] = True
+    bounds = bounds.nonzero()[0]
+    heads = bounds[:-1]
+    lengths = bounds[1:] - heads
+    keep = lengths >= 3
+    report.dropped_strips = len(heads)
+    report.dropped_strip_vertices = n
+    if not keep.any():
+        return _nothing_kept(transform, report)
 
-    for island, codes in _segment(stream):
-        if len(codes) < 3:
-            report.dropped_strips += 1
-            report.dropped_strip_vertices += len(codes)
-            continue
-        report.kept_strips += 1
-        report.kept_strip_vertices += len(codes)
-        wmap = weld_maps.setdefault(island, {})
-        idxs = []
-        for code in codes:
-            coord = decode_hier(code)
-            j = wmap.get(coord)
-            if j is None:
-                j = len(vertex_keys)
-                wmap[coord] = j
-                vertex_keys.append(coord)
-            else:
-                report.welds += 1
-            idxs.append(j)
-        for face in strip_faces(Strip(keys=idxs, island=island, stride=stride)):
-            report.implied_faces += 1
-            if len(set(face)) < len(face):
-                report.degenerate_faces += 1
-                continue
-            fset = frozenset(face)
-            if fset in seen:
-                if drop_duplicates:
-                    report.duplicate_faces += 1
-                    continue
-            else:
-                seen.add(fset)
-            faces.append(face)
-            labels.append(island)
+    # counting a leading island marker too shifts every id alike
+    island = (events[:, 0] == EV_ISLAND).cumsum(dtype=np.int64)[heads[keep]]
+    events = events[keep.repeat(lengths)]
+    lengths = lengths[keep]
+    n = len(events)
+    report.kept_strips = len(lengths)
+    report.kept_strip_vertices = n
+    report.dropped_strips -= len(lengths)
+    report.dropped_strip_vertices -= n
 
-    referenced = sorted({v for face in faces for v in face})
-    remap = {old: new for new, old in enumerate(referenced)}
-    vertex_keys = [vertex_keys[old] for old in referenced]
-    faces = [tuple(remap[v] for v in face) for face in faces]
+    # weld: a vertex's id is the position of the first kept event with its
+    # (island, key) pair, so ids follow first occurrence
+    island = island.repeat(lengths)
+    pairs = island << _KEY_BITS | decode_hier(events[:, 1:])
+    order = pairs.argsort(kind="stable")
+    ordered = pairs[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]
+    vid = np.empty_like(order)
+    vid[order] = first[new.cumsum() - 1]
+    report.welds = n - len(first)
 
-    present = sorted(set(labels))
-    dense = {old: new for new, old in enumerate(present)}
-    partition = IslandPartition(
-        island_of_face=[dense[l] for l in labels], island_count=len(present)
-    )
+    # a face starts at every strip position (every even one at stride 2)
+    # with at least 3 vertices left; the corners are offsets from there
+    left = lengths.cumsum().repeat(lengths) - np.arange(n)  # this vertex included
+    pos = lengths.repeat(lengths) - left
+    if stride == 1:
+        start = (left >= 3).nonzero()[0]
+        variant = pos[start] & 1
+    else:
+        start = ((left >= 3) & (pos & 1 == 0)).nonzero()[0]
+        variant = (left[start] == 3).view(np.int8)
+    rows = vid[start[:, None] + _CORNERS[stride][variant]]
+    if stride == 2:
+        rows[variant == 1, 3] = -1
+    report.implied_faces = len(rows)
+
+    sets = np.sort(rows, axis=1)
+    ok = (sets[:, 1:] != sets[:, :-1]).all(axis=1).nonzero()[0]
+    report.degenerate_faces = len(rows) - len(ok)
+    if drop_duplicates:
+        # of faces with equal index sets, the first (the run head) is kept
+        order, first_of_set = sort_rows(sets[ok])
+        ok = ok[np.sort(order[first_of_set])]
+        report.duplicate_faces = len(rows) - report.degenerate_faces - len(ok)
+    rows = rows[ok]
+
+    # number the referenced vertices densely in id order; the -1 pad marks
+    # and maps through the spare last slot
+    used = np.zeros(n + 1, dtype=bool)
+    used[rows] = True
+    new_id = used.cumsum() - 1
+    new_id[n] = -1
+    rows = new_id[rows]
+    vertex_keys = _tuples(_unpack_keys(pairs[used[:n]] & _KEY_MASK))
+    faces = _tuples(rows)
+    if stride == 2:
+        for i in (rows[:, 3] < 0).nonzero()[0].tolist():
+            faces[i] = faces[i][:3]
+
+    # islands only grow along the faces, so a dense label counts the changes
+    island = island[start[ok]]
+    labels = np.zeros(len(island), dtype=np.int64)
+    (island[1:] != island[:-1]).cumsum(out=labels[1:])
+    labels = labels.tolist()
+    partition = IslandPartition(island_of_face=labels, island_count=labels[-1] + 1 if labels else 0)
     mesh = QuantizedMesh(
         vertex_keys=vertex_keys,
         faces=faces,
-        island_of_face=partition.island_of_face,
+        island_of_face=labels,
         transform=transform,
     )
     return mesh, partition, report

@@ -13,8 +13,9 @@ keys, :func:`sorted_edge_keys`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 
 import numpy as np
 
@@ -183,47 +184,40 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
     """Write a Mesh as OBJ text (9 significant digits, LF line endings).
 
     With a partition, faces are emitted grouped by ascending island id under
-    ``g island_<id>`` records (stable within each island).
+    ``g island_<id>`` records (stable within each island).  Each record
+    block is one ``%`` format over all its values; ``'%.9g' % x`` and
+    ``format(x, '.9g')`` share CPython's float formatter.
     """
     if not mesh.positions or not mesh.faces:
         raise ValueError("empty mesh")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):
         raise ValueError("partition does not match face count")
 
-    def fmt(x: float) -> str:
-        return format(x, ".9g")
-
-    lines = []
-    for p in mesh.positions:
-        lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    blocks = ["v %.9g %.9g %.9g\n" * len(mesh.positions) % tuple(chain.from_iterable(mesh.positions))]
+    values = mesh.faces
+    corner = " %d"
     if mesh.uv_coords is not None and mesh.face_uvs is not None:
-        for t in mesh.uv_coords:
-            lines.append(f"vt {fmt(t[0])} {fmt(t[1])}")
-
-        def face_line(fi):
-            face = mesh.faces[fi]
-            fuv = mesh.face_uvs[fi]
-            return "f " + " ".join(f"{v + 1}/{t + 1}" for v, t in zip(face, fuv))
-
-    else:
-
-        def face_line(fi):
-            return "f " + " ".join(str(v + 1) for v in mesh.faces[fi])
-
-    if partition is None:
-        for fi in range(len(mesh.faces)):
-            lines.append(face_line(fi))
-    else:
-        by_island: dict[int, list[int]] = defaultdict(list)
-        for fi, isl in enumerate(partition.island_of_face):
-            by_island[isl].append(fi)
-        for isl in sorted(by_island):
-            lines.append(f"g island_{isl}")
-            for fi in by_island[isl]:
-                lines.append(face_line(fi))
+        blocks.append("vt %.9g %.9g\n" * len(mesh.uv_coords) % tuple(chain.from_iterable(mesh.uv_coords)))
+        values = [tuple(chain.from_iterable(zip(f, t))) for f, t in zip(mesh.faces, mesh.face_uvs)]
+        corner = " %d/%d"
+    degrees = list(map(len, mesh.faces))
+    formats = {d: "f" + corner * d + "\n" for d in set(degrees)}
+    lines = list(map(formats.__getitem__, degrees))
+    if partition is not None:
+        labels = np.asarray(partition.island_of_face)
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]
+        heads = [0] + (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+        order = order.tolist()
+        lines = [lines[i] for i in order]
+        values = [values[i] for i in order]
+        for i in heads:
+            lines[i] = f"g island_{partition.island_of_face[order[i]]}\n" + lines[i]
+    # OBJ indices are 1-based
+    blocks.append("".join(lines) % tuple(map(add, chain.from_iterable(values), repeat(1))))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(blocks))
 
 
 def face_array(faces) -> np.ndarray:

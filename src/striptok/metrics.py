@@ -36,10 +36,6 @@ class MetricReport:
     cd: float
     hd: float
     f1: float
-    comp_rate: float = 0.0
-    transitions: int = 0
-    strip_count: int = 0
-    token_length: int = 0
 
 
 def _triangles(mesh: Mesh) -> np.ndarray:

@@ -123,13 +123,26 @@ def encode_hier(g: GridCoord) -> HierCode:
     return (c1, c2, c3)
 
 
-def decode_hier(h: HierCode) -> GridCoord:
-    """Exact inverse of :func:`encode_hier`."""
-    c1, c2, c3 = h
-    gx = (c1 // 16) * 128 + (c2 // 64) * 16 + c3 // 256
-    gy = ((c1 // 4) % 4) * 128 + ((c2 // 8) % 8) * 16 + (c3 // 16) % 16
-    gz = (c1 % 4) * 128 + (c2 % 8) * 16 + c3 % 16
-    return (gx, gy, gz)
+def _level_table(bits: int, shift: int) -> np.ndarray:
+    """Packed-key bits of every code of one level: ``bits`` bits per axis,
+    combined x-major, that sit ``shift`` bits up in each grid coordinate."""
+    c = np.arange(1 << 3 * bits, dtype=np.int64)
+    m = (1 << bits) - 1
+    return ((c >> 2 * bits & m) << (18 + shift)) | ((c >> bits & m) << (9 + shift)) | ((c & m) << shift)
+
+
+_LEVEL_TABLES = (_level_table(2, 7), _level_table(3, 4), _level_table(4, 0))
+
+
+def decode_hier(codes) -> np.ndarray:
+    """Exact inverse of :func:`encode_hier` over an ``(n, 3)`` array of codes.
+
+    Returns the grid coordinates as packed keys (:func:`pack_keys` layout).
+    Each code must lie in its level's range.
+    """
+    h = np.asarray(codes, dtype=np.int64).reshape(-1, 3)
+    t1, t2, t3 = _LEVEL_TABLES
+    return t1[h[:, 0]] | t2[h[:, 1]] | t3[h[:, 2]]
 
 
 def dequantize(g: GridCoord, t: Transform):
@@ -147,8 +160,11 @@ def pack_keys(grid) -> np.ndarray:
     return g[:, 0] << 18 | g[:, 1] << 9 | g[:, 2]
 
 
+_PACK_SHIFTS = np.array([18, 9, 0], dtype=np.int64)
+
+
 def _unpack_keys(codes: np.ndarray) -> np.ndarray:
-    return np.stack([codes >> 18, (codes >> 9) & (GRID - 1), codes & (GRID - 1)], axis=1)
+    return codes[:, None] >> _PACK_SHIFTS & (GRID - 1)
 
 
 def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +270,12 @@ def quantize_mesh(
 
 
 def dequantize_mesh(q: QuantizedMesh) -> Mesh:
-    """Rebuild a model-space mesh from a quantized one (cell centers)."""
-    positions = [dequantize(g, q.transform) for g in q.vertex_keys]
-    return Mesh(positions=positions, faces=list(q.faces))
+    """Rebuild a model-space mesh from a quantized one (cell centers).
+
+    The float operations are those of :func:`dequantize`, applied to a
+    ``(V, 3)`` array, so the positions are bit-identical to it.
+    """
+    g = np.asarray(q.vertex_keys, dtype=np.int64).reshape(len(q.vertex_keys), 3)
+    t = q.transform
+    positions = (g + 0.5) / GRID * t.scale + np.asarray(t.center, dtype=np.float64)
+    return Mesh(positions=_tuples(positions), faces=list(q.faces))

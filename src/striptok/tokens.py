@@ -217,9 +217,9 @@ def read_tokens(path) -> TokenSequence:
     if not all(math.isfinite(v) for v in (cx, cy, cz)):
         raise TokenFileError(f"non-finite transform center {(cx, cy, cz)}")
     tokens = list(struct.unpack_from(f"<{count}H", data, fixed))
-    for tok in tokens:
-        if tok >= VOCAB_SIZE:
-            raise TokenFileError(f"token id {tok} out of range")
+    if tokens and max(tokens) >= VOCAB_SIZE:
+        bad = next(tok for tok in tokens if tok >= VOCAB_SIZE)
+        raise TokenFileError(f"token id {bad} out of range")
     header = TokenHeader(
         uv_mode=bool(flags & 1),
         source_stride=2 if flags & 2 else 1,

@@ -3,19 +3,25 @@
 These are the original per-face Python versions of
 ``verify.compare_quantized``, ``quantize.quantize_mesh``,
 ``mesh_io.uv_islands``, ``mesh_io.is_edge_manifold`` and
-``strips.extract_strips`` (with ``vertex_ranks`` and ``seed_order``), kept
-unchanged apart from their imports.  The package's NumPy versions must
-return the same results; ``tests/test_verify.py``, ``tests/test_quantize.py``
-and ``tests/test_topology.py`` assert that.
+``strips.extract_strips`` (with ``vertex_ranks`` and ``seed_order``), and the
+per-token and per-vertex decode path: ``quantize.decode_hier``,
+``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
+kept unchanged apart from their imports.  The package's NumPy versions must
+return the same results; ``tests/test_verify.py``, ``tests/test_quantize.py``,
+``tests/test_topology.py`` and ``tests/test_decode_oracle.py`` assert that.
+The oracle ``parse_tokens`` fills ``VertexStream.events`` with a list of
+tuples, which the oracle ``_decode_impl`` reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 
+from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX, DecodeReport, VertexStream
 from striptok.mesh_io import IslandPartition, Mesh
-from striptok.quantize import GridCoord, QuantizedMesh, Transform, normalize, to_grid
-from striptok.strips import Strip, StripSet, key_order
+from striptok.quantize import GridCoord, HierCode, QuantizedMesh, Transform, normalize, to_grid
+from striptok.strips import Strip, StripSet, key_order, strip_faces
+from striptok.tokens import C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE
 
 
 # --- verify.compare_quantized -------------------------------------------
@@ -377,3 +383,234 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
         stride=stride,
         transform=q.transform,
     )
+
+
+# --- decode: quantize.decode_hier, decode.parse_tokens, decode._decode_impl
+
+
+def decode_hier(h: HierCode) -> GridCoord:
+    """Exact inverse of :func:`encode_hier`."""
+    c1, c2, c3 = h
+    gx = (c1 // 16) * 128 + (c2 // 64) * 16 + c3 // 256
+    gy = ((c1 // 4) % 4) * 128 + ((c2 // 8) % 8) * 16 + (c3 // 16) % 16
+    gz = (c1 % 4) * 128 + (c2 % 8) * 16 + c3 % 16
+    return (gx, gy, gz)
+
+
+def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
+    """Expand a token list into vertex events.
+
+    A (c1, c2) cache supplies omitted prefixes.  A pending partial triple
+    that cannot be extended by the incoming token is discarded (counted per
+    token) and parsing resumes from the incoming token, so consecutive
+    markers drop the earlier one; bare mid/fine tokens before any complete
+    vertex and dangling prefixes at end of stream are discarded likewise.
+    """
+    tokens = t.tokens if isinstance(t, TokenSequence) else t
+    events: list[tuple[int, int, int, int]] = []
+    discarded = 0
+    consumed = 0
+    cache_c1 = -1
+    cache_c2 = -1
+    # pending state: 0 empty, 1 have c1, 2 have c1+c2, 3 have bare c2
+    state = 0
+    p_kind = 0
+    p_c1 = 0
+    p_c2 = 0
+
+    for tok in tokens:
+        if tok < 0 or tok >= VOCAB_SIZE:
+            discarded += 1
+            continue
+        while True:
+            if tok < C2_BASE:
+                if state == 0:
+                    if tok < C1_T_BASE:
+                        p_kind, p_c1 = EV_VERTEX, tok
+                    elif tok < 128:
+                        p_kind, p_c1 = EV_STRIP, tok - 64
+                    else:
+                        p_kind, p_c1 = EV_ISLAND, tok - 128
+                    state = 1
+                    break
+                discarded += 2 if state == 2 else 1
+                state = 0
+                continue
+            if tok < C3_BASE:
+                c2 = tok - C2_BASE
+                if state == 0:
+                    if cache_c1 >= 0:
+                        p_c2 = c2
+                        state = 3
+                    else:
+                        discarded += 1
+                    break
+                if state == 1:
+                    p_c2 = c2
+                    state = 2
+                    break
+                discarded += 2 if state == 2 else 1
+                state = 0
+                continue
+            c3 = tok - C3_BASE
+            if state == 2:
+                events.append((p_kind, p_c1, p_c2, c3))
+                consumed += 3
+                cache_c1, cache_c2 = p_c1, p_c2
+                state = 0
+                break
+            if state == 3:
+                events.append((EV_VERTEX, cache_c1, p_c2, c3))
+                consumed += 2
+                cache_c2 = p_c2
+                state = 0
+                break
+            if state == 0:
+                if cache_c1 >= 0:
+                    events.append((EV_VERTEX, cache_c1, cache_c2, c3))
+                    consumed += 1
+                else:
+                    discarded += 1
+                break
+            # state == 1: lone c1 before a fine token
+            discarded += 1
+            state = 0
+            continue
+
+    if state:
+        discarded += 2 if state == 2 else 1
+    return VertexStream(events=events, discarded=discarded, consumed_tokens=consumed)
+
+
+def _segment(stream: VertexStream):
+    """Group events into (island, codes) strips; stream start opens both."""
+    strips: list[tuple[int, list[tuple[int, int, int]]]] = []
+    island = 0
+    current: list[tuple[int, int, int]] | None = None
+    for kind, c1, c2, c3 in stream.events:
+        if current is None:
+            current = [(c1, c2, c3)]
+            continue
+        if kind == EV_ISLAND:
+            strips.append((island, current))
+            island += 1
+            current = [(c1, c2, c3)]
+        elif kind == EV_STRIP:
+            strips.append((island, current))
+            current = [(c1, c2, c3)]
+        else:
+            current.append((c1, c2, c3))
+    if current is not None:
+        strips.append((island, current))
+    return strips
+
+
+def _decode_impl(stream, stride, transform, drop_duplicates):
+    report = DecodeReport(discarded_tokens=stream.discarded)
+    vertex_keys: list[tuple[int, int, int]] = []
+    weld_maps: dict[int, dict[tuple[int, int, int], int]] = {}
+    faces: list[tuple[int, ...]] = []
+    labels: list[int] = []
+    seen: set[frozenset[int]] = set()
+
+    for island, codes in _segment(stream):
+        if len(codes) < 3:
+            report.dropped_strips += 1
+            report.dropped_strip_vertices += len(codes)
+            continue
+        report.kept_strips += 1
+        report.kept_strip_vertices += len(codes)
+        wmap = weld_maps.setdefault(island, {})
+        idxs = []
+        for code in codes:
+            coord = decode_hier(code)
+            j = wmap.get(coord)
+            if j is None:
+                j = len(vertex_keys)
+                wmap[coord] = j
+                vertex_keys.append(coord)
+            else:
+                report.welds += 1
+            idxs.append(j)
+        for face in strip_faces(Strip(keys=idxs, island=island, stride=stride)):
+            report.implied_faces += 1
+            if len(set(face)) < len(face):
+                report.degenerate_faces += 1
+                continue
+            fset = frozenset(face)
+            if fset in seen:
+                if drop_duplicates:
+                    report.duplicate_faces += 1
+                    continue
+            else:
+                seen.add(fset)
+            faces.append(face)
+            labels.append(island)
+
+    referenced = sorted({v for face in faces for v in face})
+    remap = {old: new for new, old in enumerate(referenced)}
+    vertex_keys = [vertex_keys[old] for old in referenced]
+    faces = [tuple(remap[v] for v in face) for face in faces]
+
+    present = sorted(set(labels))
+    dense = {old: new for new, old in enumerate(present)}
+    partition = IslandPartition(
+        island_of_face=[dense[l] for l in labels], island_count=len(present)
+    )
+    mesh = QuantizedMesh(
+        vertex_keys=vertex_keys,
+        faces=faces,
+        island_of_face=partition.island_of_face,
+        transform=transform,
+    )
+    return mesh, partition, report
+
+
+# --- mesh_io.write_obj ----------------------------------------------------
+
+
+def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> None:
+    """Write a Mesh as OBJ text (9 significant digits, LF line endings).
+
+    With a partition, faces are emitted grouped by ascending island id under
+    ``g island_<id>`` records (stable within each island).
+    """
+    if not mesh.positions or not mesh.faces:
+        raise ValueError("empty mesh")
+    if partition is not None and len(partition.island_of_face) != len(mesh.faces):
+        raise ValueError("partition does not match face count")
+
+    def fmt(x: float) -> str:
+        return format(x, ".9g")
+
+    lines = []
+    for p in mesh.positions:
+        lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    if mesh.uv_coords is not None and mesh.face_uvs is not None:
+        for t in mesh.uv_coords:
+            lines.append(f"vt {fmt(t[0])} {fmt(t[1])}")
+
+        def face_line(fi):
+            face = mesh.faces[fi]
+            fuv = mesh.face_uvs[fi]
+            return "f " + " ".join(f"{v + 1}/{t + 1}" for v, t in zip(face, fuv))
+
+    else:
+
+        def face_line(fi):
+            return "f " + " ".join(str(v + 1) for v in mesh.faces[fi])
+
+    if partition is None:
+        for fi in range(len(mesh.faces)):
+            lines.append(face_line(fi))
+    else:
+        by_island: dict[int, list[int]] = defaultdict(list)
+        for fi, isl in enumerate(partition.island_of_face):
+            by_island[isl].append(fi)
+        for isl in sorted(by_island):
+            lines.append(f"g island_{isl}")
+            for fi in by_island[isl]:
+                lines.append(face_line(fi))
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

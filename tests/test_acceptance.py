@@ -35,7 +35,7 @@ from striptok import (
 )
 from striptok.cli import main as cli_main
 from striptok.metrics import SampleSet
-from striptok.quantize import dequantize
+from striptok.quantize import dequantize, pack_keys
 from striptok.strips import seed_order, vertex_ranks
 from striptok.tokens import compression_stats
 from striptok.verify import compare_quantized
@@ -201,15 +201,12 @@ def test_criterion_06_transition_economy(tri_corpus):
 
 def test_criterion_07_quantization():
     for axis in range(3):
-        seen = set()
+        grid = [[0, 0, 0] for _ in range(512)]
         for v in range(512):
-            g = [0, 0, 0]
-            g[axis] = v
-            h = encode_hier(tuple(g))
-            assert decode_hier(h) == tuple(g)
-            assert h not in seen
-            seen.add(h)
-        assert len(seen) == 512
+            grid[v][axis] = v
+        codes = [encode_hier(tuple(g)) for g in grid]
+        assert decode_hier(codes).tolist() == pack_keys(grid).tolist()
+        assert len(set(codes)) == 512
 
     rng = random.Random(123)
     raw = Mesh(
@@ -237,11 +234,10 @@ def test_criterion_08_decoder_totality():
         nonlocal total, total_tokens, total_faces, total_discarded
         assert len(tokens) <= 4096
         stream = parse_tokens(tokens)
-        assert stream.consumed_tokens + stream.discarded == len(tokens)
+        stream.check(len(tokens))
         mesh, partition, report = decode(stream, stride, IDENTITY_TRANSFORM)
         # full accounting chain: tokens -> events -> strips -> faces
-        assert len(stream.events) == report.kept_strip_vertices + report.dropped_strip_vertices
-        assert report.implied_faces == len(mesh.faces) + report.degenerate_faces + report.duplicate_faces
+        report.check(len(stream.events), len(mesh.faces))
         validate_quantized(mesh, stride)
         total += 1
         total_tokens += len(tokens)

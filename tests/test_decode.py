@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from striptok import (
     IDENTITY_TRANSFORM,
+    DecodeReport,
     decode,
     dual_decode_check,
     encode_hier,
@@ -35,27 +36,27 @@ class TestParse:
         seq = serialize(manual_strip_set([coords]), uv_mode=False)
         stream = parse_tokens(seq)
         assert stream.discarded == 0
-        kinds = [e[0] for e in stream.events]
+        kinds = stream.events[:, 0].tolist()
         assert kinds == [EV_STRIP, EV_VERTEX, EV_VERTEX, EV_VERTEX]
-        codes = [(e[1], e[2], e[3]) for e in stream.events]
-        assert codes == [encode_hier(c) for c in coords]
+        codes = stream.events[:, 1:].tolist()
+        assert codes == [list(encode_hier(c)) for c in coords]
 
     def test_bare_c3_at_start_discarded(self):
         stream = parse_tokens([704])
         assert stream.discarded == 1
-        assert stream.events == []
+        assert stream.events.tolist() == []
 
     def test_bare_c2_then_c3_at_start_discarded(self):
         stream = parse_tokens([200, 800])
         assert stream.discarded == 2
-        assert stream.events == []
+        assert stream.events.tolist() == []
 
     def test_consecutive_strip_markers(self):
         # first marker dropped, parse continues from the second
         tokens = [64, 70] + [192, 704]
         stream = parse_tokens(tokens)
         assert stream.discarded == 1
-        assert stream.events == [(EV_STRIP, 6, 0, 0)]
+        assert stream.events.tolist() == [[EV_STRIP, 6, 0, 0]]
 
     def test_marker_then_c3(self):
         # dangling marker dropped; the fine token resolves via the cache
@@ -63,7 +64,7 @@ class TestParse:
         tokens = head + [70, 705]
         stream = parse_tokens(tokens)
         assert stream.discarded == 1
-        assert stream.events == [(EV_STRIP, 0, 0, 0), (EV_VERTEX, 0, 0, 1)]
+        assert stream.events.tolist() == [[EV_STRIP, 0, 0, 0], [EV_VERTEX, 0, 0, 1]]
 
     def test_dangling_prefix_at_end(self):
         head = triple((0, 0, 0), base=64)
@@ -75,7 +76,7 @@ class TestParse:
         head = triple((0, 0, 0), base=64)
         stream = parse_tokens(head + [200, 201, 704])
         assert stream.discarded == 1
-        assert stream.events[-1] == (EV_VERTEX, 0, 9, 0)
+        assert stream.events[-1].tolist() == [EV_VERTEX, 0, 9, 0]
 
     def test_island_marker_kind(self):
         stream = parse_tokens(triple((0, 0, 0), base=128))
@@ -91,19 +92,25 @@ class TestParse:
             tokens = [rng.randrange(4800) for _ in range(rng.randrange(0, 60))]
             stream = parse_tokens(tokens)
             assert stream.consumed_tokens + stream.discarded == len(tokens)
+            stream.check(len(tokens))
+
+    def test_check_names_the_identity(self):
+        stream = parse_tokens([5, 704])
+        with pytest.raises(AssertionError, match=r"consumed_tokens 0 \+ discarded 2 != 3 tokens"):
+            stream.check(3)
 
     @given(st.lists(st.integers(0, 4799), max_size=300))
     @settings(max_examples=300, deadline=None)
     def test_totality_property(self, tokens):
         stream = parse_tokens(tokens)
         assert stream.consumed_tokens + stream.discarded == len(tokens)
-        assert all(0 <= e[1] < 64 and 0 <= e[2] < 512 and 0 <= e[3] < 4096 for e in stream.events)
+        assert all(0 <= e[1] < 64 and 0 <= e[2] < 512 and 0 <= e[3] < 4096 for e in stream.events.tolist())
 
     def test_out_of_vocab_ids_discarded(self):
         head = triple((0, 0, 0), base=64)
         stream = parse_tokens(head + [4800, -3, 10_000, 705])
         assert stream.discarded == 3
-        assert stream.events == [(EV_STRIP, 0, 0, 0), (EV_VERTEX, 0, 0, 1)]
+        assert stream.events.tolist() == [[EV_STRIP, 0, 0, 0], [EV_VERTEX, 0, 0, 1]]
 
 
 class TestDecode:
@@ -191,6 +198,15 @@ class TestDecode:
         seq = serialize(manual_strip_set([coords]), uv_mode=True)
         _, partition, _ = decode(parse_tokens(seq), 1, IDENTITY_TRANSFORM)
         assert partition.island_count == 1
+
+    def test_report_check_names_the_identity(self):
+        DecodeReport(kept_strip_vertices=3, dropped_strip_vertices=1, implied_faces=2).check(4, 2)
+        with pytest.raises(AssertionError, match=r"events 5 != kept strip vertices 3 \+ dropped strip vertices 1"):
+            DecodeReport(kept_strip_vertices=3, dropped_strip_vertices=1).check(5, 0)
+        with pytest.raises(
+            AssertionError, match=r"implied faces 4 != emitted 2 \+ degenerate 1 \+ duplicate 0"
+        ):
+            DecodeReport(implied_faces=4, degenerate_faces=1).check(0, 2)
 
     def test_empty_stream(self):
         mesh, partition, report = decode(parse_tokens([]), 1, IDENTITY_TRANSFORM)

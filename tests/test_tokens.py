@@ -319,6 +319,19 @@ class TestTokenFile:
         with pytest.raises(TokenFileError, match="out of range"):
             read_tokens(p)
 
+    def test_out_of_range_message_names_first_bad_id(self, tmp_path):
+        # the larger id comes later: the message names the first, not the maximum
+        seq = self._sample()
+        p = tmp_path / "t.sato"
+        write_tokens(seq, p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<H", raw, len(raw) - 8, 4801)
+        struct.pack_into("<H", raw, len(raw) - 2, 65535)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TokenFileError) as err:
+            read_tokens(p)
+        assert str(err.value) == "token id 4801 out of range"
+
     def test_trailing_bytes(self, tmp_path):
         seq = self._sample()
         p = tmp_path / "t.sato"
