@@ -19,14 +19,11 @@ from .quantize import (
     QuantizedMesh,
     Transform,
     decode_hier,
-    dequantize,
     dequantize_mesh,
     encode_hier,
-    normalize,
     quantize_mesh,
-    to_grid,
 )
-from .strips import Strip, StripSet, extract_strips, key_order, seed_order, strip_faces
+from .strips import Strip, StripSet, extract_strips, seed_order
 from .tokens import (
     TokenFileError,
     TokenHeader,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, split_quad_faces
-from .quantize import QuantizedMesh, Transform, _tuples, _unpack_keys, decode_hier, sort_rows
+from .mesh_io import IslandPartition, _tuples, split_quad_faces
+from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, sort_rows
 from .tokens import C2_BASE, C3_BASE, C1_T_BASE, TokenSequence, VOCAB_SIZE
 
 EV_VERTEX = 0

@@ -5,6 +5,13 @@ skipped.  Faces must be all triangles or all quads; mixed files are
 rejected.  Exported files group faces by island (``g island_<id>``) when a
 partition is supplied.
 
+:func:`load_obj` reads a file once and parses its records in bulk when
+they are plain: each ``v``, ``vt`` and ``f`` line starts with its tag and
+one space, ``v`` has 3 numbers, ``vt`` 2, and every ``f`` the same 3 or 4
+positive, in-range corners of one form.  Everything else, including every
+error, goes through the per-line loop, which alone words the errors and
+numbers the lines; both return the same :class:`Mesh`.
+
 Face adjacency (UV islands, the manifold check, and the strip walk in
 ``strips``) is read from one stably sorted table of packed undirected edge
 keys, :func:`sorted_edge_keys`.
@@ -13,6 +20,7 @@ keys, :func:`sorted_edge_keys`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
@@ -75,73 +83,84 @@ def _relative_index(raw: int, defined: int, lineno: int) -> int:
 def load_obj(path) -> Mesh:
     """Parse an OBJ file into a Mesh (0-based indices, vn data ignored).
 
-    Negative face indices are relative to the records defined so far.
+    Negative face indices are relative to the records defined so far.  The
+    file is decoded as UTF-8 with universal newlines; a leading byte-order
+    mark is dropped.
     """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    mesh = _parse_bulk(text)
+    return mesh if mesh is not None else _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Mesh:
+    """The per-line loader: each record in file order, raising on the first
+    malformed one.  Lines are numbered by ``\\n`` alone, as iterating the
+    file numbers them."""
     positions: list[tuple[float, float, float]] = []
     uv_coords: list[tuple[float, float]] = []
     faces: list[tuple[int, ...]] = []
     face_uvs: list[tuple[int, ...]] = []
     degree: int | None = None
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise ObjParseError("vertex needs 3 coordinates", lineno)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "v":
+            if len(parts) < 4:
+                raise ObjParseError("vertex needs 3 coordinates", lineno)
+            try:
+                p = (float(parts[1]), float(parts[2]), float(parts[3]))
+            except ValueError:
+                raise ObjParseError("bad vertex coordinate", lineno) from None
+            if not all(math.isfinite(c) for c in p):
+                raise ObjParseError("non-finite vertex coordinate", lineno)
+            positions.append(p)
+        elif tag == "vt":
+            if len(parts) < 3:
+                raise ObjParseError("uv needs 2 coordinates", lineno)
+            try:
+                uv_coords.append((float(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ObjParseError("bad uv coordinate", lineno) from None
+        elif tag == "f":
+            corners = parts[1:]
+            if len(corners) not in (3, 4):
+                raise ObjParseError(
+                    f"face of degree {len(corners)} (only 3 or 4 supported)", lineno
+                )
+            if degree is None:
+                degree = len(corners)
+            elif degree != len(corners):
+                raise ObjParseError("mixed triangle/quad faces", lineno)
+            vidx = []
+            tidx = []
+            for corner in corners:
+                fields = corner.split("/")
                 try:
-                    p = (float(parts[1]), float(parts[2]), float(parts[3]))
+                    v = int(fields[0])
                 except ValueError:
-                    raise ObjParseError("bad vertex coordinate", lineno) from None
-                if not all(math.isfinite(c) for c in p):
-                    raise ObjParseError("non-finite vertex coordinate", lineno)
-                positions.append(p)
-            elif tag == "vt":
-                if len(parts) < 3:
-                    raise ObjParseError("uv needs 2 coordinates", lineno)
-                try:
-                    uv_coords.append((float(parts[1]), float(parts[2])))
-                except ValueError:
-                    raise ObjParseError("bad uv coordinate", lineno) from None
-            elif tag == "f":
-                corners = parts[1:]
-                if len(corners) not in (3, 4):
-                    raise ObjParseError(
-                        f"face of degree {len(corners)} (only 3 or 4 supported)", lineno
-                    )
-                if degree is None:
-                    degree = len(corners)
-                elif degree != len(corners):
-                    raise ObjParseError("mixed triangle/quad faces", lineno)
-                vidx = []
-                tidx = []
-                for corner in corners:
-                    fields = corner.split("/")
+                    raise ObjParseError(f"bad face corner {corner!r}", lineno) from None
+                vidx.append(v - 1 if v > 0 else _relative_index(v, len(positions), lineno))
+                if len(fields) > 1 and fields[1]:
                     try:
-                        v = int(fields[0])
+                        t = int(fields[1])
                     except ValueError:
-                        raise ObjParseError(f"bad face corner {corner!r}", lineno) from None
-                    vidx.append(v - 1 if v > 0 else _relative_index(v, len(positions), lineno))
-                    if len(fields) > 1 and fields[1]:
-                        try:
-                            t = int(fields[1])
-                        except ValueError:
-                            raise ObjParseError(f"bad uv index in {corner!r}", lineno) from None
-                        tidx.append(t - 1 if t > 0 else _relative_index(t, len(uv_coords), lineno))
-                if tidx and len(tidx) != len(vidx):
-                    raise ObjParseError("face mixes corners with and without uv", lineno)
-                if face_uvs and not tidx:
-                    raise ObjParseError("face without uv after faces with uv", lineno)
-                if tidx and faces and not face_uvs:
-                    raise ObjParseError("face with uv after faces without uv", lineno)
-                faces.append(tuple(vidx))
-                if tidx:
-                    face_uvs.append(tuple(tidx))
-            # everything else (vn, g, s, o, usemtl, ...) is ignored
+                        raise ObjParseError(f"bad uv index in {corner!r}", lineno) from None
+                    tidx.append(t - 1 if t > 0 else _relative_index(t, len(uv_coords), lineno))
+            if tidx and len(tidx) != len(vidx):
+                raise ObjParseError("face mixes corners with and without uv", lineno)
+            if face_uvs and not tidx:
+                raise ObjParseError("face without uv after faces with uv", lineno)
+            if tidx and faces and not face_uvs:
+                raise ObjParseError("face with uv after faces without uv", lineno)
+            faces.append(tuple(vidx))
+            if tidx:
+                face_uvs.append(tuple(tidx))
+        # everything else (vn, g, s, o, usemtl, ...) is ignored
 
     npos = len(positions)
     for face in faces:
@@ -160,6 +179,134 @@ def load_obj(path) -> Mesh:
         faces=faces,
         uv_coords=uv_coords if uv_coords else None,
         face_uvs=face_uvs if face_uvs else None,
+    )
+
+
+_TAGS = ("v", "vt", "f")
+# a maximal run of lines that each start with one record tag and one space
+_RUN = re.compile(r"^(vt?|f) [^\n]*(?:\n\1 [^\n]*)*", re.MULTILINE)
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+# (separators of a corner, adjacent "//") -> (numbers per corner, has a uv index)
+_CORNER_FORMS = {
+    ("", False): (1, False),
+    ("/", False): (2, True),
+    ("//", True): (2, False),
+    ("//", False): (3, True),
+}
+
+
+def _all_skipped(text: str) -> bool:
+    """True if the per-line loop skips every line of ``text``."""
+    for line in text.split("\n"):
+        tag = line.split(None, 1)[:1]
+        if tag and tag[0] in _TAGS:
+            return False
+    return True
+
+
+def _block(runs: list[str]) -> tuple[list[str], int]:
+    """The tokens of one tag's runs of lines, and the number of lines."""
+    text = "\n".join(runs)
+    return text.split(), text.count("\n") + 1 if runs else 0
+
+
+def _floats(runs: list[str], width: int) -> list[float] | None:
+    """The numbers of the records in ``runs``, flat, or None unless every
+    line is its tag and ``width`` numbers that ``float`` parses."""
+    tokens, n = _block(runs)
+    if len(tokens) != n * (width + 1):
+        return None
+    # no tag parses as a float, so if the numbers parse, the n tags sit
+    # where the count puts them: one at the start of each line
+    del tokens[:: width + 1]
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        return None
+
+
+def _corners(runs: list[str]) -> tuple[np.ndarray, bool] | None:
+    """Face corners as an ``(F, d, k)`` array of their ``k`` numbers, and
+    whether the second number is a uv index; or None unless every line is
+    ``f`` and a uniform 3 or 4 corners, all in the first corner's form."""
+    tokens, n = _block(runs)
+    d1, rem = divmod(len(tokens), n)
+    # no corner of digits and "/" is an "f", so if the corners check out,
+    # the n tags sit one at the start of each line
+    if rem or d1 not in (4, 5) or tokens[::d1].count("f") != n:
+        return None
+    del tokens[::d1]
+    separators = tokens[0].translate(_NO_DIGITS)
+    adjacent = "//" in tokens[0]
+    form = _CORNER_FORMS.get((separators, adjacent))
+    payload = " ".join(tokens)
+    # every corner is digits between the first one's separators (the NumPy
+    # parse is only fed digits, spaces and "/")
+    if (
+        form is None
+        or not payload.isascii()
+        or payload.translate(_NO_DIGITS) + " " != (separators + " ") * len(tokens)
+        or (adjacent and payload.count("//") != len(tokens))
+    ):
+        return None
+    width, has_uv = form
+    values = np.fromstring(payload.replace("/", " "), dtype=np.int64, sep=" ")
+    # an empty number (other than the uv field of a//c) parses as nothing
+    if len(values) != len(tokens) * width:
+        return None
+    return values.reshape(n, d1 - 1, width), has_uv
+
+
+def _indices(values: np.ndarray, count: int) -> list[tuple[int, ...]] | None:
+    """1-based indices as 0-based tuples, or None unless all are in
+    ``[1, count]``.  An index too long for int64 parses as its maximum, so
+    it is out of range too."""
+    if values.min() < 1 or values.max() > count:
+        return None
+    return _tuples(values - 1)
+
+
+def _parse_bulk(text: str) -> Mesh | None:
+    """The mesh :func:`_parse_lines` returns for ``text``, or None.
+
+    Parses all ``v``, ``vt`` and ``f`` records at once when each starts its
+    line with the tag and one space; ``v`` has 3 numbers, ``vt`` 2, and
+    every ``f`` the same 3 or 4 positive, in-range corners of one form
+    (``a``, ``a/b``, ``a//c`` or ``a/b/c``).  Every other line must be one
+    the per-line loop skips.  Any other file gives None; this never raises.
+    """
+    runs: dict[str, list[str]] = {tag: [] for tag in _TAGS}
+    gaps = []
+    last = 0
+    for m in _RUN.finditer(text):
+        gaps.append(text[last : m.start()])
+        runs[m.group(1)].append(m.group(0))
+        last = m.end()
+    gaps.append(text[last:])
+    if not _all_skipped("\n".join(gaps)):
+        return None
+
+    points = _floats(runs["v"], 3)
+    uvs = _floats(runs["vt"], 2)
+    if points is None or uvs is None or not np.isfinite(points).all():
+        return None
+    positions = list(zip(*[iter(points)] * 3))
+    uv_coords = list(zip(*[iter(uvs)] * 2))
+    faces, face_uvs = [], None
+    if runs["f"]:
+        parsed = _corners(runs["f"])
+        if parsed is None:
+            return None
+        corners, has_uv = parsed
+        faces = _indices(corners[:, :, 0], len(positions))
+        face_uvs = _indices(corners[:, :, 1], len(uv_coords)) if has_uv else None
+        if faces is None or (has_uv and face_uvs is None):
+            return None
+    return Mesh(
+        positions=positions,
+        faces=faces,
+        uv_coords=uv_coords if uv_coords else None,
+        face_uvs=face_uvs,
     )
 
 
@@ -218,6 +365,11 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(blocks))
+
+
+def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a 2-D int array as tuples of Python ints."""
+    return list(zip(*rows.T.tolist()))
 
 
 def face_array(faces) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, Mesh
+from .mesh_io import IslandPartition, Mesh, _tuples
 
 GRID = 512
 EPS = 1e-9
@@ -70,46 +70,14 @@ class QuantizedMesh:
             return 1 if self.faces else 0
         return max(self.island_of_face) + 1 if self.island_of_face else 0
 
-
-def normalize(mesh: Mesh) -> tuple[Mesh, Transform]:
-    """Uniformly scale/translate the mesh so positions lie in [0,1]^3.
-
-    The bounding-box minimum corner maps to the origin and the largest axis
-    extent maps to unit length; aspect ratio is preserved.
-    """
-    if not mesh.positions:
-        raise ValueError("empty mesh")
-    xs = [p[0] for p in mesh.positions]
-    ys = [p[1] for p in mesh.positions]
-    zs = [p[2] for p in mesh.positions]
-    lo = (min(xs), min(ys), min(zs))
-    extent = max(max(xs) - lo[0], max(ys) - lo[1], max(zs) - lo[2])
-    if extent <= 0.0:
-        raise ValueError("degenerate extent: all points identical")
-    t = Transform(lo, extent)
-    positions = [t.to_normalized(p) for p in mesh.positions]
-    out = Mesh(
-        positions=positions,
-        faces=list(mesh.faces),
-        uv_coords=mesh.uv_coords,
-        face_uvs=mesh.face_uvs,
-    )
-    return out, t
-
-
-def to_grid(p) -> GridCoord:
-    """Snap a normalized point to its grid cell; exact 1.0 clamps to cell 511."""
-    out = []
-    for c in p:
-        if c < -EPS or c > 1.0 + EPS:
-            raise ValueError(f"normalized coordinate out of range: {c!r}")
-        g = int(c * GRID)
-        if g < 0:
-            g = 0
-        elif g > GRID - 1:
-            g = GRID - 1
-        out.append(g)
-    return (out[0], out[1], out[2])
+    def check(self, n_input_faces: int) -> None:
+        """Raise ``AssertionError`` unless kept + dropped faces == ``n_input_faces``."""
+        if len(self.faces) + self.dropped_degenerate + self.dropped_duplicate != n_input_faces:
+            raise AssertionError(
+                f"input faces {n_input_faces} != kept {len(self.faces)}"
+                f" + dropped degenerate {self.dropped_degenerate}"
+                f" + dropped duplicate {self.dropped_duplicate}"
+            )
 
 
 def encode_hier(g: GridCoord) -> HierCode:
@@ -145,11 +113,6 @@ def decode_hier(codes) -> np.ndarray:
     return t1[h[:, 0]] | t2[h[:, 1]] | t3[h[:, 2]]
 
 
-def dequantize(g: GridCoord, t: Transform):
-    """Map a grid cell back to model space at the cell center."""
-    return t.to_model(((g[0] + 0.5) / GRID, (g[1] + 0.5) / GRID, (g[2] + 0.5) / GRID))
-
-
 def pack_keys(grid) -> np.ndarray:
     """Pack grid coordinates, an ``(n, 3)`` array, into one int64 each.
 
@@ -180,11 +143,6 @@ def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, heads
 
 
-def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The rows of a 2-D int array as tuples of Python ints."""
-    return list(zip(*rows.T.tolist()))
-
-
 def quantize_mesh(
     mesh: Mesh,
     partition: IslandPartition | None = None,
@@ -204,11 +162,12 @@ def quantize_mesh(
     results of the per-face definition: keys are numbered in order of first
     occurrence over the corners of the non-degenerate faces, row-major, so
     the key table holds exactly the keys the kept faces use.  Normalization
-    uses the float operations of :meth:`Transform.to_normalized` and snapping
-    those of :func:`to_grid`, so keys and transform are bit-identical to the
-    per-vertex definition.  Faces must share one degree (the :class:`Mesh`
-    contract).  Non-finite positions, or a transform that makes them
-    non-finite, raise ``ValueError``.
+    uses the float operations of :meth:`Transform.to_normalized`, and a
+    coordinate snaps to cell ``int(c * GRID)`` clamped to ``[0, GRID - 1]``
+    (within ``EPS`` of the unit interval; farther out raises ``ValueError``).
+    Faces must share one degree (the :class:`Mesh` contract).  Non-finite
+    positions, or a transform that makes them non-finite, raise
+    ``ValueError``.
     """
     if not mesh.faces:
         raise ValueError("empty mesh")
@@ -272,8 +231,8 @@ def quantize_mesh(
 def dequantize_mesh(q: QuantizedMesh) -> Mesh:
     """Rebuild a model-space mesh from a quantized one (cell centers).
 
-    The float operations are those of :func:`dequantize`, applied to a
-    ``(V, 3)`` array, so the positions are bit-identical to it.
+    Each key maps to the model-space center of its cell,
+    ``(g + 0.5) / GRID * scale + center``, per axis.
     """
     g = np.asarray(q.vertex_keys, dtype=np.int64).reshape(len(q.vertex_keys), 3)
     t = q.transform

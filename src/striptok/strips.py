@@ -21,27 +21,16 @@ from .quantize import GridCoord, QuantizedMesh, Transform, sort_rows
 _AXIS = {"x": 0, "y": 1, "z": 2}
 
 
-def key_order(coord: GridCoord, up_axis: str = "y"):
-    """Sort key for grid coordinates: vertical axis first, then the other two."""
-    u = _AXIS[up_axis]
-    return (coord[u], coord[(u + 1) % 3], coord[(u + 2) % 3])
-
-
 def _rank_array(q: QuantizedMesh, up_axis: str) -> np.ndarray:
+    """Rank of each vertex key (0 = lowest), comparing the vertical axis
+    first, then the other two in cyclic order; equal keys rank in index
+    order."""
     u = _AXIS[up_axis]
     keys = np.asarray(q.vertex_keys, dtype=np.int64).reshape(len(q.vertex_keys), 3)
     order = np.lexsort((keys[:, (u + 2) % 3], keys[:, (u + 1) % 3], keys[:, u]))
     ranks = np.empty_like(order)
     ranks[order] = np.arange(len(order))
     return ranks
-
-
-def vertex_ranks(q: QuantizedMesh, up_axis: str = "y") -> list[int]:
-    """Rank of each vertex key under :func:`key_order` (0 = lowest).
-
-    Equal keys rank in index order.
-    """
-    return _rank_array(q, up_axis).tolist()
 
 
 def _face_order(faces: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +74,9 @@ class StripSet:
     transform: Transform
 
     def face_count(self) -> int:
-        """Faces the strips decode to: ``sum(len(strip_faces(s)))``, counted."""
+        """Faces the strips decode to: ``m - 2`` for a stride-1 strip of ``m``
+        keys, ``(m - 2) // 2 + m % 2`` (quads, then a trailing triangle) at
+        stride 2, and none for a strip shorter than 3."""
         n = 0
         for s in self.strips:
             m = len(s.keys)
@@ -211,32 +202,3 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
         stride=stride,
         transform=q.transform,
     )
-
-
-def strip_faces(s: Strip) -> list[tuple[int, ...]]:
-    """Faces implied by a strip's key run.
-
-    Stride 1 emits one triangle per step with every second one flipped to
-    keep a consistent orientation.  Stride 2 emits one quad per appended
-    pair, (v[2i], v[2i+1], v[2i+3], v[2i+2]), and decodes a trailing
-    unpaired vertex as a triangle.
-    """
-    k = s.keys
-    m = len(k)
-    faces: list[tuple[int, ...]] = []
-    if m < 3:
-        return faces
-    if s.stride == 1:
-        for i in range(m - 2):
-            if i % 2 == 0:
-                faces.append((k[i], k[i + 1], k[i + 2]))
-            else:
-                faces.append((k[i], k[i + 2], k[i + 1]))
-    else:
-        j = 0
-        while j + 3 < m:
-            faces.append((k[j], k[j + 1], k[j + 3], k[j + 2]))
-            j += 2
-        if m % 2 == 1:
-            faces.append((k[m - 3], k[m - 2], k[m - 1]))
-    return faces

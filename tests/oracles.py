@@ -6,7 +6,9 @@ These are the original per-face Python versions of
 ``strips.extract_strips`` (with ``vertex_ranks`` and ``seed_order``), and the
 per-token and per-vertex decode path: ``quantize.decode_hier``,
 ``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
-kept unchanged apart from their imports.  The package's NumPy versions must
+kept unchanged apart from their imports.  The per-point helpers they are
+built on (``normalize``, ``to_grid``, ``dequantize``, ``key_order`` and
+``strip_faces``) live here too: nothing in ``striptok`` calls them.  The package's NumPy versions must
 return the same results; ``tests/test_verify.py``, ``tests/test_quantize.py``,
 ``tests/test_topology.py`` and ``tests/test_decode_oracle.py`` assert that.
 The oracle ``parse_tokens`` fills ``VertexStream.events`` with a list of
@@ -19,9 +21,94 @@ from collections import Counter, defaultdict, deque
 
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX, DecodeReport, VertexStream
 from striptok.mesh_io import IslandPartition, Mesh
-from striptok.quantize import GridCoord, HierCode, QuantizedMesh, Transform, normalize, to_grid
-from striptok.strips import Strip, StripSet, key_order, strip_faces
+from striptok.quantize import EPS, GRID, GridCoord, HierCode, QuantizedMesh, Transform
+from striptok.strips import _AXIS, Strip, StripSet
 from striptok.tokens import C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE
+
+
+# --- per-point helpers: quantize.normalize, to_grid, dequantize and
+# strips.key_order, strip_faces
+
+
+def normalize(mesh: Mesh) -> tuple[Mesh, Transform]:
+    """Uniformly scale/translate the mesh so positions lie in [0,1]^3.
+
+    The bounding-box minimum corner maps to the origin and the largest axis
+    extent maps to unit length; aspect ratio is preserved.
+    """
+    if not mesh.positions:
+        raise ValueError("empty mesh")
+    xs = [p[0] for p in mesh.positions]
+    ys = [p[1] for p in mesh.positions]
+    zs = [p[2] for p in mesh.positions]
+    lo = (min(xs), min(ys), min(zs))
+    extent = max(max(xs) - lo[0], max(ys) - lo[1], max(zs) - lo[2])
+    if extent <= 0.0:
+        raise ValueError("degenerate extent: all points identical")
+    t = Transform(lo, extent)
+    positions = [t.to_normalized(p) for p in mesh.positions]
+    out = Mesh(
+        positions=positions,
+        faces=list(mesh.faces),
+        uv_coords=mesh.uv_coords,
+        face_uvs=mesh.face_uvs,
+    )
+    return out, t
+
+
+def to_grid(p) -> GridCoord:
+    """Snap a normalized point to its grid cell; exact 1.0 clamps to cell 511."""
+    out = []
+    for c in p:
+        if c < -EPS or c > 1.0 + EPS:
+            raise ValueError(f"normalized coordinate out of range: {c!r}")
+        g = int(c * GRID)
+        if g < 0:
+            g = 0
+        elif g > GRID - 1:
+            g = GRID - 1
+        out.append(g)
+    return (out[0], out[1], out[2])
+
+
+def dequantize(g: GridCoord, t: Transform):
+    """Map a grid cell back to model space at the cell center."""
+    return t.to_model(((g[0] + 0.5) / GRID, (g[1] + 0.5) / GRID, (g[2] + 0.5) / GRID))
+
+
+def key_order(coord: GridCoord, up_axis: str = "y"):
+    """Sort key for grid coordinates: vertical axis first, then the other two."""
+    u = _AXIS[up_axis]
+    return (coord[u], coord[(u + 1) % 3], coord[(u + 2) % 3])
+
+
+def strip_faces(s: Strip) -> list[tuple[int, ...]]:
+    """Faces implied by a strip's key run.
+
+    Stride 1 emits one triangle per step with every second one flipped to
+    keep a consistent orientation.  Stride 2 emits one quad per appended
+    pair, (v[2i], v[2i+1], v[2i+3], v[2i+2]), and decodes a trailing
+    unpaired vertex as a triangle.
+    """
+    k = s.keys
+    m = len(k)
+    faces: list[tuple[int, ...]] = []
+    if m < 3:
+        return faces
+    if s.stride == 1:
+        for i in range(m - 2):
+            if i % 2 == 0:
+                faces.append((k[i], k[i + 1], k[i + 2]))
+            else:
+                faces.append((k[i], k[i + 2], k[i + 1]))
+    else:
+        j = 0
+        while j + 3 < m:
+            faces.append((k[j], k[j + 1], k[j + 3], k[j + 2]))
+            j += 2
+        if m % 2 == 1:
+            faces.append((k[m - 3], k[m - 2], k[m - 1]))
+    return faces
 
 
 # --- verify.compare_quantized -------------------------------------------

@@ -26,21 +26,20 @@ from striptok import (
     encode_hier,
     encode_mesh,
     f_score,
-    normalize,
     parse_tokens,
     sample_surface,
-    to_grid,
     write_obj,
     write_tokens,
 )
 from striptok.cli import main as cli_main
 from striptok.metrics import SampleSet
-from striptok.quantize import dequantize, pack_keys
-from striptok.strips import seed_order, vertex_ranks
+from striptok.quantize import pack_keys
+from striptok.strips import seed_order
 from striptok.tokens import compression_stats
 from striptok.verify import compare_quantized
 
 import synth
+from oracles import dequantize, normalize, to_grid, vertex_ranks
 from test_decode import validate_quantized
 from test_metrics import brute_nn, cube_surface, point_set
 
@@ -62,6 +61,7 @@ def test_criterion_02_triangle_round_trip(tri_corpus):
     t0 = time.time()
     for entry in tri_corpus:
         q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q.check(len(entry.mesh.faces))
         decoded, _, report = decode_tokens(seq)
         assert report.clean(), entry.name
         good, detail = compare_quantized(q, decoded)
@@ -75,6 +75,7 @@ def test_criterion_03_quad_round_trip(quad_corpus):
     t0 = time.time()
     for entry in quad_corpus:
         q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q.check(len(entry.mesh.faces))
         decoded, _, report = decode_tokens(seq)
         assert report.clean(), entry.name
         good, detail = compare_quantized(q, decoded)
@@ -86,7 +87,8 @@ def test_criterion_03_quad_round_trip(quad_corpus):
 
 def test_criterion_04_dual_decode(quad_corpus):
     for entry in quad_corpus:
-        _, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q.check(len(entry.mesh.faces))
         assert dual_decode_check(seq), entry.name
         tri, _, _ = decode_tokens(seq, 1)
         quad, _, _ = decode_tokens(seq, 2)
@@ -126,7 +128,8 @@ def test_criterion_05_compression(tri_corpus):
     t0 = time.time()
     rates = []
     for entry in tri_corpus:
-        _, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q.check(len(entry.mesh.faces))
         stats = compression_stats(seq)
         rates.append(stats.comp_rate)
         assert stats.comp_rate <= 1.0, entry.name
@@ -189,6 +192,7 @@ def test_criterion_06_transition_economy(tri_corpus):
     worst = 0.0
     for entry in tri_corpus:
         q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q.check(len(entry.mesh.faces))
         stats = compression_stats(seq)
         assert stats.transitions == len(ss.strips)
         patches = greedy_patch_count(q)
@@ -330,7 +334,8 @@ def test_criterion_09_metrics_sanity():
 def test_criterion_10_determinism(tri_corpus, quad_corpus, tmp_path):
     rng = random.Random(99)
     for entry in tri_corpus + quad_corpus:
-        _, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q.check(len(entry.mesh.faces))
         order = list(range(len(entry.mesh.faces)))
         rng.shuffle(order)
         shuffled = Mesh(

@@ -23,7 +23,6 @@ from striptok import (
     QuantizedMesh,
     Transform,
     decode_hier,
-    dequantize,
     dequantize_mesh,
     encode_hier,
     encode_mesh,
@@ -36,6 +35,7 @@ from striptok.quantize import pack_keys
 from striptok.tokens import C1_T_BASE, C1_UV_BASE, C2_BASE, C3_BASE
 
 import oracles
+from oracles import dequantize
 import synth
 
 # --- token streams ------------------------------------------------------

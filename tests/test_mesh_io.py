@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from striptok import (
     Mesh,
@@ -13,6 +16,7 @@ from striptok import (
     uv_islands,
     write_obj,
 )
+from striptok import mesh_io
 from striptok.mesh_io import is_edge_manifold
 
 import synth
@@ -113,6 +117,157 @@ class TestLoadObj:
         r = load_obj(write_text(tmp_path / "rel.obj", relative))
         assert r == a
         assert a.faces == [(0, 1, 2, 3), (1, 4, 5, 2)]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "v 9 9 9\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n"
+        plain = load_obj(write_text(tmp_path / "plain.obj", text))
+        marked = load_obj(write_text(tmp_path / "bom.obj", "\ufeff" + text))
+        assert marked == plain
+        assert marked.positions[0] == (9.0, 9.0, 9.0)
+
+    def test_line_numbers_count_newlines_only(self, tmp_path):
+        # \u2028, \x85 and \x0c split str.splitlines() but not OBJ lines
+        text = "# a\u2028b\x85c\x0cd\r\nv 0 0 0\rv 1 0\n"
+        with pytest.raises(ObjParseError, match="line 3: vertex needs 3 coordinates"):
+            load_obj(write_text(tmp_path / "n.obj", text))
+
+
+PARSE_LINES = mesh_io._parse_lines
+
+
+def _reject_per_line(text):
+    raise AssertionError("per-line loop called")
+
+
+class TestBulkPath:
+    """Files the bulk parser takes whole: the per-line loop is never called."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_line(self, monkeypatch):
+        monkeypatch.setattr(mesh_io, "_parse_lines", _reject_per_line)
+
+    def assert_bulk(self, path):
+        text = path.read_text(encoding="utf-8")
+        mesh = load_obj(path)
+        # the same mesh as the per-line loop, with Python scalars throughout
+        assert repr(mesh) == repr(PARSE_LINES(text))
+        return mesh
+
+    def test_written_with_uvs_and_groups(self, tmp_path):
+        base = synth.quad_grid(3, 2)
+        mesh = synth.with_uv_groups(base, [0, 1, 0, 2, 1, 2])
+        path = tmp_path / "uv.obj"
+        write_obj(mesh, path, uv_islands(mesh))
+        assert "g island_2" in path.read_text()
+        back = self.assert_bulk(path)
+        assert back.face_uvs is not None and len(back.faces) == len(mesh.faces)
+
+    def test_written_without_uvs(self, tmp_path):
+        mesh = synth.icosphere(1)
+        path = tmp_path / "ico.obj"
+        write_obj(mesh, path)
+        assert self.assert_bulk(path).faces == mesh.faces
+
+    @pytest.mark.parametrize("corner", ["{v}/{v}/1", "{v}//1"])
+    def test_normal_corner_forms(self, tmp_path, corner):
+        faces = "".join(
+            "f " + " ".join(corner.format(v=v) for v in face) + "\n" for face in [(1, 2, 3), (1, 3, 4)]
+        )
+        text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\nvn 0 0 1\n" + faces
+        mesh = self.assert_bulk(write_text(tmp_path / "n.obj", text))
+        assert mesh.faces == [(0, 1, 2), (0, 2, 3)]
+        assert mesh.face_uvs == ([(0, 1, 2), (0, 2, 3)] if "//" not in corner else None)
+
+    def test_comments_and_normals(self, tmp_path):
+        text = (
+            "# exported mesh \u00e9\n\nmtllib m.mtl\no thing\n"
+            "v 0 0 0\nv 1 0 0\n# between\nv 1 1 0\nv 0 1 0\n"
+            "vn 0 0 1\nvn 0 0 1\nusemtl red\ns off\n"
+            "f 1 2 3 4\n  \n# end\nf 4 3 2 1"
+        )
+        mesh = self.assert_bulk(write_text(tmp_path / "c.obj", text))
+        assert mesh.faces == [(0, 1, 2, 3), (3, 2, 1, 0)]
+
+
+# odd tokens the per-line loop accepts, rejects or reads differently
+_ODD_NUMBERS = ["1_0", "+1", "-0", ".5", "1E-2", "nan", "-inf", "Infinity", "1e400", "zero", "1..2", "\u0661", ""]
+_ODD_INDICES = ["0", "-1", "-3", "01", "+1", "1_0", "x", "\u0661", "", "99999999999999999999", "000000000000000000001"]
+_CORNER_SHAPES = ["{v}", "{v}//{t}", "{v}/{t}", "{v}/{t}/1", "{v}/", "{v}/{t}/x"]
+_SKIPPED_LINES = [
+    "", "  ", "# comment", "# caf\u00e9 \u2713", "#v 1 2 3", "vn 0 0 1", "vn 0 1", "g island_3", "s off",
+    "o thing", "usemtl red", "vp 1 2", "V 1 2 3", "\ufeffv 1 2 3",
+]
+_ODD_LINES = ["v", "vt", "f", "v 1 2", "\tv 1 2 3", " f 1 2 3", "v 1 2 3 # w", "f 1 2 3 4 5"]
+_SPACES = ["\t", "  ", "\x0b", "\xa0", "\u2028"]
+_ENDINGS = ["\n"] * 8 + ["\r\n", "\r"]
+
+
+@st.composite
+def obj_texts(draw):
+    """OBJ text that is often well formed, with odd lines and tokens mixed in
+    at a drawn rate (none in a third of the examples)."""
+    rate = draw(st.sampled_from([0, 0, 8, 40]))
+    odd = st.integers(1, rate) if rate else st.just(0)  # 1: this field is odd
+
+    def field(strategy, odd_values):
+        return draw(st.sampled_from(odd_values)) if draw(odd) == 1 else draw(strategy)
+
+    def record(tag, values):
+        line = tag + "".join(field(st.just(" "), _SPACES) + value for value in values)
+        return draw(st.sampled_from(_SPACES)) + line if draw(odd) == 1 else line
+
+    number = st.one_of(st.integers(-9, 9).map(str), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    n_v = draw(st.sampled_from([0, 3, 4, 6]))
+    n_vt = draw(st.sampled_from([0, 0, 3, 5]))
+    degree = draw(st.sampled_from([3, 4]))
+    form = draw(st.sampled_from(_CORNER_SHAPES[:4] if n_vt else _CORNER_SHAPES[:2]))
+    lines = []
+    for _ in range(n_v):
+        lines.append(record("v", [field(number, _ODD_NUMBERS) for _ in range(3 + (draw(odd) == 1))]))
+    for _ in range(n_vt):
+        lines.append(record("vt", [field(number, _ODD_NUMBERS) for _ in range(2 + (draw(odd) == 1))]))
+    for _ in range(draw(st.integers(0, 5)) if n_v else 0):
+        d = draw(st.sampled_from([2, 5, 7 - degree])) if draw(odd) == 1 else degree
+        corners = []
+        for _ in range(d):
+            shape = draw(st.sampled_from(_CORNER_SHAPES)) if draw(odd) == 1 else form
+            v = field(st.integers(1, n_v + (draw(odd) == 1)).map(str), _ODD_INDICES)
+            t = field(st.integers(1, max(n_vt, 1)).map(str), _ODD_INDICES)
+            corners.append(shape.format(v=v, t=t))
+        lines.append(record("f", corners))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 4))):
+        other = _ODD_LINES if draw(odd) == 1 else _SKIPPED_LINES
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(other)))
+    text = "".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _outcome(fn, *args):
+    """``repr`` of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared across parsers
+        return type(exc), str(exc)
+
+
+@given(obj_texts())
+@settings(max_examples=400, deadline=None)
+def test_bulk_parse_equals_per_line_loop(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.obj"
+        path.write_text(text, encoding="utf-8", newline="")
+        decoded = path.read_text(encoding="utf-8-sig")  # universal newlines, as load_obj reads
+        want = _outcome(PARSE_LINES, decoded)
+        bulk = mesh_io._parse_bulk(decoded)
+        if bulk is not None:
+            assert repr(bulk) == want
+        if isinstance(want, tuple):
+            assert bulk is None
+        assert _outcome(load_obj, path) == want
 
 
 class TestWriteObj:

@@ -12,15 +12,13 @@ from striptok import (
     Mesh,
     Transform,
     decode_hier,
-    dequantize,
     dequantize_mesh,
     encode_hier,
-    normalize,
     quantize_mesh,
-    to_grid,
 )
 
 import oracles
+from oracles import dequantize, normalize, to_grid
 import synth
 
 
@@ -163,6 +161,15 @@ class TestQuantizeMesh:
         q = quantize_mesh(Mesh(positions=base.positions, faces=faces))
         assert q.dropped_duplicate == 1
         assert len(q.faces) == len(base.faces)
+        q.check(len(faces))
+
+    def test_check_names_the_identity(self):
+        q = quantize_mesh(synth.tri_grid(2, 2))
+        q.check(8)
+        with pytest.raises(
+            AssertionError, match=r"input faces 9 != kept 8 \+ dropped degenerate 0 \+ dropped duplicate 0"
+        ):
+            q.check(9)
 
     def test_sliver_collapses(self):
         # a triangle smaller than one grid cell after normalization collapses
@@ -270,7 +277,7 @@ def coarse_meshes(draw):
 
 def _assert_same(got, want, n_faces):
     assert got == want  # dataclass equality: keys, faces, labels, transform, drop counts
-    assert len(got.faces) + got.dropped_degenerate + got.dropped_duplicate == n_faces
+    got.check(n_faces)
     assert all(type(c) is int for key in got.vertex_keys for c in key)
     assert all(type(v) is int for face in got.faces for v in face)
     assert got.island_of_face is None or all(type(l) is int for l in got.island_of_face)

@@ -20,7 +20,6 @@ from striptok import (
     quantize_mesh,
     read_tokens,
     serialize,
-    strip_faces,
     uv_islands,
     write_obj,
     write_tokens,
@@ -29,6 +28,7 @@ from striptok.mesh_io import is_edge_manifold
 from striptok.verify import compare_quantized
 
 import oracles
+from oracles import strip_faces
 import synth
 from strategies import random_grids, random_surfaces
 

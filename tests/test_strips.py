@@ -12,15 +12,13 @@ from striptok import (
     StripSet,
     encode_mesh,
     extract_strips,
-    key_order,
     quantize_mesh,
     seed_order,
-    strip_faces,
-    to_grid,
     uv_islands,
 )
 
 import synth
+from oracles import key_order, strip_faces, to_grid
 
 
 def quantize(mesh, partition=None):

@@ -18,11 +18,11 @@ from striptok import (
     quantize_mesh,
     read_tokens,
     serialize,
-    strip_faces,
     write_tokens,
 )
 
 import synth
+from oracles import strip_faces
 
 
 def manual_strip_set(coord_lists, islands=None, stride=1):
