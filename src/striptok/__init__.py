@@ -13,8 +13,6 @@ from .mesh_io import (
     write_obj,
 )
 from .quantize import (
-    GridCoord,
-    HierCode,
     IDENTITY_TRANSFORM,
     QuantizedMesh,
     Transform,

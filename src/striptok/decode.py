@@ -13,7 +13,8 @@ renumbered densely at the end.  Kept vertices are numbered by
 first occurrence of their ``(island, packed key)`` pair, so equal codes
 weld within an island and never across two.  Faces are index arithmetic
 on each strip's run of vertex ids, one row per face; at stride 2 a
-trailing triangle is padded to four columns with -1.
+trailing triangle is padded to four columns with -1, and the mesh keeps
+that padding.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, _tuples, split_quad_faces
+from .mesh_io import IslandPartition, row_tuples, split_quad_faces
 from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, sort_rows
 from .tokens import C2_BASE, C3_BASE, C1_T_BASE, TokenSequence, VOCAB_SIZE
 
@@ -194,9 +195,10 @@ class DecodeReport:
             )
 
 
-def _nothing_kept(transform, report):
+def _nothing_kept(stride, transform, report):
+    empty = np.zeros(0, dtype=np.int64)
     return (
-        QuantizedMesh(vertex_keys=[], faces=[], island_of_face=[], transform=transform),
+        QuantizedMesh(empty.reshape(0, 3), empty.reshape(0, stride + 2), empty, transform),
         IslandPartition(island_of_face=[], island_count=0),
         report,
     )
@@ -209,7 +211,7 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
     events = stream.events
     n = len(events)
     if not n:
-        return _nothing_kept(transform, report)
+        return _nothing_kept(stride, transform, report)
     bounds = np.empty(n + 1, dtype=bool)  # strip heads, then the stream end
     np.not_equal(events[:, 0], EV_VERTEX, out=bounds[:n])
     bounds[0] = bounds[n] = True
@@ -220,7 +222,7 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
     report.dropped_strips = len(heads)
     report.dropped_strip_vertices = n
     if not keep.any():
-        return _nothing_kept(transform, report)
+        return _nothing_kept(stride, transform, report)
 
     # counting a leading island marker too shifts every id alike
     island = (events[:, 0] == EV_ISLAND).cumsum(dtype=np.int64)[heads[keep]]
@@ -277,22 +279,15 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
     used[rows] = True
     new_id = used.cumsum() - 1
     new_id[n] = -1
-    rows = new_id[rows]
-    vertex_keys = _tuples(_unpack_keys(pairs[used[:n]] & _KEY_MASK))
-    faces = _tuples(rows)
-    if stride == 2:
-        for i in (rows[:, 3] < 0).nonzero()[0].tolist():
-            faces[i] = faces[i][:3]
 
     # islands only grow along the faces, so a dense label counts the changes
     island = island[start[ok]]
     labels = np.zeros(len(island), dtype=np.int64)
     (island[1:] != island[:-1]).cumsum(out=labels[1:])
-    labels = labels.tolist()
-    partition = IslandPartition(island_of_face=labels, island_count=labels[-1] + 1 if labels else 0)
+    partition = IslandPartition(labels.tolist(), int(labels[-1]) + 1 if len(labels) else 0)
     mesh = QuantizedMesh(
-        vertex_keys=vertex_keys,
-        faces=faces,
+        vertex_keys=_unpack_keys(pairs[used[:n]] & _KEY_MASK),
+        faces=new_id[rows],
         island_of_face=labels,
         transform=transform,
     )
@@ -307,7 +302,8 @@ def decode(
     Strips shorter than three vertices are dropped; decoded faces with a
     repeated welded index and duplicate faces (same unordered index set)
     are dropped; everything dropped is counted in the report.  Welding
-    merges identical coordinates within an island only.
+    merges identical coordinates within an island only.  Faces have
+    ``stride + 2`` columns.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -325,4 +321,5 @@ def dual_decode_check(t: TokenSequence) -> bool:
     stream = parse_tokens(t)
     tri, _, _ = _decode_impl(stream, 1, t.header.transform, drop_duplicates=False)
     quad, _, _ = _decode_impl(stream, 2, t.header.transform, drop_duplicates=False)
-    return tri.faces == split_quad_faces(quad.faces) and tri.vertex_keys == quad.vertex_keys
+    same_keys = np.array_equal(tri.vertex_keys, quad.vertex_keys)
+    return same_keys and row_tuples(tri.faces) == split_quad_faces(row_tuples(quad.faces))

@@ -263,7 +263,7 @@ def _indices(values: np.ndarray, count: int) -> list[tuple[int, ...]] | None:
     it is out of range too."""
     if values.min() < 1 or values.max() > count:
         return None
-    return _tuples(values - 1)
+    return row_tuples(values - 1)
 
 
 def _parse_bulk(text: str) -> Mesh | None:
@@ -367,9 +367,14 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
         fh.write("".join(blocks))
 
 
-def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The rows of a 2-D int array as tuples of Python ints."""
-    return list(zip(*rows.T.tolist()))
+def row_tuples(rows: np.ndarray) -> list[tuple]:
+    """The rows of a 2-D array as tuples of Python scalars; a 4-column face
+    row padded with -1 (a triangle among quads) becomes a 3-tuple."""
+    out = list(zip(*rows.T.tolist()))
+    if rows.shape[1] == 4:
+        for i in (rows[:, 3] < 0).nonzero()[0].tolist():
+            out[i] = out[i][:3]
+    return out
 
 
 def face_array(faces) -> np.ndarray:

@@ -3,7 +3,8 @@
 Vertex positions are normalized into the unit cube, snapped to grid cells,
 and split into a three-level code (c1, c2, c3) at 4/8/16 cells per axis and
 level.  The grid resolution and level split are fixed; the axis combination
-inside each level is x-major (x*k^2 + y*k + z).
+inside each level is x-major (x*k^2 + y*k + z).  :class:`QuantizedMesh`
+holds int64 NumPy arrays, which every stage reads and writes as they are.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, Mesh, _tuples
+from .mesh_io import IslandPartition, Mesh, row_tuples
 
 GRID = 512
 EPS = 1e-9
-
-GridCoord = tuple[int, int, int]
-HierCode = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -32,43 +30,32 @@ class Transform:
     center: tuple[float, float, float]
     scale: float
 
-    def to_model(self, p):
-        return (
-            p[0] * self.scale + self.center[0],
-            p[1] * self.scale + self.center[1],
-            p[2] * self.scale + self.center[2],
-        )
-
-    def to_normalized(self, p):
-        return (
-            (p[0] - self.center[0]) / self.scale,
-            (p[1] - self.center[1]) / self.scale,
-            (p[2] - self.center[2]) / self.scale,
-        )
-
 
 IDENTITY_TRANSFORM = Transform((0.0, 0.0, 0.0), 1.0)
 
 
 @dataclass
 class QuantizedMesh:
-    """Mesh snapped to the grid: deduplicated vertex keys plus key-index faces."""
+    """Mesh snapped to the grid: ``(V, 3)`` grid keys, ``(F, d)`` key-index
+    faces and ``(F,)`` dense island labels (None: one island), all int64.
+    A row ``(a, b, c, -1)`` is a triangle among quads (an odd stride-2 strip's
+    last face)."""
 
-    vertex_keys: list[GridCoord]
-    faces: list[tuple[int, ...]]
-    island_of_face: list[int] | None
+    vertex_keys: np.ndarray
+    faces: np.ndarray
+    island_of_face: np.ndarray | None
     transform: Transform
     dropped_degenerate: int = 0
     dropped_duplicate: int = 0
 
     @property
     def face_degree(self) -> int:
-        return len(self.faces[0]) if self.faces else 0
+        return self.faces.shape[1] if len(self.faces) else 0
 
     def island_count(self) -> int:
         if self.island_of_face is None:
-            return 1 if self.faces else 0
-        return max(self.island_of_face) + 1 if self.island_of_face else 0
+            return 1 if len(self.faces) else 0
+        return int(self.island_of_face.max()) + 1 if len(self.island_of_face) else 0
 
     def check(self, n_input_faces: int) -> None:
         """Raise ``AssertionError`` unless kept + dropped faces == ``n_input_faces``."""
@@ -80,15 +67,16 @@ class QuantizedMesh:
             )
 
 
-def encode_hier(g: GridCoord) -> HierCode:
-    """Split a grid coordinate into the three-level code (c1, c2, c3)."""
-    a1 = (g[0] >> 7, g[1] >> 7, g[2] >> 7)
-    a2 = ((g[0] >> 4) & 7, (g[1] >> 4) & 7, (g[2] >> 4) & 7)
-    a3 = (g[0] & 15, g[1] & 15, g[2] & 15)
-    c1 = a1[0] * 16 + a1[1] * 4 + a1[2]
-    c2 = a2[0] * 64 + a2[1] * 8 + a2[2]
-    c3 = a3[0] * 256 + a3[1] * 16 + a3[2]
-    return (c1, c2, c3)
+# weight of each axis (row) within each level's code (column): x-major
+_LEVEL_WEIGHTS = np.array([[16, 64, 256], [4, 8, 16], [1, 1, 1]], dtype=np.int64)
+
+
+def encode_hier(grid) -> np.ndarray:
+    """The ``(n, 3)`` codes (c1, c2, c3) of ``(n, 3)`` grid coordinates;
+    :func:`decode_hier` is the inverse."""
+    g = np.asarray(grid, dtype=np.int64).reshape(-1, 3)
+    levels = np.stack([g >> 7, g >> 4 & 7, g & 15], axis=2)  # (n, axis, level)
+    return (levels * _LEVEL_WEIGHTS).sum(axis=1)
 
 
 def _level_table(bits: int, shift: int) -> np.ndarray:
@@ -162,12 +150,11 @@ def quantize_mesh(
     results of the per-face definition: keys are numbered in order of first
     occurrence over the corners of the non-degenerate faces, row-major, so
     the key table holds exactly the keys the kept faces use.  Normalization
-    uses the float operations of :meth:`Transform.to_normalized`, and a
-    coordinate snaps to cell ``int(c * GRID)`` clamped to ``[0, GRID - 1]``
-    (within ``EPS`` of the unit interval; farther out raises ``ValueError``).
-    Faces must share one degree (the :class:`Mesh` contract).  Non-finite
-    positions, or a transform that makes them non-finite, raise
-    ``ValueError``.
+    is ``(p - center) / scale`` per axis, and a coordinate snaps to cell
+    ``int(c * GRID)`` clamped to ``[0, GRID - 1]`` (within ``EPS`` of the
+    unit interval; farther out raises ``ValueError``).  Faces must share one
+    degree (the :class:`Mesh` contract).  Non-finite positions, or a
+    transform that makes them non-finite, raise ``ValueError``.
     """
     if not mesh.faces:
         raise ValueError("empty mesh")
@@ -213,14 +200,14 @@ def quantize_mesh(
     order, heads = sort_rows(sets)
     unique = np.sort(order[heads])
 
-    island_of_face: list[int] | None = None
+    island_of_face = None
     if partition is not None:
         labels = np.asarray(partition.island_of_face)[kept[unique]]
-        island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1).tolist()
+        island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1)
 
     return QuantizedMesh(
-        vertex_keys=_tuples(_unpack_keys(codes[by_first])),
-        faces=_tuples(faces[unique]),
+        vertex_keys=_unpack_keys(codes[by_first]),
+        faces=faces[unique],
         island_of_face=island_of_face,
         transform=transform,
         dropped_degenerate=len(mesh.faces) - len(kept),
@@ -234,7 +221,6 @@ def dequantize_mesh(q: QuantizedMesh) -> Mesh:
     Each key maps to the model-space center of its cell,
     ``(g + 0.5) / GRID * scale + center``, per axis.
     """
-    g = np.asarray(q.vertex_keys, dtype=np.int64).reshape(len(q.vertex_keys), 3)
     t = q.transform
-    positions = (g + 0.5) / GRID * t.scale + np.asarray(t.center, dtype=np.float64)
-    return Mesh(positions=_tuples(positions), faces=list(q.faces))
+    positions = (q.vertex_keys + 0.5) / GRID * t.scale + np.asarray(t.center, dtype=np.float64)
+    return Mesh(positions=row_tuples(positions), faces=row_tuples(q.faces))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import face_array, sorted_edge_keys
-from .quantize import GridCoord, QuantizedMesh, Transform, sort_rows
+from .mesh_io import sorted_edge_keys
+from .quantize import QuantizedMesh, Transform, sort_rows
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
 
@@ -26,7 +26,7 @@ def _rank_array(q: QuantizedMesh, up_axis: str) -> np.ndarray:
     first, then the other two in cyclic order; equal keys rank in index
     order."""
     u = _AXIS[up_axis]
-    keys = np.asarray(q.vertex_keys, dtype=np.int64).reshape(len(q.vertex_keys), 3)
+    keys = q.vertex_keys
     order = np.lexsort((keys[:, (u + 2) % 3], keys[:, (u + 1) % 3], keys[:, u]))
     ranks = np.empty_like(order)
     ranks[order] = np.arange(len(order))
@@ -46,13 +46,13 @@ def _face_order(faces: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def seed_order(q: QuantizedMesh, island: int | None = None, up_axis: str = "y") -> list[int]:
     """Face indices ordered by their sorted vertex-rank tuples (lowest first)."""
-    order, _ = _face_order(face_array(q.faces), _rank_array(q, up_axis))
+    order, _ = _face_order(q.faces, _rank_array(q, up_axis))
     if island is not None:
         if q.island_of_face is None:
             if island != 0:
                 raise ValueError(f"island {island} does not exist")
         else:
-            order = order[np.asarray(q.island_of_face)[order] == island]
+            order = order[q.island_of_face[order] == island]
             if not len(order):
                 raise ValueError(f"island {island} does not exist")
     return order.tolist()
@@ -68,7 +68,7 @@ class Strip:
 @dataclass
 class StripSet:
     strips: list[Strip]
-    vertex_keys: list[GridCoord]
+    vertex_keys: np.ndarray  # (V, 3) grid keys, as QuantizedMesh.vertex_keys
     islands_in_order: list[int]
     stride: int
     transform: Transform
@@ -85,7 +85,7 @@ class StripSet:
         return n
 
 
-def _quad_new_pair(face: tuple[int, ...], e0: int, e1: int) -> tuple[int, int]:
+def _quad_new_pair(face: list[int], e0: int, e1: int) -> tuple[int, int]:
     """The quad's two non-frontier vertices, ordered (next to e0, next to e1)."""
     i = face.index(e0)
     if face[(i + 1) % 4] == e1:
@@ -115,16 +115,13 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
     degree = 3 if stride == 1 else 4
-    for face in q.faces:
-        if len(face) != degree:
-            raise ValueError(
-                f"stride {stride} requires degree-{degree} faces, found degree {len(face)}"
-            )
-
-    nfaces, nkeys = len(q.faces), len(q.vertex_keys)
+    faces, nfaces, nkeys = q.faces, len(q.faces), len(q.vertex_keys)
     if not nfaces:
         return StripSet([], q.vertex_keys, [], stride, q.transform)
-    faces = face_array(q.faces)
+    if faces.shape[1] != degree or faces.min() < 0:
+        # a -1 pads a triangle among quads
+        found = faces.shape[1] if faces.shape[1] != degree else 3
+        raise ValueError(f"stride {stride} requires degree-{degree} faces, found degree {found}")
     rank_arr = _rank_array(q, up_axis)
     order, heads = _face_order(faces, rank_arr)
     # a seed starts at its lowest-ranked corner (the first, if repeated)
@@ -136,10 +133,8 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
 
     # islands by their lowest face; equal lowest face ranks (one key set in
     # two islands) keep the order in which the islands first appear
-    labels = q.island_of_face if q.island_of_face is not None else [0] * nfaces
-    ids, first, island_idx = np.unique(
-        np.asarray(labels, dtype=np.int64), return_index=True, return_inverse=True
-    )
+    labels = q.island_of_face if q.island_of_face is not None else np.zeros(nfaces, dtype=np.int64)
+    ids, first, island_idx = np.unique(labels, return_index=True, return_inverse=True)
     island_idx = island_idx.reshape(-1)
     lowest = np.full(len(ids), nfaces)
     np.minimum.at(lowest, island_idx, face_rank)
@@ -157,6 +152,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     edge_of_key = dict(zip(edge_keys[starts].tolist(), range(len(starts))))
     starts = starts.tolist() + [len(edge_keys)]
     edge_faces = (edge_order // degree).tolist()
+    labels, face_list = labels.tolist(), faces.tolist()
 
     visited = [False] * nfaces
     strips: list[Strip] = []
@@ -177,8 +173,8 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
         for seed in queue.tolist():
             if visited[seed]:
                 continue
-            face, k = q.faces[seed], lowest_corner[seed]
-            keys = list(face[k:] + face[:k])
+            face, k = face_list[seed], lowest_corner[seed]
+            keys = face[k:] + face[:k]
             if stride == 2:
                 keys[-1], keys[-2] = keys[-2], keys[-1]
             visited[seed] = True
@@ -187,7 +183,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
                 fi = next_face(e0, e1, island)
                 if fi is None:
                     break
-                face = q.faces[fi]
+                face = face_list[fi]
                 if stride == 1:
                     keys.append(next(v for v in face if v != e0 and v != e1))
                 else:

@@ -73,7 +73,7 @@ def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
     """
     if not s.strips:
         raise ValueError("empty strip set")
-    codes = [encode_hier(k) for k in s.vertex_keys]
+    codes = encode_hier(s.vertex_keys).tolist()
     tokens: list[int] = []
     prev: tuple[int, int] | None = None
     seen_islands: set[int] = set()
@@ -107,14 +107,15 @@ def baseline_serialize(q) -> TokenSequence:
     Comparison denominator only; every vertex emits its full
     (plain c1, c2, c3) triple, faces in seed order.
     """
-    if not q.faces:
+    if not len(q.faces):
         raise ValueError("empty mesh")
     if q.face_degree != 3:
         raise ValueError("baseline encoding expects a triangle mesh")
-    codes = [encode_hier(k) for k in q.vertex_keys]
+    codes = encode_hier(q.vertex_keys).tolist()
+    faces = q.faces.tolist()
     tokens: list[int] = []
     for fi in seed_order(q):
-        for v in q.faces[fi]:
+        for v in faces[fi]:
             c1, c2, c3 = codes[v]
             tokens.extend((C1_GEO_BASE + c1, C2_BASE + c2, C3_BASE + c3))
     header = TokenHeader(
@@ -169,8 +170,22 @@ class TokenFileError(ValueError):
     """Corrupt or unsupported token file."""
 
 
+def _check_payload(tokens: list[int], transform: Transform) -> None:
+    """Raise :class:`TokenFileError` unless a token file can hold these ids and transform."""
+    scale = transform.scale
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise TokenFileError(f"bad transform scale {scale}")
+    if not all(math.isfinite(v) for v in transform.center):
+        raise TokenFileError(f"non-finite transform center {tuple(transform.center)}")
+    if tokens and (min(tokens) < 0 or max(tokens) >= VOCAB_SIZE):
+        bad = next(tok for tok in tokens if not 0 <= tok < VOCAB_SIZE)
+        raise TokenFileError(f"token id {bad} out of range")
+
+
 def write_tokens(t: TokenSequence, path) -> None:
-    """Write the binary token file (magic, version, flags, header, u16 ids)."""
+    """Write the binary token file (magic, version, flags, header, u16 ids);
+    what :func:`read_tokens` would reject raises and writes nothing."""
+    _check_payload(t.tokens, t.header.transform)
     flags = (1 if t.header.uv_mode else 0) | (2 if t.header.source_stride == 2 else 0)
     c = t.header.transform.center
     blob = bytearray()
@@ -212,18 +227,13 @@ def read_tokens(path) -> TokenSequence:
         raise TokenFileError("truncated payload")
     if len(data) > fixed + 2 * count:
         raise TokenFileError(f"{len(data) - fixed - 2 * count} trailing bytes after payload")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise TokenFileError(f"bad transform scale {scale}")
-    if not all(math.isfinite(v) for v in (cx, cy, cz)):
-        raise TokenFileError(f"non-finite transform center {(cx, cy, cz)}")
+    transform = Transform((cx, cy, cz), scale)
     tokens = list(struct.unpack_from(f"<{count}H", data, fixed))
-    if tokens and max(tokens) >= VOCAB_SIZE:
-        bad = next(tok for tok in tokens if tok >= VOCAB_SIZE)
-        raise TokenFileError(f"token id {bad} out of range")
+    _check_payload(tokens, transform)
     header = TokenHeader(
         uv_mode=bool(flags & 1),
         source_stride=2 if flags & 2 else 1,
-        transform=Transform((cx, cy, cz), scale),
+        transform=transform,
         face_count=face_count,
     )
     return TokenSequence(tokens=tokens, header=header)

@@ -1,7 +1,8 @@
 """Exact comparison of a quantized mesh against its decoded reconstruction.
 
 Both meshes become ``(F, d)`` arrays of packed grid keys
-(:func:`~striptok.quantize.pack_keys`).  Faces are matched by their
+(:func:`~striptok.quantize.pack_keys`), -1 where a face has no corner (the
+pad of a stride-2 decode's trailing triangle).  Faces are matched by their
 unordered key sets: each row's distinct keys are sorted and both sides are
 lexsorted, so equal face multisets line up row for row.  A winding matches
 when the decoded row is a cyclic rotation of its matched source row, and the
@@ -21,7 +22,7 @@ from .quantize import GRID, QuantizedMesh, pack_keys, sort_rows
 
 def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):
     """One int64 per vertex key of each mesh, equal exactly where the keys are."""
-    keys = np.array(source.vertex_keys + decoded.vertex_keys, dtype=np.int64).reshape(-1, 3)
+    keys = np.concatenate([source.vertex_keys, decoded.vertex_keys])
     if keys.size and (keys.min() < 0 or keys.max() >= GRID):
         # not grid keys, so packing could collide: rank them jointly instead
         codes = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
@@ -31,19 +32,20 @@ def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):
     return codes[:n], codes[n:]
 
 
-def _face_codes(q: QuantizedMesh, codes: np.ndarray) -> np.ndarray:
-    return codes[np.array(q.faces, dtype=np.int64).reshape(len(q.faces), q.face_degree)]
+def _face_codes(q: QuantizedMesh, codes: np.ndarray, width: int) -> np.ndarray:
+    """Each face corner's key code in ``width`` columns; pads are -1, and so
+    are the columns that narrower faces lack."""
+    faces = np.pad(q.faces, ((0, 0), (0, width - q.faces.shape[1])), constant_values=-1)
+    return np.where(faces < 0, -1, codes[faces.clip(0)])
 
 
-def _set_rows(faces: np.ndarray, width: int) -> np.ndarray:
-    """Each face's distinct keys in ascending order, left-padded with -1 to ``width``."""
+def _set_rows(faces: np.ndarray) -> np.ndarray:
+    """Each face's distinct keys in ascending order, left-padded with -1."""
     rows = np.sort(faces, axis=1)
     repeated = rows[:, 1:] == rows[:, :-1]
     if repeated.any():
         rows[:, 1:][repeated] = -1
         rows.sort(axis=1)
-    if rows.shape[1] < width:
-        rows = np.hstack([np.full((len(rows), width - rows.shape[1]), -1, dtype=np.int64), rows])
     return rows
 
 
@@ -60,7 +62,7 @@ def _multiset_detail(src_sets: np.ndarray, dec_sets: np.ndarray, n_src: int, n_d
 def _labels(q: QuantizedMesh) -> np.ndarray:
     if q.island_of_face is None:
         return np.zeros(len(q.faces), dtype=np.int64)
-    return np.asarray(q.island_of_face)
+    return q.island_of_face
 
 
 def _is_bijection(a: np.ndarray, b: np.ndarray) -> bool:
@@ -72,7 +74,9 @@ def _is_bijection(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _groups(labels: np.ndarray, values: np.ndarray) -> list[bytes]:
-    """The distinct values under each label, sorted, as one bytes string per label."""
+    """The distinct values under each label, sorted, as one bytes string per
+    label; negative values (pads) are skipped."""
+    labels, values = labels[values >= 0], values[values >= 0]
     labels = np.unique(labels, return_inverse=True)[1].reshape(-1)
     span = int(values.max()) + 1
     labels, values = np.divmod(np.unique(labels * span + values), span)
@@ -82,15 +86,14 @@ def _groups(labels: np.ndarray, values: np.ndarray) -> list[bytes]:
 def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bool, str]:
     """Check face multiset, winding, island partition, and per-island key sets.
 
-    Returns (ok, detail); detail names the first divergence.  Faces must
-    share one degree within each mesh.
+    Returns (ok, detail); detail names the first divergence.
     """
-    if not source.faces and not decoded.faces:
+    if not len(source.faces) and not len(decoded.faces):
         return True, ""
     src_codes, dec_codes = _key_codes(source, decoded)
-    src, dec = _face_codes(source, src_codes), _face_codes(decoded, dec_codes)
-    width = max(src.shape[1], dec.shape[1])
-    src_rows, dec_rows = _set_rows(src, width), _set_rows(dec, width)
+    width = max(source.faces.shape[1], decoded.faces.shape[1])
+    src, dec = _face_codes(source, src_codes, width), _face_codes(decoded, dec_codes, width)
+    src_rows, dec_rows = _set_rows(src), _set_rows(dec)
     (src_order, head), (dec_order, dec_head) = sort_rows(src_rows), sort_rows(dec_rows)
     src_rows, dec_rows = src_rows[src_order], dec_rows[dec_order]
     if len(src_rows) != len(dec_rows) or not np.array_equal(src_rows, dec_rows):
@@ -101,13 +104,17 @@ def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bo
     set_id = np.cumsum(head) - 1
     run_end = np.flatnonzero(np.append(head[1:], True))
     ref, got = src[src_order[run_end[set_id]]], dec[dec_order]
+    # rotate each source row within its corners; a trailing pad stays put
+    corners = (ref >= 0).sum(axis=1, keepdims=True)
+    cols = np.arange(width)
     wound = np.zeros(len(got), dtype=bool)
-    if ref.shape[1] == got.shape[1]:
-        for k in range(got.shape[1]):
-            wound |= (got == np.roll(ref, k, axis=1)).all(axis=1)
+    for k in range(width):
+        rotated = np.where(cols < corners, (cols + k) % corners, cols)
+        wound |= (got == np.take_along_axis(ref, rotated, axis=1)).all(axis=1)
     if not wound.all():
         face = decoded.faces[dec_order[~wound].min()]
-        return False, f"winding mismatch on face {sorted({decoded.vertex_keys[v] for v in face})}"
+        keys = set(map(tuple, decoded.vertex_keys[face[face >= 0]].tolist()))
+        return False, f"winding mismatch on face {sorted(keys)}"
 
     src_labels, dec_labels = _labels(source), _labels(decoded)
     if head.all():
@@ -120,8 +127,8 @@ def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bo
     # repeated key sets: labels can share faces, so compare the groups as sets
     if set(_groups(src_labels[src_order], set_id)) != set(_groups(dec_labels[dec_order], set_id)):
         return False, "island partition mismatch"
-    src_keys = _groups(np.repeat(src_labels, src.shape[1]), src.reshape(-1))
-    dec_keys = _groups(np.repeat(dec_labels, dec.shape[1]), dec.reshape(-1))
+    src_keys = _groups(np.repeat(src_labels, width), src.reshape(-1))
+    dec_keys = _groups(np.repeat(dec_labels, width), dec.reshape(-1))
     if sorted(src_keys) != sorted(dec_keys):
         return False, "per-island vertex key sets mismatch"
     return True, ""

@@ -4,30 +4,80 @@ These are the original per-face Python versions of
 ``verify.compare_quantized``, ``quantize.quantize_mesh``,
 ``mesh_io.uv_islands``, ``mesh_io.is_edge_manifold`` and
 ``strips.extract_strips`` (with ``vertex_ranks`` and ``seed_order``), and the
-per-token and per-vertex decode path: ``quantize.decode_hier``,
-``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
-kept unchanged apart from their imports.  The per-point helpers they are
-built on (``normalize``, ``to_grid``, ``dequantize``, ``key_order`` and
-``strip_faces``) live here too: nothing in ``striptok`` calls them.  The package's NumPy versions must
-return the same results; ``tests/test_verify.py``, ``tests/test_quantize.py``,
+per-token and per-vertex codec path: ``quantize.encode_hier``,
+``quantize.decode_hier``, ``decode.parse_tokens``, ``decode._decode_impl``
+and ``mesh_io.write_obj``, kept unchanged apart from their imports.  The
+per-point helpers they are built on (``normalize``, ``to_grid``,
+``dequantize``, ``key_order``, ``strip_faces``, and the two float maps that
+were ``Transform`` methods) live here too: nothing in ``striptok`` calls
+them.  The package's NumPy versions must return the same results;
+``tests/test_verify.py``, ``tests/test_quantize.py``,
 ``tests/test_topology.py`` and ``tests/test_decode_oracle.py`` assert that.
 The oracle ``parse_tokens`` fills ``VertexStream.events`` with a list of
 tuples, which the oracle ``_decode_impl`` reads.
+
+The oracles work on a :class:`QuantizedMesh` in list form: keys and faces as
+lists of tuples, labels as a list.  :func:`as_lists` turns the package's
+arrays into that form, and :func:`as_arrays` builds the arrays from it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
+from dataclasses import replace
+
+import numpy as np
 
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX, DecodeReport, VertexStream
-from striptok.mesh_io import IslandPartition, Mesh
-from striptok.quantize import EPS, GRID, GridCoord, HierCode, QuantizedMesh, Transform
+from striptok.mesh_io import IslandPartition, Mesh, row_tuples
+from striptok.quantize import EPS, GRID, QuantizedMesh, Transform
 from striptok.strips import _AXIS, Strip, StripSet
 from striptok.tokens import C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE
 
+GridCoord = tuple[int, int, int]
+HierCode = tuple[int, int, int]
+
+
+# --- list form of a QuantizedMesh
+
+
+def as_lists(q: QuantizedMesh) -> QuantizedMesh:
+    """``q`` in the oracles' list form; a -1-padded triangle row becomes a 3-tuple."""
+    labels = None if q.island_of_face is None else q.island_of_face.tolist()
+    return replace(q, vertex_keys=row_tuples(q.vertex_keys), faces=row_tuples(q.faces), island_of_face=labels)
+
+
+def as_arrays(q: QuantizedMesh) -> QuantizedMesh:
+    """``q``, in list form, as the package's arrays: faces of mixed degree are
+    padded to four columns with -1, no faces give ``(0, 3)``."""
+    width = max(map(len, q.faces), default=3)
+    faces = [tuple(f) + (-1,) * (width - len(f)) for f in q.faces]
+    return replace(
+        q,
+        vertex_keys=np.array(q.vertex_keys, dtype=np.int64).reshape(-1, 3),
+        faces=np.array(faces, dtype=np.int64).reshape(-1, width),
+        island_of_face=None if q.island_of_face is None else np.array(q.island_of_face, dtype=np.int64),
+    )
+
 
 # --- per-point helpers: quantize.normalize, to_grid, dequantize and
-# strips.key_order, strip_faces
+# strips.key_order, strip_faces, and the former Transform methods
+
+
+def to_model(t: Transform, p):
+    return (
+        p[0] * t.scale + t.center[0],
+        p[1] * t.scale + t.center[1],
+        p[2] * t.scale + t.center[2],
+    )
+
+
+def to_normalized(t: Transform, p):
+    return (
+        (p[0] - t.center[0]) / t.scale,
+        (p[1] - t.center[1]) / t.scale,
+        (p[2] - t.center[2]) / t.scale,
+    )
 
 
 def normalize(mesh: Mesh) -> tuple[Mesh, Transform]:
@@ -46,7 +96,7 @@ def normalize(mesh: Mesh) -> tuple[Mesh, Transform]:
     if extent <= 0.0:
         raise ValueError("degenerate extent: all points identical")
     t = Transform(lo, extent)
-    positions = [t.to_normalized(p) for p in mesh.positions]
+    positions = [to_normalized(t, p) for p in mesh.positions]
     out = Mesh(
         positions=positions,
         faces=list(mesh.faces),
@@ -73,7 +123,7 @@ def to_grid(p) -> GridCoord:
 
 def dequantize(g: GridCoord, t: Transform):
     """Map a grid cell back to model space at the cell center."""
-    return t.to_model(((g[0] + 0.5) / GRID, (g[1] + 0.5) / GRID, (g[2] + 0.5) / GRID))
+    return to_model(t, ((g[0] + 0.5) / GRID, (g[1] + 0.5) / GRID, (g[2] + 0.5) / GRID))
 
 
 def key_order(coord: GridCoord, up_axis: str = "y"):
@@ -200,7 +250,7 @@ def quantize_mesh(
     if transform is None:
         normalized, transform = normalize(mesh)
     else:
-        normalized = Mesh([transform.to_normalized(p) for p in mesh.positions], mesh.faces)
+        normalized = Mesh([to_normalized(transform, p) for p in mesh.positions], mesh.faces)
 
     grid_of_vertex = [to_grid(p) for p in normalized.positions]
 
@@ -472,7 +522,19 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     )
 
 
-# --- decode: quantize.decode_hier, decode.parse_tokens, decode._decode_impl
+# --- codec: quantize.encode_hier, quantize.decode_hier, decode.parse_tokens,
+# decode._decode_impl
+
+
+def encode_hier(g: GridCoord) -> HierCode:
+    """Split a grid coordinate into the three-level code (c1, c2, c3)."""
+    a1 = (g[0] >> 7, g[1] >> 7, g[2] >> 7)
+    a2 = ((g[0] >> 4) & 7, (g[1] >> 4) & 7, (g[2] >> 4) & 7)
+    a3 = (g[0] & 15, g[1] & 15, g[2] & 15)
+    c1 = a1[0] * 16 + a1[1] * 4 + a1[2]
+    c2 = a2[0] * 64 + a2[1] * 8 + a2[2]
+    c3 = a3[0] * 256 + a3[1] * 16 + a3[2]
+    return (c1, c2, c3)
 
 
 def decode_hier(h: HierCode) -> GridCoord:

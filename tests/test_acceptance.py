@@ -39,7 +39,7 @@ from striptok.tokens import compression_stats
 from striptok.verify import compare_quantized
 
 import synth
-from oracles import dequantize, normalize, to_grid, vertex_ranks
+from oracles import as_lists, dequantize, normalize, to_grid, vertex_ranks
 from test_decode import validate_quantized
 from test_metrics import brute_nn, cube_surface, point_set
 
@@ -93,12 +93,12 @@ def test_criterion_04_dual_decode(quad_corpus):
         tri, _, _ = decode_tokens(seq, 1)
         quad, _, _ = decode_tokens(seq, 2)
         split = []
-        for f in quad.faces:
+        for f in as_lists(quad).faces:
             if len(f) == 4:
                 split += [(f[0], f[1], f[3]), (f[1], f[2], f[3])]
             else:
                 split.append(f)
-        assert tri.faces == split, entry.name
+        assert as_lists(tri).faces == split, entry.name
     ok(4, f"stride-1 decode equals the quad diagonal split on all {len(quad_corpus)} sequences")
 
 
@@ -110,8 +110,7 @@ def oracle_ribbon_token_count(n):
         coords.append(to_grid((i / n, 0.0, 1.0 / n)))
     count = 0
     prev = None
-    for j, c in enumerate(coords):
-        c1, c2, c3 = encode_hier(c)
+    for j, (c1, c2, c3) in enumerate(encode_hier(coords).tolist()):
         if j == 0:
             count += 3
         elif prev == (c1, c2):
@@ -158,6 +157,7 @@ def greedy_patch_count(q, cap=7):
     """Greedy fan partition: patches pivot on the seed face's lowest vertex,
     collecting up to `cap` unvisited faces around the pivot (never crossing
     islands), the way patch-based tokenizers grow fan/disk neighborhoods."""
+    arrays, q = q, as_lists(q)
     faces_of_vertex = defaultdict(list)
     for fi, face in enumerate(q.faces):
         for v in face:
@@ -167,7 +167,7 @@ def greedy_patch_count(q, cap=7):
     visited = [False] * len(q.faces)
     patches = 0
     for isl in sorted(set(labels)):
-        order = seed_order(q, isl if q.island_of_face is not None else None)
+        order = seed_order(arrays, isl if q.island_of_face is not None else None)
         for f in order:
             if visited[f]:
                 continue
@@ -208,9 +208,9 @@ def test_criterion_07_quantization():
         grid = [[0, 0, 0] for _ in range(512)]
         for v in range(512):
             grid[v][axis] = v
-        codes = [encode_hier(tuple(g)) for g in grid]
+        codes = encode_hier(grid)
         assert decode_hier(codes).tolist() == pack_keys(grid).tolist()
-        assert len(set(codes)) == 512
+        assert len(set(map(tuple, codes.tolist()))) == 512
 
     rng = random.Random(123)
     raw = Mesh(

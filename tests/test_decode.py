@@ -11,7 +11,6 @@ from striptok import (
     DecodeReport,
     decode,
     dual_decode_check,
-    encode_hier,
     extract_strips,
     parse_tokens,
     quantize_mesh,
@@ -19,8 +18,10 @@ from striptok import (
     uv_islands,
 )
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX
+from striptok.mesh_io import row_tuples
 from striptok.verify import compare_quantized
 
+from oracles import as_lists, encode_hier
 import synth
 from test_tokens import manual_strip_set
 
@@ -119,8 +120,8 @@ class TestDecode:
         seq = serialize(manual_strip_set([coords]), uv_mode=False)
         mesh, partition, report = decode(parse_tokens(seq), 1, IDENTITY_TRANSFORM)
         assert report.clean()
-        assert mesh.faces == [(0, 1, 2), (1, 3, 2)]
-        assert mesh.vertex_keys == coords
+        assert mesh.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+        assert as_lists(mesh).vertex_keys == coords
         assert partition.island_count == 1
 
     def test_stride2_quad(self):
@@ -128,7 +129,7 @@ class TestDecode:
         seq = serialize(manual_strip_set([coords], stride=2), uv_mode=False)
         mesh, _, report = decode(parse_tokens(seq), 2, IDENTITY_TRANSFORM)
         assert report.clean()
-        assert mesh.faces == [(0, 1, 3, 2)]
+        assert mesh.faces.tolist() == [[0, 1, 3, 2]]
 
     def test_welding_within_island(self):
         shared = (5, 5, 5)
@@ -139,7 +140,7 @@ class TestDecode:
         mesh, _, report = decode(parse_tokens(seq), 1, IDENTITY_TRANSFORM)
         # the stream carries the shared coordinate twice; decoding welds them
         assert report.welds == 1
-        assert mesh.vertex_keys.count(shared) == 1
+        assert as_lists(mesh).vertex_keys.count(shared) == 1
         assert len(mesh.vertex_keys) == 5
 
     def test_welding_across_strips_counts(self):
@@ -154,7 +155,7 @@ class TestDecode:
         seq = TokenSequence(tokens=tokens, header=TokenHeader(False, 1, IDENTITY_TRANSFORM, 2))
         mesh, _, report = decode(parse_tokens(seq), 1, IDENTITY_TRANSFORM)
         assert report.welds == 1
-        assert mesh.vertex_keys.count((2, 0, 0)) == 1
+        assert as_lists(mesh).vertex_keys.count((2, 0, 0)) == 1
         assert len(mesh.vertex_keys) == 5
 
     def test_duplicates_kept_across_islands(self):
@@ -164,7 +165,7 @@ class TestDecode:
         seq = serialize(ss, uv_mode=True)
         mesh, partition, _ = decode(parse_tokens(seq), 1, IDENTITY_TRANSFORM)
         assert partition.island_count == 2
-        assert mesh.vertex_keys.count((0, 0, 0)) == 2
+        assert as_lists(mesh).vertex_keys.count((0, 0, 0)) == 2
 
     def test_short_strip_dropped(self):
         tokens = triple((0, 0, 0), base=64) + [704 + 5]  # 2-vertex strip
@@ -183,7 +184,7 @@ class TestDecode:
             tokens += [704 + encode_hier(c)[2]]
         mesh, _, report = decode(parse_tokens(tokens_seq(tokens)), 1, IDENTITY_TRANSFORM)
         assert report.degenerate_faces == 1
-        assert mesh.faces == [(0, 1, 2)]
+        assert mesh.faces.tolist() == [[0, 1, 2]]
 
     def test_stream_start_opens_island_zero(self):
         # plain geometry head at stream start still decodes
@@ -210,9 +211,59 @@ class TestDecode:
 
     def test_empty_stream(self):
         mesh, partition, report = decode(parse_tokens([]), 1, IDENTITY_TRANSFORM)
-        assert mesh.faces == [] and mesh.vertex_keys == []
+        assert len(mesh.faces) == 0 and len(mesh.vertex_keys) == 0
         assert partition.island_count == 0
         assert report.clean()
+
+
+INT64 = np.dtype(np.int64)
+
+
+def assert_arrays(mesh, n_keys, n_faces, stride):
+    """The array contract of a decoded mesh: int64 fields of these shapes,
+    checked in one comparison (acceptance 08 checks a million decodes)."""
+    keys, faces, labels = mesh.vertex_keys, mesh.faces, mesh.island_of_face
+    got = (keys.dtype, faces.dtype, labels.dtype, keys.shape, faces.shape, labels.shape)
+    assert got == (INT64, INT64, INT64, (n_keys, 3), (n_faces, stride + 2), (n_faces,))
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize(
+        "tokens",
+        [[], triple((0, 0, 0), 64) + triple((1, 0, 0), 64) + [704 + 5], triple((3, 3, 3), 64) + [704 + 4] * 4],
+        ids=["empty", "short_strips", "all_degenerate"],
+    )
+    def test_nothing_kept(self, tokens, stride):
+        mesh, partition, report = decode(parse_tokens(tokens), stride, IDENTITY_TRANSFORM)
+        assert_arrays(mesh, 0, 0, stride)
+        assert mesh.face_degree == 0 and mesh.island_count() == 0 == partition.island_count
+        report.check(len(parse_tokens(tokens).events), 0)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_odd_strip(self, stride):
+        coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 2)]
+        seq = serialize(manual_strip_set([coords], stride=stride), uv_mode=False)
+        mesh, _, _ = decode(parse_tokens(seq), stride, IDENTITY_TRANSFORM)
+        assert_arrays(mesh, 5, 3 if stride == 1 else 2, stride)
+        assert mesh.face_degree == stride + 2 and mesh.island_count() == 1
+        if stride == 2:
+            assert mesh.faces.tolist() == [[0, 1, 3, 2], [2, 3, 4, -1]]
+            assert as_lists(mesh).faces == [(0, 1, 3, 2), (2, 3, 4)]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_uv_partition(self, stride):
+        mesh = synth.quad_grid(4, 4) if stride == 2 else synth.tri_grid(4, 4)
+        groups = [f * 3 // len(mesh.faces) for f in range(len(mesh.faces))]
+        mesh = synth.with_uv_groups(mesh, groups)
+        q = quantize_mesh(mesh, uv_islands(mesh))
+        seq = serialize(extract_strips(q, stride), uv_mode=True)
+        decoded, partition, _ = decode(parse_tokens(seq), stride, seq.header.transform)
+        # vertices on an island seam are one per island
+        assert_arrays(decoded, len(decoded.vertex_keys), len(mesh.faces), stride)
+        assert len(decoded.vertex_keys) > len(q.vertex_keys) and compare_quantized(q, decoded) == (True, "")
+        assert decoded.island_count() == 3 == partition.island_count
+        assert decoded.island_of_face.tolist() == partition.island_of_face
 
 
 def tokens_seq(tokens):
@@ -285,30 +336,33 @@ class TestDualDecode:
         tri, _, _ = decode(stream, 1, seq.header.transform)
         quad, _, _ = decode(stream, 2, seq.header.transform)
         split = []
-        for f in quad.faces:
+        for f in as_lists(quad).faces:
             split += [(f[0], f[1], f[3]), (f[1], f[2], f[3])]
-        assert tri.faces == split
+        assert as_lists(tri).faces == split
 
 
 def validate_quantized(mesh, stride):
     """QuantizedMesh invariants for decoder outputs."""
-    labels = mesh.island_of_face if mesh.island_of_face is not None else [0] * len(mesh.faces)
+    assert_arrays(mesh, len(mesh.vertex_keys), len(mesh.faces), stride)
+    if not len(mesh.faces):
+        return
+    keys, faces, labels = row_tuples(mesh.vertex_keys), row_tuples(mesh.faces), mesh.island_of_face.tolist()
     per_island: dict[int, dict] = {}
-    for face, l in zip(mesh.faces, labels):
+    for face, l in zip(faces, labels):
         assert len(set(face)) == len(face)
-        assert all(0 <= v < len(mesh.vertex_keys) for v in face)
+        assert all(0 <= v < len(keys) for v in face)
         if stride == 1:
             assert len(face) == 3
         else:
             assert len(face) in (3, 4)
         seen = per_island.setdefault(l, {})
         for v in face:
-            coord = mesh.vertex_keys[v]
+            coord = keys[v]
             assert seen.setdefault(coord, v) == v  # unique coord per island
     if labels:
         assert set(labels) == set(range(max(labels) + 1))
     seen_sets = set()
-    for face in mesh.faces:
+    for face in faces:
         fs = frozenset(face)
         assert fs not in seen_sets
         seen_sets.add(fs)

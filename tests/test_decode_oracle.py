@@ -2,7 +2,8 @@
 
 ``parse_tokens``, ``_decode_impl``, ``decode_hier``, ``dequantize_mesh`` and
 ``write_obj`` must return what the versions in ``tests/oracles.py`` return:
-the same events and counts, the same meshes, partitions and report fields
+the same events and counts, the same meshes (int64 arrays of the contract's
+shapes, equal as lists to the oracle's), partitions and report fields
 (compared by ``repr``, so a NumPy scalar in place of an ``int`` fails), the
 same floats bit for bit, and the same OBJ bytes.
 """
@@ -24,7 +25,6 @@ from striptok import (
     Transform,
     decode_hier,
     dequantize_mesh,
-    encode_hier,
     encode_mesh,
     parse_tokens,
     uv_islands,
@@ -35,7 +35,7 @@ from striptok.quantize import pack_keys
 from striptok.tokens import C1_T_BASE, C1_UV_BASE, C2_BASE, C3_BASE
 
 import oracles
-from oracles import dequantize
+from oracles import as_arrays, as_lists, dequantize, encode_hier
 import synth
 
 # --- token streams ------------------------------------------------------
@@ -170,8 +170,13 @@ def _assert_decode_equal(tokens, stride, drop_duplicates):
     transform = Transform((1.0, -2.0, 0.5), 3.0)
     new = _decode_impl(new_stream, stride, transform, drop_duplicates)
     old = oracles._decode_impl(old_stream, stride, transform, drop_duplicates)
-    assert repr(new) == repr(old)
     mesh, _, report = new
+    n_faces = len(old[0].faces)
+    assert mesh.vertex_keys.dtype == np.int64 and mesh.vertex_keys.shape == (len(old[0].vertex_keys), 3)
+    assert mesh.faces.dtype == np.int64 and mesh.faces.shape == (n_faces, stride + 2)
+    assert mesh.island_of_face.dtype == np.int64 and mesh.island_of_face.shape == (n_faces,)
+    assert as_lists(mesh) == old[0]
+    assert repr(new[1:]) == repr(old[1:])
     report.check(len(new_stream.events), len(mesh.faces))
     return new
 
@@ -201,7 +206,7 @@ def test_named_streams_reach_every_counter():
     mesh, partition, _ = _assert_decode_equal(NAMED_STREAMS["equal_codes_in_two_islands"], 1, True)
     assert partition.island_count == 2 and len(mesh.vertex_keys) == 8
     mesh, _, _ = _assert_decode_equal(NAMED_STREAMS["odd_stride2_strip"], 2, True)
-    assert [len(f) for f in mesh.faces] == [4, 3]
+    assert mesh.faces[:, 3].tolist() == [2, -1]
 
 
 # --- decode_hier --------------------------------------------------------
@@ -248,7 +253,7 @@ _SCALE = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_dequantize_mesh_bit_identical(keys, center, scale):
     t = Transform(center, scale)
-    mesh = dequantize_mesh(QuantizedMesh(vertex_keys=keys, faces=[], island_of_face=None, transform=t))
+    mesh = dequantize_mesh(as_arrays(QuantizedMesh(vertex_keys=keys, faces=[], island_of_face=None, transform=t)))
     got = [tuple(map(float.hex, p)) for p in mesh.positions]
     want = [tuple(map(float.hex, dequantize(g, t))) for g in keys]
     assert got == want

@@ -3,8 +3,10 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from striptok import (
     IDENTITY_TRANSFORM,
@@ -15,10 +17,12 @@ from striptok import (
     dequantize_mesh,
     encode_hier,
     quantize_mesh,
+    uv_islands,
 )
+from striptok.quantize import pack_keys
 
 import oracles
-from oracles import dequantize, normalize, to_grid
+from oracles import as_lists, dequantize, normalize, to_grid
 import synth
 
 
@@ -50,7 +54,7 @@ class TestNormalize:
         assert t.center == (-2.0, -2.0, -2.0)
         # normalization applied a factor of 1/4; transform inverts it
         for orig, now in zip(mesh.positions, out.positions):
-            assert t.to_model(now) == pytest.approx(orig, abs=1e-12)
+            assert oracles.to_model(t, now) == pytest.approx(orig, abs=1e-12)
 
     def test_degenerate_extent(self):
         mesh = Mesh(positions=[(1.0, 1.0, 1.0)] * 3, faces=[(0, 1, 2)])
@@ -89,37 +93,57 @@ def decode_one(h):
     return (key >> 18, key >> 9 & 511, key & 511)
 
 
+def encode_one(g):
+    """The code of one grid coordinate, through the array :func:`encode_hier`."""
+    (code,) = encode_hier([g]).tolist()
+    return tuple(code)
+
+
 class TestHierCodes:
     def test_zero(self):
-        assert encode_hier((0, 0, 0)) == (0, 0, 0)
+        assert encode_one((0, 0, 0)) == (0, 0, 0)
         assert decode_one((0, 0, 0)) == (0, 0, 0)
 
     def test_top_corner(self):
         # per-axis split of 511 is (3, 7, 15); combined x-major
-        assert encode_hier((511, 511, 511)) == (63, 511, 4095)
+        assert encode_one((511, 511, 511)) == (63, 511, 4095)
         assert decode_one((63, 511, 4095)) == (511, 511, 511)
 
     def test_x_128(self):
-        assert encode_hier((128, 0, 0)) == (16, 0, 0)
+        assert encode_one((128, 0, 0)) == (16, 0, 0)
 
     def test_per_axis_exhaustive(self):
         # all 512 values along each axis round-trip and stay in level ranges
         for v in range(512):
             for g in ((v, 0, 0), (0, v, 0), (0, 0, v)):
-                h = encode_hier(g)
+                h = encode_one(g)
                 assert 0 <= h[0] < 64 and 0 <= h[1] < 512 and 0 <= h[2] < 4096
                 assert decode_one(h) == g
 
     def test_random_round_trip(self):
-        rng = random.Random(7)
-        for _ in range(10_000):
-            g = (rng.randrange(512), rng.randrange(512), rng.randrange(512))
-            assert decode_one(encode_hier(g)) == g
+        grid = np.random.default_rng(7).integers(0, 512, (10_000, 3))
+        assert decode_hier(encode_hier(grid)).tolist() == pack_keys(grid).tolist()
 
     @given(st.tuples(*[st.integers(0, 511)] * 3))
     def test_bijection_property(self, g):
-        h = encode_hier(g)
+        h = encode_one(g)
         assert decode_one(h) == g
+
+    def test_every_coordinate_of_each_axis_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        for axis in range(3):
+            grid = rng.integers(0, 512, (512, 3))
+            grid[:, axis] = np.arange(512)
+            codes = encode_hier(grid)
+            assert codes.dtype == np.int64 and codes.shape == (512, 3)
+            assert codes.tolist() == [list(oracles.encode_hier(tuple(g))) for g in grid.tolist()]
+
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(0, 40), st.just(3)), elements=st.integers(0, 511)))
+    @settings(max_examples=100, deadline=None)
+    def test_array_form_matches_oracle(self, grid):
+        codes = encode_hier(grid)
+        assert codes.dtype == np.int64 and codes.shape == grid.shape
+        assert codes.tolist() == [list(oracles.encode_hier(tuple(g))) for g in grid.tolist()]
 
 
 class TestDequantize:
@@ -193,23 +217,56 @@ class TestQuantizeMesh:
         mesh = synth.icosphere(1)
         q = quantize_mesh(mesh)
         again = quantize_mesh(dequantize_mesh(q), transform=q.transform)
-        assert again.vertex_keys == q.vertex_keys
-        assert again.faces == q.faces
+        assert np.array_equal(again.vertex_keys, q.vertex_keys)
+        assert np.array_equal(again.faces, q.faces)
 
     def test_island_labels_carried_and_densified(self):
         base = synth.tri_grid(2, 2)
         # duplicate one face so an island could empty out
         mesh = Mesh(positions=base.positions, faces=list(base.faces) + [base.faces[-1]])
         tagged = synth.with_uv_groups(mesh, [0] * len(base.faces) + [1])
-        from striptok import uv_islands
-
         partition = uv_islands(tagged)
         assert partition.island_count == 2
         q = quantize_mesh(tagged, partition)
         # the duplicate face (sole member of island 1) was dropped
         assert q.dropped_duplicate == 1
-        assert q.island_of_face == [0] * len(base.faces)
+        assert q.island_of_face.tolist() == [0] * len(base.faces)
         assert q.island_count() == 1
+
+
+def assert_arrays(q, n_keys, n_faces, degree, labelled):
+    """The array contract of a ``QuantizedMesh``: int64 fields of these shapes."""
+    assert q.vertex_keys.dtype == np.int64 and q.vertex_keys.shape == (n_keys, 3)
+    assert q.faces.dtype == np.int64 and q.faces.shape == (n_faces, degree)
+    if labelled:
+        assert q.island_of_face.dtype == np.int64 and q.island_of_face.shape == (n_faces,)
+    else:
+        assert q.island_of_face is None
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("quads", [False, True])
+    def test_without_partition(self, quads):
+        mesh = synth.quad_grid(3, 2) if quads else synth.tri_grid(3, 2)
+        q = quantize_mesh(mesh)
+        assert_arrays(q, 12, len(mesh.faces), 4 if quads else 3, labelled=False)
+        assert q.face_degree == (4 if quads else 3) and q.island_count() == 1
+
+    def test_uv_partition(self):
+        mesh = synth.with_uv_groups(synth.tri_grid(4, 4), [f // 8 for f in range(32)])
+        q = quantize_mesh(mesh, uv_islands(mesh))
+        assert_arrays(q, 25, 32, 3, labelled=True)
+        assert q.island_of_face.tolist() == [f // 8 for f in range(32)]
+        assert q.island_count() == 4
+
+    def test_dropped_faces(self):
+        eps = 0.4 / 512
+        positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.2, 0.5, 0.0), (0.2 + eps, 0.5, 0.0)]
+        mesh = Mesh(positions, [(0, 1, 2), (3, 4, 2), (1, 2, 0)])
+        q = quantize_mesh(mesh, IslandPartition([4, 2, 7], 3))
+        assert_arrays(q, 3, 1, 3, labelled=True)
+        assert q.island_of_face.tolist() == [0] and q.island_count() == 1
+        assert (q.dropped_degenerate, q.dropped_duplicate) == (1, 1)
 
 
 class TestNonFinite:
@@ -276,12 +333,9 @@ def coarse_meshes(draw):
 
 
 def _assert_same(got, want, n_faces):
-    assert got == want  # dataclass equality: keys, faces, labels, transform, drop counts
+    assert_arrays(got, len(want.vertex_keys), len(want.faces), got.faces.shape[1], want.island_of_face is not None)
+    assert as_lists(got) == want  # dataclass equality: keys, faces, labels, transform, drop counts
     got.check(n_faces)
-    assert all(type(c) is int for key in got.vertex_keys for c in key)
-    assert all(type(v) is int for face in got.faces for v in face)
-    assert got.island_of_face is None or all(type(l) is int for l in got.island_of_face)
-    assert all(type(k) is tuple for k in got.vertex_keys) and all(type(f) is tuple for f in got.faces)
 
 
 @given(coarse_meshes())
@@ -289,17 +343,18 @@ def _assert_same(got, want, n_faces):
 def test_quantize_matches_oracle(case):
     mesh, partition = case
     got = _outcome(quantize_mesh, mesh, partition)
-    assert got == _outcome(oracles.quantize_mesh, mesh, partition)
-    if isinstance(got, tuple):
+    want = _outcome(oracles.quantize_mesh, mesh, partition)
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
         return
-    _assert_same(got, oracles.quantize_mesh(mesh, partition), len(mesh.faces))
+    _assert_same(got, want, len(mesh.faces))
 
     # the transform path: re-quantizing the dequantized mesh
     again = dequantize_mesh(got)
-    labels = IslandPartition(got.island_of_face, got.island_count()) if partition else None
+    labels = IslandPartition(got.island_of_face.tolist(), got.island_count()) if partition else None
     redo = quantize_mesh(again, labels, transform=got.transform)
     _assert_same(redo, oracles.quantize_mesh(again, labels, transform=got.transform), len(again.faces))
-    assert redo.vertex_keys == got.vertex_keys and redo.faces == got.faces
+    assert np.array_equal(redo.vertex_keys, got.vertex_keys) and np.array_equal(redo.faces, got.faces)
 
 
 @given(coarse_meshes(), st.floats(0.25, 4.0), st.floats(-1.0, 1.0))
@@ -308,4 +363,5 @@ def test_quantize_out_of_range_matches_oracle(case, scale, shift):
     mesh, partition = case
     transform = Transform((shift, shift, shift), scale)
     got = _outcome(quantize_mesh, mesh, partition, transform=transform)
-    assert got == _outcome(oracles.quantize_mesh, mesh, partition, transform=transform)
+    want = _outcome(oracles.quantize_mesh, mesh, partition, transform=transform)
+    assert (as_lists(got) if not isinstance(got, tuple) else got) == want

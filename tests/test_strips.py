@@ -18,7 +18,7 @@ from striptok import (
 )
 
 import synth
-from oracles import key_order, strip_faces, to_grid
+from oracles import as_lists, key_order, strip_faces, to_grid
 
 
 def quantize(mesh, partition=None):
@@ -26,7 +26,8 @@ def quantize(mesh, partition=None):
 
 
 def face_coord_multiset(q, faces):
-    return Counter(frozenset(q.vertex_keys[v] for v in f) for f in faces)
+    keys = as_lists(q).vertex_keys
+    return Counter(frozenset(keys[v] for v in f) for f in faces)
 
 
 def all_strip_faces(strip_set):
@@ -75,19 +76,22 @@ class TestSeedOrder:
         # both faces contain vertex 0; the second-lowest key decides
         q = quantize(Mesh(positions=positions, faces=[(0, 2, 1), (0, 1, 3)]))
         order = seed_order(q)
-        keys = [tuple(sorted(q.vertex_keys[v] for v in q.faces[f])) for f in order]
+        ql = as_lists(q)
+        keys = [tuple(sorted(ql.vertex_keys[v] for v in ql.faces[f])) for f in order]
         assert keys == sorted(keys)
 
     def test_permutation_invariant(self):
         mesh = synth.icosphere(1)
         q = quantize(mesh)
-        base = [tuple(sorted(q.vertex_keys[v] for v in q.faces[f])) for f in seed_order(q)]
+        ql = as_lists(q)
+        base = [tuple(sorted(ql.vertex_keys[v] for v in ql.faces[f])) for f in seed_order(q)]
         rng = random.Random(9)
         for _ in range(5):
             faces = list(mesh.faces)
             rng.shuffle(faces)
             q2 = quantize(Mesh(positions=mesh.positions, faces=faces))
-            got = [tuple(sorted(q2.vertex_keys[v] for v in q2.faces[f])) for f in seed_order(q2)]
+            ql2 = as_lists(q2)
+            got = [tuple(sorted(ql2.vertex_keys[v] for v in ql2.faces[f])) for f in seed_order(q2)]
             assert got == base
 
 
@@ -145,7 +149,7 @@ class TestExtractTriangles:
         for i in range(n + 1):
             expected.append(coord_of[(i, 0)])
             expected.append(coord_of[(i, 1)])
-        assert [q.vertex_keys[k] for k in keys] == expected
+        assert [as_lists(q).vertex_keys[k] for k in keys] == expected
 
     def test_ribbon_decodes_to_original_windings(self):
         mesh = synth.tri_ribbon(8)
@@ -215,7 +219,7 @@ class TestExtractQuads:
         for i in range(n + 1):
             expected.append(coord_of[(i, 0)])
             expected.append(coord_of[(i, 1)])
-        assert [q.vertex_keys[k] for k in keys] == expected
+        assert [as_lists(q).vertex_keys[k] for k in keys] == expected
 
     def test_quad_decode_matches_stored_windings(self):
         mesh = synth.quad_grid(5, 4)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import math
 import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from striptok import (
@@ -9,10 +12,10 @@ from striptok import (
     Strip,
     StripSet,
     TokenFileError,
+    Transform,
     VOCAB,
     baseline_serialize,
     compression_stats,
-    encode_hier,
     extract_strips,
     parse_tokens,
     quantize_mesh,
@@ -22,7 +25,7 @@ from striptok import (
 )
 
 import synth
-from oracles import strip_faces
+from oracles import encode_hier, strip_faces
 
 
 def manual_strip_set(coord_lists, islands=None, stride=1):
@@ -45,7 +48,7 @@ def manual_strip_set(coord_lists, islands=None, stride=1):
             order.append(isl)
     return StripSet(
         strips=strips,
-        vertex_keys=keys,
+        vertex_keys=np.array(keys, dtype=np.int64).reshape(-1, 3),
         islands_in_order=order,
         stride=stride,
         transform=IDENTITY_TRANSFORM,
@@ -57,12 +60,13 @@ def oracle_serialize(strip_set, uv_mode):
     tokens = []
     prev = None
     seen = set()
+    keys = strip_set.vertex_keys.tolist()
     for strip in strip_set.strips:
         first_of_island = strip.island not in seen
         seen.add(strip.island)
         head = True
         for key in strip.keys:
-            c1, c2, c3 = encode_hier(strip_set.vertex_keys[key])
+            c1, c2, c3 = encode_hier(keys[key])
             if head:
                 marker = 128 + c1 if (uv_mode and first_of_island) else 64 + c1
                 tokens += [marker, 192 + c2, 704 + c3]
@@ -354,6 +358,26 @@ class TestTokenFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(TokenFileError, match="transform"):
             read_tokens(p)
+
+    @pytest.mark.parametrize(
+        "tokens, transform, message",
+        [
+            ([64, 192, 5000], IDENTITY_TRANSFORM, "token id 5000 out of range"),
+            ([64, 4800, 704], IDENTITY_TRANSFORM, "token id 4800 out of range"),
+            ([64, -1, 704], IDENTITY_TRANSFORM, "token id -1 out of range"),
+            ([64, 192, 704], Transform((0.0, 0.0, 0.0), math.nan), "bad transform scale nan"),
+            ([64, 192, 704], Transform((0.0, 0.0, 0.0), 0.0), "bad transform scale 0.0"),
+            ([64, 192, 704], Transform((0.0, math.inf, 0.0), 1.0), r"non-finite transform center \(0.0, inf, 0.0\)"),
+        ],
+        ids=["id_5000", "id_4800", "id_minus_1", "nan_scale", "zero_scale", "inf_center"],
+    )
+    def test_writer_rejects_what_reader_rejects(self, tmp_path, tokens, transform, message):
+        seq = self._sample()
+        seq = replace(seq, tokens=tokens, header=replace(seq.header, transform=transform))
+        p = tmp_path / "bad.sato"
+        with pytest.raises(TokenFileError, match=f"^{message}$"):
+            write_tokens(seq, p)
+        assert not p.exists()
 
     def test_flags_round_trip(self, tmp_path):
         q = quantize_mesh(synth.quad_grid(3, 3))

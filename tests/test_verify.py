@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from striptok import IDENTITY_TRANSFORM, Mesh, QuantizedMesh, decode_tokens, encode_mesh, uv_islands
 from striptok.verify import compare_quantized
 
+from striptok.tokens import C1_T_BASE, C2_BASE, C3_BASE
+
 import oracles
+from oracles import as_arrays, as_lists
 import synth
 
 
@@ -28,7 +31,7 @@ def round_trips(draw):
         partition = uv_islands(mesh)
     source, _, seq = encode_mesh(mesh, 2 if quads else 1, partition)
     decoded, _, _ = decode_tokens(seq)
-    return source, decoded
+    return as_lists(source), as_lists(decoded)
 
 
 def _labels(q: QuantizedMesh) -> list[int]:
@@ -36,7 +39,7 @@ def _labels(q: QuantizedMesh) -> list[int]:
 
 
 def _perturb(q: QuantizedMesh, kind: str, i: int, j: int) -> QuantizedMesh:
-    """``q`` with one defect of the given kind; ``i``/``j`` pick faces."""
+    """``q``, in list form, with one defect of the given kind; ``i``/``j`` pick faces."""
     faces, labels = list(q.faces), _labels(q)
     i, j = i % len(faces), j % len(faces)
     a, b = labels[i], labels[j]
@@ -85,7 +88,12 @@ def test_compare_matches_oracle(case, kind, i, j, side):
             source = _perturb(source, kind, i, j)
         if side != "source":
             decoded = _perturb(decoded, kind, i, j)
-    assert compare_quantized(source, decoded) == oracles.compare_quantized(source, decoded)
+    assert_matches_oracle(source, decoded)
+
+
+def assert_matches_oracle(source: QuantizedMesh, decoded: QuantizedMesh):
+    """The package's result on the arrays of two list-form meshes is the oracle's."""
+    assert compare_quantized(as_arrays(source), as_arrays(decoded)) == oracles.compare_quantized(source, decoded)
 
 
 def _mesh(keys, faces, labels=None):
@@ -98,7 +106,18 @@ SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
 def test_clean_pair_passes():
     q = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], [0, 1])
     rotated = _mesh(SQUARE[::-1], [(1, 0, 3), (2, 1, 3)], [5, 2])
-    assert compare_quantized(q, rotated) == (True, "")
+    assert compare_quantized(as_arrays(q), as_arrays(rotated)) == (True, "")
+
+
+def test_stride2_decode_with_trailing_triangle():
+    # an odd strip appended to a quad sequence decodes to a -1-padded row
+    q, _, seq = encode_mesh(synth.quad_grid(3, 3), 2)
+    seq.tokens += [C1_T_BASE, C2_BASE, C3_BASE + 1] + [C3_BASE + c for c in (2, 3, 4, 5)]
+    decoded, _, _ = decode_tokens(seq)
+    assert as_lists(decoded).faces[-2:] == [(16, 17, 19, 18), (18, 19, 20)]
+    assert decoded.faces[-1].tolist() == [18, 19, 20, -1]
+    assert compare_quantized(q, decoded) == (False, "face multiset mismatch: 0 missing, 2 extra (9 vs 11 faces)")
+    assert_matches_oracle(as_lists(q), as_lists(decoded))
 
 
 def test_edge_cases_match_oracle():
@@ -121,6 +140,15 @@ def test_edge_cases_match_oracle():
         (_mesh([(0, 0, 512), (0, 1, 0), (2, 0, 0)], [(0, 1, 2)]), _mesh([(0, 1, 0), (0, 0, 512), (2, 0, 0)], [(1, 0, 2)])),
         (_mesh([(0, 0, 512), (0, 1, 0), (2, 0, 0)], [(0, 1, 2)]), _mesh([(0, 1, 0), (0, 1, 0), (2, 0, 0)], [(1, 0, 2)])),
         (_mesh([(-1, 0, 0), (0, 1, 0), (2, 0, 0)], [(0, 1, 2)]), _mesh([(-1, 0, 0), (0, 1, 0), (2, 0, 0)], [(0, 2, 1)])),
+        # triangles among quads (-1-padded rows): rotated, reflected, against
+        # a triangle mesh, and with repeated key sets
+        (_mesh(SQUARE, [(0, 1, 2, 3), (0, 1, 2)]), _mesh(SQUARE, [(1, 2, 0), (2, 3, 0, 1)])),
+        (_mesh(SQUARE, [(0, 1, 2, 3), (0, 1, 2)]), _mesh(SQUARE, [(0, 2, 1), (0, 1, 2, 3)])),
+        (_mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], [0, 1]), _mesh(SQUARE, [(2, 0, 1), (3, 0, 2), (0, 1, 2, 3)], [1, 0, 0])),
+        (_mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], [0, 1]), _mesh(SQUARE, [(2, 0, 1), (3, 0, 2)], [1, 0])),
+        (_mesh(SQUARE, [(0, 1, 2, 3), (0, 1, 2), (1, 2, 0)], [0, 1, 1]), _mesh(SQUARE, [(0, 1, 2), (3, 0, 1, 2), (0, 1, 2)], [2, 0, 2])),
+        (_mesh(SQUARE, [(0, 1, 2, 3), (0, 1, 2), (1, 2, 0)], [0, 1, 2]), _mesh(SQUARE, [(0, 1, 2), (3, 0, 1, 2), (0, 1, 2)], [2, 0, 2])),
+        (_mesh(SQUARE, [(0, 1, 2, 2), (0, 1, 2)]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2, 2)])),
     ]
     for source, decoded in cases:
-        assert compare_quantized(source, decoded) == oracles.compare_quantized(source, decoded)
+        assert_matches_oracle(source, decoded)
