@@ -328,6 +328,10 @@ def main(argv=None) -> int:
 
     if cmd in ("encode", "decode", "filter") and args.output:
         Path(args.output).mkdir(parents=True, exist_ok=True)
+    # the report (compare: its CSV) is written after every file has run
+    report = args.output if cmd == "compare" else args.report
+    if report:
+        Path(report).parent.mkdir(parents=True, exist_ok=True)
 
     rows = _run_jobs(paths, args)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, row_tuples, split_quad_faces
+from .mesh_io import IslandPartition, split_quad_faces
 from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, sort_rows
 from .tokens import C2_BASE, C3_BASE, C1_T_BASE, TokenSequence, VOCAB_SIZE
 
@@ -199,7 +199,7 @@ def _nothing_kept(stride, transform, report):
     empty = np.zeros(0, dtype=np.int64)
     return (
         QuantizedMesh(empty.reshape(0, 3), empty.reshape(0, stride + 2), empty, transform),
-        IslandPartition(island_of_face=[], island_count=0),
+        IslandPartition(island_of_face=empty, island_count=0),
         report,
     )
 
@@ -284,7 +284,7 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
     island = island[start[ok]]
     labels = np.zeros(len(island), dtype=np.int64)
     (island[1:] != island[:-1]).cumsum(out=labels[1:])
-    partition = IslandPartition(labels.tolist(), int(labels[-1]) + 1 if len(labels) else 0)
+    partition = IslandPartition(labels, int(labels[-1]) + 1 if len(labels) else 0)
     mesh = QuantizedMesh(
         vertex_keys=_unpack_keys(pairs[used[:n]] & _KEY_MASK),
         faces=new_id[rows],
@@ -322,4 +322,4 @@ def dual_decode_check(t: TokenSequence) -> bool:
     tri, _, _ = _decode_impl(stream, 1, t.header.transform, drop_duplicates=False)
     quad, _, _ = _decode_impl(stream, 2, t.header.transform, drop_duplicates=False)
     same_keys = np.array_equal(tri.vertex_keys, quad.vertex_keys)
-    return same_keys and row_tuples(tri.faces) == split_quad_faces(row_tuples(quad.faces))
+    return same_keys and np.array_equal(tri.faces, split_quad_faces(quad.faces))

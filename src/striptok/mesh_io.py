@@ -1,16 +1,17 @@
 """Wavefront OBJ loading/saving, UV-island extraction, and corpus filtering.
 
 Only ``v``, ``vt`` and ``f`` records are interpreted; anything else is
-skipped.  Faces must be all triangles or all quads; mixed files are
-rejected.  Exported files group faces by island (``g island_<id>``) when a
-partition is supplied.
+skipped.  Faces are triangles or quads, mixed as the file has them.
+Exported files group faces by island (``g island_<id>``) when a partition
+is supplied.
 
 :func:`load_obj` reads a file once and parses its records in bulk when
 they are plain: each ``v``, ``vt`` and ``f`` line starts with its tag and
 one space, ``v`` has 3 numbers, ``vt`` 2, and every ``f`` the same 3 or 4
 positive, in-range corners of one form.  Everything else, including every
-error, goes through the per-line loop, which alone words the errors and
-numbers the lines; both return the same :class:`Mesh`.
+file that mixes triangles and quads and every error, goes through the
+per-line loop, which alone words the errors and numbers the lines; both
+return the same :class:`Mesh`.
 
 Face adjacency (UV islands, the manifold check, and the strip walk in
 ``strips``) is read from one stably sorted table of packed undirected edge
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add
 
 import numpy as np
 
@@ -42,28 +41,31 @@ class ObjParseError(ValueError):
 
 @dataclass
 class Mesh:
-    """Polygon mesh with optional per-face UV indices.
+    """Polygon mesh of NumPy arrays, with optional per-face UV indices.
 
-    ``faces`` are 0-based position-index tuples, all of degree 3 or all of
-    degree 4.  ``face_uvs``, when present, parallels ``faces`` and indexes
-    into ``uv_coords``.
+    ``positions`` is ``(V, 3)`` float64 and ``faces`` ``(F, d)`` int64 of
+    0-based position indices, ``d`` 3 or 4.  The pad rule, shared with
+    :class:`~striptok.quantize.QuantizedMesh`: a triangle among quads is a
+    4-column row padded with -1 in its last column.  ``uv_coords`` is
+    ``(T, 2)`` float64 or None; ``face_uvs`` is None or parallels ``faces``
+    (same shape and pads) with indices into ``uv_coords``.
     """
 
-    positions: list[tuple[float, float, float]]
-    faces: list[tuple[int, ...]]
-    uv_coords: list[tuple[float, float]] | None = None
-    face_uvs: list[tuple[int, ...]] | None = None
+    positions: np.ndarray
+    faces: np.ndarray
+    uv_coords: np.ndarray | None = None
+    face_uvs: np.ndarray | None = None
 
     @property
     def face_degree(self) -> int:
-        return len(self.faces[0]) if self.faces else 0
+        return self.faces.shape[1] if len(self.faces) else 0
 
 
 @dataclass
 class IslandPartition:
-    """Dense face -> island labels; islands are connected face groups."""
+    """Dense ``(F,)`` int64 face -> island labels; islands are connected face groups."""
 
-    island_of_face: list[int]
+    island_of_face: np.ndarray
     island_count: int
 
 
@@ -99,9 +101,9 @@ def _parse_lines(text: str) -> Mesh:
     file numbers them."""
     positions: list[tuple[float, float, float]] = []
     uv_coords: list[tuple[float, float]] = []
-    faces: list[tuple[int, ...]] = []
-    face_uvs: list[tuple[int, ...]] = []
-    degree: int | None = None
+    degrees: list[int] = []
+    vidx: list[int] = []  # face corners, flat in file order
+    tidx: list[int] = []
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -132,12 +134,7 @@ def _parse_lines(text: str) -> Mesh:
                 raise ObjParseError(
                     f"face of degree {len(corners)} (only 3 or 4 supported)", lineno
                 )
-            if degree is None:
-                degree = len(corners)
-            elif degree != len(corners):
-                raise ObjParseError("mixed triangle/quad faces", lineno)
-            vidx = []
-            tidx = []
+            with_uv = 0
             for corner in corners:
                 fields = corner.split("/")
                 try:
@@ -151,35 +148,41 @@ def _parse_lines(text: str) -> Mesh:
                     except ValueError:
                         raise ObjParseError(f"bad uv index in {corner!r}", lineno) from None
                     tidx.append(t - 1 if t > 0 else _relative_index(t, len(uv_coords), lineno))
-            if tidx and len(tidx) != len(vidx):
+                    with_uv += 1
+            if with_uv and with_uv != len(corners):
                 raise ObjParseError("face mixes corners with and without uv", lineno)
-            if face_uvs and not tidx:
+            if tidx and not with_uv:
                 raise ObjParseError("face without uv after faces with uv", lineno)
-            if tidx and faces and not face_uvs:
+            if with_uv and degrees and len(tidx) == with_uv:
                 raise ObjParseError("face with uv after faces without uv", lineno)
-            faces.append(tuple(vidx))
-            if tidx:
-                face_uvs.append(tuple(tidx))
+            degrees.append(len(corners))
         # everything else (vn, g, s, o, usemtl, ...) is ignored
 
-    npos = len(positions)
-    for face in faces:
-        for v in face:
-            if v >= npos:
-                raise ValueError(f"face index {v + 1} out of range ({npos} vertices)")
-    if face_uvs:
-        nuv = len(uv_coords)
-        for fuv in face_uvs:
-            for t in fuv:
-                if t >= nuv:
-                    raise ValueError(f"uv index {t + 1} out of range ({nuv} uvs)")
-
+    faces = _rows(vidx, degrees, len(positions), "face index {} out of range ({} vertices)")
+    face_uvs = _rows(tidx, degrees, len(uv_coords), "uv index {} out of range ({} uvs)") if tidx else None
     return Mesh(
-        positions=positions,
+        positions=np.array(positions, dtype=np.float64).reshape(-1, 3),
         faces=faces,
-        uv_coords=uv_coords if uv_coords else None,
-        face_uvs=face_uvs if face_uvs else None,
+        uv_coords=np.array(uv_coords, dtype=np.float64).reshape(-1, 2) if uv_coords else None,
+        face_uvs=face_uvs,
     )
+
+
+def _rows(flat: list[int], degrees: list[int], count: int, message: str) -> np.ndarray:
+    """Face rows of the given degrees from their 0-based corners in file
+    order, as one ``(F, d)`` int64 array with the -1 pad; raises
+    ``ValueError`` on the first corner not below ``count``."""
+    try:
+        values = np.array(flat, dtype=np.int64)
+    except OverflowError:  # past int64, so out of range: clamp to find the first
+        values = np.minimum(np.array(flat, dtype=object), count).astype(np.int64)
+    bad = np.flatnonzero(values >= count)
+    if len(bad):
+        raise ValueError(message.format(flat[bad[0]] + 1, count))
+    deg = np.array(degrees, dtype=np.int64)
+    rows = np.full((len(deg), deg.max(initial=3)), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < deg[:, None]] = values
+    return rows
 
 
 _TAGS = ("v", "vt", "f")
@@ -210,9 +213,10 @@ def _block(runs: list[str]) -> tuple[list[str], int]:
     return text.split(), text.count("\n") + 1 if runs else 0
 
 
-def _floats(runs: list[str], width: int) -> list[float] | None:
-    """The numbers of the records in ``runs``, flat, or None unless every
-    line is its tag and ``width`` numbers that ``float`` parses."""
+def _floats(runs: list[str], width: int) -> np.ndarray | None:
+    """The numbers of the records in ``runs`` as an ``(n, width)`` float64
+    array, or None unless every line is its tag and ``width`` numbers that
+    ``float`` parses."""
     tokens, n = _block(runs)
     if len(tokens) != n * (width + 1):
         return None
@@ -220,7 +224,7 @@ def _floats(runs: list[str], width: int) -> list[float] | None:
     # where the count puts them: one at the start of each line
     del tokens[:: width + 1]
     try:
-        return list(map(float, tokens))
+        return np.array(list(map(float, tokens)), dtype=np.float64).reshape(-1, width)
     except ValueError:
         return None
 
@@ -257,13 +261,13 @@ def _corners(runs: list[str]) -> tuple[np.ndarray, bool] | None:
     return values.reshape(n, d1 - 1, width), has_uv
 
 
-def _indices(values: np.ndarray, count: int) -> list[tuple[int, ...]] | None:
-    """1-based indices as 0-based tuples, or None unless all are in
-    ``[1, count]``.  An index too long for int64 parses as its maximum, so
-    it is out of range too."""
+def _indices(values: np.ndarray, count: int) -> np.ndarray | None:
+    """1-based indices made 0-based, or None unless all are in ``[1, count]``.
+    An index too long for int64 parses as its maximum, so it is out of range
+    too."""
     if values.min() < 1 or values.max() > count:
         return None
-    return row_tuples(values - 1)
+    return values - 1
 
 
 def _parse_bulk(text: str) -> Mesh | None:
@@ -290,41 +294,34 @@ def _parse_bulk(text: str) -> Mesh | None:
     uvs = _floats(runs["vt"], 2)
     if points is None or uvs is None or not np.isfinite(points).all():
         return None
-    positions = list(zip(*[iter(points)] * 3))
-    uv_coords = list(zip(*[iter(uvs)] * 2))
-    faces, face_uvs = [], None
+    faces, face_uvs = np.zeros((0, 3), dtype=np.int64), None
     if runs["f"]:
         parsed = _corners(runs["f"])
         if parsed is None:
             return None
         corners, has_uv = parsed
-        faces = _indices(corners[:, :, 0], len(positions))
-        face_uvs = _indices(corners[:, :, 1], len(uv_coords)) if has_uv else None
+        faces = _indices(corners[:, :, 0], len(points))
+        face_uvs = _indices(corners[:, :, 1], len(uvs)) if has_uv else None
         if faces is None or (has_uv and face_uvs is None):
             return None
-    return Mesh(
-        positions=positions,
-        faces=faces,
-        uv_coords=uv_coords if uv_coords else None,
-        face_uvs=face_uvs,
-    )
+    return Mesh(positions=points, faces=faces, uv_coords=uvs if len(uvs) else None, face_uvs=face_uvs)
 
 
-def split_quad_faces(faces):
+def split_quad_faces(faces: np.ndarray) -> np.ndarray:
     """Triangulate quads along their (v1, v3) diagonal; triangles pass through.
 
-    Face order is kept and each quad becomes ``(v0, v1, v3), (v1, v2, v3)``.
-    This is the split the dual decode is defined by (a stride-1 decode of a
-    quad sequence equals it), and the one the metrics sample quads with.
+    ``faces`` is an ``(F, d)`` array (a -1-padded row is a triangle); the
+    result is ``(T, 3)``.  Face order is kept and each quad becomes
+    ``(v0, v1, v3), (v1, v2, v3)``.  This is the split the dual decode is
+    defined by (a stride-1 decode of a quad sequence equals it), and the one
+    the metrics sample quads with.
     """
-    out = []
-    for f in faces:
-        if len(f) == 4:
-            out.append((f[0], f[1], f[3]))
-            out.append((f[1], f[2], f[3]))
-        else:
-            out.append(f)
-    return out
+    if faces.shape[1] == 3:
+        return faces
+    halves = faces[:, [[0, 1, 3], [1, 2, 3]]]
+    tri = faces[:, 3] < 0
+    halves[tri, 0] = faces[tri, :3]
+    return halves[np.stack([np.ones_like(tri), ~tri], axis=1)]
 
 
 def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> None:
@@ -333,68 +330,60 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
     With a partition, faces are emitted grouped by ascending island id under
     ``g island_<id>`` records (stable within each island).  Each record
     block is one ``%`` format over all its values; ``'%.9g' % x`` and
-    ``format(x, '.9g')`` share CPython's float formatter.
+    ``format(x, '.9g')`` share CPython's float formatter.  Pads are skipped,
+    so a padded row is written as a triangle.
     """
-    if not mesh.positions or not mesh.faces:
+    if not len(mesh.positions) or not len(mesh.faces):
         raise ValueError("empty mesh")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):
         raise ValueError("partition does not match face count")
 
-    blocks = ["v %.9g %.9g %.9g\n" * len(mesh.positions) % tuple(chain.from_iterable(mesh.positions))]
+    blocks = ["v %.9g %.9g %.9g\n" * len(mesh.positions) % tuple(mesh.positions.ravel().tolist())]
     values = mesh.faces
     corner = " %d"
     if mesh.uv_coords is not None and mesh.face_uvs is not None:
-        blocks.append("vt %.9g %.9g\n" * len(mesh.uv_coords) % tuple(chain.from_iterable(mesh.uv_coords)))
-        values = [tuple(chain.from_iterable(zip(f, t))) for f, t in zip(mesh.faces, mesh.face_uvs)]
+        blocks.append("vt %.9g %.9g\n" * len(mesh.uv_coords) % tuple(mesh.uv_coords.ravel().tolist()))
+        values = np.stack([mesh.faces, mesh.face_uvs], axis=2)
         corner = " %d/%d"
-    degrees = list(map(len, mesh.faces))
+    real = mesh.faces >= 0
+    if partition is not None:
+        order = np.argsort(partition.island_of_face, kind="stable")
+        labels = partition.island_of_face[order]
+        values, real = values[order], real[order]
+    degrees = real.sum(axis=1).tolist()
     formats = {d: "f" + corner * d + "\n" for d in set(degrees)}
     lines = list(map(formats.__getitem__, degrees))
     if partition is not None:
-        labels = np.asarray(partition.island_of_face)
-        order = np.argsort(labels, kind="stable")
-        labels = labels[order]
-        heads = [0] + (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
-        order = order.tolist()
-        lines = [lines[i] for i in order]
-        values = [values[i] for i in order]
-        for i in heads:
-            lines[i] = f"g island_{partition.island_of_face[order[i]]}\n" + lines[i]
+        heads = np.flatnonzero(np.diff(labels, prepend=-1))
+        for i, label in zip(heads.tolist(), labels[heads].tolist()):
+            lines[i] = f"g island_{label}\n" + lines[i]
     # OBJ indices are 1-based
-    blocks.append("".join(lines) % tuple(map(add, chain.from_iterable(values), repeat(1))))
+    blocks.append("".join(lines) % tuple((values[real] + 1).ravel().tolist()))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(blocks))
 
 
-def row_tuples(rows: np.ndarray) -> list[tuple]:
-    """The rows of a 2-D array as tuples of Python scalars; a 4-column face
-    row padded with -1 (a triangle among quads) becomes a 3-tuple."""
-    out = list(zip(*rows.T.tolist()))
-    if rows.shape[1] == 4:
-        for i in (rows[:, 3] < 0).nonzero()[0].tolist():
-            out[i] = out[i][:3]
-    return out
-
-
-def face_array(faces) -> np.ndarray:
-    """Faces of one degree as an ``(F, d)`` int64 array (``(0, 0)`` if empty)."""
-    return np.asarray(faces, dtype=np.int64).reshape(len(faces), len(faces[0]) if len(faces) else 0)
-
-
 def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed undirected keys of every face edge, in stable sorted order.
 
-    ``faces`` is an ``(F, d)`` array of node ids in ``[0, n)``.  Edge ``k`` of
-    face ``f`` joins corners ``k`` and ``k + 1`` (mod ``d``) and is entry
-    ``f * d + k`` of the flattened edge list; its key is ``min * n + max``
-    of its two nodes, so both directions of an edge share one key.  Returns
-    ``(order, keys)``: the edge indices sorted by key, and the sorted keys.
-    Equal keys keep ascending edge (so face) order.
+    ``faces`` is an ``(F, d)`` array of node ids in ``[0, n)``, with the -1
+    pad of :class:`Mesh`.  Edge ``k`` of face ``f`` joins corners ``k`` and
+    ``k + 1`` (mod the face's degree) and is entry ``f * d + k`` of the
+    flattened edge list; a padded row has its three triangle edges, and its
+    pad starts none.  An edge's key is ``min * n + max`` of its two nodes,
+    so both directions of an edge share one key.  Returns ``(order, keys)``:
+    the edge indices sorted by key, and the sorted keys.  Equal keys keep
+    ascending edge (so face) order.
     """
     b = np.roll(faces, -1, axis=1)
+    edges = None
+    if (faces < 0).any():
+        # a padded row's third edge closes on its first corner
+        b = np.where(b < 0, faces[:, :1], b)
+        edges = np.flatnonzero(faces >= 0)
     keys = (np.minimum(faces, b) * n + np.maximum(faces, b)).reshape(-1)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable") if edges is None else edges[np.argsort(keys[edges], kind="stable")]
     return order, keys[order]
 
 
@@ -429,43 +418,44 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
     """
     if mesh.face_uvs is None:
         raise ValueError("mesh has no uv indices; use single_island instead")
-    nfaces = len(mesh.faces)
-    faces, fuvs = face_array(mesh.faces), face_array(mesh.face_uvs)
-    if faces.shape != fuvs.shape:
+    faces, fuvs = mesh.faces, mesh.face_uvs
+    nfaces = len(faces)
+    if faces.shape != fuvs.shape or ((faces < 0) != (fuvs < 0)).any():
         raise ValueError("face_uvs does not match faces")
     if not nfaces:
-        return IslandPartition(island_of_face=[], island_count=0)
+        return IslandPartition(island_of_face=np.zeros(0, dtype=np.int64), island_count=0)
 
-    # one node per distinct (vertex, uv) corner
+    # one node per distinct (vertex, uv) corner; pads stay -1
     t0 = fuvs.min()
     packed = (faces - faces.min()) * (fuvs.max() - t0 + 1) + (fuvs - t0)
     uniq, nodes = np.unique(packed, return_inverse=True)
-    order, keys = sorted_edge_keys(nodes.reshape(faces.shape), len(uniq))
+    nodes = np.where(faces < 0, -1, nodes.reshape(faces.shape))
+    order, keys = sorted_edge_keys(nodes, len(uniq))
 
     # faces of neighbouring equal keys share that (vertex, uv) edge
     same = np.flatnonzero(keys[1:] == keys[:-1])
     degree = faces.shape[1]
     roots = _component_roots(nfaces, order[same] // degree, order[same + 1] // degree)
     labels = np.unique(roots, return_inverse=True)[1].reshape(-1)
-    return IslandPartition(island_of_face=labels.tolist(), island_count=int(labels.max()) + 1)
+    return IslandPartition(island_of_face=labels, island_count=int(labels.max()) + 1)
 
 
 def single_island(mesh: Mesh) -> IslandPartition:
     """Trivial partition placing every face in island 0."""
-    return IslandPartition(island_of_face=[0] * len(mesh.faces), island_count=1)
+    return IslandPartition(island_of_face=np.zeros(len(mesh.faces), dtype=np.int64), island_count=1)
 
 
 def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
-    """Faces as an ``(F, d)`` array remapped through exact duplicate-position
-    merging, and the merged vertex count.
+    """Faces remapped through exact duplicate-position merging (pads kept),
+    and the merged vertex count.
 
     Positions merge iff their bytes are equal; ``+ 0.0`` first turns -0.0
-    into 0.0, so the two merge, as equal float tuples do.
+    into 0.0, so the two merge, as equal floats do.
     """
-    points = np.asarray(mesh.positions, dtype=np.float64).reshape(len(mesh.positions), 3) + 0.0
-    rows = np.ascontiguousarray(points).view(np.dtype((np.void, points.itemsize * 3))).reshape(-1)
+    points = np.ascontiguousarray(mesh.positions) + 0.0
+    rows = points.view(np.dtype((np.void, points.itemsize * 3))).reshape(-1)
     uniq, remap = np.unique(rows, return_inverse=True)
-    return remap.reshape(-1)[face_array(mesh.faces)], len(uniq)
+    return np.where(mesh.faces < 0, -1, remap.reshape(-1)[mesh.faces]), len(uniq)
 
 
 def _edge_manifold(faces: np.ndarray, n: int) -> bool:

@@ -39,10 +39,9 @@ class MetricReport:
 
 
 def _triangles(mesh: Mesh) -> np.ndarray:
-    pos = np.asarray(mesh.positions, dtype=np.float64)
-    if not mesh.faces:
+    if not len(mesh.faces):
         raise ValueError("mesh has no faces")
-    return pos[np.asarray(split_quad_faces(mesh.faces), dtype=np.int64)]
+    return mesh.positions[split_quad_faces(mesh.faces)]
 
 
 def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> SampleSet:

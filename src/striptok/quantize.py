@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, Mesh, row_tuples
+from .mesh_io import IslandPartition, Mesh
 
 GRID = 512
 EPS = 1e-9
@@ -38,8 +38,8 @@ IDENTITY_TRANSFORM = Transform((0.0, 0.0, 0.0), 1.0)
 class QuantizedMesh:
     """Mesh snapped to the grid: ``(V, 3)`` grid keys, ``(F, d)`` key-index
     faces and ``(F,)`` dense island labels (None: one island), all int64.
-    A row ``(a, b, c, -1)`` is a triangle among quads (an odd stride-2 strip's
-    last face)."""
+    Faces follow the :class:`~striptok.mesh_io.Mesh` pad rule; a decode pads
+    an odd stride-2 strip's last face."""
 
     vertex_keys: np.ndarray
     faces: np.ndarray
@@ -153,14 +153,17 @@ def quantize_mesh(
     is ``(p - center) / scale`` per axis, and a coordinate snaps to cell
     ``int(c * GRID)`` clamped to ``[0, GRID - 1]`` (within ``EPS`` of the
     unit interval; farther out raises ``ValueError``).  Faces must share one
-    degree (the :class:`Mesh` contract).  Non-finite positions, or a
-    transform that makes them non-finite, raise ``ValueError``.
+    degree: a mesh that mixes triangles and quads (padded rows) raises
+    ``ValueError``.  Non-finite positions, or a transform that makes them
+    non-finite, raise ``ValueError``.
     """
-    if not mesh.faces:
+    if not len(mesh.faces):
         raise ValueError("empty mesh")
+    if (mesh.faces < 0).any():
+        raise ValueError("mixed triangle/quad faces: encoding takes faces of one degree")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):
         raise ValueError("partition does not match face count")
-    points = np.asarray(mesh.positions).reshape(len(mesh.positions), 3)
+    points = mesh.positions
     if not np.isfinite(points).all():
         raise ValueError("non-finite vertex coordinate")
     if transform is None:
@@ -182,7 +185,7 @@ def quantize_mesh(
         raise ValueError(f"normalized coordinate out of range: {float(c)!r}")
     grid = np.clip((normalized * GRID).astype(np.int64), 0, GRID - 1)
 
-    corners = pack_keys(grid)[np.asarray(mesh.faces)]
+    corners = pack_keys(grid)[mesh.faces]
     sets = np.sort(corners, axis=1)
     degenerate = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
     if degenerate.all():
@@ -202,6 +205,7 @@ def quantize_mesh(
 
     island_of_face = None
     if partition is not None:
+        # asarray: a caller may pass the labels as a list (perfbench/workloads.py does)
         labels = np.asarray(partition.island_of_face)[kept[unique]]
         island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1)
 
@@ -223,4 +227,4 @@ def dequantize_mesh(q: QuantizedMesh) -> Mesh:
     """
     t = q.transform
     positions = (q.vertex_keys + 0.5) / GRID * t.scale + np.asarray(t.center, dtype=np.float64)
-    return Mesh(positions=row_tuples(positions), faces=row_tuples(q.faces))
+    return Mesh(positions=positions, faces=q.faces)

@@ -16,9 +16,11 @@ them.  The package's NumPy versions must return the same results;
 The oracle ``parse_tokens`` fills ``VertexStream.events`` with a list of
 tuples, which the oracle ``_decode_impl`` reads.
 
-The oracles work on a :class:`QuantizedMesh` in list form: keys and faces as
-lists of tuples, labels as a list.  :func:`as_lists` turns the package's
-arrays into that form, and :func:`as_arrays` builds the arrays from it.
+The oracles work on :class:`Mesh`, :class:`QuantizedMesh` and
+:class:`IslandPartition` in list form: positions, keys and faces as lists of
+tuples, labels as a list.  :func:`as_lists` turns the package's arrays into
+that form, and :func:`as_arrays` builds the arrays from it; tests build
+meshes in list form and pass them through :func:`as_arrays`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX, DecodeReport, VertexStream
-from striptok.mesh_io import IslandPartition, Mesh, row_tuples
+from striptok.mesh_io import IslandPartition, Mesh
 from striptok.quantize import EPS, GRID, QuantizedMesh, Transform
 from striptok.strips import _AXIS, Strip, StripSet
 from striptok.tokens import C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE
@@ -38,26 +40,84 @@ GridCoord = tuple[int, int, int]
 HierCode = tuple[int, int, int]
 
 
-# --- list form of a QuantizedMesh
+# --- list form of a Mesh, a QuantizedMesh and an IslandPartition
 
 
-def as_lists(q: QuantizedMesh) -> QuantizedMesh:
-    """``q`` in the oracles' list form; a -1-padded triangle row becomes a 3-tuple."""
-    labels = None if q.island_of_face is None else q.island_of_face.tolist()
-    return replace(q, vertex_keys=row_tuples(q.vertex_keys), faces=row_tuples(q.faces), island_of_face=labels)
+def row_tuples(rows: np.ndarray) -> list[tuple]:
+    """The rows of a 2-D array as tuples of Python scalars; a 4-column face
+    row padded with -1 (a triangle among quads) becomes a 3-tuple."""
+    out = list(zip(*rows.T.tolist()))
+    if rows.shape[1] == 4:
+        for i in (rows[:, 3] < 0).nonzero()[0].tolist():
+            out[i] = out[i][:3]
+    return out
 
 
-def as_arrays(q: QuantizedMesh) -> QuantizedMesh:
-    """``q``, in list form, as the package's arrays: faces of mixed degree are
-    padded to four columns with -1, no faces give ``(0, 3)``."""
-    width = max(map(len, q.faces), default=3)
-    faces = [tuple(f) + (-1,) * (width - len(f)) for f in q.faces]
+def face_array(faces) -> np.ndarray:
+    """Faces as an ``(F, d)`` int64 array: of mixed degree, padded to four
+    columns with -1; no faces give ``(0, 3)``."""
+    if isinstance(faces, np.ndarray):
+        return faces.astype(np.int64)
+    width = max(map(len, faces), default=3)
+    rows = [tuple(f) + (-1,) * (width - len(f)) for f in faces]
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+def _points(rows, width: int) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+def _labels(labels) -> np.ndarray:
+    return np.array(labels, dtype=np.int64).reshape(-1)
+
+
+def _maybe(fn, value, *args):
+    return None if value is None else fn(value, *args)
+
+
+def as_lists(x):
+    """A :class:`Mesh`, :class:`QuantizedMesh` or :class:`IslandPartition` in
+    the oracles' list form; a -1-padded triangle row becomes a 3-tuple."""
+    if isinstance(x, IslandPartition):
+        return replace(x, island_of_face=x.island_of_face.tolist())
+    if isinstance(x, Mesh):
+        return replace(
+            x,
+            positions=row_tuples(x.positions),
+            faces=row_tuples(x.faces),
+            uv_coords=_maybe(row_tuples, x.uv_coords),
+            face_uvs=_maybe(row_tuples, x.face_uvs),
+        )
+    labels = _maybe(np.ndarray.tolist, x.island_of_face)
+    return replace(x, vertex_keys=row_tuples(x.vertex_keys), faces=row_tuples(x.faces), island_of_face=labels)
+
+
+def as_arrays(x):
+    """A :class:`Mesh`, :class:`QuantizedMesh` or :class:`IslandPartition`,
+    in list form, as the package's arrays (faces as :func:`face_array`)."""
+    if isinstance(x, IslandPartition):
+        return replace(x, island_of_face=_labels(x.island_of_face))
+    if isinstance(x, Mesh):
+        return replace(
+            x,
+            positions=_points(x.positions, 3),
+            faces=face_array(x.faces),
+            uv_coords=_maybe(_points, x.uv_coords, 2),
+            face_uvs=_maybe(face_array, x.face_uvs),
+        )
     return replace(
-        q,
-        vertex_keys=np.array(q.vertex_keys, dtype=np.int64).reshape(-1, 3),
-        faces=np.array(faces, dtype=np.int64).reshape(-1, width),
-        island_of_face=None if q.island_of_face is None else np.array(q.island_of_face, dtype=np.int64),
+        x,
+        vertex_keys=np.array(x.vertex_keys, dtype=np.int64).reshape(-1, 3),
+        faces=face_array(x.faces),
+        island_of_face=_maybe(_labels, x.island_of_face),
     )
+
+
+def mesh_signature(mesh: Mesh):
+    """Dtype, shape and bytes of each array of ``mesh`` (None stays None):
+    equal exactly when the meshes are."""
+    fields = (mesh.positions, mesh.faces, mesh.uv_coords, mesh.face_uvs)
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in fields)
 
 
 # --- per-point helpers: quantize.normalize, to_grid, dequantize and

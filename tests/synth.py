@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import replace
+
+import numpy as np
 
 from striptok import Mesh
+
+from oracles import as_arrays, as_lists
 
 
 def tri_grid(nx: int, nz: int) -> Mesh:
@@ -31,7 +36,7 @@ def tri_grid(nx: int, nz: int) -> Mesh:
             c, d = vid(i + 1, j), vid(i + 1, j + 1)
             faces.append((a, b, c))
             faces.append((b, d, c))
-    return Mesh(positions=positions, faces=faces)
+    return as_arrays(Mesh(positions=positions, faces=faces))
 
 
 def tri_ribbon(n: int) -> Mesh:
@@ -49,7 +54,7 @@ def quad_grid(nx: int, nz: int) -> Mesh:
     for j in range(nz):
         for i in range(nx):
             faces.append((vid(i, j), vid(i, j + 1), vid(i + 1, j + 1), vid(i + 1, j)))
-    return Mesh(positions=positions, faces=faces)
+    return as_arrays(Mesh(positions=positions, faces=faces))
 
 
 def quad_ribbon(n: int) -> Mesh:
@@ -98,7 +103,7 @@ def icosphere(subdiv: int) -> Mesh:
             ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    return Mesh(positions=verts, faces=faces)
+    return as_arrays(Mesh(positions=verts, faces=faces))
 
 
 def torus(nmaj: int, nmin: int, radius: float = 2.0, tube: float = 0.7, quads: bool = True) -> Mesh:
@@ -124,7 +129,7 @@ def torus(nmaj: int, nmin: int, radius: float = 2.0, tube: float = 0.7, quads: b
             else:
                 faces.append((a, b, c))
                 faces.append((a, c, d))
-    return Mesh(positions=positions, faces=faces)
+    return as_arrays(Mesh(positions=positions, faces=faces))
 
 
 _L_POINTS = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1)]
@@ -150,7 +155,7 @@ def l_solid(height: float = 1.0) -> Mesh:
         q = _L_PERIMETER[(k + 1) % n]
         faces.append((p, p + n, q + n))
         faces.append((p, q + n, q))
-    return Mesh(positions=positions, faces=faces)
+    return as_arrays(Mesh(positions=positions, faces=faces))
 
 
 def non_manifold_fan() -> Mesh:
@@ -160,27 +165,20 @@ def non_manifold_fan() -> Mesh:
         (0.5, 1.0, 0.0), (0.5, 1.0, 0.7), (0.5, 1.0, -0.7),
     ]
     faces = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
-    return Mesh(positions=positions, faces=faces)
+    return as_arrays(Mesh(positions=positions, faces=faces))
 
 
 def shift(mesh: Mesh, dx=0.0, dy=0.0, dz=0.0) -> Mesh:
-    return Mesh(
-        positions=[(p[0] + dx, p[1] + dy, p[2] + dz) for p in mesh.positions],
-        faces=list(mesh.faces),
-        uv_coords=mesh.uv_coords,
-        face_uvs=mesh.face_uvs,
-    )
+    return replace(mesh, positions=mesh.positions + np.array([dx, dy, dz]))
 
 
 def concat(*meshes: Mesh) -> Mesh:
-    """Disjoint union (no welding)."""
-    positions = []
-    faces = []
-    for m in meshes:
-        off = len(positions)
-        positions += m.positions
-        faces += [tuple(v + off for v in f) for f in m.faces]
-    return Mesh(positions=positions, faces=faces)
+    """Disjoint union (no welding) of meshes without pads."""
+    offsets = np.cumsum([0] + [len(m.positions) for m in meshes[:-1]])
+    return Mesh(
+        positions=np.concatenate([m.positions for m in meshes]),
+        faces=np.concatenate([m.faces + off for m, off in zip(meshes, offsets.tolist())]),
+    )
 
 
 def with_uv_groups(mesh: Mesh, group_of_face: list[int]) -> Mesh:
@@ -190,6 +188,7 @@ def with_uv_groups(mesh: Mesh, group_of_face: list[int]) -> Mesh:
     share uv indices at shared vertices, faces of different groups never
     do.  Groups must be edge-connected for the labels to be recoverable.
     """
+    mesh = as_lists(mesh)
     uv_index: dict[tuple[int, int], int] = {}
     uv_coords: list[tuple[float, float]] = []
     face_uvs = []
@@ -203,12 +202,7 @@ def with_uv_groups(mesh: Mesh, group_of_face: list[int]) -> Mesh:
                 uv_coords.append(((j % 97) / 97.0, (j % 89) / 89.0))
             fuv.append(j)
         face_uvs.append(tuple(fuv))
-    return Mesh(
-        positions=list(mesh.positions),
-        faces=list(mesh.faces),
-        uv_coords=uv_coords,
-        face_uvs=face_uvs,
-    )
+    return as_arrays(replace(mesh, uv_coords=uv_coords, face_uvs=face_uvs))
 
 
 def grown_regions(mesh: Mesh, seeds: int) -> list[int]:
@@ -246,6 +240,7 @@ def grown_regions(mesh: Mesh, seeds: int) -> list[int]:
 
 
 def face_adjacency(mesh: Mesh) -> list[list[int]]:
+    mesh = as_lists(mesh)
     edge_faces = defaultdict(list)
     for fi, face in enumerate(mesh.faces):
         n = len(face)
@@ -267,6 +262,7 @@ def face_adjacency(mesh: Mesh) -> list[list[int]]:
 
 def oracle_consistent_winding(mesh: Mesh) -> bool:
     """Every directed edge appears at most once, and opposite to its twin."""
+    mesh = as_lists(mesh)
     seen = set()
     for face in mesh.faces:
         n = len(face)
@@ -280,6 +276,7 @@ def oracle_consistent_winding(mesh: Mesh) -> bool:
 
 def oracle_closed_manifold(mesh: Mesh) -> bool:
     """Every edge bounds exactly two faces."""
+    mesh = as_lists(mesh)
     count = defaultdict(int)
     for face in mesh.faces:
         n = len(face)
@@ -291,6 +288,7 @@ def oracle_closed_manifold(mesh: Mesh) -> bool:
 
 def oracle_uv_components(mesh: Mesh) -> list[set[int]]:
     """Brute-force UV-island face groups (flood fill over uv-matched edges)."""
+    mesh = as_lists(mesh)
     joined = defaultdict(set)
     edge_users = defaultdict(list)
     for fi, (face, fuv) in enumerate(zip(mesh.faces, mesh.face_uvs)):

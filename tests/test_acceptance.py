@@ -28,6 +28,7 @@ from striptok import (
     f_score,
     parse_tokens,
     sample_surface,
+    uv_islands,
     write_obj,
     write_tokens,
 )
@@ -41,6 +42,7 @@ from striptok.verify import compare_quantized
 import synth
 from oracles import as_lists, dequantize, normalize, to_grid, vertex_ranks
 from test_decode import validate_quantized
+from strategies import corrupted_stream, structured_stream, uniform_stream
 from test_metrics import brute_nn, cube_surface, point_set
 
 
@@ -261,32 +263,17 @@ def test_criterion_08_decoder_totality():
     # grammar-shaped streams with random geometry
     n_structured = 90_000
     for i in range(n_structured):
-        tokens = [int(rng.integers(64, 192)), int(rng.integers(192, 704)), int(rng.integers(704, 4800))]
-        for _ in range(int(rng.integers(0, 60))):
-            r = rng.random()
-            if r < 0.55:
-                tokens.append(int(rng.integers(704, 4800)))
-            elif r < 0.85:
-                tokens += [int(rng.integers(192, 704)), int(rng.integers(704, 4800))]
-            else:
-                tokens += [int(rng.integers(0, 192)), int(rng.integers(192, 704)), int(rng.integers(704, 4800))]
-        check(tokens, 1 + (i & 1))
+        check(structured_stream(rng), 1 + (i & 1))
 
     # corrupted encoder output
-    base = encode_mesh(synth.tri_grid(8, 8), 1)[2].tokens
     n_corrupt = 9_000
     for i in range(n_corrupt):
-        tokens = list(base)
-        for _ in range(int(rng.integers(1, 8))):
-            tokens[int(rng.integers(0, len(tokens)))] = int(rng.integers(0, 4800))
-        check(tokens, 1 + (i & 1))
+        check(corrupted_stream(rng), 1 + (i & 1))
 
     # long streams up to the 4096 cap
     n_long = 1_000
     for i in range(n_long):
-        ln = int(rng.integers(1024, 4097))
-        tokens = rng.integers(0, 4800, size=ln).tolist()
-        check(tokens, 1 + (i & 1))
+        check(uniform_stream(rng, 1024, 4097), 1 + (i & 1))
 
     assert total == n_uniform + n_structured + n_corrupt + n_long == 1_000_000
     dt = time.time() - t0
@@ -338,15 +325,14 @@ def test_criterion_10_determinism(tri_corpus, quad_corpus, tmp_path):
         q.check(len(entry.mesh.faces))
         order = list(range(len(entry.mesh.faces)))
         rng.shuffle(order)
+        fuvs = entry.mesh.face_uvs
         shuffled = Mesh(
             positions=entry.mesh.positions,
-            faces=[entry.mesh.faces[i] for i in order],
+            faces=entry.mesh.faces[order],
             uv_coords=entry.mesh.uv_coords,
-            face_uvs=[entry.mesh.face_uvs[i] for i in order] if entry.mesh.face_uvs else None,
+            face_uvs=None if fuvs is None else fuvs[order],
         )
-        from striptok import uv_islands
-
-        partition = uv_islands(shuffled) if shuffled.face_uvs else None
+        partition = uv_islands(shuffled) if fuvs is not None else None
         _, _, seq2 = encode_mesh(shuffled, entry.stride, partition)
         f1, f2 = tmp_path / "a.sato", tmp_path / "b.sato"
         write_tokens(seq, f1)

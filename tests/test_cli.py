@@ -2,14 +2,37 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from striptok import Mesh, load_obj, read_tokens, uv_islands, write_obj, write_tokens
+from striptok import (
+    Mesh,
+    TokenHeader,
+    TokenSequence,
+    Transform,
+    compare_meshes,
+    decode_tokens,
+    dequantize_mesh,
+    load_obj,
+    read_tokens,
+    sample_surface,
+    serialize,
+    uv_islands,
+    write_obj,
+    write_tokens,
+)
 from striptok.cli import main
 
+from oracles import as_arrays
+from strategies import acceptance_streams
 import synth
+from test_tokens import manual_strip_set
 
 
 @pytest.fixture()
@@ -173,12 +196,12 @@ class TestRoundtrip:
     def test_shuffled_copy_identical_tokens(self, tmp_path):
         mesh = synth.icosphere(1)
         rng = random.Random(12)
-        faces = list(mesh.faces)
-        rng.shuffle(faces)
+        order = list(range(len(mesh.faces)))
+        rng.shuffle(order)
         d = tmp_path / "pair"
         d.mkdir()
         write_obj(mesh, d / "a.obj")
-        write_obj(Mesh(positions=mesh.positions, faces=faces), d / "b.obj")
+        write_obj(Mesh(positions=mesh.positions, faces=mesh.faces[order]), d / "b.obj")
         out = tmp_path / "tok"
         rc = main(["encode", str(d), "--output", str(out), "--report", str(tmp_path / "e.jsonl")])
         assert rc == 0
@@ -372,3 +395,105 @@ class TestErrorRows:
         ]
         assert not any(line.startswith(("grid.obj", "ico.obj")) for line in err)
         assert "bad.obj" in csv_path.read_text()
+
+
+class TestReportDirectory:
+    """A report path in a directory that does not exist yet: the directory is
+    made before any file runs, so the report is not lost at the end."""
+
+    def test_encode_report(self, obj_dir, tmp_path):
+        report = tmp_path / "missing" / "deeper" / "r.jsonl"
+        out = tmp_path / "tok"
+        assert main(["encode", str(obj_dir), "--output", str(out), "--report", str(report)]) == 0
+        rows = read_jsonl(report)
+        assert len(rows) == 4 and all("error" not in r for r in rows)
+
+    def test_compare_output(self, obj_dir, tmp_path):
+        csv_path = tmp_path / "missing" / "cmp.csv"
+        assert main(["compare", str(obj_dir), "--output", str(csv_path)]) == 0
+        assert csv_path.read_text().splitlines()[-1].startswith("mean,")
+
+
+MIXED_MESSAGE = "ValueError: mixed triangle/quad faces: encoding takes faces of one degree"
+
+
+class TestMixedFaces:
+    """OBJ files that mix triangles and quads load; the encoder rejects them
+    with one message."""
+
+    def test_odd_stride2_strip_decodes_and_scores(self, tmp_path):
+        # five vertices at stride 2: a quad and a trailing triangle
+        coords = [(0, 0, 0), (256, 0, 0), (0, 0, 256), (256, 0, 256), (0, 0, 511)]
+        write_tokens(serialize(manual_strip_set([coords], stride=2)), tmp_path / "odd.sato")
+        assert main(["decode", str(tmp_path / "odd.sato"), "--report", str(tmp_path / "d.jsonl")]) == 0
+        decoded = tmp_path / "odd.decoded.obj"
+        assert load_obj(decoded).faces.tolist() == [[0, 1, 3, 2], [2, 3, 4, -1]]
+        report = tmp_path / "s.jsonl"
+        args = ["stats", str(decoded), "--ref", str(decoded), "--samples", "500", "--report", str(report)]
+        assert main(args) == 0
+        [row] = read_jsonl(report)
+        assert all(math.isfinite(row[k]) for k in ("nc", "cd", "hd", "f1"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["encode", "--stride", "2"], ["encode", "--uv"], ["roundtrip"], ["compare"]],
+        ids=["encode", "encode_uv", "roundtrip", "compare"],
+    )
+    def test_encoders_give_one_error_row(self, tmp_path, argv, capsys):
+        text = (
+            "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 2 0 0\nvt 0 0\nvt 1 0\nvt 1 1\n"
+            "f 1/1 2/2 3/3 4/1\nf 2/2 5/1 3/3\n"
+        )
+        (tmp_path / "mixed.obj").write_text(text)
+        report = tmp_path / "r.jsonl"
+        out = ["--output", str(tmp_path / "c.csv")] if argv[0] == "compare" else []
+        assert main([argv[0], str(tmp_path / "mixed.obj"), *argv[1:], *out, "--report", str(report)]) == 1
+        if argv[0] == "compare":
+            assert f"mixed.obj: {MIXED_MESSAGE}" in capsys.readouterr().err.splitlines()
+        else:
+            [row] = read_jsonl(report)
+            assert row["error"] == MIXED_MESSAGE
+
+
+# decoded positions (g + 0.5) / 512 * 512 are exact in 9 significant digits,
+# so the written OBJ reloads to the decode's own floats
+_EXACT = Transform((0.0, 0.0, 0.0), 512.0)
+
+
+@given(acceptance_streams(), st.sampled_from([1, 2]))
+@example([], 2)
+@example(serialize(manual_strip_set([[(0, 0, 0), (1, 0, 0), (2, 0, 0)]])).tokens, 1)  # collinear
+@settings(max_examples=100, deadline=None)
+def test_decode_output_reloads_and_scores(tokens, stride):
+    """Every decode either writes an OBJ that reloads to the same face rows
+    and scores against the dequantized decode (or both are zero-area), or is
+    empty and gets the ``empty mesh`` error row."""
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        header = TokenHeader(uv_mode=True, source_stride=stride, transform=_EXACT, face_count=0)
+        write_tokens(TokenSequence(tokens, header), d / "s.sato")
+        rc = main(["decode", str(d / "s.sato"), "--report", str(d / "r.jsonl")])
+        [row] = read_jsonl(d / "r.jsonl")
+        decoded, _, _ = decode_tokens(read_tokens(d / "s.sato"))
+        if not len(decoded.faces):
+            assert rc == 1 and row["error"] == "ValueError: empty mesh"
+            assert not (d / "s.decoded.obj").exists()
+            return
+        assert rc == 0 and "error" not in row
+        reloaded = load_obj(d / "s.decoded.obj")
+    want = dequantize_mesh(decoded)
+    # pads included; a stride-2 decode whose every face is a trailing
+    # triangle has an all-pad column, and reloads as a triangle mesh
+    width = reloaded.faces.shape[1]
+    assert (decoded.faces[:, width:] == -1).all() and reloaded.faces.dtype == np.int64
+    assert np.array_equal(reloaded.faces, decoded.faces[:, :width])
+    assert np.array_equal(reloaded.positions, want.positions)
+    try:
+        sample_surface(want, n=1)
+    except ValueError as exc:
+        assert str(exc) == "zero-area mesh"
+        with pytest.raises(ValueError, match="^zero-area mesh$"):
+            compare_meshes(reloaded, want, n=200)
+        return
+    report = compare_meshes(reloaded, want, n=200)
+    assert (report.cd, report.hd, report.f1) == (0.0, 0.0, 1.0) and report.nc == pytest.approx(1.0)

@@ -4,6 +4,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from striptok import (
 from striptok import mesh_io
 from striptok.mesh_io import is_edge_manifold
 
+from oracles import as_arrays, as_lists, mesh_signature
 import synth
 
 
@@ -31,9 +33,9 @@ class TestLoadObj:
     def test_minimal_triangle(self, tmp_path):
         p = write_text(tmp_path / "t.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
         mesh = load_obj(p)
-        assert len(mesh.positions) == 3
-        assert mesh.faces == [(0, 1, 2)]
-        assert mesh.face_uvs is None
+        assert mesh.positions.dtype == np.float64 and mesh.positions.shape == (3, 3)
+        assert mesh.faces.dtype == np.int64 and mesh.faces.tolist() == [[0, 1, 2]]
+        assert mesh.uv_coords is None and mesh.face_uvs is None
 
     def test_quad_with_uvs(self, tmp_path):
         text = (
@@ -42,8 +44,9 @@ class TestLoadObj:
             "f 1/1 2/2 3/3 4/4\n"
         )
         mesh = load_obj(write_text(tmp_path / "q.obj", text))
-        assert mesh.faces == [(0, 1, 2, 3)]
-        assert mesh.face_uvs == [(0, 1, 2, 3)]
+        assert mesh.faces.tolist() == [[0, 1, 2, 3]]
+        assert mesh.face_uvs.dtype == np.int64 and mesh.face_uvs.tolist() == [[0, 1, 2, 3]]
+        assert mesh.uv_coords.dtype == np.float64 and mesh.uv_coords.shape == (4, 2)
 
     def test_v_vt_vn_syntax(self, tmp_path):
         text = (
@@ -53,13 +56,32 @@ class TestLoadObj:
             "f 1/1/1 2/2/1 3/3/1\n"
         )
         mesh = load_obj(write_text(tmp_path / "n.obj", text))
-        assert mesh.faces == [(0, 1, 2)]
-        assert mesh.face_uvs == [(0, 1, 2)]
+        assert mesh.faces.tolist() == [[0, 1, 2]]
+        assert mesh.face_uvs.tolist() == [[0, 1, 2]]
 
-    def test_mixed_degree_rejected(self, tmp_path):
-        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 1 2 3 4\n"
-        with pytest.raises(ObjParseError, match="mixed"):
-            load_obj(write_text(tmp_path / "m.obj", text))
+    def test_mixed_degree_loads_padded(self, tmp_path):
+        # a triangle among quads is a 4-column row padded with -1, uvs alike
+        text = (
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nvt 0 0\nvt 1 0\nvt 0 1\n"
+            "f 1/1 2/2 3/3\nf 1/1 2/2 4/3 3/3\nf -2/-1 -3/-2 -4/-3\n"
+        )
+        mesh = load_obj(write_text(tmp_path / "m.obj", text))
+        assert mesh.faces.dtype == np.int64
+        assert mesh.faces.tolist() == [[0, 1, 2, -1], [0, 1, 3, 2], [2, 1, 0, -1]]
+        assert mesh.face_uvs.tolist() == [[0, 1, 2, -1], [0, 1, 2, 2], [2, 1, 0, -1]]
+        assert mesh.face_degree == 4
+
+    def test_out_of_range_names_first_bad_index(self, tmp_path):
+        # in file order, over triangles and quads, before any uv index
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nf 1/9 2/1 3/1\nf 1/1 2/1 7/1 3/1\nf 1/1 5/1 3/1\n"
+        with pytest.raises(ValueError, match=r"^face index 7 out of range \(3 vertices\)$"):
+            load_obj(write_text(tmp_path / "r.obj", text))
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\nf 1 2 4\n"
+        with pytest.raises(ValueError, match=r"^face index 99999999999999999999 out of range"):
+            load_obj(write_text(tmp_path / "big.obj", text))
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nf 1/1 2/1 3/1\nf 1/1 2/3 3/2\n"
+        with pytest.raises(ValueError, match=r"^uv index 3 out of range \(1 uvs\)$"):
+            load_obj(write_text(tmp_path / "t.obj", text))
 
     def test_parse_error_reports_line(self, tmp_path):
         text = "v 0 0 0\nv 1 0 zero\n"
@@ -79,12 +101,12 @@ class TestLoadObj:
     def test_crlf_and_comments(self, tmp_path):
         text = "# header\r\nv 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\ng whatever\r\nf 1 2 3\r\n"
         mesh = load_obj(write_text(tmp_path / "c.obj", text))
-        assert mesh.faces == [(0, 1, 2)]
+        assert mesh.faces.tolist() == [[0, 1, 2]]
 
     def test_v_slash_slash_vn(self, tmp_path):
         text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2//1 3//1\n"
         mesh = load_obj(write_text(tmp_path / "vn.obj", text))
-        assert mesh.faces == [(0, 1, 2)]
+        assert mesh.faces.tolist() == [[0, 1, 2]]
         assert mesh.face_uvs is None
 
     def test_negative_index_rejected(self, tmp_path):
@@ -115,15 +137,15 @@ class TestLoadObj:
         )
         a = load_obj(write_text(tmp_path / "abs.obj", absolute))
         r = load_obj(write_text(tmp_path / "rel.obj", relative))
-        assert r == a
-        assert a.faces == [(0, 1, 2, 3), (1, 4, 5, 2)]
+        assert mesh_signature(r) == mesh_signature(a)
+        assert a.faces.tolist() == [[0, 1, 2, 3], [1, 4, 5, 2]]
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         text = "v 9 9 9\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n"
         plain = load_obj(write_text(tmp_path / "plain.obj", text))
         marked = load_obj(write_text(tmp_path / "bom.obj", "\ufeff" + text))
-        assert marked == plain
-        assert marked.positions[0] == (9.0, 9.0, 9.0)
+        assert mesh_signature(marked) == mesh_signature(plain)
+        assert marked.positions[0].tolist() == [9.0, 9.0, 9.0]
 
     def test_line_numbers_count_newlines_only(self, tmp_path):
         # \u2028, \x85 and \x0c split str.splitlines() but not OBJ lines
@@ -149,8 +171,8 @@ class TestBulkPath:
     def assert_bulk(self, path):
         text = path.read_text(encoding="utf-8")
         mesh = load_obj(path)
-        # the same mesh as the per-line loop, with Python scalars throughout
-        assert repr(mesh) == repr(PARSE_LINES(text))
+        # the same arrays as the per-line loop, dtypes and shapes included
+        assert mesh_signature(mesh) == mesh_signature(PARSE_LINES(text))
         return mesh
 
     def test_written_with_uvs_and_groups(self, tmp_path):
@@ -166,7 +188,7 @@ class TestBulkPath:
         mesh = synth.icosphere(1)
         path = tmp_path / "ico.obj"
         write_obj(mesh, path)
-        assert self.assert_bulk(path).faces == mesh.faces
+        assert np.array_equal(self.assert_bulk(path).faces, mesh.faces)
 
     @pytest.mark.parametrize("corner", ["{v}/{v}/1", "{v}//1"])
     def test_normal_corner_forms(self, tmp_path, corner):
@@ -175,8 +197,11 @@ class TestBulkPath:
         )
         text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\nvn 0 0 1\n" + faces
         mesh = self.assert_bulk(write_text(tmp_path / "n.obj", text))
-        assert mesh.faces == [(0, 1, 2), (0, 2, 3)]
-        assert mesh.face_uvs == ([(0, 1, 2), (0, 2, 3)] if "//" not in corner else None)
+        assert mesh.faces.tolist() == [[0, 1, 2], [0, 2, 3]]
+        if "//" in corner:
+            assert mesh.face_uvs is None
+        else:
+            assert mesh.face_uvs.tolist() == [[0, 1, 2], [0, 2, 3]]
 
     def test_comments_and_normals(self, tmp_path):
         text = (
@@ -186,7 +211,7 @@ class TestBulkPath:
             "f 1 2 3 4\n  \n# end\nf 4 3 2 1"
         )
         mesh = self.assert_bulk(write_text(tmp_path / "c.obj", text))
-        assert mesh.faces == [(0, 1, 2, 3), (3, 2, 1, 0)]
+        assert mesh.faces.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
 
 
 # odd tokens the per-line loop accepts, rejects or reads differently
@@ -247,11 +272,12 @@ def obj_texts(draw):
 
 
 def _outcome(fn, *args):
-    """``repr`` of ``fn(*args)``, or the type and message of what it raised."""
+    """:func:`mesh_signature` of ``fn(*args)``, or ``"raised"`` and the type
+    and message of what it raised."""
     try:
-        return repr(fn(*args))
+        return mesh_signature(fn(*args))
     except Exception as exc:  # noqa: BLE001 - compared across parsers
-        return type(exc), str(exc)
+        return "raised", type(exc), str(exc)
 
 
 @given(obj_texts())
@@ -264,8 +290,8 @@ def test_bulk_parse_equals_per_line_loop(text):
         want = _outcome(PARSE_LINES, decoded)
         bulk = mesh_io._parse_bulk(decoded)
         if bulk is not None:
-            assert repr(bulk) == want
-        if isinstance(want, tuple):
+            assert mesh_signature(bulk) == want
+        if want[0] == "raised":
             assert bulk is None
         assert _outcome(load_obj, path) == want
 
@@ -280,15 +306,14 @@ class TestWriteObj:
         p2 = tmp_path / "ico2.obj"
         write_obj(back, p2)
         assert p.read_text() == p2.read_text()
-        assert back.faces == mesh.faces
+        assert np.array_equal(back.faces, mesh.faces)
 
     def test_round_trip_exact_for_synthetic_coords(self, tmp_path):
         mesh = synth.tri_grid(3, 3)
         p = tmp_path / "g.obj"
         write_obj(mesh, p)
         back = load_obj(p)
-        assert back.positions == mesh.positions
-        assert back.faces == mesh.faces
+        assert mesh_signature(back) == mesh_signature(mesh)
 
     def test_uv_round_trip(self, tmp_path):
         base = synth.quad_grid(2, 2)
@@ -296,8 +321,8 @@ class TestWriteObj:
         p = tmp_path / "uv.obj"
         write_obj(mesh, p)
         back = load_obj(p)
-        assert back.faces == mesh.faces
-        assert back.face_uvs == mesh.face_uvs
+        assert np.array_equal(back.faces, mesh.faces)
+        assert np.array_equal(back.face_uvs, mesh.face_uvs)
 
     def test_partition_groups(self, tmp_path):
         base = synth.tri_grid(2, 1)
@@ -312,7 +337,7 @@ class TestWriteObj:
 
     def test_empty_mesh_error(self, tmp_path):
         with pytest.raises(ValueError, match="empty mesh"):
-            write_obj(Mesh(positions=[], faces=[]), tmp_path / "e.obj")
+            write_obj(as_arrays(Mesh(positions=[], faces=[])), tmp_path / "e.obj")
 
 
 class TestUvIslands:
@@ -330,33 +355,35 @@ class TestUvIslands:
     def test_shared_chart_single_island(self):
         positions, faces = self._cube_quads()
         # one uv index per vertex: every shared edge also shares uvs
-        mesh = Mesh(
-            positions=positions,
-            faces=faces,
-            uv_coords=[(v / 10.0, v / 10.0) for v in range(8)],
-            face_uvs=list(faces),
+        mesh = as_arrays(
+            Mesh(
+                positions=positions,
+                faces=faces,
+                uv_coords=[(v / 10.0, v / 10.0) for v in range(8)],
+                face_uvs=list(faces),
+            )
         )
         assert uv_islands(mesh).island_count == 1
 
     def test_six_separate_charts(self):
         positions, faces = self._cube_quads()
-        mesh = synth.with_uv_groups(
-            Mesh(positions=positions, faces=faces), list(range(6))
-        )
+        mesh = synth.with_uv_groups(as_arrays(Mesh(positions=positions, faces=faces)), list(range(6)))
         partition = uv_islands(mesh)
         assert partition.island_count == 6
         # oracle: brute-force flood fill over uv-matched edges
         comps = synth.oracle_uv_components(mesh)
         assert len(comps) == 6
         groups = {}
-        for fi, l in enumerate(partition.island_of_face):
+        for fi, l in enumerate(partition.island_of_face.tolist()):
             groups.setdefault(l, set()).add(fi)
         assert sorted(map(sorted, comps)) == sorted(map(sorted, groups.values()))
 
     def test_seam_splits_two_triangles(self):
-        base = Mesh(
-            positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
-            faces=[(0, 1, 2), (1, 3, 2)],
+        base = as_arrays(
+            Mesh(
+                positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+                faces=[(0, 1, 2), (1, 3, 2)],
+            )
         )
         mesh = synth.with_uv_groups(base, [0, 1])
         assert uv_islands(mesh).island_count == 2
@@ -366,7 +393,7 @@ class TestUvIslands:
         mesh = synth.with_uv_groups(base, [fi % 3 == 0 and 0 or 1 for fi in range(len(base.faces))])
         # groups may be disconnected; uv_islands must still cover all faces
         partition = uv_islands(mesh)
-        labels = set(partition.island_of_face)
+        labels = set(partition.island_of_face.tolist())
         assert labels == set(range(partition.island_count))
         assert len(partition.island_of_face) == len(base.faces)
 
@@ -378,7 +405,8 @@ class TestUvIslands:
         mesh = synth.tri_grid(2, 2)
         p = single_island(mesh)
         assert p.island_count == 1
-        assert p.island_of_face == [0] * len(mesh.faces)
+        assert p.island_of_face.dtype == np.int64
+        assert p.island_of_face.tolist() == [0] * len(mesh.faces)
 
 
 def grid_with_faces(count):
@@ -411,7 +439,7 @@ class TestCorpusFilter:
         ribbon = synth.tri_ribbon(450)
         mesh = synth.concat(synth.shift(soup, dy=5.0), ribbon)
         assert len(mesh.faces) == 1000
-        merged_vertices = len(set(mesh.positions))
+        merged_vertices = len(set(as_lists(mesh).positions))
         assert merged_vertices > 1000
         res = corpus_filter(mesh)
         assert not res.accepted and res.reason == "vertex_face_ratio"
@@ -448,15 +476,15 @@ class TestCorpusFilter:
         # the same edge written through duplicated positions still counts once
         mesh = synth.non_manifold_fan()
         dup = Mesh(
-            positions=list(mesh.positions) + [mesh.positions[0], mesh.positions[1]],
-            faces=[(0, 1, 2), (5, 6, 3), (0, 1, 4)],
+            positions=mesh.positions[[0, 1, 2, 3, 4, 0, 1]],
+            faces=np.array([(0, 1, 2), (5, 6, 3), (0, 1, 4)]),
         )
         assert not is_edge_manifold(dup)
 
     def test_order_independence(self):
         mesh = grid_with_faces(600)
         rng = random.Random(5)
-        faces = list(mesh.faces)
-        rng.shuffle(faces)
-        shuffled = Mesh(positions=mesh.positions, faces=faces)
+        order = list(range(len(mesh.faces)))
+        rng.shuffle(order)
+        shuffled = Mesh(positions=mesh.positions, faces=mesh.faces[order])
         assert corpus_filter(mesh).accepted == corpus_filter(shuffled).accepted

@@ -21,7 +21,9 @@ from striptok import (
     write_obj,
 )
 from striptok.cli import main
+from striptok.mesh_io import split_quad_faces
 
+from oracles import as_arrays
 import synth
 
 
@@ -51,15 +53,17 @@ def cube_surface():
     faces = []
     for a, b, c, d in quads:
         faces += [(a, b, c), (a, c, d)]
-    return Mesh(positions=positions, faces=faces)
+    return as_arrays(Mesh(positions=positions, faces=faces))
 
 
 class TestSampling:
     def test_area_weighted_counts(self):
         # unit square as two equal triangles: each side gets ~n/2 samples
-        mesh = Mesh(
-            positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 0.0, 1.0)],
-            faces=[(0, 1, 2), (0, 2, 3)],
+        mesh = as_arrays(
+            Mesh(
+                positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 0.0, 1.0)],
+                faces=[(0, 1, 2), (0, 2, 3)],
+            )
         )
         n = 10_000
         s = sample_surface(mesh, n=n, seed=1)
@@ -84,9 +88,11 @@ class TestSampling:
 
     def test_quads_split_on_v1_v3(self):
         # a bent quad: its two diagonals give different triangle pairs
-        mesh = Mesh(
-            positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)],
-            faces=[(0, 1, 2, 3)],
+        mesh = as_arrays(
+            Mesh(
+                positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)],
+                faces=[(0, 1, 2, 3)],
+            )
         )
         s = sample_surface(mesh, n=2000, seed=0)
         assert len(s.points) == 2000
@@ -107,11 +113,24 @@ class TestSampling:
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.normals, b.normals)
 
+    def test_split_keeps_face_order_and_padded_triangles(self):
+        faces = np.array([[0, 1, 2, 3], [4, 5, 6, -1], [7, 8, 9, 10]])
+        want = [[0, 1, 3], [1, 2, 3], [4, 5, 6], [7, 8, 10], [8, 9, 10]]
+        assert split_quad_faces(faces).tolist() == want
+        tris = np.array([[0, 1, 2], [2, 1, 3]])
+        assert np.array_equal(split_quad_faces(tris), tris)
+        assert split_quad_faces(np.zeros((0, 4), dtype=np.int64)).shape == (0, 3)
+
+    def test_mixed_mesh_samples_like_its_split(self):
+        # a quad plus a padded triangle samples as its three triangles
+        positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.5), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)]
+        mixed = as_arrays(Mesh(positions=positions, faces=[(0, 1, 2, 3), (1, 4, 2)]))
+        split = as_arrays(Mesh(positions=positions, faces=[(0, 1, 3), (1, 2, 3), (1, 4, 2)]))
+        a, b = sample_surface(mixed, n=500, seed=2), sample_surface(split, n=500, seed=2)
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.normals, b.normals)
+
     def test_zero_area_error(self):
-        mesh = Mesh(
-            positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)],
-            faces=[(0, 1, 2)],
-        )
+        mesh = as_arrays(Mesh(positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], faces=[(0, 1, 2)]))
         with pytest.raises(ValueError, match="zero-area"):
             sample_surface(mesh, n=10)
 
@@ -252,8 +271,7 @@ class TestInvariance:
             shift = rng.normal(size=3)
 
             def apply(mesh):
-                pts = np.asarray(mesh.positions) @ rot.T + shift
-                return Mesh(positions=[tuple(p) for p in pts], faces=list(mesh.faces))
+                return Mesh(positions=mesh.positions @ rot.T + shift, faces=mesh.faces)
 
             got = compare_meshes(apply(base_a), apply(base_b), n=4000, tau=0.01, seed=5)
             assert got.nc == pytest.approx(ref.nc, rel=1e-6, abs=1e-9)
@@ -285,8 +303,8 @@ def near_pair():
     """A reference and a jittered copy: close, but no sample lands on its twin."""
     ref = synth.icosphere(2)
     rng = np.random.default_rng(21)
-    pts = np.asarray(ref.positions) + rng.normal(scale=0.01, size=(len(ref.positions), 3))
-    return ref, Mesh(positions=[tuple(p) for p in pts], faces=list(ref.faces))
+    pts = ref.positions + rng.normal(scale=0.01, size=(len(ref.positions), 3))
+    return ref, Mesh(positions=pts, faces=ref.faces)
 
 
 class TestSharedNeighbors:

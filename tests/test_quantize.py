@@ -17,16 +17,18 @@ from striptok import (
     dequantize_mesh,
     encode_hier,
     quantize_mesh,
+    single_island,
     uv_islands,
 )
 from striptok.quantize import pack_keys
 
 import oracles
-from oracles import as_lists, dequantize, normalize, to_grid
+from oracles import as_arrays, as_lists, dequantize, normalize, to_grid
 import synth
 
 
 def cube_mesh(lo=-2.0, hi=2.0):
+    """A list-form mesh, as the oracle ``normalize`` takes it."""
     positions = [
         (lo, lo, lo), (hi, lo, lo), (lo, hi, lo), (hi, hi, lo),
         (lo, lo, hi), (hi, lo, hi), (lo, hi, hi), (hi, hi, hi),
@@ -181,7 +183,7 @@ class TestQuantizeMesh:
 
     def test_coincident_faces_deduplicated(self):
         base = synth.tri_grid(2, 2)
-        faces = list(base.faces) + [base.faces[0]]
+        faces = base.faces[[*range(len(base.faces)), 0]]
         q = quantize_mesh(Mesh(positions=base.positions, faces=faces))
         assert q.dropped_duplicate == 1
         assert len(q.faces) == len(base.faces)
@@ -203,7 +205,7 @@ class TestQuantizeMesh:
             (0.2, 0.5, 0.0), (0.2 + eps, 0.5, 0.0), (0.2, 0.5 + eps, 0.0),
         ]
         faces = [(0, 1, 2), (3, 4, 5)]
-        q = quantize_mesh(Mesh(positions=positions, faces=faces))
+        q = quantize_mesh(as_arrays(Mesh(positions=positions, faces=faces)))
         assert q.dropped_degenerate == 1
         assert len(q.faces) == 1
 
@@ -211,7 +213,7 @@ class TestQuantizeMesh:
         eps = 0.1 / 512
         positions = [(0.0, 0.0, 0.0), (eps, 0.0, 0.0), (0.0, eps, 0.0), (10.0, 10.0, 10.0)]
         with pytest.raises(ValueError, match="degenerate"):
-            quantize_mesh(Mesh(positions=positions, faces=[(0, 1, 2)]))
+            quantize_mesh(as_arrays(Mesh(positions=positions, faces=[(0, 1, 2)])))
 
     def test_idempotent_with_transform_reuse(self):
         mesh = synth.icosphere(1)
@@ -223,7 +225,7 @@ class TestQuantizeMesh:
     def test_island_labels_carried_and_densified(self):
         base = synth.tri_grid(2, 2)
         # duplicate one face so an island could empty out
-        mesh = Mesh(positions=base.positions, faces=list(base.faces) + [base.faces[-1]])
+        mesh = Mesh(positions=base.positions, faces=base.faces[[*range(len(base.faces)), -1]])
         tagged = synth.with_uv_groups(mesh, [0] * len(base.faces) + [1])
         partition = uv_islands(tagged)
         assert partition.island_count == 2
@@ -262,11 +264,22 @@ class TestArrayContract:
     def test_dropped_faces(self):
         eps = 0.4 / 512
         positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.2, 0.5, 0.0), (0.2 + eps, 0.5, 0.0)]
-        mesh = Mesh(positions, [(0, 1, 2), (3, 4, 2), (1, 2, 0)])
-        q = quantize_mesh(mesh, IslandPartition([4, 2, 7], 3))
+        mesh = as_arrays(Mesh(positions, [(0, 1, 2), (3, 4, 2), (1, 2, 0)]))
+        q = quantize_mesh(mesh, as_arrays(IslandPartition([4, 2, 7], 3)))
         assert_arrays(q, 3, 1, 3, labelled=True)
         assert q.island_of_face.tolist() == [0] and q.island_count() == 1
         assert (q.dropped_degenerate, q.dropped_duplicate) == (1, 1)
+
+
+class TestMixedFaces:
+    def test_encoder_rejects_mixed_faces_in_one_place(self):
+        positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (2.0, 0.0, 0.0)]
+        mesh = as_arrays(Mesh(positions=positions, faces=[(0, 1, 2, 3), (1, 4, 2)]))
+        assert mesh.faces.tolist() == [[0, 1, 2, 3], [1, 4, 2, -1]]
+        message = "^mixed triangle/quad faces: encoding takes faces of one degree$"
+        for partition in (None, single_island(mesh)):
+            with pytest.raises(ValueError, match=message):
+                quantize_mesh(mesh, partition)
 
 
 class TestNonFinite:
@@ -274,8 +287,8 @@ class TestNonFinite:
     @pytest.mark.parametrize("where", [0, 5])
     def test_bounding_box_path(self, bad, where):
         mesh = synth.tri_grid(3, 3)
-        positions = list(mesh.positions)
-        positions[where] = (positions[where][0], bad, positions[where][2])
+        positions = mesh.positions.copy()
+        positions[where, 1] = bad
         with pytest.raises(ValueError, match="^non-finite vertex coordinate$"):
             quantize_mesh(Mesh(positions=positions, faces=mesh.faces))
 
@@ -284,8 +297,8 @@ class TestNonFinite:
     def test_transform_path(self, bad, where):
         mesh = synth.tri_grid(3, 3)
         q = quantize_mesh(mesh)
-        positions = list(mesh.positions)
-        positions[where] = (bad, positions[where][1], positions[where][2])
+        positions = mesh.positions.copy()
+        positions[where, 0] = bad
         with pytest.raises(ValueError, match="^non-finite vertex coordinate$"):
             quantize_mesh(Mesh(positions=positions, faces=mesh.faces), transform=q.transform)
 
@@ -318,10 +331,10 @@ def coarse_meshes(draw):
     base = synth.quad_grid(nx, nz) if quads else synth.tri_grid(nx, nz)
     jitter = st.floats(-0.5, 0.5)
     positions = [
-        (p[0] + draw(jitter), draw(st.floats(0.0, 2.0)), p[2] + draw(jitter)) for p in base.positions
+        (p[0] + draw(jitter), draw(st.floats(0.0, 2.0)), p[2] + draw(jitter)) for p in base.positions.tolist()
     ]
     positions.append((draw(st.floats(8.0, 2000.0)), 0.0, 0.0))
-    faces = list(base.faces)
+    faces = base.faces.tolist()
     for i in draw(st.lists(st.integers(0, len(faces) - 1), max_size=4)):
         faces.append(faces[i][::-1] if draw(st.booleans()) else faces[i])
     mesh = Mesh(positions=positions, faces=faces)
@@ -330,6 +343,13 @@ def coarse_meshes(draw):
         labels = draw(st.lists(st.integers(0, 6).map(lambda l: 3 * l), min_size=len(faces), max_size=len(faces)))
         partition = IslandPartition(labels, len(set(labels)))
     return mesh, partition
+
+
+def _both(fn, oracle, mesh, partition, **kwargs):
+    """``fn`` on the arrays of a list-form mesh and partition, and ``oracle``
+    on the lists, each as :func:`_outcome`."""
+    arrays = as_arrays(mesh), partition and as_arrays(partition)
+    return _outcome(fn, *arrays, **kwargs), _outcome(oracle, mesh, partition, **kwargs)
 
 
 def _assert_same(got, want, n_faces):
@@ -342,8 +362,7 @@ def _assert_same(got, want, n_faces):
 @settings(max_examples=50, deadline=None)
 def test_quantize_matches_oracle(case):
     mesh, partition = case
-    got = _outcome(quantize_mesh, mesh, partition)
-    want = _outcome(oracles.quantize_mesh, mesh, partition)
+    got, want = _both(quantize_mesh, oracles.quantize_mesh, mesh, partition)
     if isinstance(got, tuple) or isinstance(want, tuple):
         assert got == want
         return
@@ -351,9 +370,10 @@ def test_quantize_matches_oracle(case):
 
     # the transform path: re-quantizing the dequantized mesh
     again = dequantize_mesh(got)
-    labels = IslandPartition(got.island_of_face.tolist(), got.island_count()) if partition else None
+    labels = IslandPartition(got.island_of_face, got.island_count()) if partition else None
     redo = quantize_mesh(again, labels, transform=got.transform)
-    _assert_same(redo, oracles.quantize_mesh(again, labels, transform=got.transform), len(again.faces))
+    want = oracles.quantize_mesh(as_lists(again), labels and as_lists(labels), transform=got.transform)
+    _assert_same(redo, want, len(again.faces))
     assert np.array_equal(redo.vertex_keys, got.vertex_keys) and np.array_equal(redo.faces, got.faces)
 
 
@@ -362,6 +382,5 @@ def test_quantize_matches_oracle(case):
 def test_quantize_out_of_range_matches_oracle(case, scale, shift):
     mesh, partition = case
     transform = Transform((shift, shift, shift), scale)
-    got = _outcome(quantize_mesh, mesh, partition, transform=transform)
-    want = _outcome(oracles.quantize_mesh, mesh, partition, transform=transform)
+    got, want = _both(quantize_mesh, oracles.quantize_mesh, mesh, partition, transform=transform)
     assert (as_lists(got) if not isinstance(got, tuple) else got) == want

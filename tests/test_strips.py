@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from striptok import (
@@ -18,7 +19,7 @@ from striptok import (
 )
 
 import synth
-from oracles import as_lists, key_order, strip_faces, to_grid
+from oracles import as_arrays, as_lists, key_order, strip_faces, to_grid
 
 
 def quantize(mesh, partition=None):
@@ -66,7 +67,7 @@ class TestKeyOrder:
 
 class TestSeedOrder:
     def test_single_face(self):
-        q = quantize(Mesh(positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], faces=[(0, 1, 2)]))
+        q = quantize(as_arrays(Mesh(positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], faces=[(0, 1, 2)])))
         assert seed_order(q) == [0]
 
     def test_tie_broken_by_second_vertex(self):
@@ -74,7 +75,7 @@ class TestSeedOrder:
             (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.0, 1.0), (0.25, 0.0, -1.0),
         ]
         # both faces contain vertex 0; the second-lowest key decides
-        q = quantize(Mesh(positions=positions, faces=[(0, 2, 1), (0, 1, 3)]))
+        q = quantize(as_arrays(Mesh(positions=positions, faces=[(0, 2, 1), (0, 1, 3)])))
         order = seed_order(q)
         ql = as_lists(q)
         keys = [tuple(sorted(ql.vertex_keys[v] for v in ql.faces[f])) for f in order]
@@ -87,9 +88,9 @@ class TestSeedOrder:
         base = [tuple(sorted(ql.vertex_keys[v] for v in ql.faces[f])) for f in seed_order(q)]
         rng = random.Random(9)
         for _ in range(5):
-            faces = list(mesh.faces)
-            rng.shuffle(faces)
-            q2 = quantize(Mesh(positions=mesh.positions, faces=faces))
+            order = list(range(len(mesh.faces)))
+            rng.shuffle(order)
+            q2 = quantize(Mesh(positions=mesh.positions, faces=mesh.faces[order]))
             ql2 = as_lists(q2)
             got = [tuple(sorted(ql2.vertex_keys[v] for v in ql2.faces[f])) for f in seed_order(q2)]
             assert got == base
@@ -126,7 +127,7 @@ class TestStripFaces:
 class TestExtractTriangles:
     def test_two_triangles_one_strip(self):
         positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.0, 1.0), (1.5, 0.0, 1.0)]
-        mesh = Mesh(positions=positions, faces=[(0, 1, 2), (1, 3, 2)])
+        mesh = as_arrays(Mesh(positions=positions, faces=[(0, 1, 2), (1, 3, 2)]))
         ss = extract_strips(quantize(mesh), 1)
         assert len(ss.strips) == 1
         assert len(ss.strips[0].keys) == 4
@@ -256,15 +257,14 @@ class TestDeterminism:
             base = self._tokens(entry.mesh, entry.partition, entry.stride)
             order = list(range(len(entry.mesh.faces)))
             rng.shuffle(order)
-            faces = [entry.mesh.faces[i] for i in order]
-            fuvs = [entry.mesh.face_uvs[i] for i in order] if entry.mesh.face_uvs else None
+            fuvs = entry.mesh.face_uvs
             shuffled = Mesh(
                 positions=entry.mesh.positions,
-                faces=faces,
+                faces=entry.mesh.faces[order],
                 uv_coords=entry.mesh.uv_coords,
-                face_uvs=fuvs,
+                face_uvs=None if fuvs is None else fuvs[order],
             )
-            partition = uv_islands(shuffled) if fuvs else None
+            partition = uv_islands(shuffled) if fuvs is not None else None
             assert self._tokens(shuffled, partition, entry.stride) == base, entry.name
 
     def test_vertex_permutation_invariance(self):
@@ -273,13 +273,8 @@ class TestDeterminism:
         rng = random.Random(4)
         perm = list(range(len(mesh.positions)))
         rng.shuffle(perm)
-        inv = [0] * len(perm)
-        for new, old in enumerate(perm):
-            inv[old] = new
-        permuted = Mesh(
-            positions=[mesh.positions[i] for i in perm],
-            faces=[tuple(inv[v] for v in f) for f in mesh.faces],
-        )
+        inv = np.argsort(perm)
+        permuted = Mesh(positions=mesh.positions[perm], faces=inv[mesh.faces])
         assert self._tokens(permuted, None, 1) == base
 
 

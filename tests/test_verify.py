@@ -23,7 +23,9 @@ def round_trips(draw):
     nx, nz = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     base = synth.quad_grid(nx, nz) if quads else synth.tri_grid(nx, nz)
     heights = draw(st.lists(st.floats(0.0, 3.0), min_size=len(base.positions), max_size=len(base.positions)))
-    mesh = Mesh(positions=[(p[0], h, p[2]) for p, h in zip(base.positions, heights)], faces=base.faces)
+    positions = base.positions.copy()
+    positions[:, 1] = heights
+    mesh = Mesh(positions=positions, faces=base.faces)
     regions = draw(st.one_of(st.none(), st.integers(1, 6)))
     partition = None
     if regions is not None:
