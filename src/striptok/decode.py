@@ -6,6 +6,17 @@ prefix cache; decoding segments the vertex stream into strips at marker
 events, welds coincident coordinates within each island, and assembles
 faces at the requested stride.
 
+The parse rule: ids outside the vocabulary are discarded and change
+nothing, and nothing before the first coarse, mid, fine run is kept.  From
+that run on, every fine token ends exactly one event, by the two tokens
+before it: after a coarse and a mid it is a full triple ``(kind, c1, c2,
+c3)``; after a mid alone, a vertex with the cached ``c1``; otherwise a
+vertex with the cached ``c1`` and ``c2``.  The cached ``c1`` is that of the
+latest full triple, the cached ``c2`` that of the latest full triple or
+mid+fine pair.  Every other token is discarded.  :func:`parse_tokens`
+applies it to the whole stream at once: event types from the token classes
+at each fine token and the two before it, cached codes as forward fills.
+
 Decoding works on the ``(n, 4)`` event array.  Strip heads are event 0
 and every marker; a strip's island id is the number of island markers up
 to its head (a cumulative sum), and the islands that keep a face are
@@ -14,22 +25,33 @@ first occurrence of their ``(island, packed key)`` pair, so equal codes
 weld within an island and never across two.  Faces are index arithmetic
 on each strip's run of vertex ids, one row per face; at stride 2 a
 trailing triangle is padded to four columns with -1, and the mesh keeps
-that padding.
+that padding unless it keeps no quad: then the all-pad column goes, so the
+mesh has the three columns its OBJ reloads with.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh_io import IslandPartition, split_quad_faces
 from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, sort_rows
-from .tokens import C2_BASE, C3_BASE, C1_T_BASE, TokenSequence, VOCAB_SIZE
+from .tokens import C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE
 
 EV_VERTEX = 0
 EV_STRIP = 1
 EV_ISLAND = 2
+
+# the class of each token id: coarse (any of the three codebooks), mid,
+# fine; a coarse id is its event kind * 64 + its code
+_COARSE, _MID, _FINE = b"cmf"
+_CLASS = np.frombuffer(
+    b"c" * C2_BASE + b"m" * (C3_BASE - C2_BASE) + b"f" * (VOCAB_SIZE - C3_BASE), dtype=np.uint8
+)
+_FIRST_TRIPLE = re.compile(b"cmf")
+_IN_VOCAB = range(VOCAB_SIZE).__contains__
 
 # a packed grid key takes 27 bits; the island id goes above them
 _KEY_BITS = 27
@@ -67,90 +89,40 @@ class VertexStream:
 
 
 def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
-    """Expand a token list into vertex events.
+    """Expand a token list into vertex events by the module's parse rule.
 
-    A (c1, c2) cache supplies omitted prefixes.  A pending partial triple
-    that cannot be extended by the incoming token is discarded (counted per
-    token) and parsing resumes from the incoming token, so consecutive
-    markers drop the earlier one; bare mid/fine tokens before any complete
-    vertex and dangling prefixes at end of stream are discarded likewise.
+    A full triple's kind comes from its coarse codebook; a vertex from the
+    cache is ``EV_VERTEX``.  Every token is consumed by one event or
+    discarded.
     """
     tokens = t.tokens if isinstance(t, TokenSequence) else t
-    flat: list[int] = []  # kind, c1, c2, c3 of each event in turn
-    emit = flat.extend
-    discarded = 0
-    consumed = 0
-    cache_c1 = -1
-    cache_c2 = -1
-    # pending state: 0 empty, 1 have c1, 2 have c1+c2, 3 have bare c2
-    state = 0
-    p_kind = 0
-    p_c1 = 0
-    p_c2 = 0
-
-    for tok in tokens:
-        if tok < 0 or tok >= VOCAB_SIZE:
-            discarded += 1
-            continue
-        while True:
-            if tok < C2_BASE:
-                if state == 0:
-                    if tok < C1_T_BASE:
-                        p_kind, p_c1 = EV_VERTEX, tok
-                    elif tok < 128:
-                        p_kind, p_c1 = EV_STRIP, tok - 64
-                    else:
-                        p_kind, p_c1 = EV_ISLAND, tok - 128
-                    state = 1
-                    break
-                discarded += 2 if state == 2 else 1
-                state = 0
-                continue
-            if tok < C3_BASE:
-                c2 = tok - C2_BASE
-                if state == 0:
-                    if cache_c1 >= 0:
-                        p_c2 = c2
-                        state = 3
-                    else:
-                        discarded += 1
-                    break
-                if state == 1:
-                    p_c2 = c2
-                    state = 2
-                    break
-                discarded += 2 if state == 2 else 1
-                state = 0
-                continue
-            c3 = tok - C3_BASE
-            if state == 2:
-                emit((p_kind, p_c1, p_c2, c3))
-                consumed += 3
-                cache_c1, cache_c2 = p_c1, p_c2
-                state = 0
-                break
-            if state == 3:
-                emit((EV_VERTEX, cache_c1, p_c2, c3))
-                consumed += 2
-                cache_c2 = p_c2
-                state = 0
-                break
-            if state == 0:
-                if cache_c1 >= 0:
-                    emit((EV_VERTEX, cache_c1, cache_c2, c3))
-                    consumed += 1
-                else:
-                    discarded += 1
-                break
-            # state == 1: lone c1 before a fine token
-            discarded += 1
-            state = 0
-            continue
-
-    if state:
-        discarded += 2 if state == 2 else 1
-    events = np.array(flat, dtype=np.int64).reshape(-1, 4)
-    return VertexStream(events=events, discarded=discarded, consumed_tokens=consumed)
+    n_tokens = len(tokens)
+    try:
+        ids = np.array(tokens, dtype=np.int64)
+    except OverflowError:  # an int beyond int64 is outside the vocabulary
+        ids = np.array(list(filter(_IN_VOCAB, tokens)), dtype=np.int64)
+    if len(ids) and ids.view(np.uint64).max() >= VOCAB_SIZE:  # negative ids wrap above it
+        ids = ids[ids.view(np.uint64) < VOCAB_SIZE]
+    classes = _CLASS[ids]
+    first = _FIRST_TRIPLE.search(classes.tobytes())
+    if first is None:
+        return VertexStream(np.zeros((0, 4), dtype=np.int64), n_tokens, 0)
+    classes = classes[first.start() :]
+    ids = ids[first.start() :]
+    fine = (classes == _FINE).nonzero()[0]
+    at_mid = fine - 1
+    at_coarse = fine - 2
+    mid = classes[at_mid] == _MID
+    full = mid & (classes[at_coarse] == _COARSE)
+    # each event takes its coarse and mid codes from the latest event that
+    # read one; the first event is a full triple, so both are set from it on
+    events = np.empty((len(fine), 4), dtype=np.int64)
+    np.divmod(ids[np.maximum.accumulate(at_coarse * full)], 64, out=(events[:, 0], events[:, 1]))
+    events[:, 0] *= full
+    np.subtract(ids[np.maximum.accumulate(at_mid * mid)], C2_BASE, out=events[:, 2])
+    np.subtract(ids[fine], C3_BASE, out=events[:, 3])
+    consumed = len(fine) + int(np.count_nonzero(mid)) + int(np.count_nonzero(full))
+    return VertexStream(events=events, discarded=n_tokens - consumed, consumed_tokens=consumed)
 
 
 @dataclass
@@ -272,6 +244,8 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
         ok = ok[np.sort(order[first_of_set])]
         report.duplicate_faces = len(rows) - report.degenerate_faces - len(ok)
     rows = rows[ok]
+    if stride == 2 and len(rows) and (rows[:, 3] < 0).all():
+        rows = rows[:, :3]  # no quad kept: a triangle mesh, as its OBJ reloads
 
     # number the referenced vertices densely in id order; the -1 pad marks
     # and maps through the spare last slot
@@ -303,7 +277,8 @@ def decode(
     repeated welded index and duplicate faces (same unordered index set)
     are dropped; everything dropped is counted in the report.  Welding
     merges identical coordinates within an island only.  Faces have
-    ``stride + 2`` columns.
+    ``stride + 2`` columns, or 3 at stride 2 when no quad is kept (an
+    empty decode has ``stride + 2``).
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")

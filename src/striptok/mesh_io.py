@@ -7,11 +7,11 @@ is supplied.
 
 :func:`load_obj` reads a file once and parses its records in bulk when
 they are plain: each ``v``, ``vt`` and ``f`` line starts with its tag and
-one space, ``v`` has 3 numbers, ``vt`` 2, and every ``f`` the same 3 or 4
-positive, in-range corners of one form.  Everything else, including every
-file that mixes triangles and quads and every error, goes through the
-per-line loop, which alone words the errors and numbers the lines; both
-return the same :class:`Mesh`.
+one space, ``v`` has 3 numbers, ``vt`` 2, and every ``f`` 3 or 4
+positive, in-range corners of one form (triangles and quads may mix).
+Everything else, and every error, goes through the per-line loop, which
+alone words the errors and numbers the lines; both return the same
+:class:`Mesh`.
 
 Face adjacency (UV islands, the manifold check, and the strip walk in
 ``strips``) is read from one stably sorted table of packed undirected edge
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -169,9 +170,8 @@ def _parse_lines(text: str) -> Mesh:
 
 
 def _rows(flat: list[int], degrees: list[int], count: int, message: str) -> np.ndarray:
-    """Face rows of the given degrees from their 0-based corners in file
-    order, as one ``(F, d)`` int64 array with the -1 pad; raises
-    ``ValueError`` on the first corner not below ``count``."""
+    """:func:`_pad` of the 0-based corners ``flat``; raises ``ValueError`` on
+    the first corner not below ``count``."""
     try:
         values = np.array(flat, dtype=np.int64)
     except OverflowError:  # past int64, so out of range: clamp to find the first
@@ -179,9 +179,17 @@ def _rows(flat: list[int], degrees: list[int], count: int, message: str) -> np.n
     bad = np.flatnonzero(values >= count)
     if len(bad):
         raise ValueError(message.format(flat[bad[0]] + 1, count))
-    deg = np.array(degrees, dtype=np.int64)
-    rows = np.full((len(deg), deg.max(initial=3)), -1, dtype=np.int64)
-    rows[np.arange(rows.shape[1]) < deg[:, None]] = values
+    return _pad(values, np.array(degrees, dtype=np.int64))
+
+
+def _pad(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Face rows of the given degrees from their corners in file order, as
+    one ``(F, d)`` int64 array with the -1 pad."""
+    width = degrees.max(initial=3)
+    if degrees.min(initial=width) == width:
+        return values.reshape(-1, width)
+    rows = np.full((len(degrees), width), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < degrees[:, None]] = values
     return rows
 
 
@@ -229,36 +237,50 @@ def _floats(runs: list[str], width: int) -> np.ndarray | None:
         return None
 
 
-def _corners(runs: list[str]) -> tuple[np.ndarray, bool] | None:
-    """Face corners as an ``(F, d, k)`` array of their ``k`` numbers, and
-    whether the second number is a uv index; or None unless every line is
-    ``f`` and a uniform 3 or 4 corners, all in the first corner's form."""
+def _corners(runs: list[str]) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """Face corners in file order as a ``(C, k)`` array of their ``k``
+    numbers, the number of corners of each face, and whether the second
+    number is a uv index; or None unless every line is ``f`` and 3 or 4
+    corners, all in the first corner's form."""
     tokens, n = _block(runs)
+    # each line starts with an "f" token; if no corner is or starts with
+    # "f" (no corner of digits and "/" does), the tokens between two tags
+    # are one line's corners
     d1, rem = divmod(len(tokens), n)
-    # no corner of digits and "/" is an "f", so if the corners check out,
-    # the n tags sit one at the start of each line
-    if rem or d1 not in (4, 5) or tokens[::d1].count("f") != n:
+    if not rem and tokens[::d1].count("f") == n:
+        del tokens[::d1]
+        degrees = np.full(n, d1 - 1)
+        payload = " ".join(tokens)
+    elif tokens.count("f") == n:  # triangles and quads mixed
+        lines = (" " + " ".join(tokens)).split(" f")[1:]
+        degrees = np.fromiter(map(str.count, lines, repeat(" ")), dtype=np.int64)
+        if degrees.sum() != len(tokens) - n:
+            return None
+        payload = "".join(lines)[1:]
+    else:
         return None
-    del tokens[::d1]
-    separators = tokens[0].translate(_NO_DIGITS)
-    adjacent = "//" in tokens[0]
+    n_corners = int(degrees.sum())
+    first = payload[: payload.find(" ")]
+    separators = first.translate(_NO_DIGITS)
+    adjacent = "//" in first
     form = _CORNER_FORMS.get((separators, adjacent))
-    payload = " ".join(tokens)
     # every corner is digits between the first one's separators (the NumPy
     # parse is only fed digits, spaces and "/")
     if (
         form is None
+        or degrees.min() < 3
+        or degrees.max() > 4
         or not payload.isascii()
-        or payload.translate(_NO_DIGITS) + " " != (separators + " ") * len(tokens)
-        or (adjacent and payload.count("//") != len(tokens))
+        or payload.translate(_NO_DIGITS) + " " != (separators + " ") * n_corners
+        or (adjacent and payload.count("//") != n_corners)
     ):
         return None
     width, has_uv = form
     values = np.fromstring(payload.replace("/", " "), dtype=np.int64, sep=" ")
     # an empty number (other than the uv field of a//c) parses as nothing
-    if len(values) != len(tokens) * width:
+    if len(values) != n_corners * width:
         return None
-    return values.reshape(n, d1 - 1, width), has_uv
+    return values.reshape(n_corners, width), degrees, has_uv
 
 
 def _indices(values: np.ndarray, count: int) -> np.ndarray | None:
@@ -275,8 +297,8 @@ def _parse_bulk(text: str) -> Mesh | None:
 
     Parses all ``v``, ``vt`` and ``f`` records at once when each starts its
     line with the tag and one space; ``v`` has 3 numbers, ``vt`` 2, and
-    every ``f`` the same 3 or 4 positive, in-range corners of one form
-    (``a``, ``a/b``, ``a//c`` or ``a/b/c``).  Every other line must be one
+    every ``f`` 3 or 4 positive, in-range corners of one form (``a``,
+    ``a/b``, ``a//c`` or ``a/b/c``).  Every other line must be one
     the per-line loop skips.  Any other file gives None; this never raises.
     """
     runs: dict[str, list[str]] = {tag: [] for tag in _TAGS}
@@ -299,11 +321,13 @@ def _parse_bulk(text: str) -> Mesh | None:
         parsed = _corners(runs["f"])
         if parsed is None:
             return None
-        corners, has_uv = parsed
-        faces = _indices(corners[:, :, 0], len(points))
-        face_uvs = _indices(corners[:, :, 1], len(uvs)) if has_uv else None
+        corners, degrees, has_uv = parsed
+        faces = _indices(corners[:, 0], len(points))
+        face_uvs = _indices(corners[:, 1], len(uvs)) if has_uv else None
         if faces is None or (has_uv and face_uvs is None):
             return None
+        faces = _pad(faces, degrees)
+        face_uvs = _pad(face_uvs, degrees) if has_uv else None
     return Mesh(positions=points, faces=faces, uv_coords=uvs if len(uvs) else None, face_uvs=face_uvs)
 
 
@@ -324,25 +348,39 @@ def split_quad_faces(faces: np.ndarray) -> np.ndarray:
     return halves[np.stack([np.ones_like(tri), ~tri], axis=1)]
 
 
+def _float_block(record: str, values: np.ndarray) -> str:
+    """``record`` once per row of ``values``, each float as ``'%.9g'``.
+
+    Equal bits share one formatted text, so -0.0 and 0.0 (and NaN payloads)
+    stay apart, as formatting each value would keep them.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64).reshape(-1)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map("%.9g".__mod__, distinct.view(np.float64).tolist())), dtype=object)
+    return record * len(values) % tuple(text[inverse].tolist())
+
+
 def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> None:
     """Write a Mesh as OBJ text (9 significant digits, LF line endings).
 
     With a partition, faces are emitted grouped by ascending island id under
     ``g island_<id>`` records (stable within each island).  Each record
     block is one ``%`` format over all its values; ``'%.9g' % x`` and
-    ``format(x, '.9g')`` share CPython's float formatter.  Pads are skipped,
-    so a padded row is written as a triangle.
+    ``format(x, '.9g')`` share CPython's float formatter.  The ``v`` and
+    ``vt`` blocks format each distinct float (by its bits) once and place
+    the text by index: a decode has at most 512 values per axis.  Pads are
+    skipped, so a padded row is written as a triangle.
     """
     if not len(mesh.positions) or not len(mesh.faces):
         raise ValueError("empty mesh")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):
         raise ValueError("partition does not match face count")
 
-    blocks = ["v %.9g %.9g %.9g\n" * len(mesh.positions) % tuple(mesh.positions.ravel().tolist())]
+    blocks = [_float_block("v %s %s %s\n", mesh.positions)]
     values = mesh.faces
     corner = " %d"
     if mesh.uv_coords is not None and mesh.face_uvs is not None:
-        blocks.append("vt %.9g %.9g\n" * len(mesh.uv_coords) % tuple(mesh.uv_coords.ravel().tolist()))
+        blocks.append(_float_block("vt %s %s\n", mesh.uv_coords))
         values = np.stack([mesh.faces, mesh.face_uvs], axis=2)
         corner = " %d/%d"
     real = mesh.faces >= 0

@@ -122,6 +122,14 @@ def _strip(codes, base=C1_T_BASE):
     return tokens
 
 
+def _with_junk(tokens, junk):
+    """``tokens`` with the ``junk`` ids in turn between each two of them."""
+    out = [tokens[0]]
+    for i, tok in enumerate(tokens[1:]):
+        out += [junk[i % len(junk)], tok]
+    return out
+
+
 _A, _B, _C, _D, _E = (encode_hier(g) for g in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 2)])
 
 NAMED_STREAMS = {
@@ -140,6 +148,12 @@ NAMED_STREAMS = {
     "leading_plain_head": _strip([_A, _B, _C], 0) + _strip([_B, _C, _D], C1_UV_BASE),
     "consecutive_markers": [C1_T_BASE, C1_UV_BASE + 1] + _strip([_A, _B, _C]),
     "prefix_sharing": _triple(_A, C1_T_BASE) + [C3_BASE + 5, C2_BASE + 9, C3_BASE, C3_BASE + 7],
+    # ids outside the vocabulary inside triples change nothing
+    "out_of_vocabulary_in_triples": _with_junk(_strip([_A, _B, _C, _D]), [-1, 5000, 4800, -7]),
+    "beyond_int64": [2**70, *_triple(_A, C1_T_BASE), -(2**70), *_triple(_B), 2**63, *_triple(_C), -(2**63) - 1],
+    "bare_before_first_triple": [C2_BASE + 3, C3_BASE + 1, C3_BASE + 2, C2_BASE, C3_BASE] + _strip([_A, _B, _C]),
+    "dangling_coarse_mid": _strip([_A, _B, _C, _D]) + [C1_UV_BASE + 1, C2_BASE + 2],
+    "uniform_4096": np.random.default_rng(0).integers(0, 4800, 4096).tolist(),
 }
 
 
@@ -172,8 +186,10 @@ def _assert_decode_equal(tokens, stride, drop_duplicates):
     old = oracles._decode_impl(old_stream, stride, transform, drop_duplicates)
     mesh, partition, report = new
     n_faces = len(old[0].faces)
+    # a stride-2 decode that keeps no quad is a triangle mesh; an empty one has stride + 2 columns
+    width = 4 if stride == 2 and (not n_faces or any(len(f) == 4 for f in old[0].faces)) else 3
     assert mesh.vertex_keys.dtype == np.int64 and mesh.vertex_keys.shape == (len(old[0].vertex_keys), 3)
-    assert mesh.faces.dtype == np.int64 and mesh.faces.shape == (n_faces, stride + 2)
+    assert mesh.faces.dtype == np.int64 and mesh.faces.shape == (n_faces, width)
     assert mesh.island_of_face.dtype == np.int64 and mesh.island_of_face.shape == (n_faces,)
     assert partition.island_of_face.dtype == np.int64 and partition.island_of_face.shape == (n_faces,)
     assert as_lists(mesh) == old[0]
@@ -209,6 +225,21 @@ def test_named_streams_reach_every_counter():
     assert partition.island_count == 2 and len(mesh.vertex_keys) == 8
     mesh, _, _ = _assert_decode_equal(NAMED_STREAMS["odd_stride2_strip"], 2, True)
     assert mesh.faces[:, 3].tolist() == [2, -1]
+    # a stride-2 decode whose one kept face is a trailing triangle
+    mesh, _, _ = _assert_decode_equal(NAMED_STREAMS["short_strips"], 2, True)
+    assert mesh.faces.tolist() == [[0, 1, 2]]
+
+
+def test_named_parse_streams():
+    # out-of-vocabulary ids, however large, change no event
+    clean = parse_tokens(_strip([_A, _B, _C, _D]) + _strip([_A, _B, _C]))
+    for name, discarded in [("out_of_vocabulary_in_triples", 11), ("beyond_int64", 4)]:
+        stream, _ = _assert_parse_equal(NAMED_STREAMS[name])
+        assert stream.events.tolist() == clean.events[: len(stream.events)].tolist()
+        assert stream.discarded == discarded
+    stream, _ = _assert_parse_equal(NAMED_STREAMS["bare_before_first_triple"])
+    assert stream.events.tolist() == clean.events[4:].tolist() and stream.discarded == 5
+    assert _assert_parse_equal(NAMED_STREAMS["dangling_coarse_mid"])[0].discarded == 2
 
 
 # --- decode_hier --------------------------------------------------------
@@ -323,3 +354,29 @@ def test_write_obj_decoded_mixed_faces_match_oracle():
     assert set((mesh.faces >= 0).sum(axis=1).tolist()) == {3, 4} and partition.island_count == 3
     for part in (None, partition):
         assert _obj_bytes(write_obj, mesh, part) == _obj_bytes(oracles.write_obj, mesh, part)
+
+
+def test_write_obj_every_cell_centre_matches_oracle():
+    # all 512 cell centres of each axis at a non-unit transform, each
+    # written for two vertices
+    g = np.arange(512)
+    keys = np.stack([g, g[::-1], g * 7 % 512], axis=1)
+    q = QuantizedMesh(
+        vertex_keys=np.concatenate([keys, keys[:, [1, 2, 0]]]),
+        faces=np.arange(1022)[:, None] + np.arange(3),
+        island_of_face=None,
+        transform=Transform((1.3, -0.7, 2.5), 3.7),
+    )
+    mesh = dequantize_mesh(q)
+    assert [len(np.unique(mesh.positions[:, axis])) for axis in range(3)] == [512] * 3
+    assert _obj_bytes(write_obj, mesh, None) == _obj_bytes(oracles.write_obj, mesh, None)
+
+
+def test_write_obj_signed_zeros_match_oracle():
+    # -0.0 and 0.0 compare equal but print apart, in positions and in uvs
+    positions = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0], [1.0, 0.0, -0.0]])
+    uv_coords = np.array([[-0.0, 0.0], [0.0, -0.0], [0.5, 0.5]])
+    mesh = Mesh(positions, np.array([[0, 1, 2]]), uv_coords, np.array([[0, 1, 2]]))
+    text = _obj_bytes(write_obj, mesh, None)
+    assert text == _obj_bytes(oracles.write_obj, mesh, None)
+    assert b"v -0 0 1\nv 0 -0 -0\n" in text and b"vt -0 0\nvt 0 -0\n" in text

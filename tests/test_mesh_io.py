@@ -12,7 +12,10 @@ from striptok import (
     Mesh,
     ObjParseError,
     corpus_filter,
+    decode_tokens,
+    dequantize_mesh,
     load_obj,
+    serialize,
     single_island,
     uv_islands,
     write_obj,
@@ -22,6 +25,7 @@ from striptok.mesh_io import is_edge_manifold
 
 from oracles import as_arrays, as_lists, mesh_signature
 import synth
+from test_tokens import manual_strip_set
 
 
 def write_text(path, text):
@@ -183,6 +187,17 @@ class TestBulkPath:
         assert "g island_2" in path.read_text()
         back = self.assert_bulk(path)
         assert back.face_uvs is not None and len(back.faces) == len(mesh.faces)
+
+    def test_decoded_odd_strips(self, tmp_path):
+        # a stride-2 decode mixes quads and the trailing triangles of odd strips
+        strips = [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 2)], [(5, 5, 5), (6, 5, 5), (5, 6, 5)]]
+        decoded, partition, _ = decode_tokens(serialize(manual_strip_set(strips, [0, 1], stride=2), uv_mode=True))
+        path = tmp_path / "odd.obj"
+        write_obj(dequantize_mesh(decoded), path, partition)
+        assert partition.island_count == 2
+        assert mesh_io._parse_bulk(path.read_text(encoding="utf-8")) is not None
+        assert np.array_equal(self.assert_bulk(path).faces, decoded.faces)
+        assert decoded.faces[:, 3].tolist() == [2, -1, -1]
 
     def test_written_without_uvs(self, tmp_path):
         mesh = synth.icosphere(1)
