@@ -21,7 +21,7 @@ from .quantize import (
     encode_hier,
     quantize_mesh,
 )
-from .strips import Strip, StripSet, extract_strips, seed_order
+from .strips import StripSet, extract_strips, seed_order
 from .tokens import (
     TokenFileError,
     TokenHeader,

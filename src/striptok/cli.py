@@ -89,7 +89,7 @@ def _encode_one(src, args, row):
         faces=len(q.faces),
         vertices=len(q.vertex_keys),
         islands=q.island_count(),
-        strips=len(strips.strips),
+        strips=len(strips.islands),
         tokens=stats.token_length,
         comp_rate=round(stats.comp_rate, 6),
         level_shares=_shares_dict(stats),

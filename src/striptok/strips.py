@@ -6,7 +6,8 @@ or a swapped pair for quads (stride 2).  Seeds are the lowest unvisited
 faces under a coordinate order, islands are traversed bottom-to-top along
 the configured vertical axis, and strips never leave their island.
 Faces across a frontier edge are found through its packed edge key
-(:func:`mesh_io.sorted_edge_keys`).
+(:func:`mesh_io.sorted_edge_keys`).  A :class:`StripSet` holds the strips
+as flat arrays, one strip's keys after another's.
 """
 
 from __future__ import annotations
@@ -59,30 +60,29 @@ def seed_order(q: QuantizedMesh, island: int | None = None, up_axis: str = "y") 
 
 
 @dataclass
-class Strip:
-    keys: list[int]
-    island: int
-    stride: int
-
-
-@dataclass
 class StripSet:
-    strips: list[Strip]
+    """Strip ``i`` is ``keys[offsets[i]:offsets[i + 1]]``, in island ``islands[i]``."""
+
+    keys: np.ndarray  # (K,) int64 indices into vertex_keys, every strip's back to back
+    offsets: np.ndarray  # (S + 1,) int64, from 0 to K
+    islands: np.ndarray  # (S,) int64
     vertex_keys: np.ndarray  # (V, 3) grid keys, as QuantizedMesh.vertex_keys
     islands_in_order: list[int]
     stride: int
     transform: Transform
 
+    @property
+    def strips(self) -> list[np.ndarray]:
+        """Each strip's keys, as views of ``keys``."""
+        return np.split(self.keys, self.offsets[1:-1]) if len(self.islands) else []
+
     def face_count(self) -> int:
         """Faces the strips decode to: ``m - 2`` for a stride-1 strip of ``m``
         keys, ``(m - 2) // 2 + m % 2`` (quads, then a trailing triangle) at
         stride 2, and none for a strip shorter than 3."""
-        n = 0
-        for s in self.strips:
-            m = len(s.keys)
-            if m >= 3:
-                n += m - 2 if s.stride == 1 else (m - 2) // 2 + m % 2
-        return n
+        m = np.diff(self.offsets)
+        m = m[m >= 3]
+        return int((m - 2 if self.stride == 1 else (m - 2) // 2 + m % 2).sum())
 
 
 def _quad_new_pair(face: list[int], e0: int, e1: int) -> tuple[int, int]:
@@ -104,7 +104,8 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     additionally swapped in its last two entries so that pair-wise decoding
     reassembles the stored cyclic order.  Growth crosses the frontier edge
     to the unvisited face there (ties on non-manifold edges go to the
-    lowest face) and stops at boundaries and visited faces.
+    lowest face) and stops at boundaries and visited faces.  A face that
+    repeats a corner raises ``ValueError``.
 
     "Lowest face" compares sorted vertex-rank tuples, ties going to the
     lower face index; each face's tuple is replaced by its integer rank
@@ -117,14 +118,20 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     degree = 3 if stride == 1 else 4
     faces, nfaces, nkeys = q.faces, len(q.faces), len(q.vertex_keys)
     if not nfaces:
-        return StripSet([], q.vertex_keys, [], stride, q.transform)
+        empty = np.zeros(0, dtype=np.int64)
+        return StripSet(empty, np.zeros(1, dtype=np.int64), empty, q.vertex_keys, [], stride, q.transform)
     if faces.shape[1] != degree or faces.min() < 0:
         # a -1 pads a triangle among quads
         found = faces.shape[1] if faces.shape[1] != degree else 3
         raise ValueError(f"stride {stride} requires degree-{degree} faces, found degree {found}")
+    corners = np.sort(faces, axis=1)
+    repeats = (corners[:, 1:] == corners[:, :-1]).any(axis=1)
+    if repeats.any():
+        bad = int(repeats.argmax())
+        raise ValueError(f"face {bad} repeats a corner: {tuple(faces[bad].tolist())}")
     rank_arr = _rank_array(q, up_axis)
     order, heads = _face_order(faces, rank_arr)
-    # a seed starts at its lowest-ranked corner (the first, if repeated)
+    # a seed starts at its lowest-ranked corner
     lowest_corner = np.argmin(rank_arr[faces], axis=1).tolist()
     # equal sorted rank tuples get equal face ranks
     face_rank = np.empty_like(order)
@@ -155,7 +162,10 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     labels, face_list = labels.tolist(), faces.tolist()
 
     visited = [False] * nfaces
-    strips: list[Strip] = []
+    # every strip's keys back to back, with each strip's end and island
+    keys: list[int] = []
+    ends: list[int] = []
+    strip_islands: list[int] = []
 
     def next_face(e0: int, e1: int, island: int):
         best = None
@@ -174,7 +184,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
             if visited[seed]:
                 continue
             face, k = face_list[seed], lowest_corner[seed]
-            keys = face[k:] + face[:k]
+            keys += face[k:] + face[:k]
             if stride == 2:
                 keys[-1], keys[-2] = keys[-2], keys[-1]
             visited[seed] = True
@@ -189,10 +199,13 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
                 else:
                     keys.extend(_quad_new_pair(face, e0, e1))
                 visited[fi] = True
-            strips.append(Strip(keys=keys, island=island, stride=stride))
+            ends.append(len(keys))
+            strip_islands.append(island)
 
     return StripSet(
-        strips=strips,
+        keys=np.array(keys, dtype=np.int64),
+        offsets=np.array([0] + ends, dtype=np.int64),
+        islands=np.array(strip_islands, dtype=np.int64),
         vertex_keys=q.vertex_keys,
         islands_in_order=islands_in_order,
         stride=stride,

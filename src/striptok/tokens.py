@@ -5,6 +5,10 @@ geometry, strip-transition, island-transition) ahead of the mid and fine
 level ranges.  Consecutive vertices that share coarse/mid codes drop the
 repeated prefix; transition markers are never compressed and reset the
 sharing context.
+
+Token ids travel as ``uint16`` NumPy arrays from :func:`serialize` to the
+``.sato`` bytes and back; functions that take a sequence also accept a
+list of ints.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .quantize import Transform, encode_hier
 from .strips import StripSet, seed_order
@@ -27,16 +33,6 @@ class VocabLayout:
     c2: tuple[int, int] = (192, 704)
     c3: tuple[int, int] = (704, 4800)
     total_size: int = 4800
-
-    @property
-    def ranges(self):
-        return {
-            "C1_GEO": self.c1_geo,
-            "C1_T": self.c1_strip,
-            "C1_UV": self.c1_island,
-            "C2": self.c2,
-            "C3": self.c3,
-        }
 
 
 VOCAB = VocabLayout()
@@ -59,7 +55,7 @@ class TokenHeader:
 
 @dataclass
 class TokenSequence:
-    tokens: list[int]
+    tokens: np.ndarray | list[int]  # (n,) uint16 from serialize and read_tokens
     header: TokenHeader
 
 
@@ -71,27 +67,28 @@ def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
     never compressed.  Later vertices drop the coarse code when it matches
     the previous vertex, and the mid code too when both match.
     """
-    if not s.strips:
+    if not len(s.islands):
         raise ValueError("empty strip set")
-    codes = encode_hier(s.vertex_keys).tolist()
-    tokens: list[int] = []
-    prev: tuple[int, int] | None = None
-    seen_islands: set[int] = set()
-    for strip in s.strips:
-        new_island = strip.island not in seen_islands
-        seen_islands.add(strip.island)
-        for j, key in enumerate(strip.keys):
-            c1, c2, c3 = codes[key]
-            if j == 0:
-                base = C1_UV_BASE if (uv_mode and new_island) else C1_T_BASE
-                tokens.extend((base + c1, C2_BASE + c2, C3_BASE + c3))
-            elif prev == (c1, c2):
-                tokens.append(C3_BASE + c3)
-            elif prev is not None and prev[0] == c1:
-                tokens.extend((C2_BASE + c2, C3_BASE + c3))
-            else:
-                tokens.extend((C1_GEO_BASE + c1, C2_BASE + c2, C3_BASE + c3))
-            prev = (c1, c2)
+    c1, c2, c3 = encode_hier(s.vertex_keys)[s.keys].T
+    # an island's first strip is its first occurrence in strip order
+    base = np.full(len(s.islands), C1_T_BASE)
+    if uv_mode:
+        base[np.unique(s.islands, return_index=True)[1]] = C1_UV_BASE
+    starts = s.offsets[:-1]
+    filled = starts < s.offsets[1:]
+    heads, coarse = starts[filled], np.full(len(s.keys), C1_GEO_BASE)
+    coarse[heads] = base[filled]
+    # tokens per vertex: 3 at a head, else 1 if (c1, c2) repeats, 2 if only c1 does
+    same1 = c1 == np.r_[-1, c1[:-1]]
+    same2 = same1 & (c2 == np.r_[-1, c2[:-1]])
+    same1[heads] = same2[heads] = False
+    count = 3 - same1 - same2
+    end = np.cumsum(count)
+    tokens = np.empty(count.sum(), dtype=np.uint16)
+    full, mid = count == 3, count >= 2
+    tokens[end[full] - 3] = coarse[full] + c1[full]
+    tokens[end[mid] - 2] = C2_BASE + c2[mid]
+    tokens[end - 1] = C3_BASE + c3
     header = TokenHeader(
         uv_mode=uv_mode,
         source_stride=s.stride,
@@ -111,13 +108,8 @@ def baseline_serialize(q) -> TokenSequence:
         raise ValueError("empty mesh")
     if q.face_degree != 3:
         raise ValueError("baseline encoding expects a triangle mesh")
-    codes = encode_hier(q.vertex_keys).tolist()
-    faces = q.faces.tolist()
-    tokens: list[int] = []
-    for fi in seed_order(q):
-        for v in faces[fi]:
-            c1, c2, c3 = codes[v]
-            tokens.extend((C1_GEO_BASE + c1, C2_BASE + c2, C3_BASE + c3))
+    codes = encode_hier(q.vertex_keys)[q.faces[seed_order(q)]]
+    tokens = (codes + (C1_GEO_BASE, C2_BASE, C3_BASE)).astype(np.uint16).ravel()
     header = TokenHeader(
         uv_mode=False, source_stride=1, transform=q.transform, face_count=len(q.faces)
     )
@@ -141,16 +133,10 @@ def compression_stats(t: TokenSequence) -> TokenStats:
     """
     if t.header.face_count <= 0:
         raise ValueError("zero faces")
-    n1 = n2 = n3 = transitions = 0
-    for tok in t.tokens:
-        if tok < C2_BASE:
-            n1 += 1
-            if C1_T_BASE <= tok < C2_BASE:
-                transitions += 1
-        elif tok < C3_BASE:
-            n2 += 1
-        else:
-            n3 += 1
+    # classes: plain coarse, marker (strip or island), mid, fine
+    level = np.searchsorted((C1_T_BASE, C2_BASE, C3_BASE), t.tokens, side="right")
+    geo, transitions, n2, n3 = np.bincount(level, minlength=4).tolist()
+    n1 = geo + transitions
     total = len(t.tokens)
     shares = (n1 / total, n2 / total, n3 / total) if total else (0.0, 0.0, 0.0)
     return TokenStats(
@@ -164,40 +150,39 @@ def compression_stats(t: TokenSequence) -> TokenStats:
 
 MAGIC = b"SATO"
 VERSION = 1
+# magic, version, flags, face count, center x/y/z, scale, token count
+_HEADER = struct.Struct("<4sBBI4dI")
 
 
 class TokenFileError(ValueError):
     """Corrupt or unsupported token file."""
 
 
-def _check_payload(tokens: list[int], transform: Transform) -> None:
-    """Raise :class:`TokenFileError` unless a token file can hold these ids and transform."""
+def _check_payload(tokens, transform: Transform) -> np.ndarray:
+    """The ids as a ``uint16`` array, range-checked before the cast; raise
+    :class:`TokenFileError` unless a token file can hold these ids and transform."""
     scale = transform.scale
     if not (math.isfinite(scale) and scale > 0.0):
         raise TokenFileError(f"bad transform scale {scale}")
     if not all(math.isfinite(v) for v in transform.center):
         raise TokenFileError(f"non-finite transform center {tuple(transform.center)}")
-    if tokens and (min(tokens) < 0 or max(tokens) >= VOCAB_SIZE):
-        bad = next(tok for tok in tokens if not 0 <= tok < VOCAB_SIZE)
+    ids = np.asarray(tokens)
+    # a float, or an int beyond int64 (an object array), is no vocabulary id
+    if len(ids) and (ids.dtype.kind not in "biu" or ids.min() < 0 or ids.max() >= VOCAB_SIZE):
+        bad = next(t for t in tokens if not (isinstance(t, (int, np.integer)) and 0 <= t < VOCAB_SIZE))
         raise TokenFileError(f"token id {bad} out of range")
+    return ids.astype(np.uint16)
 
 
 def write_tokens(t: TokenSequence, path) -> None:
     """Write the binary token file (magic, version, flags, header, u16 ids);
     what :func:`read_tokens` would reject raises and writes nothing."""
-    _check_payload(t.tokens, t.header.transform)
+    ids = _check_payload(t.tokens, t.header.transform)
     flags = (1 if t.header.uv_mode else 0) | (2 if t.header.source_stride == 2 else 0)
-    c = t.header.transform.center
-    blob = bytearray()
-    blob += MAGIC
-    blob.append(VERSION)
-    blob.append(flags)
-    blob += struct.pack("<I", t.header.face_count)
-    blob += struct.pack("<4d", c[0], c[1], c[2], t.header.transform.scale)
-    blob += struct.pack("<I", len(t.tokens))
-    blob += struct.pack(f"<{len(t.tokens)}H", *t.tokens)
+    transform = t.header.transform
+    head = _HEADER.pack(MAGIC, VERSION, flags, t.header.face_count, *transform.center, transform.scale, len(ids))
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(head + ids.astype("<u2", copy=False).tobytes())
 
 
 def read_tokens(path) -> TokenSequence:
@@ -216,20 +201,16 @@ def read_tokens(path) -> TokenSequence:
     version = data[4]
     if version != VERSION:
         raise TokenFileError(f"unsupported version {version}")
-    flags = data[5]
-    fixed = 6 + 4 + 32 + 4
+    fixed = _HEADER.size
     if len(data) < fixed:
         raise TokenFileError("truncated header")
-    face_count = struct.unpack_from("<I", data, 6)[0]
-    cx, cy, cz, scale = struct.unpack_from("<4d", data, 10)
-    count = struct.unpack_from("<I", data, 42)[0]
+    _, _, flags, face_count, cx, cy, cz, scale, count = _HEADER.unpack_from(data)
     if len(data) < fixed + 2 * count:
         raise TokenFileError("truncated payload")
     if len(data) > fixed + 2 * count:
         raise TokenFileError(f"{len(data) - fixed - 2 * count} trailing bytes after payload")
     transform = Transform((cx, cy, cz), scale)
-    tokens = list(struct.unpack_from(f"<{count}H", data, fixed))
-    _check_payload(tokens, transform)
+    tokens = _check_payload(np.frombuffer(data, "<u2", count, fixed), transform)
     header = TokenHeader(
         uv_mode=bool(flags & 1),
         source_stride=2 if flags & 2 else 1,

@@ -4,15 +4,17 @@ These are the original per-face Python versions of
 ``verify.compare_quantized``, ``quantize.quantize_mesh``,
 ``mesh_io.uv_islands``, ``mesh_io.is_edge_manifold`` and
 ``strips.extract_strips`` (with ``vertex_ranks`` and ``seed_order``), and the
-per-token and per-vertex codec path: ``quantize.encode_hier``,
-``quantize.decode_hier``, ``decode.parse_tokens``, ``decode._decode_impl``
-and ``mesh_io.write_obj``, kept unchanged apart from their imports.  The
+per-token and per-vertex codec path: ``StripSet.face_count``,
+``tokens.serialize``, ``quantize.encode_hier``, ``quantize.decode_hier``,
+``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
+kept unchanged apart from their imports and the list form of strips.  The
 per-point helpers they are built on (``normalize``, ``to_grid``,
 ``dequantize``, ``key_order``, ``strip_faces``, and the two float maps that
 were ``Transform`` methods) live here too: nothing in ``striptok`` calls
 them.  The package's NumPy versions must return the same results;
 ``tests/test_verify.py``, ``tests/test_quantize.py``,
-``tests/test_topology.py`` and ``tests/test_decode_oracle.py`` assert that.
+``tests/test_topology.py``, ``tests/test_tokens.py`` and
+``tests/test_decode_oracle.py`` assert that.
 The oracle ``parse_tokens`` fills ``VertexStream.events`` with a list of
 tuples, which the oracle ``_decode_impl`` reads.
 
@@ -20,7 +22,9 @@ The oracles work on :class:`Mesh`, :class:`QuantizedMesh` and
 :class:`IslandPartition` in list form: positions, keys and faces as lists of
 tuples, labels as a list.  :func:`as_lists` turns the package's arrays into
 that form, and :func:`as_arrays` builds the arrays from it; tests build
-meshes in list form and pass them through :func:`as_arrays`.
+meshes in list form and pass them through :func:`as_arrays`.  A strip set's
+list form is one ``(keys, island)`` pair per strip: :func:`strip_lists` reads
+it from a :class:`StripSet` and :func:`strip_set` builds one from it.
 """
 
 from __future__ import annotations
@@ -33,8 +37,17 @@ import numpy as np
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX, DecodeReport, VertexStream
 from striptok.mesh_io import IslandPartition, Mesh
 from striptok.quantize import EPS, GRID, QuantizedMesh, Transform
-from striptok.strips import _AXIS, Strip, StripSet
-from striptok.tokens import C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE
+from striptok.strips import _AXIS, StripSet
+from striptok.tokens import (
+    C1_GEO_BASE,
+    C1_T_BASE,
+    C1_UV_BASE,
+    C2_BASE,
+    C3_BASE,
+    TokenHeader,
+    TokenSequence,
+    VOCAB_SIZE,
+)
 
 GridCoord = tuple[int, int, int]
 HierCode = tuple[int, int, int]
@@ -110,6 +123,25 @@ def as_arrays(x):
         vertex_keys=np.array(x.vertex_keys, dtype=np.int64).reshape(-1, 3),
         faces=face_array(x.faces),
         island_of_face=_maybe(_labels, x.island_of_face),
+    )
+
+
+def strip_lists(s: StripSet) -> list[tuple[list[int], int]]:
+    """The strips of ``s`` as ``(keys, island)`` pairs of Python ints."""
+    keys, bounds = s.keys.tolist(), s.offsets.tolist()
+    return [(keys[a:b], island) for a, b, island in zip(bounds, bounds[1:], s.islands.tolist())]
+
+
+def strip_set(strips, vertex_keys, islands_in_order, stride: int, transform: Transform) -> StripSet:
+    """A :class:`StripSet` of ``(keys, island)`` pairs, one per strip."""
+    return StripSet(
+        keys=np.array([v for keys, _ in strips for v in keys], dtype=np.int64),
+        offsets=np.cumsum([0] + [len(keys) for keys, _ in strips], dtype=np.int64),
+        islands=np.array([island for _, island in strips], dtype=np.int64),
+        vertex_keys=vertex_keys,
+        islands_in_order=islands_in_order,
+        stride=stride,
+        transform=transform,
     )
 
 
@@ -192,7 +224,7 @@ def key_order(coord: GridCoord, up_axis: str = "y"):
     return (coord[u], coord[(u + 1) % 3], coord[(u + 2) % 3])
 
 
-def strip_faces(s: Strip) -> list[tuple[int, ...]]:
+def strip_faces(keys, stride: int) -> list[tuple[int, ...]]:
     """Faces implied by a strip's key run.
 
     Stride 1 emits one triangle per step with every second one flipped to
@@ -200,12 +232,12 @@ def strip_faces(s: Strip) -> list[tuple[int, ...]]:
     pair, (v[2i], v[2i+1], v[2i+3], v[2i+2]), and decodes a trailing
     unpaired vertex as a triangle.
     """
-    k = s.keys
+    k = list(keys)
     m = len(k)
     faces: list[tuple[int, ...]] = []
     if m < 3:
         return faces
-    if s.stride == 1:
+    if stride == 1:
         for i in range(m - 2):
             if i % 2 == 0:
                 faces.append((k[i], k[i + 1], k[i + 2]))
@@ -518,7 +550,8 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     additionally swapped in its last two entries so that pair-wise decoding
     reassembles the stored cyclic order.  Growth crosses the frontier edge
     to the unvisited face there (ties on non-manifold edges go to the
-    lowest face) and stops at boundaries and visited faces.
+    lowest face) and stops at boundaries and visited faces.  A face that
+    repeats a corner raises ``ValueError``.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -528,6 +561,9 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
             raise ValueError(
                 f"stride {stride} requires degree-{degree} faces, found degree {len(face)}"
             )
+    for fi, face in enumerate(q.faces):
+        if len(set(face)) < len(face):
+            raise ValueError(f"face {fi} repeats a corner: {tuple(face)}")
 
     ranks = vertex_ranks(q, up_axis)
     fkeys = _face_sort_keys(q, ranks)
@@ -540,7 +576,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     islands_in_order = sorted(faces_of_island, key=lambda l: min(fkeys[f] for f in faces_of_island[l]))
 
     visited = [False] * len(q.faces)
-    strips: list[Strip] = []
+    strips: list[tuple[list[int], int]] = []
 
     def next_face(e0: int, e1: int, island: int):
         best = None
@@ -571,15 +607,63 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
                 else:
                     keys.extend(_quad_new_pair(face, e0, e1))
                 visited[fi] = True
-            strips.append(Strip(keys=keys, island=island, stride=stride))
+            strips.append((keys, island))
 
-    return StripSet(
-        strips=strips,
-        vertex_keys=q.vertex_keys,
-        islands_in_order=islands_in_order,
-        stride=stride,
-        transform=q.transform,
+    return strip_set(strips, q.vertex_keys, islands_in_order, stride, q.transform)
+
+
+# --- StripSet.face_count, tokens.serialize -------------------------------
+
+
+def face_count(s: StripSet) -> int:
+    """Faces the strips decode to: ``m - 2`` for a stride-1 strip of ``m``
+    keys, ``(m - 2) // 2 + m % 2`` (quads, then a trailing triangle) at
+    stride 2, and none for a strip shorter than 3."""
+    n = 0
+    for keys, _ in strip_lists(s):
+        m = len(keys)
+        if m >= 3:
+            n += m - 2 if s.stride == 1 else (m - 2) // 2 + m % 2
+    return n
+
+
+def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
+    """Emit the token sequence for a strip set.
+
+    Every strip head is a marker triple (strip-transition, or
+    island-transition for the first strip of each island in uv mode) and is
+    never compressed.  Later vertices drop the coarse code when it matches
+    the previous vertex, and the mid code too when both match.
+    """
+    strips = strip_lists(s)
+    if not strips:
+        raise ValueError("empty strip set")
+    codes = [encode_hier(k) for k in np.asarray(s.vertex_keys).tolist()]
+    tokens: list[int] = []
+    prev: tuple[int, int] | None = None
+    seen_islands: set[int] = set()
+    for keys, island in strips:
+        new_island = island not in seen_islands
+        seen_islands.add(island)
+        for j, key in enumerate(keys):
+            c1, c2, c3 = codes[key]
+            if j == 0:
+                base = C1_UV_BASE if (uv_mode and new_island) else C1_T_BASE
+                tokens.extend((base + c1, C2_BASE + c2, C3_BASE + c3))
+            elif prev == (c1, c2):
+                tokens.append(C3_BASE + c3)
+            elif prev is not None and prev[0] == c1:
+                tokens.extend((C2_BASE + c2, C3_BASE + c3))
+            else:
+                tokens.extend((C1_GEO_BASE + c1, C2_BASE + c2, C3_BASE + c3))
+            prev = (c1, c2)
+    header = TokenHeader(
+        uv_mode=uv_mode,
+        source_stride=s.stride,
+        transform=s.transform,
+        face_count=face_count(s),
     )
+    return TokenSequence(tokens=tokens, header=header)
 
 
 # --- codec: quantize.encode_hier, quantize.decode_hier, decode.parse_tokens,
@@ -616,6 +700,8 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
     vertex and dangling prefixes at end of stream are discarded likewise.
     """
     tokens = t.tokens if isinstance(t, TokenSequence) else t
+    if isinstance(tokens, np.ndarray):  # uint16 ids from the package
+        tokens = tokens.tolist()
     events: list[tuple[int, int, int, int]] = []
     discarded = 0
     consumed = 0
@@ -741,7 +827,7 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
             else:
                 report.welds += 1
             idxs.append(j)
-        for face in strip_faces(Strip(keys=idxs, island=island, stride=stride)):
+        for face in strip_faces(idxs, stride):
             report.implied_faces += 1
             if len(set(face)) < len(face):
                 report.degenerate_faces += 1

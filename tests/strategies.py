@@ -80,7 +80,7 @@ def structured_stream(rng: np.random.Generator) -> list[int]:
 @lru_cache(maxsize=1)
 def encoder_output() -> tuple[int, ...]:
     """The tokens of an 8 x 8 triangle grid, the stream that gets corrupted."""
-    return tuple(encode_mesh(synth.tri_grid(8, 8), 1)[2].tokens)
+    return tuple(encode_mesh(synth.tri_grid(8, 8), 1)[2].tokens.tolist())
 
 
 def corrupted_stream(rng: np.random.Generator) -> list[int]:

@@ -42,6 +42,7 @@ from striptok.verify import compare_quantized
 import synth
 from oracles import as_lists, dequantize, normalize, to_grid, vertex_ranks
 from test_decode import validate_quantized
+from test_tokens import VOCAB_RANGES
 from strategies import corrupted_stream, structured_stream, uniform_stream
 from test_metrics import brute_nn, cube_surface, point_set
 
@@ -52,7 +53,7 @@ def ok(n, msg):
 
 def test_criterion_01_vocabulary():
     assert VOCAB.total_size == 4800
-    spans = sorted(VOCAB.ranges.values())
+    spans = sorted(VOCAB_RANGES.values())
     assert spans[0][0] == 0 and spans[-1][1] == 4800
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     ok(1, "vocabulary layout covers [0, 4800) exactly, total_size = 4800")
@@ -134,12 +135,12 @@ def test_criterion_05_compression(tri_corpus):
         stats = compression_stats(seq)
         rates.append(stats.comp_rate)
         assert stats.comp_rate <= 1.0, entry.name
-        if any(len(s.keys) > 3 for s in ss.strips):
+        if np.diff(ss.offsets).max() > 3:
             assert stats.comp_rate < 1.0, entry.name
 
     ribbon = synth.tri_ribbon(50)  # 100 triangles, single strip
     _, ss, seq = encode_mesh(ribbon, 1)
-    assert len(ss.strips) == 1
+    assert len(ss.islands) == 1
     expected = oracle_ribbon_token_count(50)
     assert len(seq.tokens) == expected
     rate_ribbon = compression_stats(seq).comp_rate
@@ -196,7 +197,7 @@ def test_criterion_06_transition_economy(tri_corpus):
         q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         q.check(len(entry.mesh.faces))
         stats = compression_stats(seq)
-        assert stats.transitions == len(ss.strips)
+        assert stats.transitions == len(ss.islands)
         patches = greedy_patch_count(q)
         assert stats.transitions <= patches, (
             f"{entry.name}: {stats.transitions} strips > {patches} patches"

@@ -83,7 +83,7 @@ def _encoded(mesh, stride, groups=None):
     if groups is not None:
         mesh = synth.with_uv_groups(mesh, groups)
         partition = uv_islands(mesh)
-    return encode_mesh(mesh, stride, partition)[2].tokens
+    return encode_mesh(mesh, stride, partition)[2].tokens.tolist()
 
 
 _ENCODED = [

@@ -9,8 +9,7 @@ import pytest
 from striptok import (
     IDENTITY_TRANSFORM,
     Mesh,
-    Strip,
-    StripSet,
+    QuantizedMesh,
     encode_mesh,
     extract_strips,
     quantize_mesh,
@@ -18,8 +17,9 @@ from striptok import (
     uv_islands,
 )
 
+import oracles
 import synth
-from oracles import as_arrays, as_lists, key_order, strip_faces, to_grid
+from oracles import as_arrays, as_lists, key_order, strip_faces, strip_lists, strip_set, to_grid
 
 
 def quantize(mesh, partition=None):
@@ -33,8 +33,8 @@ def face_coord_multiset(q, faces):
 
 def all_strip_faces(strip_set):
     out = []
-    for s in strip_set.strips:
-        out.extend(strip_faces(s))
+    for keys, _ in strip_lists(strip_set):
+        out.extend(strip_faces(keys, strip_set.stride))
     return out
 
 
@@ -98,30 +98,41 @@ class TestSeedOrder:
 
 class TestStripFaces:
     def test_stride1_flip_rule(self):
-        s = Strip(keys=[10, 11, 12, 13], island=0, stride=1)
-        assert strip_faces(s) == [(10, 11, 12), (11, 13, 12)]
+        assert strip_faces([10, 11, 12, 13], 1) == [(10, 11, 12), (11, 13, 12)]
 
     def test_stride2_quad_assembly(self):
-        s = Strip(keys=[0, 1, 2, 3], island=0, stride=2)
-        assert strip_faces(s) == [(0, 1, 3, 2)]
+        assert strip_faces([0, 1, 2, 3], 2) == [(0, 1, 3, 2)]
 
     def test_stride2_trailing_triangle(self):
-        s = Strip(keys=[0, 1, 2, 3, 4], island=0, stride=2)
-        assert strip_faces(s) == [(0, 1, 3, 2), (2, 3, 4)]
+        assert strip_faces([0, 1, 2, 3, 4], 2) == [(0, 1, 3, 2), (2, 3, 4)]
 
     def test_stride2_two_quads(self):
-        s = Strip(keys=[0, 1, 2, 3, 4, 5], island=0, stride=2)
-        assert strip_faces(s) == [(0, 1, 3, 2), (2, 3, 5, 4)]
+        assert strip_faces([0, 1, 2, 3, 4, 5], 2) == [(0, 1, 3, 2), (2, 3, 5, 4)]
 
     def test_too_short(self):
-        assert strip_faces(Strip(keys=[0, 1], island=0, stride=1)) == []
+        assert strip_faces([0, 1], 1) == []
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_face_count_equals_strip_faces(self, stride):
         for m in range(13):
-            s = Strip(keys=list(range(m)), island=0, stride=stride)
-            ss = StripSet([s, s], [], [0], stride, IDENTITY_TRANSFORM)
-            assert ss.face_count() == 2 * len(strip_faces(s)), m
+            keys = list(range(m))
+            ss = strip_set([(keys, 0), (keys, 0)], [], [0], stride, IDENTITY_TRANSFORM)
+            assert ss.face_count() == 2 * len(strip_faces(keys, stride)) == oracles.face_count(ss), m
+
+
+class TestStripSet:
+    def test_flat_arrays(self):
+        ss = extract_strips(quantize(synth.tri_grid(4, 4)), 1)
+        for field in (ss.keys, ss.offsets, ss.islands):
+            assert field.dtype == np.int64
+        assert len(ss.offsets) == len(ss.islands) + 1
+        assert ss.offsets[0] == 0 and ss.offsets[-1] == len(ss.keys)
+        assert [s.tolist() for s in ss.strips] == [keys for keys, _ in strip_lists(ss)]
+
+    def test_empty(self):
+        ss = extract_strips(as_arrays(QuantizedMesh([], [], None, IDENTITY_TRANSFORM)), 1)
+        assert ss.keys.tolist() == [] and ss.offsets.tolist() == [0] and ss.islands.tolist() == []
+        assert ss.strips == [] and ss.face_count() == 0
 
 
 class TestExtractTriangles:
@@ -129,8 +140,7 @@ class TestExtractTriangles:
         positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.0, 1.0), (1.5, 0.0, 1.0)]
         mesh = as_arrays(Mesh(positions=positions, faces=[(0, 1, 2), (1, 3, 2)]))
         ss = extract_strips(quantize(mesh), 1)
-        assert len(ss.strips) == 1
-        assert len(ss.strips[0].keys) == 4
+        assert ss.offsets.tolist() == [0, 4]
 
     def test_ribbon_single_strip_exact_sequence(self):
         # oracle: the zipper walks [b0, t0, b1, t1, ...] along the ribbon
@@ -138,8 +148,8 @@ class TestExtractTriangles:
         mesh = synth.tri_ribbon(n)
         q = quantize(mesh)
         ss = extract_strips(q, 1)
-        assert len(ss.strips) == 1
-        keys = ss.strips[0].keys
+        assert len(ss.islands) == 1
+        keys = ss.keys.tolist()
         assert len(keys) == 2 * n + 2
 
         coord_of = {}
@@ -164,7 +174,7 @@ class TestExtractTriangles:
     def test_grid_one_strip_per_row(self):
         mesh = synth.tri_grid(16, 16)
         ss = extract_strips(quantize(mesh), 1)
-        assert len(ss.strips) == 16
+        assert len(ss.islands) == 16
 
     def test_coverage_exact_partition(self, tri_corpus):
         for entry in tri_corpus:
@@ -187,11 +197,11 @@ class TestExtractTriangles:
     def test_strip_adjacency(self, tri_corpus):
         for entry in tri_corpus[:6]:
             q = quantize(entry.mesh, entry.partition)
-            for s in extract_strips(q, 1).strips:
-                faces = strip_faces(s)
+            for keys, _ in strip_lists(extract_strips(q, 1)):
+                faces = strip_faces(keys, 1)
                 for i in range(len(faces) - 1):
                     shared = set(faces[i]) & set(faces[i + 1])
-                    assert shared == {s.keys[i + 1], s.keys[i + 2]}
+                    assert shared == {keys[i + 1], keys[i + 2]}
 
     def test_stride_mismatch(self):
         mesh = synth.quad_grid(2, 2)
@@ -208,8 +218,8 @@ class TestExtractQuads:
         mesh = synth.quad_ribbon(n)
         q = quantize(mesh)
         ss = extract_strips(q, 2)
-        assert len(ss.strips) == 1
-        keys = ss.strips[0].keys
+        assert len(ss.islands) == 1
+        keys = ss.keys.tolist()
         assert len(keys) == 2 * n + 2
         # oracle: same [b0, t0, b1, t1, ...] walk as the triangle zipper
         coord_of = {}
@@ -240,11 +250,11 @@ class TestExtractQuads:
     def test_quad_strip_frontier_sharing(self):
         mesh = synth.quad_ribbon(6)
         q = quantize(mesh)
-        for s in extract_strips(q, 2).strips:
-            faces = strip_faces(s)
+        for keys, _ in strip_lists(extract_strips(q, 2)):
+            faces = strip_faces(keys, 2)
             for i in range(len(faces) - 1):
                 shared = set(faces[i]) & set(faces[i + 1])
-                assert shared == {s.keys[2 * i + 2], s.keys[2 * i + 3]}
+                assert shared == {keys[2 * i + 2], keys[2 * i + 3]}
 
 
 class TestDeterminism:
@@ -265,7 +275,7 @@ class TestDeterminism:
                 face_uvs=None if fuvs is None else fuvs[order],
             )
             partition = uv_islands(shuffled) if fuvs is not None else None
-            assert self._tokens(shuffled, partition, entry.stride) == base, entry.name
+            assert np.array_equal(self._tokens(shuffled, partition, entry.stride), base), entry.name
 
     def test_vertex_permutation_invariance(self):
         mesh = synth.icosphere(1)
@@ -275,7 +285,7 @@ class TestDeterminism:
         rng.shuffle(perm)
         inv = np.argsort(perm)
         permuted = Mesh(positions=mesh.positions[perm], faces=inv[mesh.faces])
-        assert self._tokens(permuted, None, 1) == base
+        assert np.array_equal(self._tokens(permuted, None, 1), base)
 
 
 class TestIslands:
@@ -289,11 +299,11 @@ class TestIslands:
         faces_of_island = {}
         for f, l in zip(q.faces, q.island_of_face):
             faces_of_island.setdefault(l, set()).add(frozenset(f))
-        for s in ss.strips:
-            for f in strip_faces(s):
-                assert frozenset(f) in faces_of_island[s.island]
+        for keys, island in strip_lists(ss):
+            for f in strip_faces(keys, 1):
+                assert frozenset(f) in faces_of_island[island]
         # islands appear contiguously and in bottom-up order
-        islands_seen = [s.island for s in ss.strips]
+        islands_seen = ss.islands.tolist()
         compact = [islands_seen[0]]
         for l in islands_seen[1:]:
             if l != compact[-1]:
@@ -321,7 +331,7 @@ class TestIslands:
         for entry in full_corpus:
             q = quantize(entry.mesh, entry.partition)
             ss = extract_strips(q, entry.stride)
-            assert len(ss.strips) <= len(q.faces), entry.name
+            assert len(ss.islands) <= len(q.faces), entry.name
 
 
 class TestNonManifold:

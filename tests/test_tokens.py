@@ -6,11 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from striptok import (
     IDENTITY_TRANSFORM,
-    Strip,
-    StripSet,
     TokenFileError,
     Transform,
     VOCAB,
@@ -20,12 +19,25 @@ from striptok import (
     parse_tokens,
     quantize_mesh,
     read_tokens,
+    seed_order,
     serialize,
+    uv_islands,
     write_tokens,
 )
 
+import oracles
 import synth
-from oracles import encode_hier, strip_faces
+from oracles import as_lists, encode_hier, strip_set
+from strategies import random_surfaces
+
+# the vocabulary's id ranges by name (half-open)
+VOCAB_RANGES = {
+    "C1_GEO": VOCAB.c1_geo,
+    "C1_T": VOCAB.c1_strip,
+    "C1_UV": VOCAB.c1_island,
+    "C2": VOCAB.c2,
+    "C3": VOCAB.c3,
+}
 
 
 def manual_strip_set(coord_lists, islands=None, stride=1):
@@ -41,46 +53,35 @@ def manual_strip_set(coord_lists, islands=None, stride=1):
                 index[c] = len(keys)
                 keys.append(c)
             idxs.append(index[c])
-        strips.append(Strip(keys=idxs, island=isl, stride=stride))
+        strips.append((idxs, isl))
     order = []
     for isl in islands:
         if isl not in order:
             order.append(isl)
-    return StripSet(
-        strips=strips,
-        vertex_keys=np.array(keys, dtype=np.int64).reshape(-1, 3),
-        islands_in_order=order,
-        stride=stride,
-        transform=IDENTITY_TRANSFORM,
-    )
+    vertex_keys = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    return strip_set(strips, vertex_keys, order, stride, IDENTITY_TRANSFORM)
 
 
-def oracle_serialize(strip_set, uv_mode):
-    """Straight-line reimplementation of the emission rules."""
-    tokens = []
-    prev = None
-    seen = set()
-    keys = strip_set.vertex_keys.tolist()
-    for strip in strip_set.strips:
-        first_of_island = strip.island not in seen
-        seen.add(strip.island)
-        head = True
-        for key in strip.keys:
-            c1, c2, c3 = encode_hier(keys[key])
-            if head:
-                marker = 128 + c1 if (uv_mode and first_of_island) else 64 + c1
-                tokens += [marker, 192 + c2, 704 + c3]
-                head = False
-            else:
-                assert prev is not None
-                if prev == (c1, c2):
-                    tokens += [704 + c3]
-                elif prev[0] == c1:
-                    tokens += [192 + c2, 704 + c3]
-                else:
-                    tokens += [c1, 192 + c2, 704 + c3]
-            prev = (c1, c2)
-    return tokens
+@st.composite
+def manual_strip_sets(draw):
+    """``(coord_lists, islands, stride)`` for :func:`manual_strip_set`: strips
+    of 0-6 keys over grid values at the coarse and mid cell borders, so
+    prefixes often repeat, and sparse island labels that may come back."""
+    value = st.sampled_from([0, 1, 15, 16, 127, 128, 129, 511])
+    coord = st.tuples(value, value, value)
+    coord_lists = draw(st.lists(st.lists(coord, max_size=6), min_size=1, max_size=6))
+    islands = draw(st.lists(st.sampled_from([0, 2, 5]), min_size=len(coord_lists), max_size=len(coord_lists)))
+    return coord_lists, islands, draw(st.sampled_from([1, 2]))
+
+
+def assert_serialize_matches_oracle(ss, uv_mode):
+    """``serialize`` and ``face_count`` equal their scalar oracles; the ids are ``uint16``."""
+    seq = serialize(ss, uv_mode)
+    want = oracles.serialize(ss, uv_mode)
+    assert seq.tokens.dtype == np.uint16
+    assert seq.tokens.tolist() == want.tokens
+    assert seq.header == want.header
+    assert ss.face_count() == oracles.face_count(ss)
 
 
 class TestVocab:
@@ -88,14 +89,14 @@ class TestVocab:
         assert VOCAB.total_size == 4800
 
     def test_ranges_partition_the_vocab(self):
-        ranges = sorted(VOCAB.ranges.values())
+        ranges = sorted(VOCAB_RANGES.values())
         assert ranges[0][0] == 0
         for (a0, a1), (b0, b1) in zip(ranges, ranges[1:]):
             assert a1 == b0
         assert ranges[-1][1] == VOCAB.total_size
 
     def test_range_sizes(self):
-        r = VOCAB.ranges
+        r = VOCAB_RANGES
         assert r["C1_GEO"] == (0, 64)
         assert r["C1_T"] == (64, 128)
         assert r["C1_UV"] == (128, 192)
@@ -113,7 +114,7 @@ class TestSerialize:
         coords, ss = self.one_cell_strip()
         seq = serialize(ss, uv_mode=False)
         c3s = [encode_hier(c)[2] for c in coords]
-        assert seq.tokens == [64 + 0, 192 + 0] + [704 + c3s[0]] + [704 + c for c in c3s[1:]]
+        assert seq.tokens.tolist() == [64 + 0, 192 + 0] + [704 + c3s[0]] + [704 + c for c in c3s[1:]]
         assert len(seq.tokens) == 6
         assert seq.header.face_count == 2
 
@@ -122,7 +123,7 @@ class TestSerialize:
         off = serialize(ss, uv_mode=False).tokens
         on = serialize(ss, uv_mode=True).tokens
         assert on[0] == off[0] + 64
-        assert on[1:] == off[1:]
+        assert np.array_equal(on[1:], off[1:])
 
     def test_markers_reset_sharing(self):
         # second strip head shares (c1, c2) with the previous vertex but
@@ -132,7 +133,7 @@ class TestSerialize:
         ss = manual_strip_set([a, b])
         seq = serialize(ss, uv_mode=False)
         c3 = lambda c: 704 + encode_hier(c)[2]
-        assert seq.tokens == [
+        assert seq.tokens.tolist() == [
             64, 192, c3((0, 0, 0)), c3((1, 0, 0)), c3((2, 0, 0)),
             64, 192, c3((3, 0, 0)), c3((4, 0, 0)), c3((5, 0, 0)),
         ]
@@ -145,7 +146,7 @@ class TestSerialize:
         seq = serialize(ss, uv_mode=False)
         ca, cb = encode_hier(a), encode_hier(b)
         assert cb[0] == ca[0] and cb[1] != ca[1]
-        assert seq.tokens == [
+        assert seq.tokens.tolist() == [
             64 + ca[0], 192 + ca[1], 704 + ca[2],
             192 + cb[1], 704 + cb[2],
             704 + encode_hier((18, 0, 0))[2],
@@ -163,30 +164,45 @@ class TestSerialize:
         a = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
         b = [(3, 0, 0), (4, 0, 0), (5, 0, 0)]
         c = [(0, 9, 0), (1, 9, 0), (2, 9, 0)]
-        ss = manual_strip_set([a, b, c], islands=[0, 0, 1])
-        seq = serialize(ss, uv_mode=True)
-        # strips: island head, strip head, island head
-        assert 128 <= seq.tokens[0] < 192
-        kinds = []
-        for t in seq.tokens:
-            if 64 <= t < 128:
-                kinds.append("strip")
-            elif 128 <= t < 192:
-                kinds.append("island")
-        assert kinds == ["island", "strip", "island"]
+        for islands, expected in (
+            ([0, 0, 1], ["island", "strip", "island"]),
+            # island 0 comes back after island 1: only its first strip is an island head
+            ([0, 1, 0], ["island", "island", "strip"]),
+        ):
+            seq = serialize(manual_strip_set([a, b, c], islands=islands), uv_mode=True)
+            assert 128 <= seq.tokens[0] < 192
+            kinds = []
+            for t in seq.tokens:
+                if 64 <= t < 128:
+                    kinds.append("strip")
+                elif 128 <= t < 192:
+                    kinds.append("island")
+            assert kinds == expected
 
     def test_matches_oracle_on_corpus(self, full_corpus):
         for entry in full_corpus[::3]:
             q = quantize_mesh(entry.mesh, entry.partition)
-            ss = extract_strips(q, entry.stride)
-            seq = serialize(ss, uv_mode=entry.uv_mode)
-            assert seq.tokens == oracle_serialize(ss, entry.uv_mode), entry.name
+            assert_serialize_matches_oracle(extract_strips(q, entry.stride), entry.uv_mode)
+
+    @given(manual_strip_sets(), st.booleans())
+    @example(([[(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(3, 0, 0)], [(4, 0, 0), (5, 0, 0)]], [0, 1, 0], 1), True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_on_manual_strip_sets(self, case, uv_mode):
+        coord_lists, islands, stride = case
+        assert_serialize_matches_oracle(manual_strip_set(coord_lists, islands, stride), uv_mode)
+
+    @given(random_surfaces())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_on_random_surfaces(self, case):
+        mesh, stride = case
+        partition = uv_islands(mesh) if mesh.face_uvs is not None else None
+        ss = extract_strips(quantize_mesh(mesh, partition), stride)
+        for uv_mode in (False, True):
+            assert_serialize_matches_oracle(ss, uv_mode)
 
     def test_empty_strip_set(self):
-        ss = manual_strip_set([[(0, 0, 0), (1, 0, 0), (2, 0, 0)]])
-        ss.strips = []
         with pytest.raises(ValueError, match="empty"):
-            serialize(ss)
+            serialize(manual_strip_set([]))
 
     def test_grammar_and_parse_lossless(self, full_corpus):
         for entry in full_corpus[::3]:
@@ -204,6 +220,17 @@ class TestBaseline:
         seq = baseline_serialize(q)
         assert len(seq.tokens) == 9 * len(q.faces)
         assert compression_stats(seq).comp_rate == 1.0
+
+    def test_full_triples_in_seed_order(self):
+        q = quantize_mesh(synth.icosphere(1))
+        ql = as_lists(q)
+        want = []
+        for fi in seed_order(q):
+            for v in ql.faces[fi]:
+                c1, c2, c3 = encode_hier(ql.vertex_keys[v])
+                want += [c1, 192 + c2, 704 + c3]
+        tokens = baseline_serialize(q).tokens
+        assert tokens.dtype == np.uint16 and tokens.tolist() == want
 
     def test_parses_cleanly(self):
         q = quantize_mesh(synth.icosphere(1))
@@ -237,7 +264,7 @@ class TestCompressionStats:
             q = quantize_mesh(entry.mesh, entry.partition)
             ss = extract_strips(q, entry.stride)
             stats = compression_stats(serialize(ss, uv_mode=entry.uv_mode))
-            assert stats.transitions == len(ss.strips), entry.name
+            assert stats.transitions == len(ss.islands), entry.name
 
     def test_level_shares_sum_to_one(self):
         q = quantize_mesh(synth.icosphere(2))
@@ -249,9 +276,9 @@ class TestCompressionStats:
             q = quantize_mesh(entry.mesh, entry.partition)
             ss = extract_strips(q, 1)
             seq = serialize(ss, uv_mode=entry.uv_mode)
-            total_vertices = sum(len(s.keys) for s in ss.strips)
+            total_vertices = len(ss.keys)
             assert len(seq.tokens) <= 3 * total_vertices
-            assert len(seq.tokens) >= total_vertices + 2 * len(ss.strips)
+            assert len(seq.tokens) >= total_vertices + 2 * len(ss.islands)
 
     def test_dominance_over_baseline(self, tri_corpus):
         for entry in tri_corpus:
@@ -259,7 +286,7 @@ class TestCompressionStats:
             ss = extract_strips(q, 1)
             rate = compression_stats(serialize(ss, uv_mode=entry.uv_mode)).comp_rate
             assert rate <= 1.0, entry.name
-            if any(len(s.keys) > 3 for s in ss.strips):
+            if np.diff(ss.offsets).max() > 3:
                 assert rate < 1.0, entry.name
 
     def test_zero_faces_error(self):
@@ -279,7 +306,8 @@ class TestTokenFile:
         p = tmp_path / "t.sato"
         write_tokens(seq, p)
         back = read_tokens(p)
-        assert back.tokens == seq.tokens
+        assert back.tokens.dtype == np.uint16
+        assert np.array_equal(back.tokens, seq.tokens)
         assert back.header == seq.header
 
     def test_magic_bytes(self, tmp_path):
@@ -365,11 +393,19 @@ class TestTokenFile:
             ([64, 192, 5000], IDENTITY_TRANSFORM, "token id 5000 out of range"),
             ([64, 4800, 704], IDENTITY_TRANSFORM, "token id 4800 out of range"),
             ([64, -1, 704], IDENTITY_TRANSFORM, "token id -1 out of range"),
+            ([64, 70000, 704], IDENTITY_TRANSFORM, "token id 70000 out of range"),
+            ([64, 2**70, 704], IDENTITY_TRANSFORM, f"token id {2**70} out of range"),
+            ([64, -(2**70), 704], IDENTITY_TRANSFORM, f"token id {-(2**70)} out of range"),
+            (np.array([64, 70000, 704]), IDENTITY_TRANSFORM, "token id 70000 out of range"),
+            ([64, 192.5, 704], IDENTITY_TRANSFORM, "token id 192.5 out of range"),
             ([64, 192, 704], Transform((0.0, 0.0, 0.0), math.nan), "bad transform scale nan"),
             ([64, 192, 704], Transform((0.0, 0.0, 0.0), 0.0), "bad transform scale 0.0"),
             ([64, 192, 704], Transform((0.0, math.inf, 0.0), 1.0), r"non-finite transform center \(0.0, inf, 0.0\)"),
         ],
-        ids=["id_5000", "id_4800", "id_minus_1", "nan_scale", "zero_scale", "inf_center"],
+        ids=[
+            "id_5000", "id_4800", "id_minus_1", "id_70000", "id_2_pow_70", "id_minus_2_pow_70",
+            "id_70000_int64_array", "id_float", "nan_scale", "zero_scale", "inf_center",
+        ],
     )
     def test_writer_rejects_what_reader_rejects(self, tmp_path, tokens, transform, message):
         seq = self._sample()

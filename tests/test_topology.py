@@ -14,7 +14,7 @@ from striptok.mesh_io import is_edge_manifold, sorted_edge_keys
 from striptok.strips import StripSet, _rank_array
 
 import oracles
-from oracles import as_arrays, as_lists, row_tuples
+from oracles import as_arrays, as_lists
 import synth
 from strategies import random_grids, random_surfaces
 
@@ -42,10 +42,18 @@ def assert_strips_match(q: QuantizedMesh, stride: int):
     assert as_lists(arrays) == q
     for axis in AXES:
         got = _outcome(extract_strips, arrays, stride, axis)
+        want = _outcome(oracles.extract_strips, q, stride, axis)
         if isinstance(got, StripSet):
+            assert isinstance(want, StripSet)
             assert got.vertex_keys is arrays.vertex_keys
-            got = replace(got, vertex_keys=row_tuples(got.vertex_keys))
-        assert got == _outcome(oracles.extract_strips, q, stride, axis)
+            for name in ("keys", "offsets", "islands"):
+                assert getattr(got, name).dtype == np.int64
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert (got.islands_in_order, got.stride, got.transform) == (
+                want.islands_in_order, want.stride, want.transform
+            )
+        else:
+            assert got == want
         assert _rank_array(arrays, axis).tolist() == oracles.vertex_ranks(q, axis)
         assert seed_order(arrays, None, axis) == oracles.seed_order(q, None, axis)
         for island in _island_ids(q) + [-1]:
@@ -75,8 +83,9 @@ def test_random_meshes_match_oracles(case):
 def hand_built(draw):
     """A ``QuantizedMesh`` of random faces over a few, possibly repeated, keys.
 
-    Faces may repeat a key (degenerate), repeat an edge, and repeat key sets
-    in the same or in different islands; island labels are sparse.
+    Faces may repeat a key (degenerate, which ``extract_strips`` rejects),
+    repeat an edge, and repeat key sets in the same or in different islands;
+    island labels are sparse.
     """
     degree = draw(st.sampled_from([3, 4]))
     coord = st.integers(0, 3)
@@ -92,8 +101,11 @@ def hand_built(draw):
 @given(hand_built())
 @settings(max_examples=300, deadline=None)
 def test_hand_built_meshes_match_oracles(case):
-    # includes the oracle's own failures on degenerate faces (same exception type)
-    assert_strips_match(*case)
+    q, stride = case
+    if any(len(set(face)) < len(face) for face in q.faces):
+        with pytest.raises(ValueError, match="repeats a corner"):
+            extract_strips(as_arrays(q), stride)
+    assert_strips_match(q, stride)
 
 
 def test_non_manifold_fan():
@@ -120,11 +132,26 @@ def test_duplicate_key_sets_in_different_islands():
 
 
 def test_degenerate_faces():
+    # a face that repeats a corner is rejected up front, naming the first one
     keys = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    for faces in ([(0, 0, 1), (0, 1, 2)], [(0, 1, 2), (2, 1, 1), (1, 3, 2)], [(0, 0, 0)], [(0, 1, 0), (1, 0, 2)]):
-        assert_strips_match(QuantizedMesh(keys, faces, None, IDENTITY_TRANSFORM), 1)
-    for faces in ([(0, 1, 1, 2)], [(0, 1, 3, 2), (1, 3, 3, 2)], [(0, 1, 0, 1), (0, 1, 3, 2)]):
-        assert_strips_match(QuantizedMesh(keys, faces, None, IDENTITY_TRANSFORM), 2)
+    cases = [
+        (1, [(0, 0, 1), (0, 1, 2)], "face 0 repeats a corner: (0, 0, 1)"),
+        (1, [(0, 1, 2), (2, 1, 1), (1, 3, 2)], "face 1 repeats a corner: (2, 1, 1)"),
+        (1, [(0, 0, 0)], "face 0 repeats a corner: (0, 0, 0)"),
+        (1, [(0, 0, 0), (0, 0, 0)], "face 0 repeats a corner: (0, 0, 0)"),
+        (1, [(0, 1, 0), (1, 0, 2)], "face 0 repeats a corner: (0, 1, 0)"),
+        (2, [(0, 1, 1, 2)], "face 0 repeats a corner: (0, 1, 1, 2)"),
+        (2, [(0, 1, 3, 2), (1, 3, 3, 2)], "face 1 repeats a corner: (1, 3, 3, 2)"),
+        (2, [(0, 1, 0, 1), (0, 1, 3, 2)], "face 0 repeats a corner: (0, 1, 0, 1)"),
+        (2, [(0, 0, 1, 1), (1, 1, 0, 0)], "face 0 repeats a corner: (0, 0, 1, 1)"),
+    ]
+    for stride, faces, message in cases:
+        q = QuantizedMesh(keys, faces, None, IDENTITY_TRANSFORM)
+        for fn, mesh in ((extract_strips, as_arrays(q)), (oracles.extract_strips, q)):
+            with pytest.raises(ValueError) as err:
+                fn(mesh, stride)
+            assert str(err.value) == message
+        assert_strips_match(q, stride)
 
 
 def test_quad_that_repeats_an_edge():

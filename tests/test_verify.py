@@ -114,7 +114,7 @@ def test_clean_pair_passes():
 def test_stride2_decode_with_trailing_triangle():
     # an odd strip appended to a quad sequence decodes to a -1-padded row
     q, _, seq = encode_mesh(synth.quad_grid(3, 3), 2)
-    seq.tokens += [C1_T_BASE, C2_BASE, C3_BASE + 1] + [C3_BASE + c for c in (2, 3, 4, 5)]
+    seq.tokens = seq.tokens.tolist() + [C1_T_BASE, C2_BASE, C3_BASE + 1] + [C3_BASE + c for c in (2, 3, 4, 5)]
     decoded, _, _ = decode_tokens(seq)
     assert as_lists(decoded).faces[-2:] == [(16, 17, 19, 18), (18, 19, 20)]
     assert decoded.faces[-1].tolist() == [18, 19, 20, -1]
