@@ -70,7 +70,8 @@ def decode_tokens(seq, stride=None):
     ``stride`` defaults to the one stored in the header; passing the other
     stride reads the same tokens as the other face type (the dual decode).
     """
-    stride = stride or seq.header.source_stride
+    if stride is None:
+        stride = seq.header.source_stride
     return decode(parse_tokens(seq), stride, seq.header.transform)
 
 

@@ -6,8 +6,9 @@ prefix cache; decoding segments the vertex stream into strips at marker
 events, welds coincident coordinates within each island, and assembles
 faces at the requested stride.
 
-The parse rule: ids outside the vocabulary are discarded and change
-nothing, and nothing before the first coarse, mid, fine run is kept.  From
+The parse rule: ids outside the vocabulary, the integers ``[0, 4800)``,
+are discarded and change nothing (a float is no id, not even ``64.0``),
+and nothing before the first coarse, mid, fine run is kept.  From
 that run on, every fine token ends exactly one event, by the two tokens
 before it: after a coarse and a mid it is a full triple ``(kind, c1, c2,
 c3)``; after a mid alone, a vertex with the cached ``c1``; otherwise a
@@ -51,7 +52,6 @@ _CLASS = np.frombuffer(
     b"c" * C2_BASE + b"m" * (C3_BASE - C2_BASE) + b"f" * (VOCAB_SIZE - C3_BASE), dtype=np.uint8
 )
 _FIRST_TRIPLE = re.compile(b"cmf")
-_IN_VOCAB = range(VOCAB_SIZE).__contains__
 
 # a packed grid key takes 27 bits; the island id goes above them
 _KEY_BITS = 27
@@ -97,10 +97,12 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
     """
     tokens = t.tokens if isinstance(t, TokenSequence) else t
     n_tokens = len(tokens)
-    try:
-        ids = np.array(tokens, dtype=np.int64)
-    except OverflowError:  # an int beyond int64 is outside the vocabulary
-        ids = np.array(list(filter(_IN_VOCAB, tokens)), dtype=np.int64)
+    ids = np.asarray(tokens)
+    if ids.dtype.kind not in "biu":  # a float, or an int beyond int64 (an object array)
+        ids = np.array(
+            [tok for tok in tokens if isinstance(tok, (int, np.integer)) and 0 <= tok < VOCAB_SIZE], dtype=np.int64
+        )
+    ids = ids.astype(np.int64, copy=False)
     if len(ids) and ids.view(np.uint64).max() >= VOCAB_SIZE:  # negative ids wrap above it
         ids = ids[ids.view(np.uint64) < VOCAB_SIZE]
     classes = _CLASS[ids]

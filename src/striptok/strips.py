@@ -5,7 +5,7 @@ edge (the last two keys) appends one new vertex for triangles (stride 1)
 or a swapped pair for quads (stride 2).  Seeds are the lowest unvisited
 faces under a coordinate order, islands are traversed bottom-to-top along
 the configured vertical axis, and strips never leave their island.
-Faces across a frontier edge are found through its packed edge key
+Growth steps over face-edge slots, each edge's slots in one range
 (:func:`mesh_io.sorted_edge_keys`).  A :class:`StripSet` holds the strips
 as flat arrays, one strip's keys after another's.
 """
@@ -85,14 +85,6 @@ class StripSet:
         return int((m - 2 if self.stride == 1 else (m - 2) // 2 + m % 2).sum())
 
 
-def _quad_new_pair(face: list[int], e0: int, e1: int) -> tuple[int, int]:
-    """The quad's two non-frontier vertices, ordered (next to e0, next to e1)."""
-    i = face.index(e0)
-    if face[(i + 1) % 4] == e1:
-        return face[(i - 1) % 4], face[(i + 2) % 4]
-    return face[(i + 1) % 4], face[(i - 2) % 4]
-
-
 def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSet:
     """Decompose the mesh into ordered strips covering every face once.
 
@@ -109,9 +101,12 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
 
     "Lowest face" compares sorted vertex-rank tuples, ties going to the
     lower face index; each face's tuple is replaced by its integer rank
-    among the distinct tuples.  The walk looks a frontier edge's key up in a
-    dict of edge ids and scans that edge's slice of face ids, in ascending
-    face order.
+    among the distinct tuples.  Slot ``f * d + j`` is edge ``j`` of face
+    ``f``, from ``face[j]`` to ``face[j + 1]``; sorted by (edge key, face
+    rank), each edge's slots form one range in the walk's preference order.
+    The frontier is the slot of the face entered last that holds the last
+    two keys, and the next face is the first unvisited one of its island in
+    that slot's range.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -136,7 +131,6 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     # equal sorted rank tuples get equal face ranks
     face_rank = np.empty_like(order)
     face_rank[order] = np.cumsum(heads) - 1
-    frank = face_rank.tolist()
 
     # islands by their lowest face; equal lowest face ranks (one key set in
     # two islands) keep the order in which the islands first appear
@@ -147,18 +141,20 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     np.minimum.at(lowest, island_idx, face_rank)
     by_lowest = np.lexsort((first, lowest))
     islands_in_order = ids[by_lowest].tolist()
+    # seeds: faces by their island's position, then lowest first
+    position = np.argsort(by_lowest)
+    seeds = order[np.argsort(position[island_idx[order]], kind="stable")].tolist()
 
-    # each island's faces, lowest first: the seed queue
-    grouped = order[np.argsort(island_idx[order], kind="stable")]
-    bounds = np.cumsum(np.bincount(island_idx))
-    queues = np.split(grouped, bounds[:-1])
-
-    # CSR over edges: edge e's faces are edge_faces[starts[e]:starts[e + 1]]
-    edge_order, edge_keys = sorted_edge_keys(faces, nkeys)
-    starts = np.flatnonzero(np.r_[True, edge_keys[1:] != edge_keys[:-1]])
-    edge_of_key = dict(zip(edge_keys[starts].tolist(), range(len(starts))))
-    starts = starts.tolist() + [len(edge_keys)]
-    edge_faces = (edge_order // degree).tolist()
+    # the slots across slot s's edge: slot_order[lo[s]:hi[s]]
+    slot_order, edge_keys = sorted_edge_keys(faces, nkeys)
+    slot_order = slot_order[np.lexsort((face_rank[slot_order // degree], edge_keys))]
+    head = np.r_[True, edge_keys[1:] != edge_keys[:-1]]
+    group = np.cumsum(head) - 1
+    bounds = np.r_[np.flatnonzero(head), len(head)]
+    lo, hi = np.empty_like(slot_order), np.empty_like(slot_order)
+    lo[slot_order], hi[slot_order] = bounds[group], bounds[group + 1]
+    lo, hi = lo.tolist(), hi.tolist()
+    slot_face, slot_j = (slot_order // degree).tolist(), (slot_order % degree).tolist()
     labels, face_list = labels.tolist(), faces.tolist()
 
     visited = [False] * nfaces
@@ -166,41 +162,35 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     keys: list[int] = []
     ends: list[int] = []
     strip_islands: list[int] = []
-
-    def next_face(e0: int, e1: int, island: int):
-        best = None
-        eid = edge_of_key.get(e0 * nkeys + e1 if e0 < e1 else e1 * nkeys + e0)
-        if eid is None:
-            return None
-        for fi in edge_faces[starts[eid] : starts[eid + 1]]:
-            if visited[fi] or labels[fi] != island:
-                continue
-            if best is None or frank[fi] < frank[best]:
-                best = fi
-        return best
-
-    for island, queue in zip(islands_in_order, (queues[i] for i in by_lowest)):
-        for seed in queue.tolist():
-            if visited[seed]:
-                continue
-            face, k = face_list[seed], lowest_corner[seed]
-            keys += face[k:] + face[:k]
-            if stride == 2:
-                keys[-1], keys[-2] = keys[-2], keys[-1]
-            visited[seed] = True
-            while True:
-                e0, e1 = keys[-2], keys[-1]
-                fi = next_face(e0, e1, island)
-                if fi is None:
+    for seed in seeds:
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        island, face, k = labels[seed], face_list[seed], lowest_corner[seed]
+        keys += face[k:] + face[:k]
+        if stride == 2:
+            keys[-1], keys[-2] = keys[-2], keys[-1]
+        slot = seed * degree + (k + stride) % degree
+        while True:
+            for c in range(lo[slot], hi[slot]):
+                fi = slot_face[c]
+                if not visited[fi] and labels[fi] == island:
                     break
-                face = face_list[fi]
-                if stride == 1:
-                    keys.append(next(v for v in face if v != e0 and v != e1))
-                else:
-                    keys.extend(_quad_new_pair(face, e0, e1))
-                visited[fi] = True
-            ends.append(len(keys))
-            strip_islands.append(island)
+            else:
+                break
+            visited[fi] = True
+            face, j = face_list[fi], slot_j[c]
+            # entered across face[j], face[j + 1]
+            if stride == 1:
+                nxt = (j + 1) % 3 if face[(j + 1) % 3] == keys[-1] else (j + 2) % 3
+                keys.append(face[j - 1])
+            else:
+                pair = [face[j - 1], face[j - 2]]
+                keys += pair[::-1] if face[j] == keys[-1] else pair
+                nxt = (j + 2) % 4
+            slot = fi * degree + nxt
+        ends.append(len(keys))
+        strip_islands.append(island)
 
     return StripSet(
         keys=np.array(keys, dtype=np.int64),

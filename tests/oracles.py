@@ -714,7 +714,7 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
     p_c2 = 0
 
     for tok in tokens:
-        if tok < 0 or tok >= VOCAB_SIZE:
+        if not (isinstance(tok, (int, np.integer)) and 0 <= tok < VOCAB_SIZE):
             discarded += 1
             continue
         while True:

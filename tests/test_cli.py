@@ -172,6 +172,15 @@ class TestDecode:
         assert tri_mesh.face_degree == 3
         assert len(tri_mesh.faces) == 2 * len(quad_mesh.faces)
 
+    def test_header_stride_only_when_none_given(self):
+        # an invalid stride raises as decode does; it never falls back to the header's
+        seq = serialize(manual_strip_set([[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]], stride=2))
+        assert len(decode_tokens(seq)[0].faces) == 1
+        assert len(decode_tokens(seq, 1)[0].faces) == 2
+        for stride in (0, 3):
+            with pytest.raises(ValueError, match=f"stride must be 1 or 2, got {stride}"):
+                decode_tokens(seq, stride)
+
 
 class TestRoundtrip:
     def test_all_pass(self, obj_dir, quad_dir, tmp_path):

@@ -150,6 +150,8 @@ NAMED_STREAMS = {
     "prefix_sharing": _triple(_A, C1_T_BASE) + [C3_BASE + 5, C2_BASE + 9, C3_BASE, C3_BASE + 7],
     # ids outside the vocabulary inside triples change nothing
     "out_of_vocabulary_in_triples": _with_junk(_strip([_A, _B, _C, _D]), [-1, 5000, 4800, -7]),
+    # so do floats, integral or not: the vocabulary is the integers [0, 4800)
+    "floats_in_triples": _with_junk(_strip([_A, _B, _C, _D]), [64.9, 192.5, 704.7, 64.0, np.float64(1024.0)]),
     "beyond_int64": [2**70, *_triple(_A, C1_T_BASE), -(2**70), *_triple(_B), 2**63, *_triple(_C), -(2**63) - 1],
     "bare_before_first_triple": [C2_BASE + 3, C3_BASE + 1, C3_BASE + 2, C2_BASE, C3_BASE] + _strip([_A, _B, _C]),
     "dangling_coarse_mid": _strip([_A, _B, _C, _D]) + [C1_UV_BASE + 1, C2_BASE + 2],
@@ -233,13 +235,21 @@ def test_named_streams_reach_every_counter():
 def test_named_parse_streams():
     # out-of-vocabulary ids, however large, change no event
     clean = parse_tokens(_strip([_A, _B, _C, _D]) + _strip([_A, _B, _C]))
-    for name, discarded in [("out_of_vocabulary_in_triples", 11), ("beyond_int64", 4)]:
+    for name, discarded in [("out_of_vocabulary_in_triples", 11), ("floats_in_triples", 11), ("beyond_int64", 4)]:
         stream, _ = _assert_parse_equal(NAMED_STREAMS[name])
         assert stream.events.tolist() == clean.events[: len(stream.events)].tolist()
         assert stream.discarded == discarded
     stream, _ = _assert_parse_equal(NAMED_STREAMS["bare_before_first_triple"])
     assert stream.events.tolist() == clean.events[4:].tolist() and stream.discarded == 5
     assert _assert_parse_equal(NAMED_STREAMS["dangling_coarse_mid"])[0].discarded == 2
+
+
+def test_float_ids_are_discarded():
+    # a float id is discarded, in a list or a float64 array, never truncated to an id
+    floats = [64.9, 192.5, 704.7]
+    for tokens in (floats, np.array(floats), np.array(_strip([_A, _B, _C]), dtype=np.float64)):
+        stream, _ = _assert_parse_equal(tokens)
+        assert stream.events.shape == (0, 4) and stream.discarded == len(tokens)
 
 
 # --- decode_hier --------------------------------------------------------

@@ -119,6 +119,32 @@ def test_non_manifold_fan():
     assert_strips_match(as_lists(quantize_mesh(fan)), 1)
 
 
+@pytest.mark.parametrize(
+    "stride, positions, faces, keys",
+    [
+        (
+            1,
+            [(0, 1, 0), (1, 1, 0), (0.5, 0, 0), (0.5, 2, 0.5), (0.5, 2.5, -0.5)],
+            [(2, 0, 1), (0, 1, 4), (0, 1, 3)],
+            [0, 1, 2, 4, 1, 2, 3],
+        ),
+        (
+            2,
+            [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 3, 0.5), (1, 3, 0.5), (0, 2, -0.5), (1, 2, -0.5)],
+            [(0, 1, 2, 3), (3, 2, 5, 4), (3, 2, 7, 6)],
+            [0, 1, 3, 2, 7, 6, 3, 2, 5, 4],
+        ),
+    ],
+    ids=["stride_1", "stride_2"],
+)
+def test_non_manifold_edge_goes_to_the_lowest_face(stride, positions, faces, keys):
+    # the seed's frontier edge bounds two more faces; the later one in face
+    # order is the lower one, so it is entered first
+    q = as_lists(quantize_mesh(as_arrays(Mesh(positions, faces))))
+    assert oracles.extract_strips(q, stride).keys.tolist() == keys
+    assert_strips_match(q, stride)
+
+
 def test_duplicate_key_sets_in_different_islands():
     # faces 1 and 3 share the key set {0, 1, 2}, the lowest face of both
     # islands: the island seen first goes first, not the one whose lowest
