@@ -26,6 +26,7 @@ from .mesh_io import (
     uv_islands,
     write_obj,
 )
+from . import metrics
 from .metrics import compare_meshes
 from .quantize import dequantize_mesh, quantize_mesh
 from .strips import extract_strips
@@ -161,9 +162,24 @@ def _compare_one(src, args, row):
     )
 
 
+def _sampled_reference(args):
+    """The ``--ref`` samples that every input of one ``stats`` call shares.
+
+    None when the arguments or the reference are bad: each input then loads
+    and samples the reference itself and gets the error row it always got.
+    """
+    if args.samples < 1 or not args.tau > 0.0:
+        return None  # compare_meshes rejects these before any sampling
+    try:
+        # through the module, so a wrapper installed there sees this call
+        return metrics.sample_surface(load_obj(Path(args.ref)), n=args.samples, seed=args.seed)
+    except Exception:  # noqa: BLE001 - reported per input
+        return None
+
+
 def _stats_one(src, args, row):
     if args.ref:
-        ref = load_obj(Path(args.ref))
+        ref = args.reference if args.reference is not None else load_obj(Path(args.ref))
         pred = load_obj(src)
         report = compare_meshes(ref, pred, n=args.samples, tau=args.tau, seed=args.seed)
         row.update(
@@ -200,9 +216,8 @@ _WORKERS = {
 }
 
 
-def _run_one(job):
+def _run_one(path, args):
     """One file's report row; any exception becomes the row's ``error``."""
-    path, args = job
     src = Path(path)
     row = {"file": src.name}
     try:
@@ -212,12 +227,24 @@ def _run_one(job):
     return row
 
 
+_worker_args = None  # a pool worker's copy of the arguments, sent once per process
+
+
+def _init_worker(args):
+    global _worker_args
+    _worker_args = args
+
+
+def _run_in_worker(path):
+    return _run_one(path, _worker_args)
+
+
 def _run_jobs(paths, args):
-    items = [(str(p), args) for p in paths]
-    if args.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(_run_one, items))
-    return [_run_one(item) for item in items]
+    paths = [str(p) for p in paths]
+    if args.jobs > 1 and len(paths) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker, initargs=(args,)) as pool:
+            return list(pool.map(_run_in_worker, paths))
+    return [_run_one(path, args) for path in paths]
 
 
 def _emit_jsonl(rows, report_path):
@@ -334,6 +361,8 @@ def main(argv=None) -> int:
     if report:
         Path(report).parent.mkdir(parents=True, exist_ok=True)
 
+    if cmd == "stats" and args.ref:
+        args.reference = _sampled_reference(args)
     rows = _run_jobs(paths, args)
 
     failed = any("error" in r or r.get("status") == "fail" for r in rows)

@@ -3,8 +3,13 @@
 Normal consistency, Chamfer distance, Hausdorff distance, and F-score are
 computed from bidirectional exact nearest neighbors between two sampled
 point sets.  :func:`compare_meshes` runs one exact neighbor pass per pair
-(two k-d trees, two queries) and shares it across all four metrics; each
-metric function also computes the pass itself when called on its own.
+(a k-d tree over each sample set, built once per set, and one query each
+way) and shares it across all four metrics; each metric function also
+computes the pass itself when called on its own.  Each side's points query
+the other tree in the leaf order of their own tree, so neighboring queries
+walk the same nodes, and the results are scattered back to sample order:
+every point is still searched on its own against an unchanged tree, so the
+distances and tie-broken indices are those of a query in sample order.
 Conventions pinned here because they vary across codebases:
 Chamfer averages the two directed means, NC uses the absolute dot product
 (winding-robust), and F-score counts points within the threshold
@@ -14,6 +19,7 @@ inclusively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,10 +30,15 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_TAU = 0.003
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSet:
     points: np.ndarray
     normals: np.ndarray
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """The k-d tree over ``points``, built on first use and kept with the set."""
+        return cKDTree(self.points)
 
 
 @dataclass
@@ -50,12 +61,18 @@ def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> Sampl
     Quads are split along the (v1, v3) diagonal before sampling, as in the
     dual decode, so a quad decode samples exactly like its stride-1 decode.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     corners = _triangles(mesh)
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    cross = np.cross(e1, e2)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    total = areas.sum()
+    # huge finite coordinates overflow here; the total below rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = corners[:, 1] - corners[:, 0]
+        e2 = corners[:, 2] - corners[:, 0]
+        cross = np.cross(e1, e2)
+        areas = 0.5 * np.linalg.norm(cross, axis=1)
+        total = areas.sum()
+    if not np.isfinite(total):
+        raise ValueError("non-finite surface area")
     if total <= 0.0:
         raise ValueError("zero-area mesh")
 
@@ -77,12 +94,25 @@ def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> Sampl
     return SampleSet(points=points, normals=normals)
 
 
+def _query(tree: cKDTree, s: SampleSet):
+    """Nearest neighbors in ``tree`` of the points of ``s``, in sample order.
+
+    The points are queried in the leaf order of their own tree, then the
+    results are put back where each point stands in ``s``.
+    """
+    order = s.tree.indices
+    d = np.empty(len(order))
+    i = np.empty(len(order), dtype=np.intp)
+    d[order], i[order] = tree.query(s.points[order])
+    return d, i
+
+
 def _nn(a: SampleSet, b: SampleSet):
     """Exact nearest neighbors both ways: (d_ab, i_ab, d_ba, i_ba)."""
     if len(a.points) == 0 or len(b.points) == 0:
         raise ValueError("empty sample set")
-    d_ab, i_ab = cKDTree(b.points).query(a.points)
-    d_ba, i_ba = cKDTree(a.points).query(b.points)
+    d_ab, i_ab = _query(b.tree, a)
+    d_ba, i_ba = _query(a.tree, b)
     return d_ab, i_ab, d_ba, i_ba
 
 
@@ -131,7 +161,7 @@ def f_score(a: SampleSet, b: SampleSet, tau: float = DEFAULT_TAU, nn=None) -> fl
 
 
 def compare_meshes(
-    ref: Mesh,
+    ref: Mesh | SampleSet,
     pred: Mesh,
     n: int = DEFAULT_SAMPLES,
     tau: float = DEFAULT_TAU,
@@ -139,13 +169,20 @@ def compare_meshes(
 ) -> MetricReport:
     """Sample both meshes and compute the four geometric metrics.
 
-    Arguments are checked before any sampling; one neighbor pass serves all
-    four metrics.
+    ``ref`` may also be ``sample_surface(ref, n, seed)`` itself, drawn once
+    to score many predictions against one reference; its k-d tree is then
+    built once too.  Arguments are checked before any sampling; one
+    neighbor pass serves all four metrics.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_tau(tau)
-    a = sample_surface(ref, n=n, seed=seed)
+    if isinstance(ref, SampleSet):
+        if len(ref.points) != n:
+            raise ValueError(f"reference has {len(ref.points)} samples, not n={n}")
+        a = ref
+    else:
+        a = sample_surface(ref, n=n, seed=seed)
     b = sample_surface(pred, n=n, seed=seed)
     nn = _nn(a, b)
     cd, hd = chamfer_hausdorff(a, b, nn)

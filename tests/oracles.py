@@ -7,14 +7,15 @@ These are the original per-face Python versions of
 per-token and per-vertex codec path: ``StripSet.face_count``,
 ``tokens.serialize``, ``quantize.encode_hier``, ``quantize.decode_hier``,
 ``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
-kept unchanged apart from their imports and the list form of strips.  The
+kept unchanged apart from their imports and the list form of strips, and
+the sample-order neighbor pass of ``metrics._nn``.  The
 per-point helpers they are built on (``normalize``, ``to_grid``,
 ``dequantize``, ``key_order``, ``strip_faces``, and the two float maps that
 were ``Transform`` methods) live here too: nothing in ``striptok`` calls
 them.  The package's NumPy versions must return the same results;
 ``tests/test_verify.py``, ``tests/test_quantize.py``,
-``tests/test_topology.py``, ``tests/test_tokens.py`` and
-``tests/test_decode_oracle.py`` assert that.
+``tests/test_topology.py``, ``tests/test_tokens.py``,
+``tests/test_decode_oracle.py`` and ``tests/test_metrics.py`` assert that.
 The oracle ``parse_tokens`` fills ``VertexStream.events`` with a list of
 tuples, which the oracle ``_decode_impl`` reads.
 
@@ -33,9 +34,11 @@ from collections import Counter, defaultdict, deque
 from dataclasses import replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX, DecodeReport, VertexStream
 from striptok.mesh_io import IslandPartition, Mesh
+from striptok.metrics import SampleSet
 from striptok.quantize import EPS, GRID, QuantizedMesh, Transform
 from striptok.strips import _AXIS, StripSet
 from striptok.tokens import (
@@ -664,6 +667,16 @@ def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
         face_count=face_count(s),
     )
     return TokenSequence(tokens=tokens, header=header)
+
+
+# --- metrics._nn ---------------------------------------------------------
+
+
+def nearest_neighbors(a: SampleSet, b: SampleSet):
+    """Exact nearest neighbors both ways, each side queried in sample order: (d_ab, i_ab, d_ba, i_ba)."""
+    d_ab, i_ab = cKDTree(b.points).query(a.points)
+    d_ba, i_ba = cKDTree(a.points).query(b.points)
+    return d_ab, i_ab, d_ba, i_ba
 
 
 # --- codec: quantize.encode_hier, quantize.decode_hier, decode.parse_tokens,

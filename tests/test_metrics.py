@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import striptok.metrics as metrics
 from striptok import (
@@ -20,10 +25,11 @@ from striptok import (
     sample_surface,
     write_obj,
 )
+import striptok.cli as cli
 from striptok.cli import main
-from striptok.mesh_io import split_quad_faces
+from striptok.mesh_io import load_obj, split_quad_faces
 
-from oracles import as_arrays
+from oracles import as_arrays, nearest_neighbors
 import synth
 
 
@@ -133,6 +139,21 @@ class TestSampling:
         mesh = as_arrays(Mesh(positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], faces=[(0, 1, 2)]))
         with pytest.raises(ValueError, match="zero-area"):
             sample_surface(mesh, n=10)
+
+    def test_overflowing_area_error(self, tmp_path):
+        # finite coordinates whose cross products overflow to inf
+        path = tmp_path / "huge.obj"
+        path.write_text("v 0 0 0\nv 1e200 0 0\nv 0 0 1e200\nf 1 2 3\n")
+        mesh = load_obj(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite surface area"):
+                sample_surface(mesh, n=10)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_error(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sample_surface(synth.icosphere(1), n=n)
 
     def test_unit_normals(self):
         s = sample_surface(synth.icosphere(2), n=3000, seed=4)
@@ -324,6 +345,16 @@ class TestSharedNeighbors:
         compare_meshes(ref, pred, n=2000, seed=1)
         assert len(kdtree_count) == 2
 
+    def test_sampled_reference_scores_like_its_mesh(self, kdtree_count):
+        ref, pred = near_pair()
+        a = sample_surface(ref, n=2000, seed=6)
+        first = compare_meshes(a, pred, n=2000, tau=0.01, seed=6)
+        assert compare_meshes(a, pred, n=2000, tau=0.01, seed=6) == first
+        assert len(kdtree_count) == 3  # the reference's tree is built once
+        assert compare_meshes(ref, pred, n=2000, tau=0.01, seed=6) == first
+        with pytest.raises(ValueError, match="2000 samples, not n=1000"):
+            compare_meshes(a, pred, n=1000)
+
     def test_precomputed_neighbors_match(self):
         ref, pred = near_pair()
         a = sample_surface(ref, n=2000, seed=2)
@@ -349,3 +380,141 @@ class TestSharedNeighbors:
         row = json.loads(report.read_text())
         assert row["error"] == f"ValueError: {message}"
         assert sampled == [] and kdtree_count == []
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Two point sets on a small integer lattice, scaled: duplicate points
+    within and across the sets, and many equidistant neighbors.  The second
+    set may sit on the lattice shifted by half a step along some axes, where
+    every point has several nearest neighbors at exactly one distance."""
+    span = draw(st.integers(0, 5))
+    sizes = st.integers(1, 120)
+    a = draw(arrays(np.int64, st.tuples(sizes, st.just(3)), elements=st.integers(0, span)))
+    b = draw(arrays(np.int64, st.tuples(sizes, st.just(3)), elements=st.integers(0, span)))
+    if draw(st.booleans()):  # some of a's points in b too
+        b = np.vstack([b, a[: draw(st.integers(0, len(a)))]])
+    shift = np.array(draw(st.tuples(*[st.sampled_from([0.0, 0.5])] * 3)))
+    step = draw(st.sampled_from([1.0, 0.1, 3.7]))
+    return point_set(a * step), point_set((b + shift) * step)
+
+
+class TestNeighborPass:
+    @given(tie_heavy_pairs())
+    def test_matches_sample_order_queries(self, pair):
+        a, b = pair
+        got, want = metrics._nn(a, b), nearest_neighbors(a, b)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert [g.dtype for g in got] == [w.dtype for w in want]
+
+    def test_queries_run_in_leaf_order(self, monkeypatch):
+        queried = []
+
+        class RecordingKDTree(metrics.cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(np.array(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "cKDTree", RecordingKDTree)
+        rng = np.random.default_rng(2)
+        a, b = point_set(rng.random((300, 3))), point_set(rng.random((200, 3)))
+        metrics._nn(a, b)
+        assert not np.array_equal(a.tree.indices, np.arange(300))
+        assert np.array_equal(queried[0], a.points[a.tree.indices])
+        assert np.array_equal(queried[1], b.points[b.tree.indices])
+
+    def test_sample_set_builds_its_tree_once(self, kdtree_count):
+        a = point_set(np.random.default_rng(4).random((50, 3)))
+        metrics._nn(a, a)
+        assert chamfer_hausdorff(a, a) == (0.0, 0.0)
+        assert len(kdtree_count) == 1
+
+
+def per_input_row(ref_path, pred_path, n, seed=0):
+    """A ``stats --ref`` row as computed with the reference loaded and sampled for each input."""
+    row = {"file": pred_path.name}
+    try:
+        report = compare_meshes(load_obj(ref_path), load_obj(pred_path), n=n, seed=seed)
+    except Exception as exc:  # noqa: BLE001 - the row's error
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        row.update({k: round(getattr(report, k), 6) for k in ("nc", "cd", "hd", "f1")})
+    return row
+
+
+@pytest.fixture()
+def scored_dir(tmp_path):
+    """A reference and three jittered copies of it to score."""
+    ref, _ = near_pair()
+    write_obj(ref, tmp_path / "ref.obj")
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        pts = ref.positions + rng.normal(scale=0.01, size=ref.positions.shape)
+        write_obj(Mesh(positions=pts, faces=ref.faces), preds / f"pred{i}.obj")
+    return tmp_path / "ref.obj", preds
+
+
+class TestOneReference:
+    """``stats --ref`` loads, samples and builds a tree over its reference
+    once per call, and reports what scoring each input on its own gave."""
+
+    def test_reference_is_loaded_sampled_and_indexed_once(self, scored_dir, monkeypatch, kdtree_count):
+        ref, preds = scored_dir
+        loaded, sampled = [], []
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(Path(path).name)
+            return load_obj(path, *args, **kwargs)
+
+        def counting_sample(mesh, *args, **kwargs):
+            sampled.append(mesh)
+            return sample_surface(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_obj", counting_load)
+        monkeypatch.setattr(metrics, "sample_surface", counting_sample)
+        report = preds.parent / "m.jsonl"
+        assert main(["stats", str(preds), "--ref", str(ref), "--samples", "2000", "--report", str(report)]) == 0
+        assert sorted(loaded) == ["pred0.obj", "pred1.obj", "pred2.obj", "ref.obj"]
+        assert len(sampled) == 4  # the reference once, each input once
+        assert len(kdtree_count) == 4  # the reference's tree once, one per input
+        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rows == [per_input_row(ref, p, 2000) for p in sorted(preds.glob("*.obj"))]
+
+    @pytest.mark.parametrize(
+        "ref_text, bad_pred",
+        [
+            (None, False),  # no such file
+            ("v 0 0 0\nf 1 2 3\n", True),  # malformed: its load error wins over the input's
+            ("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n", False),  # zero area
+            ("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n", True),  # zero area: the input's load error wins
+            ("v 0 0 0\nv 1e200 0 0\nv 0 0 1e200\nf 1 2 3\n", False),  # overflowing area
+        ],
+        ids=["missing", "malformed", "zero_area", "zero_area_bad_input", "overflow"],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_reference_gives_each_input_its_error_row(self, scored_dir, ref_text, bad_pred, jobs):
+        _, preds = scored_dir
+        ref = preds.parent / "bad_ref.obj"
+        if ref_text is not None:
+            ref.write_text(ref_text)
+        if bad_pred:
+            (preds / "pred1.obj").write_text("v 0 0 0\nf 1 2 4\n")
+        report = preds.parent / "m.jsonl"
+        argv = ["stats", str(preds), "--ref", str(ref), "--samples", "500", "--jobs", jobs, "--report", str(report)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rows == [per_input_row(ref, p, 500) for p in sorted(preds.glob("*.obj"))]
+        assert all("error" in row for row in rows)
+
+    def test_overflowing_input_gives_its_error_row(self, scored_dir):
+        ref, preds = scored_dir
+        (preds / "pred1.obj").write_text("v 0 0 0\nv 1e200 0 0\nv 0 0 1e200\nf 1 2 3\n")
+        report = preds.parent / "m.jsonl"
+        assert main(["stats", str(preds), "--ref", str(ref), "--samples", "500", "--report", str(report)]) == 1
+        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        assert rows[1] == {"file": "pred1.obj", "error": "ValueError: non-finite surface area"}
+        assert "error" not in rows[0] and "error" not in rows[2]
