@@ -21,7 +21,7 @@ from .quantize import (
     encode_hier,
     quantize_mesh,
 )
-from .strips import StripSet, extract_strips, seed_order
+from .strips import StripSet, extract_strips
 from .tokens import (
     TokenFileError,
     TokenHeader,
@@ -29,7 +29,6 @@ from .tokens import (
     TokenStats,
     VOCAB,
     VocabLayout,
-    baseline_serialize,
     compression_stats,
     read_tokens,
     serialize,

@@ -30,7 +30,7 @@ from . import metrics
 from .metrics import compare_meshes
 from .quantize import dequantize_mesh, quantize_mesh
 from .strips import extract_strips
-from .tokens import baseline_serialize, compression_stats, read_tokens, serialize, write_tokens
+from .tokens import compression_stats, read_tokens, serialize, write_tokens
 from .verify import compare_quantized
 
 TOKEN_SUFFIX = ".sato"
@@ -151,14 +151,14 @@ def _filter_one(src, args, row):
 def _compare_one(src, args, row):
     q, _, seq = encode_mesh(load_obj(src), 1, up_axis=args.up_axis)
     sato = compression_stats(seq)
-    base = compression_stats(baseline_serialize(q))
+    # the per-face baseline: a full (c1, c2, c3) triple per corner, 9 tokens a face
     row.update(
         faces=len(q.faces),
         sato_tokens=sato.token_length,
         sato_transitions=sato.transitions,
         sato_comp_rate=round(sato.comp_rate, 6),
-        baseline_tokens=base.token_length,
-        baseline_comp_rate=round(base.comp_rate, 6),
+        baseline_tokens=9 * len(q.faces),
+        baseline_comp_rate=1.0,
     )
 
 

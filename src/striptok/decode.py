@@ -39,14 +39,15 @@ import numpy as np
 
 from .mesh_io import IslandPartition, split_quad_faces
 from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, sort_rows
-from .tokens import C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE
+from .tokens import C1_GEO_BASE, C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE, vocab_ids
 
 EV_VERTEX = 0
 EV_STRIP = 1
 EV_ISLAND = 2
 
 # the class of each token id: coarse (any of the three codebooks), mid,
-# fine; a coarse id is its event kind * 64 + its code
+# fine; a coarse id is kind * _C1_SIZE + code, codebooks in kind order from 0
+_C1_SIZE = C1_T_BASE - C1_GEO_BASE
 _COARSE, _MID, _FINE = b"cmf"
 _CLASS = np.frombuffer(
     b"c" * C2_BASE + b"m" * (C3_BASE - C2_BASE) + b"f" * (VOCAB_SIZE - C3_BASE), dtype=np.uint8
@@ -97,14 +98,7 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
     """
     tokens = t.tokens if isinstance(t, TokenSequence) else t
     n_tokens = len(tokens)
-    ids = np.asarray(tokens)
-    if ids.dtype.kind not in "biu":  # a float, or an int beyond int64 (an object array)
-        ids = np.array(
-            [tok for tok in tokens if isinstance(tok, (int, np.integer)) and 0 <= tok < VOCAB_SIZE], dtype=np.int64
-        )
-    ids = ids.astype(np.int64, copy=False)
-    if len(ids) and ids.view(np.uint64).max() >= VOCAB_SIZE:  # negative ids wrap above it
-        ids = ids[ids.view(np.uint64) < VOCAB_SIZE]
+    ids = vocab_ids(tokens)[0].astype(np.int64, copy=False)
     classes = _CLASS[ids]
     first = _FIRST_TRIPLE.search(classes.tobytes())
     if first is None:
@@ -119,7 +113,7 @@ def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:
     # each event takes its coarse and mid codes from the latest event that
     # read one; the first event is a full triple, so both are set from it on
     events = np.empty((len(fine), 4), dtype=np.int64)
-    np.divmod(ids[np.maximum.accumulate(at_coarse * full)], 64, out=(events[:, 0], events[:, 1]))
+    np.divmod(ids[np.maximum.accumulate(at_coarse * full)], _C1_SIZE, out=(events[:, 0], events[:, 1]))
     events[:, 0] *= full
     np.subtract(ids[np.maximum.accumulate(at_mid * mid)], C2_BASE, out=events[:, 2])
     np.subtract(ids[fine], C3_BASE, out=events[:, 3])

@@ -412,7 +412,8 @@ def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     pad starts none.  An edge's key is ``min * n + max`` of its two nodes,
     so both directions of an edge share one key.  Returns ``(order, keys)``:
     the edge indices sorted by key, and the sorted keys.  Equal keys keep
-    ascending edge (so face) order.
+    ascending edge, so face, order: the preference order of
+    :func:`~striptok.strips.extract_strips`, which numbers faces by it.
     """
     b = np.roll(faces, -1, axis=1)
     edges = None

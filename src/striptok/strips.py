@@ -5,7 +5,8 @@ edge (the last two keys) appends one new vertex for triangles (stride 1)
 or a swapped pair for quads (stride 2).  Seeds are the lowest unvisited
 faces under a coordinate order, islands are traversed bottom-to-top along
 the configured vertical axis, and strips never leave their island.
-Growth steps over face-edge slots, each edge's slots in one range
+Faces are renumbered in seed order, and growth steps over face-edge
+slots, each edge's slots within one island in one range
 (:func:`mesh_io.sorted_edge_keys`).  A :class:`StripSet` holds the strips
 as flat arrays, one strip's keys after another's.
 """
@@ -34,40 +35,15 @@ def _rank_array(q: QuantizedMesh, up_axis: str) -> np.ndarray:
     return ranks
 
 
-def _face_order(faces: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Faces sorted by their sorted vertex-rank rows, and the run heads.
-
-    The order is stable (equal rows keep face order); ``heads`` marks the
-    first face of each run of equal rows, as :func:`quantize.sort_rows`.
-    """
-    if not len(faces):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    return sort_rows(np.sort(ranks[faces], axis=1))
-
-
-def seed_order(q: QuantizedMesh, island: int | None = None, up_axis: str = "y") -> list[int]:
-    """Face indices ordered by their sorted vertex-rank tuples (lowest first)."""
-    order, _ = _face_order(q.faces, _rank_array(q, up_axis))
-    if island is not None:
-        if q.island_of_face is None:
-            if island != 0:
-                raise ValueError(f"island {island} does not exist")
-        else:
-            order = order[q.island_of_face[order] == island]
-            if not len(order):
-                raise ValueError(f"island {island} does not exist")
-    return order.tolist()
-
-
 @dataclass
 class StripSet:
-    """Strip ``i`` is ``keys[offsets[i]:offsets[i + 1]]``, in island ``islands[i]``."""
+    """Strip ``i`` is ``keys[offsets[i]:offsets[i + 1]]``, in island ``islands[i]``;
+    each island's strips are one run, the runs in the order islands are visited."""
 
     keys: np.ndarray  # (K,) int64 indices into vertex_keys, every strip's back to back
     offsets: np.ndarray  # (S + 1,) int64, from 0 to K
     islands: np.ndarray  # (S,) int64
     vertex_keys: np.ndarray  # (V, 3) grid keys, as QuantizedMesh.vertex_keys
-    islands_in_order: list[int]
     stride: int
     transform: Transform
 
@@ -95,18 +71,18 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     rotation (never a reflection) of the stored face.  A quad seed is
     additionally swapped in its last two entries so that pair-wise decoding
     reassembles the stored cyclic order.  Growth crosses the frontier edge
-    to the unvisited face there (ties on non-manifold edges go to the
-    lowest face) and stops at boundaries and visited faces.  A face that
-    repeats a corner raises ``ValueError``.
+    to the unvisited face of the same island there (ties on non-manifold
+    edges go to the lowest face) and stops at boundaries and visited faces.
+    A face that repeats a corner raises ``ValueError``.
 
     "Lowest face" compares sorted vertex-rank tuples, ties going to the
-    lower face index; each face's tuple is replaced by its integer rank
-    among the distinct tuples.  Slot ``f * d + j`` is edge ``j`` of face
-    ``f``, from ``face[j]`` to ``face[j + 1]``; sorted by (edge key, face
-    rank), each edge's slots form one range in the walk's preference order.
-    The frontier is the slot of the face entered last that holds the last
-    two keys, and the next face is the first unvisited one of its island in
-    that slot's range.
+    lower face index.  The faces are renumbered once in seed order (island
+    position, then lowest first), so the walk prefers the lower index.
+    Slot ``f * d + j`` is edge ``j`` of face ``f``, from ``face[j]`` to
+    ``face[j + 1]``; sorted by edge key, each edge's slots are in face
+    order, those of one island in one range.  The frontier is the slot of
+    the face entered last that holds the last two keys, and the next face
+    is the first unvisited one in that slot's range.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -114,7 +90,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     faces, nfaces, nkeys = q.faces, len(q.faces), len(q.vertex_keys)
     if not nfaces:
         empty = np.zeros(0, dtype=np.int64)
-        return StripSet(empty, np.zeros(1, dtype=np.int64), empty, q.vertex_keys, [], stride, q.transform)
+        return StripSet(empty, np.zeros(1, dtype=np.int64), empty, q.vertex_keys, stride, q.transform)
     if faces.shape[1] != degree or faces.min() < 0:
         # a -1 pads a triangle among quads
         found = faces.shape[1] if faces.shape[1] != degree else 3
@@ -125,48 +101,46 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
         bad = int(repeats.argmax())
         raise ValueError(f"face {bad} repeats a corner: {tuple(faces[bad].tolist())}")
     rank_arr = _rank_array(q, up_axis)
-    order, heads = _face_order(faces, rank_arr)
-    # a seed starts at its lowest-ranked corner
-    lowest_corner = np.argmin(rank_arr[faces], axis=1).tolist()
-    # equal sorted rank tuples get equal face ranks
-    face_rank = np.empty_like(order)
-    face_rank[order] = np.cumsum(heads) - 1
+    order, heads = sort_rows(np.sort(rank_arr[faces], axis=1))
 
-    # islands by their lowest face; equal lowest face ranks (one key set in
+    # islands by their lowest face; equal lowest rank tuples (one key set in
     # two islands) keep the order in which the islands first appear
     labels = q.island_of_face if q.island_of_face is not None else np.zeros(nfaces, dtype=np.int64)
-    ids, first, island_idx = np.unique(labels, return_index=True, return_inverse=True)
+    _, first, island_idx = np.unique(labels, return_index=True, return_inverse=True)
     island_idx = island_idx.reshape(-1)
-    lowest = np.full(len(ids), nfaces)
-    np.minimum.at(lowest, island_idx, face_rank)
-    by_lowest = np.lexsort((first, lowest))
-    islands_in_order = ids[by_lowest].tolist()
-    # seeds: faces by their island's position, then lowest first
-    position = np.argsort(by_lowest)
-    seeds = order[np.argsort(position[island_idx[order]], kind="stable")].tolist()
+    # an island's lowest face is its first in order, ranked by cumsum(heads)
+    _, lowest = np.unique(island_idx[order], return_index=True)
+    by_lowest = np.lexsort((first, np.cumsum(heads)[lowest]))
+    position = np.argsort(by_lowest)[island_idx]  # each face's island position
+    # renumber the faces in seed order: island position, then lowest first
+    seeds = order[np.argsort(position[order], kind="stable")]
+    faces, position = faces[seeds], position[seeds]
+    # a seed starts at its lowest-ranked corner
+    lowest_corner = np.argmin(rank_arr[faces], axis=1).tolist()
 
-    # the slots across slot s's edge: slot_order[lo[s]:hi[s]]
+    # the slots across slot s's edge in s's island: slot_order[lo[s]:hi[s]]
     slot_order, edge_keys = sorted_edge_keys(faces, nkeys)
-    slot_order = slot_order[np.lexsort((face_rank[slot_order // degree], edge_keys))]
-    head = np.r_[True, edge_keys[1:] != edge_keys[:-1]]
+    slot_face = slot_order // degree
+    slot_island = position[slot_face]
+    head = np.r_[True, (edge_keys[1:] != edge_keys[:-1]) | (slot_island[1:] != slot_island[:-1])]
     group = np.cumsum(head) - 1
     bounds = np.r_[np.flatnonzero(head), len(head)]
     lo, hi = np.empty_like(slot_order), np.empty_like(slot_order)
     lo[slot_order], hi[slot_order] = bounds[group], bounds[group + 1]
     lo, hi = lo.tolist(), hi.tolist()
-    slot_face, slot_j = (slot_order // degree).tolist(), (slot_order % degree).tolist()
-    labels, face_list = labels.tolist(), faces.tolist()
+    slot_face, slot_j = slot_face.tolist(), (slot_order % degree).tolist()
+    face_list = faces.tolist()
 
     visited = [False] * nfaces
-    # every strip's keys back to back, with each strip's end and island
+    # every strip's keys back to back, with each strip's end and seed
     keys: list[int] = []
     ends: list[int] = []
-    strip_islands: list[int] = []
-    for seed in seeds:
+    strip_seeds: list[int] = []
+    for seed in range(nfaces):
         if visited[seed]:
             continue
         visited[seed] = True
-        island, face, k = labels[seed], face_list[seed], lowest_corner[seed]
+        face, k = face_list[seed], lowest_corner[seed]
         keys += face[k:] + face[:k]
         if stride == 2:
             keys[-1], keys[-2] = keys[-2], keys[-1]
@@ -174,7 +148,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
         while True:
             for c in range(lo[slot], hi[slot]):
                 fi = slot_face[c]
-                if not visited[fi] and labels[fi] == island:
+                if not visited[fi]:
                     break
             else:
                 break
@@ -190,14 +164,13 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
                 nxt = (j + 2) % 4
             slot = fi * degree + nxt
         ends.append(len(keys))
-        strip_islands.append(island)
+        strip_seeds.append(seed)
 
     return StripSet(
         keys=np.array(keys, dtype=np.int64),
         offsets=np.array([0] + ends, dtype=np.int64),
-        islands=np.array(strip_islands, dtype=np.int64),
+        islands=labels[seeds[strip_seeds]].astype(np.int64, copy=False),
         vertex_keys=q.vertex_keys,
-        islands_in_order=islands_in_order,
         stride=stride,
         transform=q.transform,
     )

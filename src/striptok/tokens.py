@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantize import Transform, encode_hier
-from .strips import StripSet, seed_order
+from .strips import StripSet
 
 
 @dataclass(frozen=True)
@@ -98,24 +98,6 @@ def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
     return TokenSequence(tokens=tokens, header=header)
 
 
-def baseline_serialize(q) -> TokenSequence:
-    """Naive per-face encoding: 9 tokens per triangle, no sharing.
-
-    Comparison denominator only; every vertex emits its full
-    (plain c1, c2, c3) triple, faces in seed order.
-    """
-    if not len(q.faces):
-        raise ValueError("empty mesh")
-    if q.face_degree != 3:
-        raise ValueError("baseline encoding expects a triangle mesh")
-    codes = encode_hier(q.vertex_keys)[q.faces[seed_order(q)]]
-    tokens = (codes + (C1_GEO_BASE, C2_BASE, C3_BASE)).astype(np.uint16).ravel()
-    header = TokenHeader(
-        uv_mode=False, source_stride=1, transform=q.transform, face_count=len(q.faces)
-    )
-    return TokenSequence(tokens=tokens, header=header)
-
-
 @dataclass
 class TokenStats:
     token_length: int
@@ -158,6 +140,20 @@ class TokenFileError(ValueError):
     """Corrupt or unsupported token file."""
 
 
+def vocab_ids(tokens) -> tuple[np.ndarray, int | None]:
+    """The ids among ``tokens`` in the vocabulary, the integers ``[0, VOCAB_SIZE)``
+    (a float is none, not even ``64.0``), as an integer array in order, and
+    the index of the first token that is no id (None if every one is)."""
+    ids = np.asarray(tokens)
+    if ids.dtype.kind in "biu":
+        if not len(ids) or (ids.min() >= 0 and ids.max() < VOCAB_SIZE):
+            return ids, None
+        keep = (ids >= 0) & (ids < VOCAB_SIZE)
+    else:  # floats (an empty list too), or an object array of ints beyond int64
+        keep = np.array([isinstance(t, (int, np.integer)) and 0 <= t < VOCAB_SIZE for t in tokens], dtype=bool)
+    return ids[keep].astype(np.int64), None if keep.all() else int(np.argmin(keep))
+
+
 def _check_payload(tokens, transform: Transform) -> np.ndarray:
     """The ids as a ``uint16`` array, range-checked before the cast; raise
     :class:`TokenFileError` unless a token file can hold these ids and transform."""
@@ -166,21 +162,25 @@ def _check_payload(tokens, transform: Transform) -> np.ndarray:
         raise TokenFileError(f"bad transform scale {scale}")
     if not all(math.isfinite(v) for v in transform.center):
         raise TokenFileError(f"non-finite transform center {tuple(transform.center)}")
-    ids = np.asarray(tokens)
-    # a float, or an int beyond int64 (an object array), is no vocabulary id
-    if len(ids) and (ids.dtype.kind not in "biu" or ids.min() < 0 or ids.max() >= VOCAB_SIZE):
-        bad = next(t for t in tokens if not (isinstance(t, (int, np.integer)) and 0 <= t < VOCAB_SIZE))
-        raise TokenFileError(f"token id {bad} out of range")
+    ids, bad = vocab_ids(tokens)
+    if bad is not None:
+        raise TokenFileError(f"token id {tokens[bad]} out of range")
     return ids.astype(np.uint16)
 
 
 def write_tokens(t: TokenSequence, path) -> None:
     """Write the binary token file (magic, version, flags, header, u16 ids);
-    what :func:`read_tokens` would reject raises and writes nothing."""
+    what :func:`read_tokens` would reject, or the header cannot hold,
+    raises :class:`TokenFileError` and writes nothing."""
     ids = _check_payload(t.tokens, t.header.transform)
+    if t.header.source_stride not in (1, 2):
+        raise TokenFileError(f"source stride must be 1 or 2, got {t.header.source_stride}")
+    face_count = t.header.face_count
+    if not (isinstance(face_count, (int, np.integer)) and 0 <= face_count < 2**32):
+        raise TokenFileError(f"face count {face_count} does not fit the header")
     flags = (1 if t.header.uv_mode else 0) | (2 if t.header.source_stride == 2 else 0)
     transform = t.header.transform
-    head = _HEADER.pack(MAGIC, VERSION, flags, t.header.face_count, *transform.center, transform.scale, len(ids))
+    head = _HEADER.pack(MAGIC, VERSION, flags, face_count, *transform.center, transform.scale, len(ids))
     with open(path, "wb") as fh:
         fh.write(head + ids.astype("<u2", copy=False).tobytes())
 
@@ -189,10 +189,10 @@ def read_tokens(path) -> TokenSequence:
     """Read a token file back; bit-exact inverse of :func:`write_tokens`.
 
     Raises :class:`TokenFileError` on anything ``write_tokens`` cannot
-    produce: bad magic or version, a short or overlong payload, out-of-range
-    ids, or a transform that would decode to non-finite positions.  The
-    header ``face_count`` is not checked against the stream, since
-    model-generated streams may legitimately disagree with it.
+    produce: bad magic or version, unknown flags, a short or overlong payload,
+    out-of-range ids, or a transform that would decode to non-finite
+    positions.  The header ``face_count`` is not checked against the
+    stream, since model-generated streams may legitimately disagree with it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -205,6 +205,8 @@ def read_tokens(path) -> TokenSequence:
     if len(data) < fixed:
         raise TokenFileError("truncated header")
     _, _, flags, face_count, cx, cy, cz, scale, count = _HEADER.unpack_from(data)
+    if flags & ~3:  # bit 0 uv mode, bit 1 stride 2
+        raise TokenFileError(f"unknown flag bits {flags:#04x}")
     if len(data) < fixed + 2 * count:
         raise TokenFileError("truncated payload")
     if len(data) > fixed + 2 * count:

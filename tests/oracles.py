@@ -3,7 +3,8 @@
 These are the original per-face Python versions of
 ``verify.compare_quantized``, ``quantize.quantize_mesh``,
 ``mesh_io.uv_islands``, ``mesh_io.is_edge_manifold`` and
-``strips.extract_strips`` (with ``vertex_ranks`` and ``seed_order``), and the
+``strips.extract_strips`` (with ``vertex_ranks``, its seed order
+``seed_order`` and its island order ``island_order``), and the
 per-token and per-vertex codec path: ``StripSet.face_count``,
 ``tokens.serialize``, ``quantize.encode_hier``, ``quantize.decode_hier``,
 ``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
@@ -135,14 +136,13 @@ def strip_lists(s: StripSet) -> list[tuple[list[int], int]]:
     return [(keys[a:b], island) for a, b, island in zip(bounds, bounds[1:], s.islands.tolist())]
 
 
-def strip_set(strips, vertex_keys, islands_in_order, stride: int, transform: Transform) -> StripSet:
+def strip_set(strips, vertex_keys, stride: int, transform: Transform) -> StripSet:
     """A :class:`StripSet` of ``(keys, island)`` pairs, one per strip."""
     return StripSet(
         keys=np.array([v for keys, _ in strips for v in keys], dtype=np.int64),
         offsets=np.cumsum([0] + [len(keys) for keys, _ in strips], dtype=np.int64),
         islands=np.array([island for _, island in strips], dtype=np.int64),
         vertex_keys=vertex_keys,
-        islands_in_order=islands_in_order,
         stride=stride,
         transform=transform,
     )
@@ -498,22 +498,20 @@ def _face_sort_keys(q: QuantizedMesh, ranks: list[int]):
     return [tuple(sorted(ranks[v] for v in face)) for face in q.faces]
 
 
-def seed_order(q: QuantizedMesh, island: int | None = None, up_axis: str = "y") -> list[int]:
+def seed_order(q: QuantizedMesh, up_axis: str = "y") -> list[int]:
     """Face indices ordered by their sorted vertex-rank tuples (lowest first)."""
-    ranks = vertex_ranks(q, up_axis)
-    fkeys = _face_sort_keys(q, ranks)
-    if island is None:
-        ids = range(len(q.faces))
-    else:
-        if q.island_of_face is None:
-            if island != 0:
-                raise ValueError(f"island {island} does not exist")
-            ids = range(len(q.faces))
-        else:
-            ids = [i for i, l in enumerate(q.island_of_face) if l == island]
-            if not ids:
-                raise ValueError(f"island {island} does not exist")
-    return sorted(ids, key=lambda i: fkeys[i])
+    fkeys = _face_sort_keys(q, vertex_ranks(q, up_axis))
+    return sorted(range(len(q.faces)), key=lambda i: fkeys[i])
+
+
+def island_order(q: QuantizedMesh, up_axis: str = "y") -> list[int]:
+    """Island ids ascending by their lowest face; ties keep first appearance."""
+    fkeys = _face_sort_keys(q, vertex_ranks(q, up_axis))
+    labels = q.island_of_face if q.island_of_face is not None else [0] * len(q.faces)
+    lowest: dict[int, tuple[int, ...]] = {}
+    for fi, l in enumerate(labels):
+        lowest[l] = min(lowest.get(l, fkeys[fi]), fkeys[fi])
+    return sorted(lowest, key=lowest.get)
 
 
 def _rotate_min_first(face: tuple[int, ...], ranks: list[int]) -> list[int]:
@@ -576,7 +574,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     faces_of_island: dict[int, list[int]] = defaultdict(list)
     for fi, l in enumerate(labels):
         faces_of_island[l].append(fi)
-    islands_in_order = sorted(faces_of_island, key=lambda l: min(fkeys[f] for f in faces_of_island[l]))
+    islands_in_order = island_order(q, up_axis)
 
     visited = [False] * len(q.faces)
     strips: list[tuple[list[int], int]] = []
@@ -612,7 +610,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
                 visited[fi] = True
             strips.append((keys, island))
 
-    return strip_set(strips, q.vertex_keys, islands_in_order, stride, q.transform)
+    return strip_set(strips, q.vertex_keys, stride, q.transform)
 
 
 # --- StripSet.face_count, tokens.serialize -------------------------------

@@ -35,12 +35,11 @@ from striptok import (
 from striptok.cli import main as cli_main
 from striptok.metrics import SampleSet
 from striptok.quantize import pack_keys
-from striptok.strips import seed_order
 from striptok.tokens import compression_stats
 from striptok.verify import compare_quantized
 
 import synth
-from oracles import as_lists, dequantize, normalize, to_grid, vertex_ranks
+from oracles import as_lists, dequantize, normalize, seed_order, to_grid, vertex_ranks
 from test_decode import validate_quantized
 from test_tokens import VOCAB_RANGES
 from strategies import corrupted_stream, structured_stream, uniform_stream
@@ -160,7 +159,7 @@ def greedy_patch_count(q, cap=7):
     """Greedy fan partition: patches pivot on the seed face's lowest vertex,
     collecting up to `cap` unvisited faces around the pivot (never crossing
     islands), the way patch-based tokenizers grow fan/disk neighborhoods."""
-    arrays, q = q, as_lists(q)
+    q = as_lists(q)
     faces_of_vertex = defaultdict(list)
     for fi, face in enumerate(q.faces):
         for v in face:
@@ -169,10 +168,10 @@ def greedy_patch_count(q, cap=7):
     ranks = vertex_ranks(q)
     visited = [False] * len(q.faces)
     patches = 0
+    order = seed_order(q)
     for isl in sorted(set(labels)):
-        order = seed_order(arrays, isl if q.island_of_face is not None else None)
         for f in order:
-            if visited[f]:
+            if visited[f] or labels[f] != isl:
                 continue
             patches += 1
             visited[f] = True

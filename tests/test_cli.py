@@ -287,6 +287,7 @@ class TestCompare:
         for row in body:
             assert float(row[header.index("sato_comp_rate")]) < 1.0
             assert float(row[header.index("baseline_comp_rate")]) == 1.0
+            assert int(row[header.index("baseline_tokens")]) == 9 * int(row[header.index("faces")])
         err = capsys.readouterr().err
         assert "SATO 0.283" in err and "DeepMesh 0.330" in err and "BPT 0.228" in err
 

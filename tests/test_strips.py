@@ -13,7 +13,6 @@ from striptok import (
     encode_mesh,
     extract_strips,
     quantize_mesh,
-    seed_order,
     uv_islands,
 )
 
@@ -65,35 +64,55 @@ class TestKeyOrder:
         assert key_order((3, 1, 2), up_axis="z") == (2, 3, 1)
 
 
+def appearance_order(strip_set):
+    """The island ids of the strips, each where it first appears."""
+    islands = strip_set.islands
+    return islands[np.sort(np.unique(islands, return_index=True)[1])].tolist()
+
+
+def seed_faces(strip_set):
+    """Each strip's seed face as the sorted tuple of its corners' key orders."""
+    degree = 3 if strip_set.stride == 1 else 4
+    keys = strip_set.vertex_keys[strip_set.keys].tolist()
+    return [tuple(sorted(key_order(k) for k in keys[a : a + degree])) for a in strip_set.offsets[:-1].tolist()]
+
+
 class TestSeedOrder:
     def test_single_face(self):
         q = quantize(as_arrays(Mesh(positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], faces=[(0, 1, 2)])))
-        assert seed_order(q) == [0]
+        ss = extract_strips(q, 1)
+        assert ss.offsets.tolist() == [0, 3]
+        assert is_rotation(ss.keys.tolist(), q.faces[0].tolist())
+        assert oracles.seed_order(as_lists(q)) == [0]
 
     def test_tie_broken_by_second_vertex(self):
         positions = [
             (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.0, 1.0), (0.25, 0.0, -1.0),
         ]
-        # both faces contain vertex 0; the second-lowest key decides
+        # both faces contain vertex 0; the second-lowest key decides, so the
+        # strip seeds at face 1 and crosses edge {0, 1} into face 0
         q = quantize(as_arrays(Mesh(positions=positions, faces=[(0, 2, 1), (0, 1, 3)])))
-        order = seed_order(q)
-        ql = as_lists(q)
-        keys = [tuple(sorted(ql.vertex_keys[v] for v in ql.faces[f])) for f in order]
-        assert keys == sorted(keys)
+        ss = extract_strips(q, 1)
+        assert ss.offsets.tolist() == [0, 4]
+        assert is_rotation(ss.keys[:3].tolist(), q.faces[1].tolist())
+        assert oracles.seed_order(as_lists(q)) == [1, 0]
 
     def test_permutation_invariant(self):
+        # the strips, as grid keys, depend on the geometry alone; each seed
+        # is the lowest face left, so the seeds rise
         mesh = synth.icosphere(1)
         q = quantize(mesh)
-        ql = as_lists(q)
-        base = [tuple(sorted(ql.vertex_keys[v] for v in ql.faces[f])) for f in seed_order(q)]
+        base = extract_strips(q, 1)
+        seeds = seed_faces(base)
+        assert seeds == sorted(seeds) and len(set(seeds)) == len(seeds)
         rng = random.Random(9)
         for _ in range(5):
             order = list(range(len(mesh.faces)))
             rng.shuffle(order)
             q2 = quantize(Mesh(positions=mesh.positions, faces=mesh.faces[order]))
-            ql2 = as_lists(q2)
-            got = [tuple(sorted(ql2.vertex_keys[v] for v in ql2.faces[f])) for f in seed_order(q2)]
-            assert got == base
+            got = extract_strips(q2, 1)
+            assert np.array_equal(got.vertex_keys[got.keys], base.vertex_keys[base.keys])
+            assert np.array_equal(got.offsets, base.offsets)
 
 
 class TestStripFaces:
@@ -116,7 +135,7 @@ class TestStripFaces:
     def test_face_count_equals_strip_faces(self, stride):
         for m in range(13):
             keys = list(range(m))
-            ss = strip_set([(keys, 0), (keys, 0)], [], [0], stride, IDENTITY_TRANSFORM)
+            ss = strip_set([(keys, 0), (keys, 0)], [], stride, IDENTITY_TRANSFORM)
             assert ss.face_count() == 2 * len(strip_faces(keys, stride)) == oracles.face_count(ss), m
 
 
@@ -308,7 +327,7 @@ class TestIslands:
         for l in islands_seen[1:]:
             if l != compact[-1]:
                 compact.append(l)
-        assert compact == ss.islands_in_order
+        assert compact == oracles.island_order(as_lists(q))
         assert len(set(compact)) == len(compact)
 
     def test_island_order_by_lowest_vertex(self):
@@ -325,7 +344,7 @@ class TestIslands:
             m = min(key_order(q.vertex_keys[v]) for v in f)
             mins[l] = min(mins.get(l, m), m)
         expected = sorted(mins, key=lambda l: mins[l])
-        assert ss.islands_in_order == expected
+        assert appearance_order(ss) == expected
 
     def test_strip_count_le_face_count(self, full_corpus):
         for entry in full_corpus:
@@ -360,5 +379,5 @@ class TestUpAxis:
         mesh = synth.concat(part_a, part_b)
         tagged = synth.with_uv_groups(mesh, [0] * 8 + [1] * 8)
         q = quantize(tagged, uv_islands(tagged))
-        assert extract_strips(q, 1, up_axis="y").islands_in_order == [0, 1]
-        assert extract_strips(q, 1, up_axis="x").islands_in_order == [1, 0]
+        assert appearance_order(extract_strips(q, 1, up_axis="y")) == [0, 1]
+        assert appearance_order(extract_strips(q, 1, up_axis="x")) == [1, 0]

@@ -13,13 +13,11 @@ from striptok import (
     TokenFileError,
     Transform,
     VOCAB,
-    baseline_serialize,
     compression_stats,
     extract_strips,
     parse_tokens,
     quantize_mesh,
     read_tokens,
-    seed_order,
     serialize,
     uv_islands,
     write_tokens,
@@ -27,7 +25,7 @@ from striptok import (
 
 import oracles
 import synth
-from oracles import as_lists, encode_hier, strip_set
+from oracles import encode_hier, strip_set
 from strategies import random_surfaces
 
 # the vocabulary's id ranges by name (half-open)
@@ -54,12 +52,8 @@ def manual_strip_set(coord_lists, islands=None, stride=1):
                 keys.append(c)
             idxs.append(index[c])
         strips.append((idxs, isl))
-    order = []
-    for isl in islands:
-        if isl not in order:
-            order.append(isl)
     vertex_keys = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    return strip_set(strips, vertex_keys, order, stride, IDENTITY_TRANSFORM)
+    return strip_set(strips, vertex_keys, stride, IDENTITY_TRANSFORM)
 
 
 @st.composite
@@ -212,36 +206,6 @@ class TestSerialize:
             stream = parse_tokens(seq)
             assert stream.discarded == 0, entry.name
             assert stream.consumed_tokens == len(seq.tokens)
-
-
-class TestBaseline:
-    def test_nine_tokens_per_face(self):
-        q = quantize_mesh(synth.tri_grid(3, 3))
-        seq = baseline_serialize(q)
-        assert len(seq.tokens) == 9 * len(q.faces)
-        assert compression_stats(seq).comp_rate == 1.0
-
-    def test_full_triples_in_seed_order(self):
-        q = quantize_mesh(synth.icosphere(1))
-        ql = as_lists(q)
-        want = []
-        for fi in seed_order(q):
-            for v in ql.faces[fi]:
-                c1, c2, c3 = encode_hier(ql.vertex_keys[v])
-                want += [c1, 192 + c2, 704 + c3]
-        tokens = baseline_serialize(q).tokens
-        assert tokens.dtype == np.uint16 and tokens.tolist() == want
-
-    def test_parses_cleanly(self):
-        q = quantize_mesh(synth.icosphere(1))
-        seq = baseline_serialize(q)
-        stream = parse_tokens(seq)
-        assert stream.discarded == 0
-        assert len(stream.events) == 3 * len(q.faces)
-
-    def test_rejects_quads_and_empty(self):
-        with pytest.raises(ValueError, match="triangle"):
-            baseline_serialize(quantize_mesh(synth.quad_grid(2, 2)))
 
 
 class TestCompressionStats:
@@ -423,3 +387,40 @@ class TestTokenFile:
         back = read_tokens(p)
         assert back.header.uv_mode is True
         assert back.header.source_stride == 2
+
+    @pytest.mark.parametrize("flags", [0x04, 0x80, 0xFF])
+    def test_unknown_flag_bits(self, tmp_path, flags):
+        # byte 5 holds the flags: bit 0 uv mode, bit 1 stride 2, no others
+        seq = self._sample()
+        p = tmp_path / "t.sato"
+        write_tokens(seq, p)
+        raw = bytearray(p.read_bytes())
+        raw[5] = flags
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TokenFileError, match=f"^unknown flag bits {flags:#04x}$"):
+            read_tokens(p)
+
+    @pytest.mark.parametrize("stride", [0, 3, -1])
+    def test_writer_rejects_a_stride_the_flags_cannot_hold(self, tmp_path, stride):
+        seq = self._sample()
+        seq = replace(seq, header=replace(seq.header, source_stride=stride))
+        p = tmp_path / "bad.sato"
+        with pytest.raises(TokenFileError, match=f"^source stride must be 1 or 2, got {stride}$"):
+            write_tokens(seq, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("face_count", [-1, 2**32, 2**70, 3.0])
+    def test_writer_rejects_a_face_count_the_header_cannot_hold(self, tmp_path, face_count):
+        seq = self._sample()
+        seq = replace(seq, header=replace(seq.header, face_count=face_count))
+        p = tmp_path / "bad.sato"
+        with pytest.raises(TokenFileError, match=f"^face count {face_count} does not fit the header$"):
+            write_tokens(seq, p)
+        assert not p.exists()
+
+    def test_largest_face_count_round_trips(self, tmp_path):
+        seq = self._sample()
+        seq = replace(seq, header=replace(seq.header, face_count=2**32 - 1))
+        p = tmp_path / "t.sato"
+        write_tokens(seq, p)
+        assert read_tokens(p).header == seq.header

@@ -1,5 +1,5 @@
 """Array topology (``uv_islands``, ``is_edge_manifold``, ``extract_strips``,
-vertex ranks, ``seed_order``) against the per-face references in ``oracles``."""
+vertex ranks, island order) against the per-face references in ``oracles``."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from striptok import IDENTITY_TRANSFORM, Mesh, QuantizedMesh, extract_strips, quantize_mesh, seed_order, uv_islands
+from striptok import IDENTITY_TRANSFORM, Mesh, QuantizedMesh, extract_strips, quantize_mesh, uv_islands
 from striptok.mesh_io import is_edge_manifold, sorted_edge_keys
 from striptok.strips import StripSet, _rank_array
 
@@ -29,12 +29,8 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _island_ids(q: QuantizedMesh):
-    return sorted(set(q.island_of_face)) if q.island_of_face is not None else [0]
-
-
 def assert_strips_match(q: QuantizedMesh, stride: int):
-    """Strips, island order, ranks and seed orders equal the oracle's on every up axis.
+    """Strips and vertex ranks equal the oracle's on every up axis.
 
     ``q`` is in list form, as the oracles take it; the package gets its arrays.
     """
@@ -49,15 +45,10 @@ def assert_strips_match(q: QuantizedMesh, stride: int):
             for name in ("keys", "offsets", "islands"):
                 assert getattr(got, name).dtype == np.int64
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert (got.islands_in_order, got.stride, got.transform) == (
-                want.islands_in_order, want.stride, want.transform
-            )
+            assert (got.stride, got.transform) == (want.stride, want.transform)
         else:
             assert got == want
         assert _rank_array(arrays, axis).tolist() == oracles.vertex_ranks(q, axis)
-        assert seed_order(arrays, None, axis) == oracles.seed_order(q, None, axis)
-        for island in _island_ids(q) + [-1]:
-            assert _outcome(seed_order, arrays, island, axis) == _outcome(oracles.seed_order, q, island, axis)
 
 
 def assert_mesh_topology_matches(mesh: Mesh):
@@ -108,6 +99,29 @@ def test_hand_built_meshes_match_oracles(case):
     assert_strips_match(q, stride)
 
 
+def _encodable(case):
+    """A ``(q, stride)`` case in list form, less the faces that repeat a corner."""
+    mesh, stride = case
+    if isinstance(mesh, Mesh):
+        mesh = as_lists(quantize_mesh(mesh, uv_islands(mesh) if mesh.face_uvs is not None else None))
+    keep = [i for i, face in enumerate(mesh.faces) if len(set(face)) == len(face)]
+    labels = mesh.island_of_face
+    labels = None if labels is None else [labels[i] for i in keep]
+    return replace(mesh, faces=[mesh.faces[i] for i in keep], island_of_face=labels), stride
+
+
+@given(st.one_of(random_grids(), random_surfaces(), hand_built()).map(_encodable))
+@settings(max_examples=100, deadline=None)
+def test_islands_appear_in_island_order(case):
+    # each island's strips are one run, and the runs follow the oracle's
+    # island order, ties between equal lowest faces included
+    q, stride = case
+    for axis in AXES:
+        islands = extract_strips(as_arrays(q), stride, axis).islands.tolist()
+        runs = [l for i, l in enumerate(islands) if i == 0 or l != islands[i - 1]]
+        assert runs == oracles.island_order(q, axis)
+
+
 def test_non_manifold_fan():
     fan = synth.non_manifold_fan()
     assert not is_edge_manifold(fan)
@@ -153,7 +167,7 @@ def test_duplicate_key_sets_in_different_islands():
     faces = [(0, 1, 3), (2, 1, 0), (3, 4, 1), (0, 1, 2)]
     for labels, expected in (([1, 0, 0, 1], [1, 0]), ([0, 1, 1, 0], [0, 1])):
         q = QuantizedMesh(keys, faces, labels, IDENTITY_TRANSFORM)
-        assert oracles.extract_strips(q, 1).islands_in_order == expected
+        assert oracles.island_order(q) == expected
         assert_strips_match(q, 1)
 
 
