@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from striptok import (
     IDENTITY_TRANSFORM,
     TokenFileError,
+    TokenHeader,
+    TokenSequence,
     Transform,
     VOCAB,
     compression_stats,
@@ -20,8 +23,10 @@ from striptok import (
     read_tokens,
     serialize,
     uv_islands,
+    write_obj,
     write_tokens,
 )
+from striptok import cli
 
 import oracles
 import synth
@@ -206,6 +211,33 @@ class TestSerialize:
             stream = parse_tokens(seq)
             assert stream.discarded == 0, entry.name
             assert stream.consumed_tokens == len(seq.tokens)
+
+
+class TestBaseline:
+    """compare's per-face baseline: a full (c1, c2, c3) triple per corner."""
+
+    def test_nine_tokens_per_face(self, tmp_path):
+        mesh = synth.tri_grid(3, 3)
+        q = quantize_mesh(mesh)
+        ql = oracles.as_lists(q)
+        tokens = []
+        for fi in oracles.seed_order(q):
+            for v in ql.faces[fi]:
+                c1, c2, c3 = encode_hier(ql.vertex_keys[v])
+                tokens += [c1, VOCAB.c2[0] + c2, VOCAB.c3[0] + c3]
+        header = TokenHeader(False, 1, IDENTITY_TRANSFORM, len(q.faces))
+        seq = TokenSequence(np.asarray(tokens, dtype=np.uint16), header)
+        assert len(seq.tokens) == 9 * len(q.faces)
+        assert compression_stats(seq).comp_rate == 1.0
+        assert parse_tokens(seq).discarded == 0
+        # compare reports that sequence's length and rate without building it
+        src = tmp_path / "grid.obj"
+        write_obj(mesh, src)
+        row = {}
+        cli._compare_one(src, SimpleNamespace(up_axis="y"), row)
+        assert row["faces"] == len(q.faces)
+        assert row["baseline_tokens"] == len(seq.tokens)
+        assert row["baseline_comp_rate"] == compression_stats(seq).comp_rate
 
 
 class TestCompressionStats:
