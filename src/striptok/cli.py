@@ -47,6 +47,25 @@ def _collect(inputs, suffix) -> list[Path]:
     return sorted(set(paths))
 
 
+def _output_path(src: Path, args) -> Path:
+    """The file ``encode``, ``decode`` or ``filter`` writes for ``src``."""
+    name = {"encode": src.stem + TOKEN_SUFFIX, "decode": src.stem + ".decoded.obj"}.get(args.command, src.name)
+    return Path(args.output or src.parent) / name
+
+
+def _output_clash(paths, args) -> str | None:
+    """Two inputs with one output path, or an output that is an input."""
+    inputs = {src.resolve(): src for src in paths}
+    writer = {}
+    for src in paths:
+        out = _output_path(src, args).resolve()
+        if out in inputs:
+            return f"the output of {src} would overwrite input {inputs[out]}"
+        if writer.setdefault(out, src) is not src:
+            return f"{writer[out]} and {src} would both write {out}"
+    return None
+
+
 def _shares_dict(stats):
     c1, c2, c3 = stats.level_shares
     return {"c1": round(c1, 6), "c2": round(c2, 6), "c3": round(c3, 6)}
@@ -84,7 +103,7 @@ def _encode_one(src, args, row):
     elif args.uv:
         partition = uv_islands(mesh)
     q, strips, seq = encode_mesh(mesh, args.stride, partition, args.up_axis)
-    out_path = Path(args.output or src.parent) / (src.stem + TOKEN_SUFFIX)
+    out_path = _output_path(src, args)
     write_tokens(seq, out_path)
     stats = compression_stats(seq)
     row.update(
@@ -105,7 +124,7 @@ def _encode_one(src, args, row):
 
 def _decode_one(src, args, row):
     mesh_q, partition, report = decode_tokens(read_tokens(src), args.stride)
-    out_path = Path(args.output or src.parent) / (src.stem + ".decoded.obj")
+    out_path = _output_path(src, args)
     write_obj(dequantize_mesh(mesh_q), out_path, partition)
     row.update(
         faces=len(mesh_q.faces),
@@ -145,7 +164,7 @@ def _filter_one(src, args, row):
     if not result.accepted:
         row["reason"] = result.reason
     elif args.output:
-        shutil.copyfile(src, Path(args.output) / src.name)
+        shutil.copyfile(src, _output_path(src, args))
 
 
 def _compare_one(src, args, row):
@@ -255,6 +274,13 @@ def _emit_jsonl(rows, report_path):
         sys.stdout.write(text)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="striptok",
@@ -265,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_axis=True):
         p.add_argument("inputs", nargs="+", help="files or directories")
         p.add_argument("--report", help="write the JSON-lines report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers over files")
+        p.add_argument("--jobs", type=positive_int, default=1, help="parallel workers over files")
         if with_axis:
             p.add_argument("--up-axis", choices=("x", "y", "z"), default="y")
 
@@ -354,8 +380,12 @@ def main(argv=None) -> int:
         print(f"no {suffix} inputs found", file=sys.stderr)
         return 2
 
-    if cmd in ("encode", "decode", "filter") and args.output:
-        Path(args.output).mkdir(parents=True, exist_ok=True)
+    if cmd in ("encode", "decode") or cmd == "filter" and args.output:
+        if clash := _output_clash(paths, args):
+            print(f"output clash: {clash}", file=sys.stderr)
+            return 2
+        if args.output:
+            Path(args.output).mkdir(parents=True, exist_ok=True)
     # the report (compare: its CSV) is written after every file has run
     report = args.output if cmd == "compare" else args.report
     if report:

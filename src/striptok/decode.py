@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_io import IslandPartition, split_quad_faces
-from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, sort_rows
+from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, distinct_faces
 from .tokens import C1_GEO_BASE, C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE, vocab_ids
 
 EV_VERTEX = 0
@@ -231,14 +231,10 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
         rows[variant == 1, 3] = -1
     report.implied_faces = len(rows)
 
-    sets = np.sort(rows, axis=1)
-    ok = (sets[:, 1:] != sets[:, :-1]).all(axis=1).nonzero()[0]
-    report.degenerate_faces = len(rows) - len(ok)
-    if drop_duplicates:
-        # of faces with equal index sets, the first (the run head) is kept
-        order, first_of_set = sort_rows(sets[ok])
-        ok = ok[np.sort(order[first_of_set])]
-        report.duplicate_faces = len(rows) - report.degenerate_faces - len(ok)
+    nondegenerate, distinct = distinct_faces(rows)
+    ok = distinct if drop_duplicates else nondegenerate
+    report.degenerate_faces = len(rows) - len(nondegenerate)
+    report.duplicate_faces = len(nondegenerate) - len(ok)
     rows = rows[ok]
     if stride == 2 and len(rows) and (rows[:, 3] < 0).all():
         rows = rows[:, :3]  # no quad kept: a triangle mesh, as its OBJ reloads
@@ -271,7 +267,8 @@ def decode(
 
     Strips shorter than three vertices are dropped; decoded faces with a
     repeated welded index and duplicate faces (same unordered index set)
-    are dropped; everything dropped is counted in the report.  Welding
+    are dropped by :func:`~striptok.quantize.distinct_faces`; everything
+    dropped is counted in the report.  Welding
     merges identical coordinates within an island only.  Faces have
     ``stride + 2`` columns, or 3 at stride 2 when no quad is kept (an
     empty decode has ``stride + 2``).

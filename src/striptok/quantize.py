@@ -37,13 +37,13 @@ IDENTITY_TRANSFORM = Transform((0.0, 0.0, 0.0), 1.0)
 @dataclass
 class QuantizedMesh:
     """Mesh snapped to the grid: ``(V, 3)`` grid keys, ``(F, d)`` key-index
-    faces and ``(F,)`` dense island labels (None: one island), all int64.
+    faces and ``(F,)`` dense island labels (zeros: one island), all int64.
     Faces follow the :class:`~striptok.mesh_io.Mesh` pad rule; a decode pads
     an odd stride-2 strip's last face."""
 
     vertex_keys: np.ndarray
     faces: np.ndarray
-    island_of_face: np.ndarray | None
+    island_of_face: np.ndarray
     transform: Transform
     dropped_degenerate: int = 0
     dropped_duplicate: int = 0
@@ -53,8 +53,6 @@ class QuantizedMesh:
         return self.faces.shape[1] if len(self.faces) else 0
 
     def island_count(self) -> int:
-        if self.island_of_face is None:
-            return 1 if len(self.faces) else 0
         return int(self.island_of_face.max()) + 1 if len(self.island_of_face) else 0
 
     def check(self, n_input_faces: int) -> None:
@@ -131,6 +129,16 @@ def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, heads
 
 
+def distinct_faces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The face rule, as ascending indices into ``rows``: ``nondegenerate``,
+    the rows with no repeated entry (a -1 pad is an entry), and ``kept``,
+    of those the first row of each corner set (its entries in any order)."""
+    sets = np.sort(rows, axis=1)
+    nondegenerate = (sets[:, 1:] != sets[:, :-1]).all(axis=1).nonzero()[0]
+    order, heads = sort_rows(sets[nondegenerate])
+    return nondegenerate, nondegenerate[np.sort(order[heads])]
+
+
 def quantize_mesh(
     mesh: Mesh,
     partition: IslandPartition | None = None,
@@ -139,8 +147,9 @@ def quantize_mesh(
     """Normalize, snap to the grid, and deduplicate vertices and faces.
 
     Faces that collapse below their degree on the grid are dropped, as are
-    duplicate faces (same unordered key set, first occurrence kept).  Island
-    labels are carried over; islands emptied by dropping are re-densified.
+    duplicate faces (same unordered key set, first occurrence kept), by
+    :func:`distinct_faces`.  Island labels are carried over; islands emptied
+    by dropping are re-densified, and without a partition all are 0.
 
     Passing ``transform`` skips the bounding-box fit and normalizes through
     the given transform instead, which makes re-quantizing a dequantized
@@ -148,8 +157,8 @@ def quantize_mesh(
 
     The work is done on arrays of packed keys (:func:`pack_keys`), with the
     results of the per-face definition: keys are numbered in order of first
-    occurrence over the corners of the non-degenerate faces, row-major, so
-    the key table holds exactly the keys the kept faces use.  Normalization
+    occurrence over the corners of the kept faces, row-major, so the key
+    table holds exactly the keys those faces use.  Normalization
     is ``(p - center) / scale`` per axis, and a coordinate snaps to cell
     ``int(c * GRID)`` clamped to ``[0, GRID - 1]`` (within ``EPS`` of the
     unit interval; farther out raises ``ValueError``).  Faces must share one
@@ -186,36 +195,30 @@ def quantize_mesh(
     grid = np.clip((normalized * GRID).astype(np.int64), 0, GRID - 1)
 
     corners = pack_keys(grid)[mesh.faces]
-    sets = np.sort(corners, axis=1)
-    degenerate = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
-    if degenerate.all():
+    nondegenerate, kept = distinct_faces(corners)
+    if not len(nondegenerate):
         raise ValueError("all faces degenerate after quantization")
-    kept = np.flatnonzero(~degenerate)
-    corners, sets = corners[kept], sets[kept]
+    corners = corners[kept]
 
     codes, first, inverse = np.unique(corners, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     key_of_code = np.empty_like(by_first)
     key_of_code[by_first] = np.arange(len(by_first))
-    faces = key_of_code[inverse.reshape(-1)].reshape(corners.shape)
 
-    # of faces with equal key sets, the first (the run head) is kept
-    order, heads = sort_rows(sets)
-    unique = np.sort(order[heads])
-
-    island_of_face = None
-    if partition is not None:
+    if partition is None:
+        island_of_face = np.zeros(len(kept), dtype=np.int64)
+    else:
         # asarray: a caller may pass the labels as a list (perfbench/workloads.py does)
-        labels = np.asarray(partition.island_of_face)[kept[unique]]
+        labels = np.asarray(partition.island_of_face)[kept]
         island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1)
 
     return QuantizedMesh(
         vertex_keys=_unpack_keys(codes[by_first]),
-        faces=faces[unique],
+        faces=key_of_code[inverse.reshape(-1)].reshape(corners.shape),
         island_of_face=island_of_face,
         transform=transform,
-        dropped_degenerate=len(mesh.faces) - len(kept),
-        dropped_duplicate=len(kept) - len(unique),
+        dropped_degenerate=len(mesh.faces) - len(nondegenerate),
+        dropped_duplicate=len(nondegenerate) - len(kept),
     )
 
 

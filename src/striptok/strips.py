@@ -105,8 +105,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
 
     # islands by their lowest face; equal lowest rank tuples (one key set in
     # two islands) keep the order in which the islands first appear
-    labels = q.island_of_face if q.island_of_face is not None else np.zeros(nfaces, dtype=np.int64)
-    _, first, island_idx = np.unique(labels, return_index=True, return_inverse=True)
+    _, first, island_idx = np.unique(q.island_of_face, return_index=True, return_inverse=True)
     island_idx = island_idx.reshape(-1)
     # an island's lowest face is its first in order, ranked by cumsum(heads)
     _, lowest = np.unique(island_idx[order], return_index=True)
@@ -169,7 +168,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     return StripSet(
         keys=np.array(keys, dtype=np.int64),
         offsets=np.array([0] + ends, dtype=np.int64),
-        islands=labels[seeds[strip_seeds]].astype(np.int64, copy=False),
+        islands=q.island_of_face[seeds[strip_seeds]].astype(np.int64, copy=False),
         vertex_keys=q.vertex_keys,
         stride=stride,
         transform=q.transform,

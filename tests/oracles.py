@@ -1,10 +1,11 @@
 """Reference implementations the array code in ``striptok`` is checked against.
 
 These are the original per-face Python versions of
-``verify.compare_quantized``, ``quantize.quantize_mesh``,
-``mesh_io.uv_islands``, ``mesh_io.is_edge_manifold`` and
-``strips.extract_strips`` (with ``vertex_ranks``, its seed order
-``seed_order`` and its island order ``island_order``), and the
+``verify.compare_quantized``, ``quantize.quantize_mesh`` (with its face
+rule ``distinct_faces``), ``mesh_io.uv_islands``,
+``mesh_io.is_edge_manifold`` and ``strips.extract_strips`` (with
+``vertex_ranks``, its seed order ``seed_order`` and its island order
+``island_order``), and the
 per-token and per-vertex codec path: ``StripSet.face_count``,
 ``tokens.serialize``, ``quantize.encode_hier``, ``quantize.decode_hier``,
 ``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
@@ -22,9 +23,10 @@ tuples, which the oracle ``_decode_impl`` reads.
 
 The oracles work on :class:`Mesh`, :class:`QuantizedMesh` and
 :class:`IslandPartition` in list form: positions, keys and faces as lists of
-tuples, labels as a list.  :func:`as_lists` turns the package's arrays into
-that form, and :func:`as_arrays` builds the arrays from it; tests build
-meshes in list form and pass them through :func:`as_arrays`.  A strip set's
+tuples, labels as a list (all 0 without a partition, never None).
+:func:`as_lists` turns the package's arrays into that form, and
+:func:`as_arrays` builds the arrays from it; tests build meshes in list
+form and pass them through :func:`as_arrays`.  A strip set's
 list form is one ``(keys, island)`` pair per strip: :func:`strip_lists` reads
 it from a :class:`StripSet` and :func:`strip_set` builds one from it.
 """
@@ -105,7 +107,7 @@ def as_lists(x):
             uv_coords=_maybe(row_tuples, x.uv_coords),
             face_uvs=_maybe(row_tuples, x.face_uvs),
         )
-    labels = _maybe(np.ndarray.tolist, x.island_of_face)
+    labels = x.island_of_face.tolist()
     return replace(x, vertex_keys=row_tuples(x.vertex_keys), faces=row_tuples(x.faces), island_of_face=labels)
 
 
@@ -126,7 +128,7 @@ def as_arrays(x):
         x,
         vertex_keys=np.array(x.vertex_keys, dtype=np.int64).reshape(-1, 3),
         faces=face_array(x.faces),
-        island_of_face=_maybe(_labels, x.island_of_face),
+        island_of_face=_labels(x.island_of_face),
     )
 
 
@@ -282,7 +284,7 @@ def _grouping(face_sets, labels):
 
 
 def _island_key_sets(q: QuantizedMesh):
-    labels = q.island_of_face if q.island_of_face is not None else [0] * len(q.faces)
+    labels = q.island_of_face
     used = defaultdict(set)
     for face, l in zip(q.faces, labels):
         for v in face:
@@ -320,7 +322,23 @@ def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bo
     return True, ""
 
 
-# --- quantize.quantize_mesh ----------------------------------------------
+# --- quantize.distinct_faces, quantize.quantize_mesh ---------------------
+
+
+def distinct_faces(rows) -> tuple[list[int], list[int]]:
+    """The indices of the rows with no repeated entry, and of those, the
+    first row of each entry set."""
+    nondegenerate: list[int] = []
+    kept: list[int] = []
+    seen: set[frozenset] = set()
+    for i, row in enumerate(rows):
+        if len(set(row)) < len(row):
+            continue
+        nondegenerate.append(i)
+        if frozenset(row) not in seen:
+            seen.add(frozenset(row))
+            kept.append(i)
+    return nondegenerate, kept
 
 
 def quantize_mesh(
@@ -333,6 +351,7 @@ def quantize_mesh(
     Faces that collapse below their degree on the grid are dropped, as are
     duplicate faces (same unordered key set, first occurrence kept).  Island
     labels are carried over; islands emptied by dropping are re-densified.
+    Without a partition every label is 0.
 
     Passing ``transform`` skips the bounding-box fit and normalizes through
     the given transform instead, which makes re-quantizing a dequantized
@@ -384,7 +403,7 @@ def quantize_mesh(
 
     # Keys referencing only dropped faces never get created above, so the key
     # table already holds exactly the referenced keys.
-    island_of_face: list[int] | None = None
+    island_of_face = [0] * len(faces)
     if partition is not None:
         remap = {old: new for new, old in enumerate(sorted(set(labels)))}
         island_of_face = [remap[l] for l in labels]
@@ -507,7 +526,7 @@ def seed_order(q: QuantizedMesh, up_axis: str = "y") -> list[int]:
 def island_order(q: QuantizedMesh, up_axis: str = "y") -> list[int]:
     """Island ids ascending by their lowest face; ties keep first appearance."""
     fkeys = _face_sort_keys(q, vertex_ranks(q, up_axis))
-    labels = q.island_of_face if q.island_of_face is not None else [0] * len(q.faces)
+    labels = q.island_of_face
     lowest: dict[int, tuple[int, ...]] = {}
     for fi, l in enumerate(labels):
         lowest[l] = min(lowest.get(l, fkeys[fi]), fkeys[fi])
@@ -569,7 +588,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     ranks = vertex_ranks(q, up_axis)
     fkeys = _face_sort_keys(q, ranks)
     e2f = _build_edge_map(q)
-    labels = q.island_of_face if q.island_of_face is not None else [0] * len(q.faces)
+    labels = q.island_of_face
 
     faces_of_island: dict[int, list[int]] = defaultdict(list)
     for fi, l in enumerate(labels):

@@ -164,7 +164,7 @@ def greedy_patch_count(q, cap=7):
     for fi, face in enumerate(q.faces):
         for v in face:
             faces_of_vertex[v].append(fi)
-    labels = q.island_of_face if q.island_of_face is not None else [0] * len(q.faces)
+    labels = q.island_of_face
     ranks = vertex_ranks(q)
     visited = [False] * len(q.faces)
     patches = 0

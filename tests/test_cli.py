@@ -335,6 +335,41 @@ class TestExitCodes:
             main(["encode"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, obj_dir, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", str(obj_dir), "--output", str(tmp_path / "out"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_encode_inputs_with_one_output_path(self, tmp_path, capsys):
+        a, b = tmp_path / "a" / "x.obj", tmp_path / "b" / "x.obj"
+        for path, mesh in ((a, synth.tri_grid(3, 3)), (b, synth.tri_grid(4, 3))):
+            path.parent.mkdir()
+            write_obj(mesh, path)
+        out = tmp_path / "out"
+        assert main(["encode", str(a), str(b), "--output", str(out), "--jobs", "2"]) == 2
+        assert f"{a} and {b} would both write {out / 'x.sato'}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decode_inputs_with_one_output_path(self, tmp_path, capsys):
+        a, b = tmp_path / "a" / "x.sato", tmp_path / "b" / "x.sato"
+        for path, mesh in ((a, synth.tri_grid(3, 3)), (b, synth.tri_grid(4, 3))):
+            path.parent.mkdir()
+            write_obj(mesh, tmp_path / "x.obj")
+            assert main(["encode", str(tmp_path / "x.obj"), "--output", str(path.parent), "--report", str(tmp_path / "r")]) == 0
+        before = a.read_bytes(), b.read_bytes()
+        assert main(["decode", str(a), str(b), "--output", str(tmp_path / "dec")]) == 2
+        assert f"{a} and {b} would both write {tmp_path / 'dec' / 'x.decoded.obj'}" in capsys.readouterr().err
+        assert (a.read_bytes(), b.read_bytes()) == before and not (tmp_path / "dec").exists()
+
+    def test_filter_output_onto_its_input(self, obj_dir, capsys):
+        before = {p.name: p.read_bytes() for p in obj_dir.iterdir()}
+        assert main(["filter", str(obj_dir), "--output", str(obj_dir)]) == 2
+        grid = obj_dir / "grid.obj"
+        assert f"the output of {grid} would overwrite input {grid}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in obj_dir.iterdir()} == before
+
     def test_unreadable_file_fails(self, tmp_path):
         bad = tmp_path / "bad.obj"
         bad.write_text("f 1 2 3\n")

@@ -296,7 +296,7 @@ _SCALE = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_dequantize_mesh_bit_identical(keys, center, scale):
     t = Transform(center, scale)
-    mesh = dequantize_mesh(as_arrays(QuantizedMesh(vertex_keys=keys, faces=[], island_of_face=None, transform=t)))
+    mesh = dequantize_mesh(as_arrays(QuantizedMesh(vertex_keys=keys, faces=[], island_of_face=[], transform=t)))
     got = [tuple(map(float.hex, p)) for p in mesh.positions]
     want = [tuple(map(float.hex, dequantize(g, t))) for g in keys]
     assert got == want
@@ -374,7 +374,7 @@ def test_write_obj_every_cell_centre_matches_oracle():
     q = QuantizedMesh(
         vertex_keys=np.concatenate([keys, keys[:, [1, 2, 0]]]),
         faces=np.arange(1022)[:, None] + np.arange(3),
-        island_of_face=None,
+        island_of_face=np.zeros(1022, dtype=np.int64),
         transform=Transform((1.3, -0.7, 2.5), 3.7),
     )
     mesh = dequantize_mesh(q)

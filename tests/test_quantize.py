@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from striptok import (
@@ -20,7 +20,7 @@ from striptok import (
     single_island,
     uv_islands,
 )
-from striptok.quantize import pack_keys
+from striptok.quantize import distinct_faces, pack_keys
 
 import oracles
 from oracles import as_arrays, as_lists, dequantize, normalize, to_grid
@@ -236,14 +236,11 @@ class TestQuantizeMesh:
         assert q.island_count() == 1
 
 
-def assert_arrays(q, n_keys, n_faces, degree, labelled):
+def assert_arrays(q, n_keys, n_faces, degree):
     """The array contract of a ``QuantizedMesh``: int64 fields of these shapes."""
     assert q.vertex_keys.dtype == np.int64 and q.vertex_keys.shape == (n_keys, 3)
     assert q.faces.dtype == np.int64 and q.faces.shape == (n_faces, degree)
-    if labelled:
-        assert q.island_of_face.dtype == np.int64 and q.island_of_face.shape == (n_faces,)
-    else:
-        assert q.island_of_face is None
+    assert q.island_of_face.dtype == np.int64 and q.island_of_face.shape == (n_faces,)
 
 
 class TestArrayContract:
@@ -251,13 +248,14 @@ class TestArrayContract:
     def test_without_partition(self, quads):
         mesh = synth.quad_grid(3, 2) if quads else synth.tri_grid(3, 2)
         q = quantize_mesh(mesh)
-        assert_arrays(q, 12, len(mesh.faces), 4 if quads else 3, labelled=False)
+        assert_arrays(q, 12, len(mesh.faces), 4 if quads else 3)
+        assert q.island_of_face.tolist() == [0] * len(mesh.faces)
         assert q.face_degree == (4 if quads else 3) and q.island_count() == 1
 
     def test_uv_partition(self):
         mesh = synth.with_uv_groups(synth.tri_grid(4, 4), [f // 8 for f in range(32)])
         q = quantize_mesh(mesh, uv_islands(mesh))
-        assert_arrays(q, 25, 32, 3, labelled=True)
+        assert_arrays(q, 25, 32, 3)
         assert q.island_of_face.tolist() == [f // 8 for f in range(32)]
         assert q.island_count() == 4
 
@@ -266,7 +264,7 @@ class TestArrayContract:
         positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.2, 0.5, 0.0), (0.2 + eps, 0.5, 0.0)]
         mesh = as_arrays(Mesh(positions, [(0, 1, 2), (3, 4, 2), (1, 2, 0)]))
         q = quantize_mesh(mesh, as_arrays(IslandPartition([4, 2, 7], 3)))
-        assert_arrays(q, 3, 1, 3, labelled=True)
+        assert_arrays(q, 3, 1, 3)
         assert q.island_of_face.tolist() == [0] and q.island_count() == 1
         assert (q.dropped_degenerate, q.dropped_duplicate) == (1, 1)
 
@@ -307,6 +305,27 @@ class TestNonFinite:
         mesh = synth.tri_grid(3, 3)
         with pytest.raises(ValueError, match="^non-finite vertex coordinate$"):
             quantize_mesh(mesh, transform=Transform((0.0, 0.0, 0.0), scale))
+
+
+@st.composite
+def face_rows(draw):
+    """Rows of 3 or 4 small entries, -1 pads among them, that repeat entries
+    and hold permuted copies of earlier rows."""
+    width = draw(st.sampled_from([3, 4]))
+    rows = draw(st.lists(st.lists(st.integers(-1, 5), min_size=width, max_size=width), max_size=20))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=6)):
+            rows.insert(draw(st.integers(i + 1, len(rows))), draw(st.permutations(rows[i])))
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+@given(face_rows())
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.array([[0, 1, 2, -1], [2, 0, 1, -1], [0, 1, 2, 3], [-1, 2, 1, 0], [0, 1, -1, -1]]))
+@settings(max_examples=200, deadline=None)
+def test_distinct_faces_matches_oracle(rows):
+    nondegenerate, kept = distinct_faces(rows)
+    assert (nondegenerate.tolist(), kept.tolist()) == oracles.distinct_faces(rows.tolist())
 
 
 def _outcome(fn, *args, **kwargs):
@@ -353,7 +372,7 @@ def _both(fn, oracle, mesh, partition, **kwargs):
 
 
 def _assert_same(got, want, n_faces):
-    assert_arrays(got, len(want.vertex_keys), len(want.faces), got.faces.shape[1], want.island_of_face is not None)
+    assert_arrays(got, len(want.vertex_keys), len(want.faces), got.faces.shape[1])
     assert as_lists(got) == want  # dataclass equality: keys, faces, labels, transform, drop counts
     got.check(n_faces)
 

@@ -149,7 +149,7 @@ class TestStripSet:
         assert [s.tolist() for s in ss.strips] == [keys for keys, _ in strip_lists(ss)]
 
     def test_empty(self):
-        ss = extract_strips(as_arrays(QuantizedMesh([], [], None, IDENTITY_TRANSFORM)), 1)
+        ss = extract_strips(as_arrays(QuantizedMesh([], [], [], IDENTITY_TRANSFORM)), 1)
         assert ss.keys.tolist() == [] and ss.offsets.tolist() == [0] and ss.islands.tolist() == []
         assert ss.strips == [] and ss.face_count() == 0
 

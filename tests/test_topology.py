@@ -84,7 +84,9 @@ def hand_built(draw):
     vertex = st.integers(0, len(keys) - 1)
     faces = draw(st.lists(st.tuples(*[vertex] * degree), max_size=14))
     labels = draw(
-        st.one_of(st.none(), st.lists(st.sampled_from([0, 2, 5]), min_size=len(faces), max_size=len(faces)))
+        st.one_of(
+            st.just([0] * len(faces)), st.lists(st.sampled_from([0, 2, 5]), min_size=len(faces), max_size=len(faces))
+        )
     )
     return QuantizedMesh(keys, faces, labels, IDENTITY_TRANSFORM), 1 if degree == 3 else 2
 
@@ -105,8 +107,7 @@ def _encodable(case):
     if isinstance(mesh, Mesh):
         mesh = as_lists(quantize_mesh(mesh, uv_islands(mesh) if mesh.face_uvs is not None else None))
     keep = [i for i, face in enumerate(mesh.faces) if len(set(face)) == len(face)]
-    labels = mesh.island_of_face
-    labels = None if labels is None else [labels[i] for i in keep]
+    labels = [mesh.island_of_face[i] for i in keep]
     return replace(mesh, faces=[mesh.faces[i] for i in keep], island_of_face=labels), stride
 
 
@@ -186,7 +187,7 @@ def test_degenerate_faces():
         (2, [(0, 0, 1, 1), (1, 1, 0, 0)], "face 0 repeats a corner: (0, 0, 1, 1)"),
     ]
     for stride, faces, message in cases:
-        q = QuantizedMesh(keys, faces, None, IDENTITY_TRANSFORM)
+        q = QuantizedMesh(keys, faces, [0] * len(faces), IDENTITY_TRANSFORM)
         for fn, mesh in ((extract_strips, as_arrays(q)), (oracles.extract_strips, q)):
             with pytest.raises(ValueError) as err:
                 fn(mesh, stride)
@@ -202,7 +203,7 @@ def test_quad_that_repeats_an_edge():
     assert_mesh_topology_matches(mesh)
     assert_mesh_topology_matches(synth.with_uv_groups(mesh, [0, 0, 1]))
     keys = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (2, 0, 0)]
-    assert_strips_match(QuantizedMesh(keys, faces, None, IDENTITY_TRANSFORM), 2)
+    assert_strips_match(QuantizedMesh(keys, faces, [0, 0, 0], IDENTITY_TRANSFORM), 2)
 
 
 def test_signed_zero_positions_merge():
@@ -228,7 +229,7 @@ def test_empty_mesh():
     empty = as_arrays(Mesh([], [], [], []))
     assert uv_islands(empty).island_count == 0
     assert_mesh_topology_matches(empty)
-    assert_strips_match(QuantizedMesh([], [], None, IDENTITY_TRANSFORM), 1)
+    assert_strips_match(QuantizedMesh([], [], [], IDENTITY_TRANSFORM), 1)
     assert_strips_match(QuantizedMesh([], [], [], IDENTITY_TRANSFORM), 2)
 
 

@@ -1,9 +1,16 @@
-"""``compare_quantized`` against the per-face reference in ``oracles``."""
+"""``compare_quantized`` against the per-face reference in ``oracles``.
+
+``compare_quantized`` takes a source with one face per key set, as
+``quantize_mesh`` returns it, and raises ``ValueError`` on any other; the
+oracle also compares such sources, and is the reference for every other
+pair.
+"""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from striptok import IDENTITY_TRANSFORM, Mesh, QuantizedMesh, decode_tokens, encode_mesh, uv_islands
@@ -36,13 +43,9 @@ def round_trips(draw):
     return as_lists(source), as_lists(decoded)
 
 
-def _labels(q: QuantizedMesh) -> list[int]:
-    return list(q.island_of_face) if q.island_of_face is not None else [0] * len(q.faces)
-
-
 def _perturb(q: QuantizedMesh, kind: str, i: int, j: int) -> QuantizedMesh:
     """``q``, in list form, with one defect of the given kind; ``i``/``j`` pick faces."""
-    faces, labels = list(q.faces), _labels(q)
+    faces, labels = list(q.faces), list(q.island_of_face)
     i, j = i % len(faces), j % len(faces)
     a, b = labels[i], labels[j]
     if kind == "reverse":
@@ -85,7 +88,7 @@ KINDS = ["reverse", "reflect", "swap", "merge", "split", "move", "drop", "replac
 def test_compare_matches_oracle(case, kind, i, j, side):
     source, decoded = case
     if kind is not None:
-        # on both sides, a duplicated face gives repeated key sets that still match
+        # a duplicated face in the source raises; in the decoded mesh only, it is one face too many
         if side != "decoded":
             source = _perturb(source, kind, i, j)
         if side != "source":
@@ -93,13 +96,24 @@ def test_compare_matches_oracle(case, kind, i, j, side):
     assert_matches_oracle(source, decoded)
 
 
+def _repeats_key_set(q: QuantizedMesh) -> bool:
+    sets = oracles._face_coord_sets(q)
+    return len(set(sets)) < len(sets)
+
+
 def assert_matches_oracle(source: QuantizedMesh, decoded: QuantizedMesh):
-    """The package's result on the arrays of two list-form meshes is the oracle's."""
+    """The package's result on the arrays of two list-form meshes is the
+    oracle's, or a ``ValueError`` where the source repeats a key set."""
+    if _repeats_key_set(source):
+        with pytest.raises(ValueError, match="^source repeats a face key set$"):
+            compare_quantized(as_arrays(source), as_arrays(decoded))
+        return
     assert compare_quantized(as_arrays(source), as_arrays(decoded)) == oracles.compare_quantized(source, decoded)
 
 
 def _mesh(keys, faces, labels=None):
-    return QuantizedMesh(keys, faces, labels, IDENTITY_TRANSFORM)
+    """A list-form mesh; without labels, every face is in island 0."""
+    return QuantizedMesh(keys, faces, labels or [0] * len(faces), IDENTITY_TRANSFORM)
 
 
 SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -128,10 +142,10 @@ def test_edge_cases_match_oracle():
         (_mesh([], []), _mesh([], [])),
         (tri, _mesh([], [])),
         (_mesh([], []), tri),
-        # duplicate key sets carrying different labels on each side
+        # repeated key sets, with different labels or windings on each side:
+        # a source that holds them raises, a decoded mesh has faces too many
         (_mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 1]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 0])),
         (_mesh(SQUARE, [(0, 1, 2), (1, 2, 0)], [0, 1]), _mesh(SQUARE, [(2, 0, 1), (0, 1, 2)], [3, 4])),
-        # windings are checked against the last source face with the key set
         (_mesh(SQUARE, [(0, 1, 2), (0, 2, 1)], [0, 1]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 1])),
         (_mesh(SQUARE, [(0, 2, 1), (0, 1, 2)], [0, 1]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2)], [0, 1])),
         # degenerate faces and faces of another degree with the same key set
@@ -154,3 +168,13 @@ def test_edge_cases_match_oracle():
     ]
     for source, decoded in cases:
         assert_matches_oracle(source, decoded)
+        assert_matches_oracle(decoded, source)
+
+
+def test_repeated_key_set_raises_in_the_source_only():
+    once = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3)])
+    twice = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3), (1, 2, 0)])
+    with pytest.raises(ValueError, match="^source repeats a face key set$"):
+        compare_quantized(as_arrays(twice), as_arrays(once))
+    want = (False, "face multiset mismatch: 0 missing, 0 extra (2 vs 3 faces)")
+    assert compare_quantized(as_arrays(once), as_arrays(twice)) == want == oracles.compare_quantized(once, twice)
