@@ -13,7 +13,6 @@ from .mesh_io import (
     write_obj,
 )
 from .quantize import (
-    IDENTITY_TRANSFORM,
     QuantizedMesh,
     Transform,
     decode_hier,

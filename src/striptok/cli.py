@@ -53,16 +53,32 @@ def _output_path(src: Path, args) -> Path:
     return Path(args.output or src.parent) / name
 
 
+def _report_path(args) -> str | None:
+    """Where the report goes (``compare``: its CSV); None for stdout."""
+    return args.output if args.command == "compare" else args.report
+
+
 def _output_clash(paths, args) -> str | None:
-    """Two inputs with one output path, or an output that is an input."""
+    """Two inputs with one output path, or an output that is an input; the
+    report (``compare``: its CSV) is checked against every input, ``--ref``
+    included, and every file output."""
     inputs = {src.resolve(): src for src in paths}
+    if getattr(args, "ref", None):
+        inputs.setdefault(Path(args.ref).resolve(), Path(args.ref))
     writer = {}
-    for src in paths:
-        out = _output_path(src, args).resolve()
+    if args.command in ("encode", "decode") or args.command == "filter" and args.output:
+        for src in paths:
+            out = _output_path(src, args).resolve()
+            if out in inputs:
+                return f"the output of {src} would overwrite input {inputs[out]}"
+            if writer.setdefault(out, src) is not src:
+                return f"{writer[out]} and {src} would both write {out}"
+    if report := _report_path(args):
+        out = Path(report).resolve()
         if out in inputs:
-            return f"the output of {src} would overwrite input {inputs[out]}"
-        if writer.setdefault(out, src) is not src:
-            return f"{writer[out]} and {src} would both write {out}"
+            return f"the report {report} would overwrite input {inputs[out]}"
+        if out in writer:
+            return f"the report {report} and the output of {writer[out]} would both write {out}"
     return None
 
 
@@ -380,14 +396,13 @@ def main(argv=None) -> int:
         print(f"no {suffix} inputs found", file=sys.stderr)
         return 2
 
-    if cmd in ("encode", "decode") or cmd == "filter" and args.output:
-        if clash := _output_clash(paths, args):
-            print(f"output clash: {clash}", file=sys.stderr)
-            return 2
-        if args.output:
-            Path(args.output).mkdir(parents=True, exist_ok=True)
+    if clash := _output_clash(paths, args):
+        print(f"output clash: {clash}", file=sys.stderr)
+        return 2
+    if cmd in ("encode", "decode", "filter") and args.output:
+        Path(args.output).mkdir(parents=True, exist_ok=True)
     # the report (compare: its CSV) is written after every file has run
-    report = args.output if cmd == "compare" else args.report
+    report = _report_path(args)
     if report:
         Path(report).parent.mkdir(parents=True, exist_ok=True)
 

@@ -31,9 +31,6 @@ class Transform:
     scale: float
 
 
-IDENTITY_TRANSFORM = Transform((0.0, 0.0, 0.0), 1.0)
-
-
 @dataclass
 class QuantizedMesh:
     """Mesh snapped to the grid: ``(V, 3)`` grid keys, ``(F, d)`` key-index

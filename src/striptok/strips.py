@@ -4,11 +4,14 @@ A strip is an ordered run of vertex keys; each step across the frontier
 edge (the last two keys) appends one new vertex for triangles (stride 1)
 or a swapped pair for quads (stride 2).  Seeds are the lowest unvisited
 faces under a coordinate order, islands are traversed bottom-to-top along
-the configured vertical axis, and strips never leave their island.
+the configured vertical axis, and strips never leave their island.  A step
+enters only a face that runs along the frontier edge the other way from
+the face it leaves, so a strip decodes to its faces' own windings.
 Faces are renumbered in seed order, and growth steps over face-edge
-slots, each edge's slots within one island in one range
-(:func:`mesh_io.sorted_edge_keys`).  A :class:`StripSet` holds the strips
-as flat arrays, one strip's keys after another's.
+slots sorted by edge key, island and direction: the faces a step may
+enter are one range of them.  The walk records its seeds and entry slots,
+and NumPy gathers the keys afterwards.  A :class:`StripSet` holds the
+strips as flat arrays, one strip's keys after another's.
 """
 
 from __future__ import annotations
@@ -71,18 +74,27 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     rotation (never a reflection) of the stored face.  A quad seed is
     additionally swapped in its last two entries so that pair-wise decoding
     reassembles the stored cyclic order.  Growth crosses the frontier edge
-    to the unvisited face of the same island there (ties on non-manifold
-    edges go to the lowest face) and stops at boundaries and visited faces.
-    A face that repeats a corner raises ``ValueError``.
+    only into an unvisited face of the same island that runs along it the
+    other way from the face it leaves (ties on non-manifold edges go to the
+    lowest face), and stops at boundaries and visited faces.  The decoder
+    winds each face by its strip position, so a strip holds only faces of
+    one orientation, and a face wound against its neighbours starts its own
+    strip.  A face that repeats a corner raises ``ValueError``.
 
     "Lowest face" compares sorted vertex-rank tuples, ties going to the
     lower face index.  The faces are renumbered once in seed order (island
     position, then lowest first), so the walk prefers the lower index.
     Slot ``f * d + j`` is edge ``j`` of face ``f``, from ``face[j]`` to
-    ``face[j + 1]``; sorted by edge key, each edge's slots are in face
-    order, those of one island in one range.  The frontier is the slot of
-    the face entered last that holds the last two keys, and the next face
-    is the first unvisited one in that slot's range.
+    ``face[j + 1]``.  The slots are sorted by edge key, island position and
+    direction, stably in face order, so the faces that may follow slot
+    ``s`` are one range of the sorted slots: the adjacent group with ``s``'s
+    key and island and the other direction.  The next face is the first
+    unvisited one there.  Every step enters its face the same way, so the
+    next frontier depends on the step's parity alone, not on the face's
+    corners: at stride 1, edge ``j + 2`` after an odd step and ``j + 1``
+    after an even one; at stride 2, always ``j + 2``.  The walk reads no
+    key: it records a trail of seeds and entry slots, and the keys are
+    gathered from the faces after it.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -115,59 +127,77 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     seeds = order[np.argsort(position[order], kind="stable")]
     faces, position = faces[seeds], position[seeds]
     # a seed starts at its lowest-ranked corner
-    lowest_corner = np.argmin(rank_arr[faces], axis=1).tolist()
+    lowest_corner = np.argmin(rank_arr[faces], axis=1)
 
-    # the slots across slot s's edge in s's island: slot_order[lo[s]:hi[s]]
+    # slots by edge key, island position, then direction (up, face[j] <
+    # face[j + 1], before down), stably in face order: an edge's slots are
+    # in face order, so in island order, and the direction sort moves slots
+    # only within one (key, island) pair
     slot_order, edge_keys = sorted_edge_keys(faces, nkeys)
-    slot_face = slot_order // degree
-    slot_island = position[slot_face]
-    head = np.r_[True, (edge_keys[1:] != edge_keys[:-1]) | (slot_island[1:] != slot_island[:-1])]
-    group = np.cumsum(head) - 1
-    bounds = np.r_[np.flatnonzero(head), len(head)]
+    down = (faces > np.roll(faces, -1, axis=1)).reshape(-1)[slot_order]
+    slot_island = position[slot_order // degree]
+    pair_head = np.r_[True, (edge_keys[1:] != edge_keys[:-1]) | (slot_island[1:] != slot_island[:-1])]
+    pair = np.cumsum(pair_head) - 1
+    resort = np.argsort(2 * pair + down, kind="stable")
+    slot_order, up = slot_order[resort], ~down[resort]
+    # the slots across slot s's edge that run the other way:
+    # slot_order[lo[s]:hi[s]], a pair's up slots before its down slots
+    starts = np.flatnonzero(pair_head)
+    stops = np.r_[starts[1:], len(slot_order)]
+    mids = (starts + np.add.reduceat(up, starts))[pair]
     lo, hi = np.empty_like(slot_order), np.empty_like(slot_order)
-    lo[slot_order], hi[slot_order] = bounds[group], bounds[group + 1]
-    lo, hi = lo.tolist(), hi.tolist()
-    slot_face, slot_j = slot_face.tolist(), (slot_order % degree).tolist()
-    face_list = faces.tolist()
+    lo[slot_order] = np.where(up, mids, starts[pair])
+    hi[slot_order] = np.where(up, stops[pair], mids)
+
+    # sorted slot c enters face face_at[c] across its edge j[c]; the range
+    # the walk tries next, after an odd step and after an even one, and
+    # from each seed.  The walk reads a few entries of each table, so they
+    # are memoryviews, not lists.
+    face_at, j = np.divmod(slot_order, degree)
+    exits = [face_at * degree + (j + shift) % degree for shift in ((2, 1) if stride == 1 else (2, 2))]
+    after = [(memoryview(lo[s]), memoryview(hi[s])) for s in exits]
+    seed_slot = np.arange(nfaces) * degree + (lowest_corner + stride) % degree
+    seed_lo, seed_hi = memoryview(lo[seed_slot]), memoryview(hi[seed_slot])
+    entry_face = memoryview(face_at)
 
     visited = [False] * nfaces
-    # every strip's keys back to back, with each strip's end and seed
-    keys: list[int] = []
-    ends: list[int] = []
-    strip_seeds: list[int] = []
+    # a seed as -1 - seed, a step as its sorted slot
+    trail: list[int] = []
     for seed in range(nfaces):
         if visited[seed]:
             continue
         visited[seed] = True
-        face, k = face_list[seed], lowest_corner[seed]
-        keys += face[k:] + face[:k]
-        if stride == 2:
-            keys[-1], keys[-2] = keys[-2], keys[-1]
-        slot = seed * degree + (k + stride) % degree
+        trail.append(-1 - seed)
+        a, b, even = seed_lo[seed], seed_hi[seed], 0
         while True:
-            for c in range(lo[slot], hi[slot]):
-                fi = slot_face[c]
-                if not visited[fi]:
+            for c in range(a, b):
+                if not visited[entry_face[c]]:
                     break
             else:
                 break
-            visited[fi] = True
-            face, j = face_list[fi], slot_j[c]
-            # entered across face[j], face[j + 1]
-            if stride == 1:
-                nxt = (j + 1) % 3 if face[(j + 1) % 3] == keys[-1] else (j + 2) % 3
-                keys.append(face[j - 1])
-            else:
-                pair = [face[j - 1], face[j - 2]]
-                keys += pair[::-1] if face[j] == keys[-1] else pair
-                nxt = (j + 2) % 4
-            slot = fi * degree + nxt
-        ends.append(len(keys))
-        strip_seeds.append(seed)
+            visited[entry_face[c]] = True
+            trail.append(c)
+            nlo, nhi = after[even]
+            a, b, even = nlo[c], nhi[c], even ^ 1
+
+    # a seed's keys run from its lowest corner, the last two swapped at
+    # stride 2; a step's are face[j - 1], then face[j - 2] at stride 2
+    walk = np.array(trail, dtype=np.int64)
+    is_seed = walk < 0
+    strip_seeds = -1 - walk[is_seed]
+    entered = walk[~is_seed, None]
+    ends = np.cumsum(np.where(is_seed, degree, stride))
+    heads_at = ends[is_seed] - degree
+    keys = np.empty(ends[-1], dtype=np.int64)
+    turn = np.array([0, 1, 2] if stride == 1 else [0, 1, 3, 2])
+    cols = (lowest_corner[strip_seeds, None] + turn) % degree
+    keys[heads_at[:, None] + np.arange(degree)] = faces[strip_seeds[:, None], cols]
+    back = np.arange(1, stride + 1)
+    keys[ends[~is_seed, None] - stride + np.arange(stride)] = faces[face_at[entered], (j[entered] - back) % degree]
 
     return StripSet(
-        keys=np.array(keys, dtype=np.int64),
-        offsets=np.array([0] + ends, dtype=np.int64),
+        keys=keys,
+        offsets=np.r_[heads_at, ends[-1]],
         islands=q.island_of_face[seeds[strip_seeds]].astype(np.int64, copy=False),
         vertex_keys=q.vertex_keys,
         stride=stride,

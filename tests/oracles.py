@@ -9,12 +9,15 @@ rule ``distinct_faces``), ``mesh_io.uv_islands``,
 per-token and per-vertex codec path: ``StripSet.face_count``,
 ``tokens.serialize``, ``quantize.encode_hier``, ``quantize.decode_hier``,
 ``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
-kept unchanged apart from their imports and the list form of strips, and
-the sample-order neighbor pass of ``metrics._nn``.  The
-per-point helpers they are built on (``normalize``, ``to_grid``,
-``dequantize``, ``key_order``, ``strip_faces``, and the two float maps that
-were ``Transform`` methods) live here too: nothing in ``striptok`` calls
-them.  The package's NumPy versions must return the same results;
+kept unchanged apart from their imports, the list form of strips and the
+strip walk's direction rule (it enters only a face that runs along the
+frontier edge against the face it leaves), and the sample-order neighbor
+pass of ``metrics._nn``.  The per-point helpers they are built on
+(``normalize``, ``to_grid``, ``dequantize``, ``key_order``,
+``strip_faces``, and the two float maps that were ``Transform`` methods)
+live here too, with ``IDENTITY_TRANSFORM``, the transform of meshes the
+tests build directly on the grid: nothing in ``striptok`` uses them.  The
+package's NumPy versions must return the same results;
 ``tests/test_verify.py``, ``tests/test_quantize.py``,
 ``tests/test_topology.py``, ``tests/test_tokens.py``,
 ``tests/test_decode_oracle.py`` and ``tests/test_metrics.py`` assert that.
@@ -57,6 +60,8 @@ from striptok.tokens import (
 
 GridCoord = tuple[int, int, int]
 HierCode = tuple[int, int, int]
+
+IDENTITY_TRANSFORM = Transform((0.0, 0.0, 0.0), 1.0)
 
 
 # --- list form of a Mesh, a QuantizedMesh and an IslandPartition
@@ -551,6 +556,12 @@ def _build_edge_map(q: QuantizedMesh):
     return e2f
 
 
+def _runs(face: tuple[int, ...], a: int, b: int) -> bool:
+    """Whether ``b`` follows ``a`` in the face's cyclic order."""
+    n = len(face)
+    return any(face[k] == a and face[(k + 1) % n] == b for k in range(n))
+
+
 def _quad_new_pair(face: tuple[int, ...], e0: int, e1: int) -> tuple[int, int]:
     """The quad's two non-frontier vertices, ordered (next to e0, next to e1)."""
     i = face.index(e0)
@@ -569,9 +580,13 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     rotation (never a reflection) of the stored face.  A quad seed is
     additionally swapped in its last two entries so that pair-wise decoding
     reassembles the stored cyclic order.  Growth crosses the frontier edge
-    to the unvisited face there (ties on non-manifold edges go to the
-    lowest face) and stops at boundaries and visited faces.  A face that
-    repeats a corner raises ``ValueError``.
+    to the unvisited face there that runs along it against the face just
+    left (ties on non-manifold edges go to the lowest face) and stops at
+    boundaries and visited faces.  With frontier ``(e0, e1)``, that face
+    holds ``e1 -> e0`` after an even number of steps at stride 1 (the seed
+    counts as none) and ``e0 -> e1`` after an odd number; at stride 2 it
+    always holds ``e0 -> e1``.  A face that repeats a corner raises
+    ``ValueError``.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -598,10 +613,11 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     visited = [False] * len(q.faces)
     strips: list[tuple[list[int], int]] = []
 
-    def next_face(e0: int, e1: int, island: int):
+    def next_face(a: int, b: int, island: int):
+        """The lowest unvisited face of the island that runs ``a -> b``."""
         best = None
-        for fi in e2f.get(_edge_key(e0, e1), ()):
-            if visited[fi] or labels[fi] != island:
+        for fi in e2f.get(_edge_key(a, b), ()):
+            if visited[fi] or labels[fi] != island or not _runs(q.faces[fi], a, b):
                 continue
             if best is None or fkeys[fi] < fkeys[best]:
                 best = fi
@@ -616,9 +632,11 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
             if stride == 2:
                 keys[-1], keys[-2] = keys[-2], keys[-1]
             visited[seed] = True
+            steps = 0
             while True:
                 e0, e1 = keys[-2], keys[-1]
-                fi = next_face(e0, e1, island)
+                a, b = (e1, e0) if stride == 1 and steps % 2 == 0 else (e0, e1)
+                fi = next_face(a, b, island)
                 if fi is None:
                     break
                 face = q.faces[fi]
@@ -627,6 +645,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
                 else:
                     keys.extend(_quad_new_pair(face, e0, e1))
                 visited[fi] = True
+                steps += 1
             strips.append((keys, island))
 
     return strip_set(strips, q.vertex_keys, stride, q.transform)

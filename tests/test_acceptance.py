@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from striptok import (
-    IDENTITY_TRANSFORM,
     Mesh,
     VOCAB,
     chamfer_hausdorff,
@@ -39,7 +38,7 @@ from striptok.tokens import compression_stats
 from striptok.verify import compare_quantized
 
 import synth
-from oracles import as_lists, dequantize, normalize, seed_order, to_grid, vertex_ranks
+from oracles import IDENTITY_TRANSFORM, as_lists, dequantize, normalize, seed_order, to_grid, vertex_ranks
 from test_decode import validate_quantized
 from test_tokens import VOCAB_RANGES
 from strategies import corrupted_stream, structured_stream, uniform_stream

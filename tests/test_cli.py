@@ -370,6 +370,30 @@ class TestExitCodes:
         assert f"the output of {grid} would overwrite input {grid}" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in obj_dir.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roundtrip", "{ico}", "{grid}", "--report", "{grid}"],
+            ["compare", "{ico}", "{grid}", "--output", "{grid}"],
+            ["stats", "{ico}", "--ref", "{grid}", "--report", "{grid}"],
+        ],
+        ids=["roundtrip", "compare", "stats_ref"],
+    )
+    def test_report_onto_an_input(self, obj_dir, capsys, argv):
+        grid = obj_dir / "grid.obj"
+        before = {p.name: p.read_bytes() for p in obj_dir.iterdir()}
+        assert main([a.format(ico=obj_dir / "ico.obj", grid=grid) for a in argv]) == 2
+        assert f"the report {grid} would overwrite input {grid}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in obj_dir.iterdir()} == before
+
+    def test_report_onto_an_output(self, obj_dir, tmp_path, capsys):
+        out = tmp_path / "tok"
+        report = out / "grid.sato"
+        assert main(["encode", str(obj_dir / "grid.obj"), "--output", str(out), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"the report {report} and the output of {obj_dir / 'grid.obj'} would both write {report}" in err
+        assert not out.exists()
+
     def test_unreadable_file_fails(self, tmp_path):
         bad = tmp_path / "bad.obj"
         bad.write_text("f 1 2 3\n")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from striptok import (
-    IDENTITY_TRANSFORM,
     DecodeReport,
     decode,
     dual_decode_check,
@@ -20,7 +19,7 @@ from striptok import (
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX
 from striptok.verify import compare_quantized
 
-from oracles import as_lists, encode_hier, row_tuples
+from oracles import IDENTITY_TRANSFORM, as_lists, encode_hier, row_tuples
 import synth
 from test_tokens import manual_strip_set
 

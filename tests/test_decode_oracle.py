@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from striptok import (
-    IDENTITY_TRANSFORM,
     IslandPartition,
     Mesh,
     QuantizedMesh,
@@ -35,7 +34,7 @@ from striptok.quantize import pack_keys
 from striptok.tokens import C1_T_BASE, C1_UV_BASE, C2_BASE, C3_BASE
 
 import oracles
-from oracles import as_arrays, as_lists, dequantize, encode_hier
+from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists, dequantize, encode_hier
 import synth
 
 # --- token streams ------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from striptok import (
-    IDENTITY_TRANSFORM,
     IslandPartition,
     Mesh,
     Transform,
@@ -23,7 +22,7 @@ from striptok import (
 from striptok.quantize import distinct_faces, pack_keys
 
 import oracles
-from oracles import as_arrays, as_lists, dequantize, normalize, to_grid
+from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists, dequantize, normalize, to_grid
 import synth
 
 

@@ -5,20 +5,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from striptok import (
-    IDENTITY_TRANSFORM,
     Mesh,
     QuantizedMesh,
+    decode_tokens,
     encode_mesh,
     extract_strips,
     quantize_mesh,
     uv_islands,
 )
+from striptok.verify import compare_quantized
 
 import oracles
 import synth
-from oracles import as_arrays, as_lists, key_order, strip_faces, strip_lists, strip_set, to_grid
+from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists, key_order, strip_faces, strip_lists, strip_set, to_grid
 
 
 def quantize(mesh, partition=None):
@@ -381,3 +383,22 @@ class TestUpAxis:
         q = quantize(tagged, uv_islands(tagged))
         assert appearance_order(extract_strips(q, 1, up_axis="y")) == [0, 1]
         assert appearance_order(extract_strips(q, 1, up_axis="x")) == [1, 0]
+
+
+class TestFlippedFaces:
+    @given(
+        st.sampled_from([synth.tri_grid(4, 3), synth.quad_grid(4, 3), synth.icosphere(1)]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_windings_round_trip(self, mesh, data):
+        # a face wound against its neighbours starts its own strip, so the
+        # decoded windings still equal the source's
+        rows = data.draw(st.lists(st.integers(0, len(mesh.faces) - 1), unique=True))
+        faces = mesh.faces.copy()
+        faces[rows] = faces[rows, ::-1]
+        stride = 1 if faces.shape[1] == 3 else 2
+        q, strips, seq = encode_mesh(Mesh(mesh.positions, faces), stride)
+        decoded, _, _ = decode_tokens(seq)
+        assert compare_quantized(q, decoded) == (True, "")
+        assert strips.face_count() == len(q.faces)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from striptok import (
-    IDENTITY_TRANSFORM,
     TokenFileError,
     TokenHeader,
     TokenSequence,
@@ -30,7 +29,7 @@ from striptok import cli
 
 import oracles
 import synth
-from oracles import encode_hier, strip_set
+from oracles import IDENTITY_TRANSFORM, encode_hier, strip_set
 from strategies import random_surfaces
 
 # the vocabulary's id ranges by name (half-open)

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from striptok import IDENTITY_TRANSFORM, Mesh, QuantizedMesh, extract_strips, quantize_mesh, uv_islands
+from striptok import Mesh, QuantizedMesh, extract_strips, quantize_mesh, uv_islands
 from striptok.mesh_io import is_edge_manifold, sorted_edge_keys
 from striptok.strips import StripSet, _rank_array
 
 import oracles
-from oracles import as_arrays, as_lists
+from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists
 import synth
 from strategies import random_grids, random_surfaces
 
@@ -141,7 +141,13 @@ def test_non_manifold_fan():
             1,
             [(0, 1, 0), (1, 1, 0), (0.5, 0, 0), (0.5, 2, 0.5), (0.5, 2.5, -0.5)],
             [(2, 0, 1), (0, 1, 4), (0, 1, 3)],
-            [0, 1, 2, 4, 1, 2, 3],
+            [0, 1, 2, 1, 2, 4, 1, 2, 3],
+        ),
+        (
+            1,
+            [(0, 1, 0), (1, 1, 0), (0.5, 0, 0), (0.5, 2, 0.5), (0.5, 2.5, -0.5)],
+            [(2, 0, 1), (1, 0, 4), (1, 0, 3)],
+            [0, 1, 2, 4, 1, 3, 2],
         ),
         (
             2,
@@ -150,11 +156,13 @@ def test_non_manifold_fan():
             [0, 1, 3, 2, 7, 6, 3, 2, 5, 4],
         ),
     ],
-    ids=["stride_1", "stride_2"],
+    ids=["stride_1", "stride_1_against", "stride_2"],
 )
 def test_non_manifold_edge_goes_to_the_lowest_face(stride, positions, faces, keys):
     # the seed's frontier edge bounds two more faces; the later one in face
-    # order is the lower one, so it is entered first
+    # order is the lower one, so it is entered first, if it runs along the
+    # edge against the seed.  In "stride_1" all three faces run 0 -> 1, so
+    # none is entered and each starts its own strip.
     q = as_lists(quantize_mesh(as_arrays(Mesh(positions, faces))))
     assert oracles.extract_strips(q, stride).keys.tolist() == keys
     assert_strips_match(q, stride)

@@ -13,13 +13,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from striptok import IDENTITY_TRANSFORM, Mesh, QuantizedMesh, decode_tokens, encode_mesh, uv_islands
+from striptok import Mesh, QuantizedMesh, decode_tokens, encode_mesh, uv_islands
 from striptok.verify import compare_quantized
 
 from striptok.tokens import C1_T_BASE, C2_BASE, C3_BASE
 
 import oracles
-from oracles import as_arrays, as_lists
+from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists
 import synth
 
 
