@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import shutil
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -53,17 +55,12 @@ def _output_path(src: Path, args) -> Path:
     return Path(args.output or src.parent) / name
 
 
-def _report_path(args) -> str | None:
-    """Where the report goes (``compare``: its CSV); None for stdout."""
-    return args.output if args.command == "compare" else args.report
-
-
 def _output_clash(paths, args) -> str | None:
     """Two inputs with one output path, or an output that is an input; the
-    report (``compare``: its CSV) is checked against every input, ``--ref``
-    included, and every file output."""
+    report (``compare``: its CSV) must not be a directory (``--output`` and
+    its parents included), an input (``--ref`` included) or a file output."""
     inputs = {src.resolve(): src for src in paths}
-    if getattr(args, "ref", None):
+    if args.ref:
         inputs.setdefault(Path(args.ref).resolve(), Path(args.ref))
     writer = {}
     if args.command in ("encode", "decode") or args.command == "filter" and args.output:
@@ -73,8 +70,10 @@ def _output_clash(paths, args) -> str | None:
                 return f"the output of {src} would overwrite input {inputs[out]}"
             if writer.setdefault(out, src) is not src:
                 return f"{writer[out]} and {src} would both write {out}"
-    if report := _report_path(args):
+    if report := args.report:
         out = Path(report).resolve()
+        if out.is_dir() or args.output and Path(args.output).resolve().is_relative_to(out):
+            return f"the report {report} is a directory"
         if out in inputs:
             return f"the report {report} would overwrite input {inputs[out]}"
         if out in writer:
@@ -277,17 +276,10 @@ def _run_in_worker(path):
 def _run_jobs(paths, args):
     paths = [str(p) for p in paths]
     if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker, initargs=(args,)) as pool:
+        workers = min(args.jobs, len(paths))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(args,)) as pool:
             return list(pool.map(_run_in_worker, paths))
     return [_run_one(path, args) for path in paths]
-
-
-def _emit_jsonl(rows, report_path):
-    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    if report_path:
-        Path(report_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def positive_int(text: str) -> int:
@@ -303,10 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Strip-based mesh tokenizer: encode/decode OBJ meshes as token files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(output=None, ref=None)  # read for every command, parsed by some
 
-    def common(p, with_axis=True):
+    def common(p, with_axis=True, report=("--report", "write the JSON-lines report here instead of stdout")):
         p.add_argument("inputs", nargs="+", help="files or directories")
-        p.add_argument("--report", help="write the JSON-lines report here instead of stdout")
+        p.add_argument(report[0], dest="report", help=report[1])
         p.add_argument("--jobs", type=positive_int, default=1, help="parallel workers over files")
         if with_axis:
             p.add_argument("--up-axis", choices=("x", "y", "z"), default="y")
@@ -337,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="directory receiving accepted files")
 
     p = sub.add_parser("compare", help="strip tokenizer vs per-face baseline (CSV)")
-    common(p)
-    p.add_argument("--output", help="CSV path (default: stdout)")
+    common(p, report=("--output", "CSV path (default: stdout)"))
 
     return parser
 
@@ -346,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 REFERENCE_COMP_RATES = "SATO 0.283, DeepMesh 0.330, BPT 0.228"
 
 
-def _write_compare_csv(rows, output):
+def _compare_csv(rows) -> str:
+    """One line per file (a failed file's left empty), then the mean of the passing ones."""
     fields = [
         "file",
         "faces",
@@ -356,41 +349,22 @@ def _write_compare_csv(rows, output):
         "baseline_tokens",
         "baseline_comp_rate",
     ]
-    ok_rows = [r for r in rows if "error" not in r]
-    out = sys.stdout if not output else open(output, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.DictWriter(out, fieldnames=fields)
-        writer.writeheader()
-        for r in rows:
-            writer.writerow({k: r.get(k, "") for k in fields})
-        if ok_rows:
-            writer.writerow(
-                {
-                    "file": "mean",
-                    "faces": "",
-                    "sato_tokens": "",
-                    "sato_transitions": round(
-                        sum(r["sato_transitions"] for r in ok_rows) / len(ok_rows), 3
-                    ),
-                    "sato_comp_rate": round(
-                        sum(r["sato_comp_rate"] for r in ok_rows) / len(ok_rows), 6
-                    ),
-                    "baseline_tokens": "",
-                    "baseline_comp_rate": round(
-                        sum(r["baseline_comp_rate"] for r in ok_rows) / len(ok_rows), 6
-                    ),
-                }
-            )
-    finally:
-        if output:
-            out.close()
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fields, restval="", extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    if ok_rows := [r for r in rows if "error" not in r]:
+        means = (("sato_transitions", 3), ("sato_comp_rate", 6), ("baseline_comp_rate", 6))
+        mean = {k: round(sum(r[k] for r in ok_rows) / len(ok_rows), places) for k, places in means}
+        writer.writerow({"file": "mean", **mean})
+    return out.getvalue()
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = args.command
 
-    suffix = TOKEN_SUFFIX if cmd in ("decode", "stats") and not getattr(args, "ref", None) else ".obj"
+    suffix = TOKEN_SUFFIX if cmd in ("decode", "stats") and not args.ref else ".obj"
     paths = _collect(args.inputs, suffix)
     if not paths:
         print(f"no {suffix} inputs found", file=sys.stderr)
@@ -399,21 +373,29 @@ def main(argv=None) -> int:
     if clash := _output_clash(paths, args):
         print(f"output clash: {clash}", file=sys.stderr)
         return 2
-    if cmd in ("encode", "decode", "filter") and args.output:
-        Path(args.output).mkdir(parents=True, exist_ok=True)
-    # the report (compare: its CSV) is written after every file has run
-    report = _report_path(args)
-    if report:
-        Path(report).parent.mkdir(parents=True, exist_ok=True)
+    # the report is written after every file has run: its directory, like --output's, is made first
+    for directory in filter(None, (args.output, args.report and Path(args.report).parent)):
+        try:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot create directory {directory}: {exc.strerror}", file=sys.stderr)
+            return 2
 
     if cmd == "stats" and args.ref:
         args.reference = _sampled_reference(args)
     rows = _run_jobs(paths, args)
 
     failed = any("error" in r or r.get("status") == "fail" for r in rows)
+    if cmd == "compare":
+        text = _compare_csv(rows)
+    else:
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+    if args.report:
+        Path(args.report).write_text(text, encoding="utf-8", newline="")
+    else:
+        sys.stdout.write(text)
 
     if cmd == "compare":
-        _write_compare_csv(rows, args.output)
         # the CSV has no error column, so a failed file's reason goes to stderr
         for r in rows:
             if "error" in r:
@@ -422,14 +404,8 @@ def main(argv=None) -> int:
             f"published reference comp rates (context only, not asserted): {REFERENCE_COMP_RATES}",
             file=sys.stderr,
         )
-    else:
-        _emit_jsonl(rows, args.report)
-
     if cmd == "filter":
-        reasons = {}
-        for r in rows:
-            if r.get("accepted") is False:
-                reasons[r["reason"]] = reasons.get(r["reason"], 0) + 1
+        reasons = Counter(r["reason"] for r in rows if "reason" in r)
         accepted = sum(1 for r in rows if r.get("accepted"))
         summary = ", ".join(f"{k}={v}" for k, v in sorted(reasons.items())) or "none"
         print(f"accepted {accepted}/{len(rows)}; rejections: {summary}", file=sys.stderr)

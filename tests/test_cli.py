@@ -27,6 +27,7 @@ from striptok import (
     write_obj,
     write_tokens,
 )
+from striptok import cli
 from striptok.cli import main
 
 from oracles import as_arrays
@@ -394,6 +395,71 @@ class TestExitCodes:
         assert f"the report {report} and the output of {obj_dir / 'grid.obj'} would both write {report}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roundtrip", "{grid}", "--report", "{tmp}"],
+            ["encode", "{grid}", "--output", "{tmp}/o", "--report", "{tmp}/o"],
+        ],
+        ids=["existing", "its_own_output"],
+    )
+    def test_report_is_a_directory(self, obj_dir, tmp_path, capsys, argv):
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(grid=obj_dir / "grid.obj", tmp=tmp_path) for a in argv]) == 2
+        report = argv[argv.index("--report") + 1].format(tmp=tmp_path)
+        assert capsys.readouterr().err == f"output clash: the report {report} is a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["encode", "{grid}", "--output", "{tmp}/afile"], "afile"),
+            (["roundtrip", "{grid}", "--report", "{tmp}/afile/r.jsonl"], "afile"),
+            (["filter", "{grid}", "--output", "{tmp}/afile/sub"], "afile/sub"),
+        ],
+        ids=["encode_output", "roundtrip_report", "filter_output_below_a_file"],
+    )
+    def test_directory_that_cannot_be_made(self, obj_dir, tmp_path, capsys, argv, blocked):
+        (tmp_path / "afile").write_text("in the way\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(grid=obj_dir / "grid.obj", tmp=tmp_path) for a in argv]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"cannot create directory {tmp_path / blocked}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_compare_takes_no_report_flag(self, obj_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(obj_dir / "grid.obj"), "--report", str(tmp_path / "r.jsonl")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --report" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_jobs_start_no_more_workers_than_files(self, obj_dir, tmp_path, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            """Runs the map in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_args", None)
+        files = [str(obj_dir / "grid.obj"), str(obj_dir / "ico.obj")]
+        assert main(["roundtrip", *files, "--jobs", "8", "--report", str(tmp_path / "r.jsonl")]) == 0
+        assert asked == [2]
+        assert [r["status"] for r in read_jsonl(tmp_path / "r.jsonl")] == ["pass", "pass"]
+
     def test_unreadable_file_fails(self, tmp_path):
         bad = tmp_path / "bad.obj"
         bad.write_text("f 1 2 3\n")
@@ -435,7 +501,9 @@ class TestErrorRows:
             out.mkdir()
             report = tmp_path / f"r{jobs}.jsonl"
             args = [a.format(objs=objs, toks=toks, out=out) for a in argv]
-            assert main(args + ["--report", str(report), "--jobs", jobs]) == 1
+            if argv[0] != "compare":  # compare's report is its --output CSV
+                args += ["--report", str(report)]
+            assert main(args + ["--jobs", jobs]) == 1
             if argv[0] == "compare":  # the CSV has no error column: the row is left empty
                 with open(out / "cmp.csv", newline="", encoding="utf-8") as fh:
                     rows = list(csv.DictReader(fh))
@@ -515,8 +583,8 @@ class TestMixedFaces:
         )
         (tmp_path / "mixed.obj").write_text(text)
         report = tmp_path / "r.jsonl"
-        out = ["--output", str(tmp_path / "c.csv")] if argv[0] == "compare" else []
-        assert main([argv[0], str(tmp_path / "mixed.obj"), *argv[1:], *out, "--report", str(report)]) == 1
+        out = ["--output", str(tmp_path / "c.csv")] if argv[0] == "compare" else ["--report", str(report)]
+        assert main([argv[0], str(tmp_path / "mixed.obj"), *argv[1:], *out]) == 1
         if argv[0] == "compare":
             assert f"mixed.obj: {MIXED_MESSAGE}" in capsys.readouterr().err.splitlines()
         else:
