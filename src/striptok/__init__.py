@@ -49,6 +49,14 @@ from .metrics import (
     normal_consistency,
     sample_surface,
 )
-from .cli import decode_tokens, encode_mesh
-
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the CLI's two pipeline helpers load on first use: importing the CLI
+    # here would make ``python -m striptok.cli`` run a second copy of it
+    if name in ("encode_mesh", "decode_tokens"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, split_quad_faces
+from .mesh_io import IslandPartition, split_quad_faces, stable_order
 from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, distinct_faces
 from .tokens import C1_GEO_BASE, C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE, vocab_ids
 
@@ -206,8 +206,7 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
     # (island, key) pair, so ids follow first occurrence
     island = island.repeat(lengths)
     pairs = island << _KEY_BITS | decode_hier(events[:, 1:])
-    order = pairs.argsort(kind="stable")
-    ordered = pairs[order]
+    order, ordered = stable_order(pairs)
     new = np.empty(n, dtype=bool)
     new[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])

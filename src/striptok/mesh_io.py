@@ -16,6 +16,14 @@ alone words the errors and numbers the lines; both return the same
 Face adjacency (UV islands, the manifold check, and the strip walk in
 ``strips``) is read from one stably sorted table of packed undirected edge
 keys, :func:`sorted_edge_keys`.
+
+Every stable order from OBJ to tokens and back to the comparison is one
+rule, :func:`stable_order`: the order of ``np.argsort(keys, kind="stable")``,
+taken from one ``np.sort`` of ``key << b | index`` (``b`` bits hold every
+index) when there are :data:`PACKED_SORT_MIN` keys or more, all
+non-negative, and that fits in int64, and from the stable argsort itself
+otherwise.  Rows sort the same way, packed into one key each
+(:func:`~striptok.quantize.sort_rows`), or by ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -385,8 +393,7 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
         corner = " %d/%d"
     real = mesh.faces >= 0
     if partition is not None:
-        order = np.argsort(partition.island_of_face, kind="stable")
-        labels = partition.island_of_face[order]
+        order, labels = stable_order(partition.island_of_face)
         values, real = values[order], real[order]
     degrees = real.sum(axis=1).tolist()
     formats = {d: "f" + corner * d + "\n" for d in set(degrees)}
@@ -402,6 +409,45 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
         fh.write("".join(blocks))
 
 
+# Below this many keys (or rows) NumPy's own stable sorts win: the packed
+# sort's fixed cost of a dozen array calls exceeds the sort itself.
+PACKED_SORT_MIN = 512
+
+
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sorted_keys)`` of a 1-D integer array: exactly
+    ``np.argsort(keys, kind="stable")`` and ``keys[order]``.
+
+    When there are at least :data:`PACKED_SORT_MIN` int64 keys, every key
+    is non-negative and ``max << b`` fits in int64, with ``b`` the bits of
+    ``len(keys) - 1``, one ``np.sort`` of ``key << b | index`` gives both:
+    the index breaks ties, so equal keys keep their input order, and a mask
+    and a shift read them back.  Any other input falls back to the stable
+    argsort.
+    """
+    n = len(keys)
+    shift = (n - 1).bit_length()
+    packs = n >= PACKED_SORT_MIN and keys.dtype == np.int64 and keys.min() >= 0
+    if packs and int(keys.max()) >> (63 - shift) == 0:
+        packed = np.sort(keys << shift | np.arange(n))
+        return packed & ((1 << shift) - 1), packed >> shift
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` of a 1-D
+    int64 array, through :func:`stable_order`: the distinct keys ascending,
+    the index of each one's first occurrence, and each key's position among
+    them."""
+    order, ordered = stable_order(keys)
+    heads = np.ones(len(keys), dtype=bool)
+    heads[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(heads) - 1
+    return ordered[heads], order[heads], inverse
+
+
 def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed undirected keys of every face edge, in stable sorted order.
 
@@ -414,6 +460,8 @@ def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     the edge indices sorted by key, and the sorted keys.  Equal keys keep
     ascending edge, so face, order: the preference order of
     :func:`~striptok.strips.extract_strips`, which numbers faces by it.
+    The order is :func:`stable_order`'s, so it packs each key with its
+    index and falls back to a stable argsort when that overflows.
     """
     b = np.roll(faces, -1, axis=1)
     edges = None
@@ -422,8 +470,10 @@ def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
         b = np.where(b < 0, faces[:, :1], b)
         edges = np.flatnonzero(faces >= 0)
     keys = (np.minimum(faces, b) * n + np.maximum(faces, b)).reshape(-1)
-    order = np.argsort(keys, kind="stable") if edges is None else edges[np.argsort(keys[edges], kind="stable")]
-    return order, keys[order]
+    if edges is None:
+        return stable_order(keys)
+    order, ordered = stable_order(keys[edges])
+    return edges[order], ordered
 
 
 def _component_roots(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, Mesh
+from .mesh_io import PACKED_SORT_MIN, IslandPartition, Mesh, stable_order, unique_first
 
 GRID = 512
 EPS = 1e-9
@@ -114,14 +114,31 @@ def _unpack_keys(codes: np.ndarray) -> np.ndarray:
 
 
 def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic order of the rows of a 2-D array, and run heads.
+    """Stable lexicographic order of the rows of a 2-D integer array, and run heads.
 
     ``heads[i]`` is True where ``rows[order][i]`` differs from the row before
     it, so each run of equal rows starts at a head, in original row order.
+    The order is ``np.lexsort(rows.T[::-1])``'s.  With at least
+    :data:`~striptok.mesh_io.PACKED_SORT_MIN` int64 rows whose ``d``
+    columns of ``b`` bits fit in 63, ``b`` the bits of the array's
+    ``max - min``, each row packs into one key, ``(col - min) << b`` column
+    by column, and :func:`~striptok.mesh_io.stable_order` sorts the keys;
+    other rows fall back to ``np.lexsort``.
     """
+    heads = np.ones(len(rows), dtype=bool)
+    if len(rows) >= PACKED_SORT_MIN and rows.dtype == np.int64:
+        lo = int(rows.min())
+        bits = (int(rows.max()) - lo).bit_length()
+        if rows.shape[1] * bits <= 63:
+            cols = (rows - lo).T
+            keys = cols[0]
+            for col in cols[1:]:
+                keys = keys << bits | col
+            order, ordered = stable_order(keys)
+            heads[1:] = ordered[1:] != ordered[:-1]
+            return order, heads
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
-    heads = np.ones(len(rows), dtype=bool)
     heads[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return order, heads
 
@@ -152,16 +169,17 @@ def quantize_mesh(
     the given transform instead, which makes re-quantizing a dequantized
     mesh reproduce its keys exactly.
 
-    The work is done on arrays of packed keys (:func:`pack_keys`), with the
-    results of the per-face definition: keys are numbered in order of first
-    occurrence over the corners of the kept faces, row-major, so the key
-    table holds exactly the keys those faces use.  Normalization
-    is ``(p - center) / scale`` per axis, and a coordinate snaps to cell
-    ``int(c * GRID)`` clamped to ``[0, GRID - 1]`` (within ``EPS`` of the
-    unit interval; farther out raises ``ValueError``).  Faces must share one
-    degree: a mesh that mixes triangles and quads (padded rows) raises
-    ``ValueError``.  Non-finite positions, or a transform that makes them
-    non-finite, raise ``ValueError``.
+    The work is done on arrays of packed keys (:func:`pack_keys`), ranked
+    densely, with the results of the per-face definition: keys are
+    numbered in order of first occurrence over the corners of the kept
+    faces, row-major, so the key table holds exactly the keys those faces
+    use.  Normalization is ``(p - center) / scale`` per axis, and a
+    coordinate snaps to cell ``int(c * GRID)`` clamped to
+    ``[0, GRID - 1]`` (within ``EPS`` of the unit interval; farther out
+    raises ``ValueError``).  Faces must share one degree: a mesh that mixes
+    triangles and quads (padded rows) raises ``ValueError``.  Non-finite
+    positions, or a transform that makes them non-finite, raise
+    ``ValueError``.
     """
     if not len(mesh.faces):
         raise ValueError("empty mesh")
@@ -191,13 +209,16 @@ def quantize_mesh(
         raise ValueError(f"normalized coordinate out of range: {float(c)!r}")
     grid = np.clip((normalized * GRID).astype(np.int64), 0, GRID - 1)
 
-    corners = pack_keys(grid)[mesh.faces]
+    # each vertex's key as its rank among the distinct keys: equal and
+    # ordered as the keys are, and narrow enough that sort_rows packs a face
+    distinct, _, rank = unique_first(pack_keys(grid))
+    corners = rank[mesh.faces]
     nondegenerate, kept = distinct_faces(corners)
     if not len(nondegenerate):
         raise ValueError("all faces degenerate after quantization")
     corners = corners[kept]
 
-    codes, first, inverse = np.unique(corners, return_index=True, return_inverse=True)
+    codes, first, inverse = unique_first(corners.reshape(-1))
     by_first = np.argsort(first)
     key_of_code = np.empty_like(by_first)
     key_of_code[by_first] = np.arange(len(by_first))
@@ -210,8 +231,8 @@ def quantize_mesh(
         island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1)
 
     return QuantizedMesh(
-        vertex_keys=_unpack_keys(codes[by_first]),
-        faces=key_of_code[inverse.reshape(-1)].reshape(corners.shape),
+        vertex_keys=_unpack_keys(distinct[codes[by_first]]),
+        faces=key_of_code[inverse].reshape(corners.shape),
         island_of_face=island_of_face,
         transform=transform,
         dropped_degenerate=len(mesh.faces) - len(nondegenerate),

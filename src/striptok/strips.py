@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import sorted_edge_keys
+from .mesh_io import sorted_edge_keys, stable_order, unique_first
 from .quantize import QuantizedMesh, Transform, sort_rows
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
@@ -31,8 +31,7 @@ def _rank_array(q: QuantizedMesh, up_axis: str) -> np.ndarray:
     first, then the other two in cyclic order; equal keys rank in index
     order."""
     u = _AXIS[up_axis]
-    keys = q.vertex_keys
-    order = np.lexsort((keys[:, (u + 2) % 3], keys[:, (u + 1) % 3], keys[:, u]))
+    order, _ = sort_rows(q.vertex_keys[:, [u, (u + 1) % 3, (u + 2) % 3]])
     ranks = np.empty_like(order)
     ranks[order] = np.arange(len(order))
     return ranks
@@ -62,6 +61,11 @@ class StripSet:
         m = np.diff(self.offsets)
         m = m[m >= 3]
         return int((m - 2 if self.stride == 1 else (m - 2) // 2 + m % 2).sum())
+
+    def check(self, n_faces: int) -> None:
+        """Raise ``AssertionError`` unless the strips decode to ``n_faces`` faces."""
+        if self.face_count() != n_faces:
+            raise AssertionError(f"strips decode to {self.face_count()} faces, not {n_faces}")
 
 
 def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSet:
@@ -117,14 +121,13 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
 
     # islands by their lowest face; equal lowest rank tuples (one key set in
     # two islands) keep the order in which the islands first appear
-    _, first, island_idx = np.unique(q.island_of_face, return_index=True, return_inverse=True)
-    island_idx = island_idx.reshape(-1)
+    _, first, island_idx = unique_first(q.island_of_face)
     # an island's lowest face is its first in order, ranked by cumsum(heads)
-    _, lowest = np.unique(island_idx[order], return_index=True)
-    by_lowest = np.lexsort((first, np.cumsum(heads)[lowest]))
+    _, lowest, _ = unique_first(island_idx[order])
+    by_lowest, _ = sort_rows(np.stack([np.cumsum(heads)[lowest], first], axis=1))
     position = np.argsort(by_lowest)[island_idx]  # each face's island position
     # renumber the faces in seed order: island position, then lowest first
-    seeds = order[np.argsort(position[order], kind="stable")]
+    seeds = order[stable_order(position[order])[0]]
     faces, position = faces[seeds], position[seeds]
     # a seed starts at its lowest-ranked corner
     lowest_corner = np.argmin(rank_arr[faces], axis=1)
@@ -138,7 +141,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     slot_island = position[slot_order // degree]
     pair_head = np.r_[True, (edge_keys[1:] != edge_keys[:-1]) | (slot_island[1:] != slot_island[:-1])]
     pair = np.cumsum(pair_head) - 1
-    resort = np.argsort(2 * pair + down, kind="stable")
+    resort, _ = stable_order(2 * pair + down)
     slot_order, up = slot_order[resort], ~down[resort]
     # the slots across slot s's edge that run the other way:
     # slot_order[lo[s]:hi[s]], a pair's up slots before its down slots

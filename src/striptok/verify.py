@@ -1,16 +1,18 @@
 """Exact comparison of a quantized mesh against its decoded reconstruction.
 
-Both meshes become ``(F, d)`` arrays of packed grid keys
+Both meshes become ``(F, d)`` arrays of key codes, each corner's rank among
+both meshes' distinct packed grid keys
 (:func:`~striptok.quantize.pack_keys`), -1 where a face has no corner (the
 pad of a stride-2 decode's trailing triangle).  Faces are matched by their
-unordered key sets: each row's distinct keys are sorted and both sides are
-lexsorted, so equal face multisets line up row for row.  The source holds
-one face per key set, as :func:`~striptok.quantize.quantize_mesh` returns
-it (a source that repeats a key set raises ``ValueError``), so matched rows
-are one face on each side.  A winding matches when the decoded row is a
-cyclic rotation of its matched source row, and the island partitions match
-when the (source label, decoded label) pairs over the matched faces form a
-bijection.  Only the loop over rotations runs in Python.
+unordered key sets: each row's distinct codes are sorted and both sides are
+sorted as rows (:func:`~striptok.quantize.sort_rows`), so equal face
+multisets line up row for row.  The source holds one face per key set, as
+:func:`~striptok.quantize.quantize_mesh` returns it (a source that repeats
+a key set raises ``ValueError``), so matched rows are one face on each
+side.  A winding matches when the decoded row is a cyclic rotation of its
+matched source row, and the island partitions match when the (source
+label, decoded label) pairs over the matched faces form a bijection.  Only
+the loop over rotations runs in Python.
 """
 
 from __future__ import annotations
@@ -21,13 +23,16 @@ from .quantize import GRID, QuantizedMesh, pack_keys, sort_rows
 
 
 def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):
-    """One int64 per vertex key of each mesh, equal exactly where the keys are."""
+    """The rank of each mesh's vertex keys among both meshes' distinct keys:
+    equal exactly where the keys are, ordered as they are, and narrow enough
+    that ``sort_rows`` packs a face of 3 or 4 of them into one key."""
     keys = np.concatenate([source.vertex_keys, decoded.vertex_keys])
     if keys.size and (keys.min() < 0 or keys.max() >= GRID):
-        # not grid keys, so packing could collide: rank them jointly instead
-        codes = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+        # not grid keys, so packing could collide: rank them as rows instead
+        codes = np.unique(keys, axis=0, return_inverse=True)[1]
     else:
-        codes = pack_keys(keys)
+        codes = np.unique(pack_keys(keys), return_inverse=True)[1]
+    codes = codes.reshape(-1)
     n = len(source.vertex_keys)
     return codes[:n], codes[n:]
 

@@ -61,8 +61,9 @@ def test_criterion_02_triangle_round_trip(tri_corpus):
     assert len(tri_corpus) >= 25
     t0 = time.time()
     for entry in tri_corpus:
-        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         q.check(len(entry.mesh.faces))
+        ss.check(len(q.faces))
         decoded, _, report = decode_tokens(seq)
         assert report.clean(), entry.name
         good, detail = compare_quantized(q, decoded)
@@ -75,8 +76,9 @@ def test_criterion_02_triangle_round_trip(tri_corpus):
 def test_criterion_03_quad_round_trip(quad_corpus):
     t0 = time.time()
     for entry in quad_corpus:
-        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         q.check(len(entry.mesh.faces))
+        ss.check(len(q.faces))
         decoded, _, report = decode_tokens(seq)
         assert report.clean(), entry.name
         good, detail = compare_quantized(q, decoded)
@@ -88,8 +90,9 @@ def test_criterion_03_quad_round_trip(quad_corpus):
 
 def test_criterion_04_dual_decode(quad_corpus):
     for entry in quad_corpus:
-        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         q.check(len(entry.mesh.faces))
+        ss.check(len(q.faces))
         assert dual_decode_check(seq), entry.name
         tri, _, _ = decode_tokens(seq, 1)
         quad, _, _ = decode_tokens(seq, 2)
@@ -130,6 +133,7 @@ def test_criterion_05_compression(tri_corpus):
     for entry in tri_corpus:
         q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         q.check(len(entry.mesh.faces))
+        ss.check(len(q.faces))
         stats = compression_stats(seq)
         rates.append(stats.comp_rate)
         assert stats.comp_rate <= 1.0, entry.name
@@ -194,6 +198,7 @@ def test_criterion_06_transition_economy(tri_corpus):
     for entry in tri_corpus:
         q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         q.check(len(entry.mesh.faces))
+        ss.check(len(q.faces))
         stats = compression_stats(seq)
         assert stats.transitions == len(ss.islands)
         patches = greedy_patch_count(q)
@@ -320,8 +325,9 @@ def test_criterion_09_metrics_sanity():
 def test_criterion_10_determinism(tri_corpus, quad_corpus, tmp_path):
     rng = random.Random(99)
     for entry in tri_corpus + quad_corpus:
-        q, _, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
+        q, ss, seq = encode_mesh(entry.mesh, entry.stride, entry.partition)
         q.check(len(entry.mesh.faces))
+        ss.check(len(q.faces))
         order = list(range(len(entry.mesh.faces)))
         rng.shuffle(order)
         fuvs = entry.mesh.face_uvs

@@ -3,7 +3,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -326,6 +329,16 @@ class TestStats:
 
 
 class TestExitCodes:
+    def test_run_as_a_module(self):
+        # the package does not import its CLI, so ``python -m`` runs one copy
+        # of it and warns of none
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "striptok.cli", "stats", "--help"]
+        run = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage:")
+
     def test_missing_inputs(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()

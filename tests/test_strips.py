@@ -155,6 +155,12 @@ class TestStripSet:
         assert ss.keys.tolist() == [] and ss.offsets.tolist() == [0] and ss.islands.tolist() == []
         assert ss.strips == [] and ss.face_count() == 0
 
+    def test_check_counts_decoded_faces(self):
+        ss = extract_strips(quantize(synth.tri_grid(4, 4)), 1)
+        ss.check(32)
+        with pytest.raises(AssertionError, match="strips decode to 32 faces, not 31"):
+            ss.check(31)
+
 
 class TestExtractTriangles:
     def test_two_triangles_one_strip(self):
@@ -401,4 +407,4 @@ class TestFlippedFaces:
         q, strips, seq = encode_mesh(Mesh(mesh.positions, faces), stride)
         decoded, _, _ = decode_tokens(seq)
         assert compare_quantized(q, decoded) == (True, "")
-        assert strips.face_count() == len(q.faces)
+        strips.check(len(q.faces))
