@@ -196,26 +196,9 @@ def _compare_one(src, args, row):
     )
 
 
-def _sampled_reference(args):
-    """The ``--ref`` samples that every input of one ``stats`` call shares.
-
-    None when the arguments or the reference are bad: each input then loads
-    and samples the reference itself and gets the error row it always got.
-    """
-    if args.samples < 1 or not args.tau > 0.0:
-        return None  # compare_meshes rejects these before any sampling
-    try:
-        # through the module, so a wrapper installed there sees this call
-        return metrics.sample_surface(load_obj(Path(args.ref)), n=args.samples, seed=args.seed)
-    except Exception:  # noqa: BLE001 - reported per input
-        return None
-
-
 def _stats_one(src, args, row):
     if args.ref:
-        ref = args.reference if args.reference is not None else load_obj(Path(args.ref))
-        pred = load_obj(src)
-        report = compare_meshes(ref, pred, n=args.samples, tau=args.tau, seed=args.seed)
+        report = compare_meshes(args.reference, load_obj(src), n=args.samples, tau=args.tau, seed=args.seed)
         row.update(
             nc=round(report.nc, 6),
             cd=round(report.cd, 6),
@@ -289,6 +272,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tau(text: str) -> float:
+    value = float(text)
+    try:
+        metrics._check_tau(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="striptok",
@@ -321,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="token-file statistics, or metrics against --ref")
     common(p, with_axis=False)
     p.add_argument("--ref", help="reference OBJ; inputs are then meshes to score")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--tau", type=float, default=0.003)
+    p.add_argument("--samples", type=positive_int, default=metrics.DEFAULT_SAMPLES)
+    p.add_argument("--tau", type=tau, default=metrics.DEFAULT_TAU)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("filter", help="apply corpus admission rules")
@@ -373,6 +365,12 @@ def main(argv=None) -> int:
     if clash := _output_clash(paths, args):
         print(f"output clash: {clash}", file=sys.stderr)
         return 2
+    if cmd == "stats" and args.ref:  # one sample set for every input, drawn through the module
+        try:
+            args.reference = metrics.sample_surface(load_obj(Path(args.ref)), n=args.samples, seed=args.seed)
+        except (OSError, ValueError) as exc:
+            print(f"bad reference {args.ref}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     # the report is written after every file has run: its directory, like --output's, is made first
     for directory in filter(None, (args.output, args.report and Path(args.report).parent)):
         try:
@@ -381,8 +379,6 @@ def main(argv=None) -> int:
             print(f"cannot create directory {directory}: {exc.strerror}", file=sys.stderr)
             return 2
 
-    if cmd == "stats" and args.ref:
-        args.reference = _sampled_reference(args)
     rows = _run_jobs(paths, args)
 
     failed = any("error" in r or r.get("status") == "fail" for r in rows)

@@ -21,13 +21,13 @@ at each fine token and the two before it, cached codes as forward fills.
 Decoding works on the ``(n, 4)`` event array.  Strip heads are event 0
 and every marker; a strip's island id is the number of island markers up
 to its head (a cumulative sum), and the islands that keep a face are
-renumbered densely at the end.  Kept vertices are numbered by
-first occurrence of their ``(island, packed key)`` pair, so equal codes
-weld within an island and never across two.  Faces are index arithmetic
-on each strip's run of vertex ids, one row per face; at stride 2 a
-trailing triangle is padded to four columns with -1, and the mesh keeps
-that padding unless it keeps no quad: then the all-pad column goes, so the
-mesh has the three columns its OBJ reloads with.
+renumbered densely at the end.  Events with one ``(island, packed key)``
+pair weld into one vertex, numbered by the rule in :mod:`striptok.mesh_io`:
+equal codes weld within an island, never across two.  Faces are index
+arithmetic on each strip's run of vertex ids, one row per face; at stride
+2 a trailing triangle is padded to four columns with -1, and the mesh
+keeps that padding unless it keeps no quad: then the all-pad column goes,
+so the mesh has the three columns its OBJ reloads with.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, split_quad_faces, stable_order
-from .quantize import QuantizedMesh, Transform, _unpack_keys, decode_hier, distinct_faces
+from .mesh_io import IslandPartition, first_occurrence, split_quad_faces
+from .quantize import KEY_BITS, QuantizedMesh, Transform, _unpack_keys, decode_hier, distinct_faces
 from .tokens import C1_GEO_BASE, C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE, vocab_ids
 
 EV_VERTEX = 0
@@ -54,9 +54,8 @@ _CLASS = np.frombuffer(
 )
 _FIRST_TRIPLE = re.compile(b"cmf")
 
-# a packed grid key takes 27 bits; the island id goes above them
-_KEY_BITS = 27
-_KEY_MASK = (1 << _KEY_BITS) - 1
+# the island id goes above a packed grid key's bits
+_KEY_MASK = (1 << KEY_BITS) - 1
 
 # corner offsets from a face's first strip position, by face variant:
 # stride 1 even/odd step (odd steps flip), stride 2 quad/trailing triangle
@@ -202,17 +201,10 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
     report.dropped_strips -= len(lengths)
     report.dropped_strip_vertices -= n
 
-    # weld: a vertex's id is the position of the first kept event with its
-    # (island, key) pair, so ids follow first occurrence
+    # weld: events with one (island, key) pair are one vertex
     island = island.repeat(lengths)
-    pairs = island << _KEY_BITS | decode_hier(events[:, 1:])
-    order, ordered = stable_order(pairs)
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    first = order[new]
-    vid = np.empty_like(order)
-    vid[order] = first[new.cumsum() - 1]
+    pairs = island << KEY_BITS | decode_hier(events[:, 1:])
+    vid, first = first_occurrence(pairs)
     report.welds = n - len(first)
 
     # a face starts at every strip position (every even one at stride 2)
@@ -240,10 +232,10 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
 
     # number the referenced vertices densely in id order; the -1 pad marks
     # and maps through the spare last slot
-    used = np.zeros(n + 1, dtype=bool)
+    used = np.zeros(len(first) + 1, dtype=bool)
     used[rows] = True
     new_id = used.cumsum() - 1
-    new_id[n] = -1
+    new_id[-1] = -1
 
     # islands only grow along the faces, so a dense label counts the changes
     island = island[start[ok]]
@@ -251,7 +243,7 @@ def _decode_impl(stream, stride, transform, drop_duplicates):
     (island[1:] != island[:-1]).cumsum(out=labels[1:])
     partition = IslandPartition(labels, int(labels[-1]) + 1 if len(labels) else 0)
     mesh = QuantizedMesh(
-        vertex_keys=_unpack_keys(pairs[used[:n]] & _KEY_MASK),
+        vertex_keys=_unpack_keys(pairs[first[used[:-1]]] & _KEY_MASK),
         faces=new_id[rows],
         island_of_face=labels,
         transform=transform,
@@ -267,10 +259,10 @@ def decode(
     Strips shorter than three vertices are dropped; decoded faces with a
     repeated welded index and duplicate faces (same unordered index set)
     are dropped by :func:`~striptok.quantize.distinct_faces`; everything
-    dropped is counted in the report.  Welding
-    merges identical coordinates within an island only.  Faces have
-    ``stride + 2`` columns, or 3 at stride 2 when no quad is kept (an
-    empty decode has ``stride + 2``).
+    dropped is counted in the report.  Welding merges identical coordinates
+    within an island only; :mod:`striptok.mesh_io` states how the welded
+    vertices are numbered.  Faces have ``stride + 2`` columns, or 3 at
+    stride 2 when no quad is kept (an empty decode has ``stride + 2``).
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")

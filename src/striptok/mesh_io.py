@@ -18,12 +18,13 @@ Face adjacency (UV islands, the manifold check, and the strip walk in
 keys, :func:`sorted_edge_keys`.
 
 Every stable order from OBJ to tokens and back to the comparison is one
-rule, :func:`stable_order`: the order of ``np.argsort(keys, kind="stable")``,
-taken from one ``np.sort`` of ``key << b | index`` (``b`` bits hold every
-index) when there are :data:`PACKED_SORT_MIN` keys or more, all
-non-negative, and that fits in int64, and from the stable argsort itself
-otherwise.  Rows sort the same way, packed into one key each
-(:func:`~striptok.quantize.sort_rows`), or by ``np.lexsort``.
+rule, :func:`stable_order` (rows: :func:`sort_rows`): NumPy's stable
+argsort, taken from one ``np.sort`` of ``key << b | index`` where that fits.
+
+Every numbering is one rule, :func:`first_occurrence`: equal keys share a
+dense id, and ids count up in order of first occurrence.  It numbers
+quantized vertices (one per grid cell), decoded vertices (one per welded
+``(island, key)`` pair) and the islands of :func:`uv_islands`.
 """
 
 from __future__ import annotations
@@ -448,6 +449,46 @@ def unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[heads], order[heads], inverse
 
 
+def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, first)`` of a 1-D int64 array: ``ids`` numbers equal keys
+    alike, densely from 0 in order of first occurrence, and id ``j`` first
+    occurs at ``first[j]``, so ``first`` ascends."""
+    _, first, inverse = unique_first(keys)
+    by_first = first.argsort()  # distinct indices: any sort ranks them alike
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    return rank[inverse], first[by_first]
+
+
+def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of a 2-D integer array, and run heads.
+
+    ``heads[i]`` is True where ``rows[order][i]`` differs from the row before
+    it, so each run of equal rows starts at a head, in original row order.
+    The order is ``np.lexsort(rows.T[::-1])``'s.  With at least
+    :data:`PACKED_SORT_MIN` int64 rows whose ``d`` columns of ``b`` bits
+    fit in 63, ``b`` the bits of the array's ``max - min``,
+    :func:`stable_order` sorts each row packed into one key, ``(col - min)
+    << b`` column by column; other rows fall back to ``np.lexsort``.
+    """
+    heads = np.ones(len(rows), dtype=bool)
+    if len(rows) >= PACKED_SORT_MIN and rows.dtype == np.int64:
+        lo = int(rows.min())
+        bits = (int(rows.max()) - lo).bit_length()
+        if rows.shape[1] * bits <= 63:
+            cols = (rows - lo).T
+            keys = cols[0]
+            for col in cols[1:]:
+                keys = keys << bits | col
+            order, ordered = stable_order(keys)
+            heads[1:] = ordered[1:] != ordered[:-1]
+            return order, heads
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    heads[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, heads
+
+
 def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed undirected keys of every face edge, in stable sorted order.
 
@@ -503,7 +544,8 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
 
     Two faces are joined iff they share a 3D edge and reference identical uv
     indices at both endpoints of that edge; islands are the connected
-    components of that relation, numbered in order of their lowest face.
+    components of that relation, numbered by :func:`first_occurrence` of
+    their lowest face.
     """
     if mesh.face_uvs is None:
         raise ValueError("mesh has no uv indices; use single_island instead")
@@ -525,8 +567,8 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
     same = np.flatnonzero(keys[1:] == keys[:-1])
     degree = faces.shape[1]
     roots = _component_roots(nfaces, order[same] // degree, order[same + 1] // degree)
-    labels = np.unique(roots, return_inverse=True)[1].reshape(-1)
-    return IslandPartition(island_of_face=labels, island_count=int(labels.max()) + 1)
+    labels, first = first_occurrence(roots)
+    return IslandPartition(island_of_face=labels, island_count=len(first))
 
 
 def single_island(mesh: Mesh) -> IslandPartition:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import PACKED_SORT_MIN, IslandPartition, Mesh, stable_order, unique_first
+from .mesh_io import IslandPartition, Mesh, first_occurrence, sort_rows, unique_first
 
 GRID = 512
 EPS = 1e-9
@@ -106,41 +106,12 @@ def pack_keys(grid) -> np.ndarray:
     return g[:, 0] << 18 | g[:, 1] << 9 | g[:, 2]
 
 
+KEY_BITS = 27  # of a pack_keys code: 9 per axis
 _PACK_SHIFTS = np.array([18, 9, 0], dtype=np.int64)
 
 
 def _unpack_keys(codes: np.ndarray) -> np.ndarray:
     return codes[:, None] >> _PACK_SHIFTS & (GRID - 1)
-
-
-def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic order of the rows of a 2-D integer array, and run heads.
-
-    ``heads[i]`` is True where ``rows[order][i]`` differs from the row before
-    it, so each run of equal rows starts at a head, in original row order.
-    The order is ``np.lexsort(rows.T[::-1])``'s.  With at least
-    :data:`~striptok.mesh_io.PACKED_SORT_MIN` int64 rows whose ``d``
-    columns of ``b`` bits fit in 63, ``b`` the bits of the array's
-    ``max - min``, each row packs into one key, ``(col - min) << b`` column
-    by column, and :func:`~striptok.mesh_io.stable_order` sorts the keys;
-    other rows fall back to ``np.lexsort``.
-    """
-    heads = np.ones(len(rows), dtype=bool)
-    if len(rows) >= PACKED_SORT_MIN and rows.dtype == np.int64:
-        lo = int(rows.min())
-        bits = (int(rows.max()) - lo).bit_length()
-        if rows.shape[1] * bits <= 63:
-            cols = (rows - lo).T
-            keys = cols[0]
-            for col in cols[1:]:
-                keys = keys << bits | col
-            order, ordered = stable_order(keys)
-            heads[1:] = ordered[1:] != ordered[:-1]
-            return order, heads
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    heads[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, heads
 
 
 def distinct_faces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +142,10 @@ def quantize_mesh(
 
     The work is done on arrays of packed keys (:func:`pack_keys`), ranked
     densely, with the results of the per-face definition: keys are
-    numbered in order of first occurrence over the corners of the kept
-    faces, row-major, so the key table holds exactly the keys those faces
-    use.  Normalization is ``(p - center) / scale`` per axis, and a
-    coordinate snaps to cell ``int(c * GRID)`` clamped to
+    numbered by the rule in :mod:`striptok.mesh_io` over the corners of
+    the kept faces, row-major, so the key table holds exactly the keys
+    those faces use.  Normalization is ``(p - center) / scale`` per axis,
+    and a coordinate snaps to cell ``int(c * GRID)`` clamped to
     ``[0, GRID - 1]`` (within ``EPS`` of the unit interval; farther out
     raises ``ValueError``).  Faces must share one degree: a mesh that mixes
     triangles and quads (padded rows) raises ``ValueError``.  Non-finite
@@ -218,10 +189,7 @@ def quantize_mesh(
         raise ValueError("all faces degenerate after quantization")
     corners = corners[kept]
 
-    codes, first, inverse = unique_first(corners.reshape(-1))
-    by_first = np.argsort(first)
-    key_of_code = np.empty_like(by_first)
-    key_of_code[by_first] = np.arange(len(by_first))
+    ids, first = first_occurrence(corners.reshape(-1))
 
     if partition is None:
         island_of_face = np.zeros(len(kept), dtype=np.int64)
@@ -231,8 +199,8 @@ def quantize_mesh(
         island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1)
 
     return QuantizedMesh(
-        vertex_keys=_unpack_keys(distinct[codes[by_first]]),
-        faces=key_of_code[inverse].reshape(corners.shape),
+        vertex_keys=_unpack_keys(distinct[corners.reshape(-1)[first]]),
+        faces=ids.reshape(corners.shape),
         island_of_face=island_of_face,
         transform=transform,
         dropped_degenerate=len(mesh.faces) - len(nondegenerate),

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import sorted_edge_keys, stable_order, unique_first
-from .quantize import QuantizedMesh, Transform, sort_rows
+from .mesh_io import sort_rows, sorted_edge_keys, stable_order, unique_first
+from .quantize import QuantizedMesh, Transform
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
 

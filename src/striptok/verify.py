@@ -5,7 +5,7 @@ both meshes' distinct packed grid keys
 (:func:`~striptok.quantize.pack_keys`), -1 where a face has no corner (the
 pad of a stride-2 decode's trailing triangle).  Faces are matched by their
 unordered key sets: each row's distinct codes are sorted and both sides are
-sorted as rows (:func:`~striptok.quantize.sort_rows`), so equal face
+sorted as rows (:func:`~striptok.mesh_io.sort_rows`), so equal face
 multisets line up row for row.  The source holds one face per key set, as
 :func:`~striptok.quantize.quantize_mesh` returns it (a source that repeats
 a key set raises ``ValueError``), so matched rows are one face on each
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantize import GRID, QuantizedMesh, pack_keys, sort_rows
+from .mesh_io import sort_rows
+from .quantize import GRID, QuantizedMesh, pack_keys
 
 
 def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):

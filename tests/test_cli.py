@@ -327,6 +327,25 @@ class TestStats:
         row = read_jsonl(report)[0]
         assert row["nc"] == 1.0 and row["cd"] == 0.0 and row["hd"] == 0.0 and row["f1"] == 1.0
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--samples", "0", "must be at least 1, got 0"),
+            ("--tau", "0", "tau must be positive, got 0"),
+            ("--tau", "nan", "tau must be positive, got nan"),
+        ],
+        ids=["samples_0", "tau_0", "tau_nan"],
+    )
+    def test_bad_metric_arguments_fail_at_parse_time(self, obj_dir, tmp_path, capsys, flag, value, message, jobs):
+        grid = str(obj_dir / "grid.obj")
+        report = tmp_path / "m.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", grid, "--ref", grid, flag, value, "--report", str(report), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestExitCodes:
     def test_run_as_a_module(self):

@@ -156,6 +156,28 @@ class TestDecode:
         assert as_lists(mesh).vertex_keys.count((2, 0, 0)) == 1
         assert len(mesh.vertex_keys) == 5
 
+    def test_welded_ids_are_dense_so_face_rows_pack(self, monkeypatch):
+        # two stride-2 strips over three rows of grid keys share the middle
+        # row: 40,000 events weld to 30,000 vertices.  Numbered by event
+        # position, the face rows would span 16 bits a column, too wide to
+        # pack four columns into one key; dense ids span 15 bits and pack
+        width = 10_000
+        rows = [[(i % 512, r, i // 512) for i in range(width)] for r in range(3)]
+        strips = [[c for pair in zip(rows[r], rows[r + 1]) for c in pair] for r in range(2)]
+        seq = serialize(manual_strip_set(strips, stride=2), uv_mode=False)
+        lexsorts = []
+        lexsort = np.lexsort
+
+        def counting_lexsort(keys):
+            lexsorts.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        mesh, _, report = decode(parse_tokens(seq), 2, IDENTITY_TRANSFORM)
+        assert report.clean() and report.welds == width
+        assert len(mesh.vertex_keys) == 3 * width and len(mesh.faces) == 2 * (width - 1)
+        assert lexsorts == []
+
     def test_duplicates_kept_across_islands(self):
         a = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
         b = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]

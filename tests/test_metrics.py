@@ -370,15 +370,18 @@ class TestSharedNeighbors:
          ("--samples", "0", "n must be at least 1")],
     )
     def test_bad_arguments_fail_before_sampling(self, tmp_path, monkeypatch, kdtree_count, flag, value, message):
+        # the CLI rejects at parse time (exit 2) what compare_meshes rejects
         sampled = []
         monkeypatch.setattr(metrics, "sample_surface", lambda *a, **k: sampled.append(1))
         mesh = tmp_path / "ico.obj"
         write_obj(synth.icosphere(1), mesh)
         report = tmp_path / "m.jsonl"
-        rc = main(["stats", str(mesh), "--ref", str(mesh), flag, value, "--report", str(report)])
-        assert rc == 1
-        row = json.loads(report.read_text())
-        assert row["error"] == f"ValueError: {message}"
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(mesh), "--ref", str(mesh), flag, value, "--report", str(report)])
+        assert exc.value.code == 2 and not report.exists()
+        argument = {"tau": float(value)} if flag == "--tau" else {"n": int(value)}
+        with pytest.raises(ValueError, match=message):
+            compare_meshes(load_obj(mesh), load_obj(mesh), **argument)
         assert sampled == [] and kdtree_count == []
 
 
@@ -458,7 +461,8 @@ def scored_dir(tmp_path):
 
 class TestOneReference:
     """``stats --ref`` loads, samples and builds a tree over its reference
-    once per call, and reports what scoring each input on its own gave."""
+    once per call, and reports what scoring each input on its own gave; a
+    reference that cannot be loaded or sampled is a usage error."""
 
     def test_reference_is_loaded_sampled_and_indexed_once(self, scored_dir, monkeypatch, kdtree_count):
         ref, preds = scored_dir
@@ -494,21 +498,25 @@ class TestOneReference:
         ids=["missing", "malformed", "zero_area", "zero_area_bad_input", "overflow"],
     )
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_bad_reference_gives_each_input_its_error_row(self, scored_dir, ref_text, bad_pred, jobs):
+    def test_bad_reference_gives_each_input_its_error_row(self, scored_dir, capsys, ref_text, bad_pred, jobs):
+        """A reference that cannot be loaded or sampled gives no input a row:
+        the call exits 2 before any input runs, names the reference and its
+        error in one stderr line, and writes no report."""
         _, preds = scored_dir
         ref = preds.parent / "bad_ref.obj"
         if ref_text is not None:
             ref.write_text(ref_text)
         if bad_pred:
             (preds / "pred1.obj").write_text("v 0 0 0\nf 1 2 4\n")
-        report = preds.parent / "m.jsonl"
+        report = preds.parent / "out" / "m.jsonl"
         argv = ["stats", str(preds), "--ref", str(ref), "--samples", "500", "--jobs", jobs, "--report", str(report)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv) == 1
-        rows = [json.loads(line) for line in report.read_text().splitlines()]
-        assert rows == [per_input_row(ref, p, 500) for p in sorted(preds.glob("*.obj"))]
-        assert all("error" in row for row in rows)
+            assert main(argv) == 2
+            with pytest.raises((OSError, ValueError)) as exc:
+                sample_surface(load_obj(ref), n=500)
+        assert capsys.readouterr().err == f"bad reference {ref}: {exc.typename}: {exc.value}\n"
+        assert not report.parent.exists()
 
     def test_overflowing_input_gives_its_error_row(self, scored_dir):
         ref, preds = scored_dir

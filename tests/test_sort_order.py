@@ -1,6 +1,7 @@
 """The stable-order contract: ``stable_order``, ``unique_first`` and
 ``sort_rows`` give exactly NumPy's stable argsort, ``np.unique`` and
-``np.lexsort`` results, on the packed branch and on the fallback.
+``np.lexsort`` results, on the packed branch and on the fallback, and
+``first_occurrence`` numbers keys as a scalar dict does.
 
 Array sizes are drawn on both sides of ``PACKED_SORT_MIN``; the values of
 a large array come from a generator seeded by the draw, so they vary as
@@ -11,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from striptok.mesh_io import PACKED_SORT_MIN, stable_order, unique_first
-from striptok.quantize import sort_rows
+from striptok.mesh_io import PACKED_SORT_MIN, first_occurrence, sort_rows, stable_order, unique_first
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 SIZES = st.one_of(st.integers(0, 40), st.integers(PACKED_SORT_MIN, PACKED_SORT_MIN + 600))
@@ -96,6 +96,61 @@ class TestUniqueFirst:
         expected = np.unique(keys, return_index=True, return_inverse=True)
         for got, want in zip((values, first, inverse), expected):
             np.testing.assert_array_equal(got, want.reshape(-1))
+
+
+def numbered_by_dict(keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """The first-occurrence numbering, one key at a time: each new key
+    takes the next id, and its index is recorded."""
+    ids: dict[int, int] = {}
+    first = []
+    for i, key in enumerate(keys.tolist()):
+        if key not in ids:
+            ids[key] = len(first)
+            first.append(i)
+    return [ids[key] for key in keys.tolist()], first
+
+
+def assert_first_occurrence(keys: np.ndarray) -> None:
+    ids, first = first_occurrence(keys)
+    want_ids, want_first = numbered_by_dict(keys)
+    assert ids.dtype == np.int64 and first.dtype == np.int64
+    assert ids.tolist() == want_ids
+    assert first.tolist() == want_first
+
+
+class TestFirstOccurrence:
+    def test_empty(self):
+        assert_first_occurrence(np.zeros(0, dtype=np.int64))
+
+    @given(st.integers(INT64_MIN, INT64_MAX))
+    def test_one_key(self, key):
+        assert_first_occurrence(np.array([key], dtype=np.int64))
+
+    @given(SIZES, st.integers(INT64_MIN, INT64_MAX))
+    def test_all_keys_equal(self, n, key):
+        assert_first_occurrence(np.full(n, key, dtype=np.int64))
+
+    @given(SIZES, st.integers(0, 2**32 - 1))
+    def test_all_keys_distinct(self, n, seed):
+        rng = np.random.default_rng(seed)
+        assert_first_occurrence(rng.choice(2**40, n, replace=False).astype(np.int64))
+
+    @given(int_arrays(0, 3))
+    def test_heavy_ties(self, keys):
+        assert_first_occurrence(keys)
+
+    @given(int_arrays(0, 2**20))
+    def test_packed_keys(self, keys):
+        assert_first_occurrence(keys)
+
+    @given(st.one_of(int_arrays(-5, 5), int_arrays(INT64_MIN, INT64_MAX), int_arrays(0, INT64_MAX)))
+    def test_keys_that_take_the_fallback(self, keys):
+        # negative keys, and keys too wide to shift past an index
+        assert_first_occurrence(keys)
+
+    @given(int_arrays(0, 7))
+    def test_int32_keys(self, keys):
+        assert_first_occurrence(keys.astype(np.int32))
 
 
 ROW_SHAPES = st.tuples(SIZES, st.integers(1, 4))
