@@ -1,8 +1,10 @@
 """Command-line front end: encode, decode, roundtrip, stats, filter, compare.
 
 All commands process files independently (``--jobs`` parallelizes across
-files, never within one) and emit machine-readable reports ordered by input
-filename, so parallel and serial runs produce identical bytes.  Exit codes:
+files; only ``stats --ref``'s neighbor pass also uses threads within one,
+each process an equal share of the CPUs) and emit machine-readable reports
+ordered by input filename, so parallel and serial runs produce identical
+bytes.  Exit codes:
 0 success, 1 any file-level failure, 2 usage error.  :func:`encode_mesh` and
 :func:`decode_tokens` are the one encode and decode chain every command uses.
 """
@@ -13,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import shutil
 import sys
 from collections import Counter
@@ -58,7 +61,8 @@ def _output_path(src: Path, args) -> Path:
 def _output_clash(paths, args) -> str | None:
     """Two inputs with one output path, or an output that is an input; the
     report (``compare``: its CSV) must not be a directory (``--output`` and
-    its parents included), an input (``--ref`` included) or a file output."""
+    its parents included), an input (``--ref`` included), a file output or
+    under one."""
     inputs = {src.resolve(): src for src in paths}
     if args.ref:
         inputs.setdefault(Path(args.ref).resolve(), Path(args.ref))
@@ -78,6 +82,8 @@ def _output_clash(paths, args) -> str | None:
             return f"the report {report} would overwrite input {inputs[out]}"
         if out in writer:
             return f"the report {report} and the output of {writer[out]} would both write {out}"
+        if parent := next((p for p in out.parents if p in writer), None):
+            return f"the report {report} would be under {parent}, the output of {writer[parent]}"
     return None
 
 
@@ -198,7 +204,9 @@ def _compare_one(src, args, row):
 
 def _stats_one(src, args, row):
     if args.ref:
-        report = compare_meshes(args.reference, load_obj(src), n=args.samples, tau=args.tau, seed=args.seed)
+        report = compare_meshes(
+            args.reference, load_obj(src), n=args.samples, tau=args.tau, seed=args.seed, workers=args.threads
+        )
         row.update(
             nc=round(report.nc, 6),
             cd=round(report.cd, 6),
@@ -256,11 +264,24 @@ def _run_in_worker(path):
     return _run_one(path, _worker_args)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _run_jobs(paths, args):
+    """Every file's row, in order: on ``min(jobs, files)`` processes, each
+    with an equal share of the CPUs as its thread budget, ``args.threads``."""
     paths = [str(p) for p in paths]
-    if args.jobs > 1 and len(paths) > 1:
-        workers = min(args.jobs, len(paths))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(args,)) as pool:
+    procs = min(args.jobs, len(paths))
+    args.threads = max(1, _cpus() // procs)
+    if procs > 1:
+        if args.ref:  # built once here, so the forked workers inherit it
+            args.reference.tree
+        with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(args,)) as pool:
             return list(pool.map(_run_in_worker, paths))
     return [_run_one(path, args) for path in paths]
 

@@ -453,11 +453,17 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(ids, first)`` of a 1-D int64 array: ``ids`` numbers equal keys
     alike, densely from 0 in order of first occurrence, and id ``j`` first
     occurs at ``first[j]``, so ``first`` ascends."""
-    _, first, inverse = unique_first(keys)
-    by_first = first.argsort()  # distinct indices: any sort ranks them alike
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(first))
-    return rank[inverse], first[by_first]
+    order, ordered = stable_order(keys)
+    heads = np.ones(len(keys), dtype=bool)
+    heads[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(heads)
+    first = order[starts]  # a stable order puts each key's first index at the head of its run
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    number = np.cumsum(is_first) - 1  # numbers the first indices in input order
+    ids = np.empty_like(order)
+    ids[order] = np.repeat(number[first], np.diff(starts, append=len(keys)))
+    return ids, np.flatnonzero(is_first)
 
 
 def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

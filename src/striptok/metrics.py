@@ -7,9 +7,13 @@ point sets.  :func:`compare_meshes` runs one exact neighbor pass per pair
 way) and shares it across all four metrics; each metric function also
 computes the pass itself when called on its own.  Each side's points query
 the other tree in the leaf order of their own tree, so neighboring queries
-walk the same nodes, and the results are scattered back to sample order:
-every point is still searched on its own against an unchanged tree, so the
-distances and tie-broken indices are those of a query in sample order.
+walk the same nodes, and the results are scattered back to sample order.
+Given ``workers`` > 1 threads, the pass builds two missing trees at once,
+one thread each (``cKDTree`` releases the GIL while it builds), and each
+query splits its points across ``workers`` threads.  Every point is still
+searched on its own against an unchanged tree, so the distances and
+tie-broken indices are those of one serial query in sample order, at any
+thread count.
 Conventions pinned here because they vary across codebases:
 Chamfer averages the two directed means, NC uses the absolute dot product
 (winding-robust), and F-score counts points within the threshold
@@ -18,6 +22,7 @@ inclusively.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,25 +99,36 @@ def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> Sampl
     return SampleSet(points=points, normals=normals)
 
 
-def _query(tree: cKDTree, s: SampleSet):
+def _query(tree: cKDTree, s: SampleSet, workers: int):
     """Nearest neighbors in ``tree`` of the points of ``s``, in sample order.
 
-    The points are queried in the leaf order of their own tree, then the
-    results are put back where each point stands in ``s``.
+    The points are queried in the leaf order of their own tree, on
+    ``workers`` threads, then the results are put back where each point
+    stands in ``s``.
     """
     order = s.tree.indices
     d = np.empty(len(order))
     i = np.empty(len(order), dtype=np.intp)
-    d[order], i[order] = tree.query(s.points[order])
+    d[order], i[order] = tree.query(s.points[order], workers=workers)
     return d, i
 
 
-def _nn(a: SampleSet, b: SampleSet):
-    """Exact nearest neighbors both ways: (d_ab, i_ab, d_ba, i_ba)."""
+def _nn(a: SampleSet, b: SampleSet, workers: int = 1):
+    """Exact nearest neighbors both ways: (d_ab, i_ab, d_ba, i_ba).
+
+    ``workers`` is the number of threads the pass may run on; the results
+    are the same at any number.
+    """
     if len(a.points) == 0 or len(b.points) == 0:
         raise ValueError("empty sample set")
-    d_ab, i_ab = _query(b.tree, a)
-    d_ba, i_ba = _query(a.tree, b)
+    if workers > 1 and a is not b and "tree" not in vars(a) and "tree" not in vars(b):
+        # both trees at once, put where the ``tree`` cached_property keeps
+        # them: building through it would run one build after the other,
+        # since before Python 3.12 its lock is shared by every instance
+        with ThreadPoolExecutor(2) as pool:
+            vars(a)["tree"], vars(b)["tree"] = pool.map(cKDTree, (a.points, b.points))
+    d_ab, i_ab = _query(b.tree, a, workers)
+    d_ba, i_ba = _query(a.tree, b, workers)
     return d_ab, i_ab, d_ba, i_ba
 
 
@@ -166,13 +182,15 @@ def compare_meshes(
     n: int = DEFAULT_SAMPLES,
     tau: float = DEFAULT_TAU,
     seed: int = 0,
+    workers: int = 1,
 ) -> MetricReport:
     """Sample both meshes and compute the four geometric metrics.
 
     ``ref`` may also be ``sample_surface(ref, n, seed)`` itself, drawn once
     to score many predictions against one reference; its k-d tree is then
     built once too.  Arguments are checked before any sampling; one
-    neighbor pass serves all four metrics.
+    neighbor pass, on up to ``workers`` threads, serves all four metrics.
+    Sampling runs on the calling thread.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -184,7 +202,7 @@ def compare_meshes(
     else:
         a = sample_surface(ref, n=n, seed=seed)
     b = sample_surface(pred, n=n, seed=seed)
-    nn = _nn(a, b)
+    nn = _nn(a, b, workers)
     cd, hd = chamfer_hausdorff(a, b, nn)
     return MetricReport(
         nc=normal_consistency(a, b, nn), cd=cd, hd=hd, f1=f_score(a, b, tau, nn)

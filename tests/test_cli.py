@@ -64,6 +64,37 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    """Stands in for the CLI's process pool: runs the map in this process and
+    records, as each pool starts, its size, its workers' thread budget and
+    whether the ``--ref`` sample set it hands them has its k-d tree yet."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            reference = getattr(initargs[0], "reference", None)
+            started.append({
+                "max_workers": max_workers,
+                "threads": initargs[0].threads,
+                "reference_tree": reference is not None and "tree" in vars(reference),
+            })
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_worker_args", None)
+    return started
+
+
 class TestEncode:
     def test_encode_directory(self, obj_dir, tmp_path):
         report = tmp_path / "enc.jsonl"
@@ -236,6 +267,34 @@ class TestParallel:
         assert r1.read_bytes() == r2.read_bytes()
         for p1 in sorted(out1.iterdir()):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes()
+
+    def test_stats_ref_jobs_byte_identical(self, obj_dir, tmp_path):
+        ref = str(obj_dir / "grid.obj")
+        reports = [tmp_path / f"j{jobs}.jsonl" for jobs in (1, 2)]
+        for jobs, report in zip((1, 2), reports):
+            argv = ["stats", str(obj_dir), "--ref", ref, "--samples", "2000", "--jobs", str(jobs), "--report", str(report)]
+            assert main(argv) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert len(read_jsonl(reports[0])) == 4
+
+    def test_stats_ref_workers_inherit_the_reference_tree(self, obj_dir, tmp_path, recording_pool):
+        ref = str(obj_dir / "grid.obj")
+        argv = ["stats", str(obj_dir), "--ref", ref, "--samples", "500", "--jobs", "2", "--report", str(tmp_path / "r.jsonl")]
+        assert main(argv) == 0
+        assert recording_pool == [{"max_workers": 2, "threads": max(1, cli._cpus() // 2), "reference_tree": True}]
+
+    def test_serial_run_takes_every_cpu(self, obj_dir, tmp_path, monkeypatch):
+        asked = []
+
+        def recording_compare(*args, workers, **kwargs):
+            asked.append(workers)
+            return compare_meshes(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(cli, "compare_meshes", recording_compare)
+        ref = str(obj_dir / "grid.obj")
+        argv = ["stats", ref, "--ref", ref, "--samples", "500", "--jobs", "4", "--report", str(tmp_path / "r.jsonl")]
+        assert main(argv) == 0
+        assert asked == [cli._cpus()] and cli._cpus() == len(os.sched_getaffinity(0))
 
     def test_parallel_roundtrip(self, obj_dir, tmp_path):
         r1 = tmp_path / "s.jsonl"
@@ -428,6 +487,27 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, output",
+        [
+            (["encode", "{grid}", "--output", "{tmp}/o", "--report", "{tmp}/o/grid.sato/r.jsonl"], "o/grid.sato"),
+            (["decode", "{sato}", "--output", "{tmp}/d", "--report", "{tmp}/d/grid.decoded.obj/a/r"], "d/grid.decoded.obj"),
+            (["filter", "{grid}", "--output", "{tmp}/f", "--report", "{tmp}/f/grid.obj/r.jsonl"], "f/grid.obj"),
+        ],
+        ids=["encode", "decode", "filter"],
+    )
+    def test_report_under_an_output(self, obj_dir, tmp_path, capsys, argv, output):
+        sato = tmp_path / "tok" / "grid.sato"
+        assert main(["encode", str(obj_dir / "grid.obj"), "--output", str(sato.parent), "--report", str(tmp_path / "e")]) == 0
+        before = sorted(tmp_path.rglob("*"))
+        argv = [a.format(grid=obj_dir / "grid.obj", sato=sato, tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        src, report = argv[1], argv[-1]
+        assert capsys.readouterr().err == (
+            f"output clash: the report {report} would be under {tmp_path / output}, the output of {src}\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["roundtrip", "{grid}", "--report", "{tmp}"],
@@ -466,30 +546,10 @@ class TestExitCodes:
         assert "unrecognized arguments: --report" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
-    def test_jobs_start_no_more_workers_than_files(self, obj_dir, tmp_path, monkeypatch):
-        asked = []
-
-        class RecordingPool:
-            """Runs the map in this process and records the pool size asked for."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_worker_args", None)
+    def test_jobs_start_no_more_workers_than_files(self, obj_dir, tmp_path, recording_pool):
         files = [str(obj_dir / "grid.obj"), str(obj_dir / "ico.obj")]
         assert main(["roundtrip", *files, "--jobs", "8", "--report", str(tmp_path / "r.jsonl")]) == 0
-        assert asked == [2]
+        assert [pool["max_workers"] for pool in recording_pool] == [2]
         assert [r["status"] for r in read_jsonl(tmp_path / "r.jsonl")] == ["pass", "pass"]
 
     def test_unreadable_file_fails(self, tmp_path):

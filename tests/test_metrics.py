@@ -410,6 +410,24 @@ class TestNeighborPass:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert [g.dtype for g in got] == [w.dtype for w in want]
 
+    @given(tie_heavy_pairs())
+    def test_threaded_pass_matches_sample_order_queries(self, pair):
+        a, b = pair
+        got, want = metrics._nn(a, b, workers=2), nearest_neighbors(a, b)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert [g.dtype for g in got] == [w.dtype for w in want]
+
+    def test_threaded_pass_builds_each_tree_once(self, kdtree_count):
+        rng = np.random.default_rng(3)
+        a, b = point_set(rng.random((300, 3))), point_set(rng.random((200, 3)))
+        first = metrics._nn(a, b, workers=2)
+        assert "tree" in vars(a) and "tree" in vars(b) and len(kdtree_count) == 2
+        again = metrics._nn(a, b, workers=2)
+        assert len(kdtree_count) == 2
+        assert all(np.array_equal(f, g) for f, g in zip(first, again))
+        metrics._nn(a, a, workers=2)
+        assert len(kdtree_count) == 2
+
     def test_queries_run_in_leaf_order(self, monkeypatch):
         queried = []
 
