@@ -1,4 +1,9 @@
-"""Strip-based mesh tokenizer: compact token sequences for tri/quad meshes."""
+"""Strip-based mesh tokenizer: compact token sequences for tri/quad meshes.
+
+The metric names (``compare_meshes``, ``sample_surface``, ...) load
+:mod:`striptok.metrics`, and with it SciPy, on first use; importing the
+package or its CLI loads neither.
+"""
 
 from .mesh_io import (
     FilterResult,
@@ -40,16 +45,18 @@ from .decode import (
     dual_decode_check,
     parse_tokens,
 )
-from .metrics import (
-    MetricReport,
-    SampleSet,
-    chamfer_hausdorff,
-    compare_meshes,
-    f_score,
-    normal_consistency,
-    sample_surface,
-)
+
 __version__ = "0.1.0"
+
+_METRICS = (
+    "MetricReport",
+    "SampleSet",
+    "chamfer_hausdorff",
+    "compare_meshes",
+    "f_score",
+    "normal_consistency",
+    "sample_surface",
+)
 
 
 def __getattr__(name):
@@ -59,4 +66,8 @@ def __getattr__(name):
         from . import cli
 
         return getattr(cli, name)
+    if name in _METRICS:  # only a metric needs SciPy, so it loads with the first one
+        from . import metrics
+
+        return getattr(metrics, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

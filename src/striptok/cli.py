@@ -7,6 +7,9 @@ ordered by input filename, so parallel and serial runs produce identical
 bytes.  Exit codes:
 0 success, 1 any file-level failure, 2 usage error.  :func:`encode_mesh` and
 :func:`decode_tokens` are the one encode and decode chain every command uses.
+A call imports only what it runs: :mod:`striptok.metrics`, and with it
+SciPy, loads for ``stats --ref`` or ``--tau``, and the process pool's
+module for ``--jobs`` above 1 with more than one file.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import os
 import shutil
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .decode import decode, parse_tokens
@@ -31,8 +33,6 @@ from .mesh_io import (
     uv_islands,
     write_obj,
 )
-from . import metrics
-from .metrics import compare_meshes
 from .quantize import dequantize_mesh, quantize_mesh
 from .strips import extract_strips
 from .tokens import compression_stats, read_tokens, serialize, write_tokens
@@ -202,6 +202,13 @@ def _compare_one(src, args, row):
     )
 
 
+def compare_meshes(*args, **kwargs):
+    """:func:`striptok.metrics.compare_meshes`, imported on first call."""
+    from .metrics import compare_meshes
+
+    return compare_meshes(*args, **kwargs)
+
+
 def _stats_one(src, args, row):
     if args.ref:
         report = compare_meshes(
@@ -279,6 +286,8 @@ def _run_jobs(paths, args):
     procs = min(args.jobs, len(paths))
     args.threads = max(1, _cpus() // procs)
     if procs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         if args.ref:  # built once here, so the forked workers inherit it
             args.reference.tree
         with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(args,)) as pool:
@@ -294,9 +303,11 @@ def positive_int(text: str) -> int:
 
 
 def tau(text: str) -> float:
+    from .metrics import _check_tau
+
     value = float(text)
     try:
-        metrics._check_tau(value)
+        _check_tau(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
     return value
@@ -334,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="token-file statistics, or metrics against --ref")
     common(p, with_axis=False)
     p.add_argument("--ref", help="reference OBJ; inputs are then meshes to score")
-    p.add_argument("--samples", type=positive_int, default=metrics.DEFAULT_SAMPLES)
-    p.add_argument("--tau", type=tau, default=metrics.DEFAULT_TAU)
+    p.add_argument("--samples", type=positive_int)  # unset: metrics.DEFAULT_SAMPLES
+    p.add_argument("--tau", type=tau)  # unset: metrics.DEFAULT_TAU
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("filter", help="apply corpus admission rules")
@@ -387,6 +398,10 @@ def main(argv=None) -> int:
         print(f"output clash: {clash}", file=sys.stderr)
         return 2
     if cmd == "stats" and args.ref:  # one sample set for every input, drawn through the module
+        from . import metrics  # imported before the pool starts, so its workers inherit it
+
+        args.samples = args.samples or metrics.DEFAULT_SAMPLES
+        args.tau = args.tau or metrics.DEFAULT_TAU
         try:
             args.reference = metrics.sample_surface(load_obj(Path(args.ref)), n=args.samples, seed=args.seed)
         except (OSError, ValueError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -90,9 +91,55 @@ def recording_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the CLI imports the pool class where the pool starts, from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_worker_args", None)
     return started
+
+
+METRIC_NAMES = (
+    "MetricReport",
+    "SampleSet",
+    "chamfer_hausdorff",
+    "compare_meshes",
+    "f_score",
+    "normal_consistency",
+    "sample_surface",
+)
+
+# run by TestExitCodes.test_commands_import_only_what_they_run as
+# ``python -c IMPORT_PATH_SCRIPT <tri mesh dir> <quad mesh dir> <output dir>``
+IMPORT_PATH_SCRIPT = f"""
+import json, sys
+from pathlib import Path
+
+import striptok, striptok.cli
+
+def loaded():
+    return [name for name in ("scipy", "concurrent.futures.process") if name in sys.modules]
+
+meshes, quads, out = map(Path, sys.argv[1:])
+seen = {{"after import": loaded()}}
+runs = [
+    ["encode", meshes, "--output", out / "enc1", "--report", out / "enc1.jsonl"],
+    ["encode", quads, "--stride", "2", "--output", out / "enc2", "--report", out / "enc2.jsonl"],
+    ["encode", meshes, "--uv", "--output", out / "encuv", "--report", out / "encuv.jsonl"],
+    ["decode", out / "enc1", "--output", out / "dec", "--report", out / "dec.jsonl"],
+    ["roundtrip", meshes, "--report", out / "roundtrip.jsonl"],
+    ["filter", meshes, "--output", out / "accepted", "--report", out / "filter.jsonl"],
+    ["compare", meshes, "--output", out / "compare.csv"],
+    ["stats", out / "enc2", "--report", out / "stats.jsonl"],
+]
+codes = [striptok.cli.main([*map(str, argv), "--jobs", "1"]) for argv in runs]
+seen["after commands"] = loaded()
+ref = ["stats", out / "dec" / "grid.decoded.obj", "--ref", meshes / "grid.obj", "--samples", "200"]
+codes.append(striptok.cli.main([*map(str, ref), "--report", str(out / "scores.jsonl")]))
+seen["scipy after stats --ref"] = "scipy" in sys.modules
+import striptok.metrics
+seen["metric names"] = [n for n in {METRIC_NAMES!r} if getattr(striptok, n) is getattr(striptok.metrics, n)]
+seen["exit codes"] = codes
+print(json.dumps(seen))
+"""
 
 
 class TestEncode:
@@ -416,6 +463,24 @@ class TestExitCodes:
         run = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("usage:")
+
+    def test_commands_import_only_what_they_run(self, obj_dir, quad_dir, tmp_path):
+        # a fresh interpreter: importing the package and its CLI, and every
+        # command but ``stats --ref`` on one process, load neither SciPy nor
+        # the process pool; ``stats --ref`` loads SciPy, and the metric names
+        # served by the package are the ones in ``striptok.metrics``
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(obj_dir), str(quad_dir), str(tmp_path / "out")]
+        run = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == {
+            "after import": [],
+            "after commands": [],
+            "scipy after stats --ref": True,
+            "metric names": list(METRIC_NAMES),
+            "exit codes": [0] * 9,
+        }
 
     def test_missing_inputs(self, tmp_path):
         empty = tmp_path / "none"
