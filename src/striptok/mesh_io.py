@@ -13,6 +13,15 @@ Everything else, and every error, goes through the per-line loop, which
 alone words the errors and numbers the lines; both return the same
 :class:`Mesh`.
 
+:func:`write_obj` makes no Python object per number or line: each record
+block is one ``uint8`` matrix of ASCII rows, NUL-padded, whose non-NUL
+bytes are the block's text.  Floats are formatted once per distinct bit
+pattern and indices read from a decimal table.  It raises ``ValueError``,
+before it opens the file, on a mesh :func:`load_obj` would not read back
+as given: a negative index other than a -1 pad in the last of 4 columns,
+an index out of range, or ``face_uvs`` whose shape or pads differ from
+``faces``.
+
 Face adjacency (UV islands, the manifold check, and the strip walk in
 ``strips``) is read from one stably sorted table of packed undirected edge
 keys, :func:`sorted_edge_keys`.
@@ -357,57 +366,131 @@ def split_quad_faces(faces: np.ndarray) -> np.ndarray:
     return halves[np.stack([np.ones_like(tri), ~tri], axis=1)]
 
 
-def _float_block(record: str, values: np.ndarray) -> str:
-    """``record`` once per row of ``values``, each float as ``'%.9g'``.
+def _lines(n: int, *columns) -> bytes:
+    """The text of ``n`` lines, each the ASCII bytes of ``columns`` side by side.
 
-    Equal bits share one formatted text, so -0.0 and 0.0 (and NaN payloads)
-    stay apart, as formatting each value would keep them.
+    A column is one ``bytes`` constant for every line, or an array with one
+    row of ``uint8`` bytes per line (trailing axes are flattened).  NUL
+    bytes are dropped, so a row's text ends where its padding starts.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64).reshape(-1)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(list(map("%.9g".__mod__, distinct.view(np.float64).tolist())), dtype=object)
-    return record * len(values) % tuple(text[inverse].tolist())
+    rows = np.concatenate(
+        [
+            np.broadcast_to(np.frombuffer(c, np.uint8), (n, len(c))) if isinstance(c, bytes) else c.reshape(n, -1)
+            for c in columns
+        ],
+        axis=1,
+    )
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _text_table(texts: list[str]) -> np.ndarray:
+    """ASCII ``texts`` as the rows of a ``uint8`` matrix, NUL-padded to the longest."""
+    return np.array(texts, dtype=np.bytes_).view(np.uint8).reshape(len(texts), -1)
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``(n, k, w)`` bytes of ``' %.9g'`` for each float of an ``(n, k)`` array.
+
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 (and NaN
+    payloads) stay apart, as formatting each value would keep them.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    table = _text_table(list(map(" %.9g".__mod__, distinct.view(np.float64).tolist())))
+    return np.take(table, inverse.reshape(bits.shape), axis=0)
+
+
+def _index_table(count: int, separator: str) -> np.ndarray:
+    """Bytes of ``separator`` and the 1-based OBJ index, one row per 0-based
+    index plus one: row ``i + 1`` spells index ``i``, and row 0 is empty, so
+    a -1 pad looked up at ``pad + 1`` writes nothing.
+
+    The digit of place ``10**p`` cycles through 0-9, each repeated ``10**p``
+    times, and is a leading zero (NUL) in the first ``10**p`` rows.
+    """
+    width = len(str(count))
+    table = np.zeros((count + 1, 1 + width), dtype=np.uint8)
+    table[1:, 0] = ord(separator)
+    for place in range(width):
+        step = 10**place
+        cycle = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), step)
+        table[step:, width - place] = np.tile(cycle, -(-(count + 1) // len(cycle)))[step : count + 1]
+    return table
+
+
+def _check_corners(indices: np.ndarray, count: int, name: str) -> None:
+    """Raise ``ValueError`` unless ``indices`` is ``(F, 3)`` or ``(F, 4)``
+    with every entry in ``[0, count)``, but for -1 pads in the last of 4
+    columns."""
+    if indices.ndim != 2 or indices.shape[1] not in (3, 4):
+        raise ValueError(f"{name} must have 3 or 4 columns, got shape {indices.shape}")
+    low = np.zeros(indices.shape[1], dtype=np.int64)
+    low[3:] = -1
+    bad = (indices < low) | (indices >= count)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(
+            f"{name} row {row} is {indices[row].tolist()}: each index must be in [0, {count}),"
+            " and a -1 pad may stand only in the last of 4 columns"
+        )
 
 
 def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> None:
     """Write a Mesh as OBJ text (9 significant digits, LF line endings).
 
     With a partition, faces are emitted grouped by ascending island id under
-    ``g island_<id>`` records (stable within each island).  Each record
-    block is one ``%`` format over all its values; ``'%.9g' % x`` and
-    ``format(x, '.9g')`` share CPython's float formatter.  The ``v`` and
-    ``vt`` blocks format each distinct float (by its bits) once and place
-    the text by index: a decode has at most 512 values per axis.  Pads are
+    ``g island_<id>`` records (stable within each island).  Pads are
     skipped, so a padded row is written as a triangle.
+
+    Each record block (``v``, ``vt``, ``f``) is built as one ``uint8``
+    matrix of ASCII with a row per line, NUL where a line is shorter than
+    its row, and written as its non-NUL bytes.  Each distinct float (by its
+    bits) is formatted once with ``'%.9g'`` (CPython's formatter, as
+    ``format(x, '.9g')``) and placed by index; a decode has at most 512
+    values per axis.  Face indices are looked up in one decimal table per
+    index space, and each ``g`` line is formatted once per island.
+
+    Raises ``ValueError``, before the file is opened, on a mesh that
+    :func:`load_obj` would not read back as given: no positions or faces,
+    ``positions`` not ``(V, 3)`` or ``uv_coords`` not ``(T, 2)``, a face or
+    uv index out of range, a pad other than -1 in the last of 4 columns,
+    ``face_uvs`` whose shape or pads differ from ``faces``, or a partition
+    of another length.
     """
     if not len(mesh.positions) or not len(mesh.faces):
         raise ValueError("empty mesh")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):
         raise ValueError("partition does not match face count")
+    has_uvs = mesh.uv_coords is not None and mesh.face_uvs is not None
+    if mesh.positions.ndim != 2 or mesh.positions.shape[1] != 3:
+        raise ValueError(f"positions must be (V, 3), got shape {mesh.positions.shape}")
+    _check_corners(mesh.faces, len(mesh.positions), "faces")
+    if has_uvs:
+        if mesh.uv_coords.ndim != 2 or mesh.uv_coords.shape[1] != 2:
+            raise ValueError(f"uv_coords must be (T, 2), got shape {mesh.uv_coords.shape}")
+        _check_corners(mesh.face_uvs, len(mesh.uv_coords), "face_uvs")
+        if not np.array_equal(mesh.face_uvs < 0, mesh.faces < 0):
+            raise ValueError("face_uvs must have the shape and the pads of faces")
 
-    blocks = [_float_block("v %s %s %s\n", mesh.positions)]
-    values = mesh.faces
-    corner = " %d"
-    if mesh.uv_coords is not None and mesh.face_uvs is not None:
-        blocks.append(_float_block("vt %s %s\n", mesh.uv_coords))
-        values = np.stack([mesh.faces, mesh.face_uvs], axis=2)
-        corner = " %d/%d"
-    real = mesh.faces >= 0
+    blocks = [_lines(len(mesh.positions), b"v", _float_cells(mesh.positions), b"\n")]
+    faces, face_uvs = mesh.faces, mesh.face_uvs
+    groups = np.empty((len(faces), 0), dtype=np.uint8)
     if partition is not None:
         order, labels = stable_order(partition.island_of_face)
-        values, real = values[order], real[order]
-    degrees = real.sum(axis=1).tolist()
-    formats = {d: "f" + corner * d + "\n" for d in set(degrees)}
-    lines = list(map(formats.__getitem__, degrees))
-    if partition is not None:
-        heads = np.flatnonzero(np.diff(labels, prepend=-1))
-        for i, label in zip(heads.tolist(), labels[heads].tolist()):
-            lines[i] = f"g island_{label}\n" + lines[i]
-    # OBJ indices are 1-based
-    blocks.append("".join(lines) % tuple((values[real] + 1).ravel().tolist()))
+        faces, face_uvs = faces[order], face_uvs[order] if has_uvs else None
+        starts = np.flatnonzero(np.concatenate([[True], labels[1:] != labels[:-1]]))
+        titles = _text_table([f"g island_{label}\n" for label in labels[starts].tolist()])
+        groups = np.zeros((len(faces), titles.shape[1]), dtype=np.uint8)
+        groups[starts] = titles  # NUL on every row that does not open an island
+    corners = np.take(_index_table(len(mesh.positions), " "), faces + 1, axis=0)
+    if has_uvs:
+        blocks.append(_lines(len(mesh.uv_coords), b"vt", _float_cells(mesh.uv_coords), b"\n"))
+        slashes = np.take(_index_table(len(mesh.uv_coords), "/"), face_uvs + 1, axis=0)
+        corners = np.concatenate([corners, slashes], axis=2)
+    blocks.append(_lines(len(faces), groups, b"f", corners, b"\n"))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(blocks))
+    with open(path, "wb") as fh:
+        fh.writelines(blocks)
 
 
 # Below this many keys (or rows) NumPy's own stable sorts win: the packed

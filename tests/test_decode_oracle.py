@@ -389,3 +389,28 @@ def test_write_obj_signed_zeros_match_oracle():
     text = _obj_bytes(write_obj, mesh, None)
     assert text == _obj_bytes(oracles.write_obj, mesh, None)
     assert b"v -0 0 1\nv 0 -0 -0\n" in text and b"vt -0 0\nvt 0 -0\n" in text
+
+
+@pytest.mark.parametrize(
+    "count, uv_count",
+    [(9, 10), (10, 9), (99, 100), (100, 99), (999, 1000), (1000, 999)]
+    + [(9999, 10000), (10000, 9999), (99999, 100000), (100000, 99999)],
+)
+def test_write_obj_index_digit_widths_match_oracle(count, uv_count):
+    # the hypothesis strategy writes one-digit indices only: here the index
+    # counts, every index whose 1-based text gains a digit, and island ids
+    # 0-100 cross each width, in padded tri/quad rows
+    rng = np.random.default_rng(count)
+
+    def corners(n, size):
+        edges = [i for k in range(7) for i in (10**k - 2, 10**k - 1) if 0 <= i < n]
+        return rng.choice(np.array(edges + [n - 2, n - 1]), size)
+
+    faces = corners(count, (202, 4))
+    face_uvs = corners(uv_count, (202, 4))
+    faces[::3, 3] = face_uvs[::3, 3] = -1
+    mesh = Mesh(rng.integers(-99, 99, (count, 3)) / 8, faces, rng.integers(0, 9, (uv_count, 2)) / 8, face_uvs)
+    labels = rng.permutation(np.arange(202) % 101)
+    partition = IslandPartition(island_of_face=labels, island_count=101)
+    for case, part in ((mesh, partition), (Mesh(mesh.positions, faces), None)):
+        assert _obj_bytes(write_obj, case, part) == _obj_bytes(oracles.write_obj, case, part)

@@ -354,6 +354,41 @@ class TestWriteObj:
         with pytest.raises(ValueError, match="empty mesh"):
             write_obj(as_arrays(Mesh(positions=[], faces=[])), tmp_path / "e.obj")
 
+    # Meshes that load_obj would not read back as given: write_obj raises
+    # before it opens the file.  A trailing "f ..." comment is the line that
+    # writing the mesh unchecked would give.
+    SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    TWO_UVS = np.array([[0.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "faces, uv_coords, face_uvs, match",
+        [
+            ([[0, -1, 2, 3]], None, None, r"faces row 0 is \[0, -1, 2, 3\]"),  # f 1 3 4
+            ([[0, 1, 2, -2]], None, None, r"faces row 0 is \[0, 1, 2, -2\]"),  # f 1 2 3
+            ([[0, 1, -1, -1]], None, None, r"faces row 0 is \[0, 1, -1, -1\]"),  # f 1 2
+            ([[0, 1, 2, 7]], None, None, r"faces row 0 .* in \[0, 4\)"),  # f 1 2 3 8
+            ([[0, 1, 2], [1, 2, 3]], TWO_UVS, [[0, 1, 0], [0, 1, 5]], r"face_uvs row 1 .* in \[0, 2\)"),  # f 2/1 3/2 4/6
+            ([[0, 1, 2, 3]], TWO_UVS, [[0, 1, 0, -1]], "the pads of faces"),  # f 1/1 2/2 3/1 4/0
+            ([[0, 1, 2, -1]], TWO_UVS, [[0, 1, 0, 1]], "the pads of faces"),  # a uv under a pad
+            ([[0, 1, 2]], TWO_UVS, [[0, 1, 0, -1]], "the pads of faces"),  # 4 uv columns on 3
+            ([[0, 1, 2]], TWO_UVS, [[0, 1, 0], [1, 0, 1]], "the pads of faces"),  # a uv row too many
+            ([[0, 1, 2]], TWO_UVS[:, :1], [[0, 1, 0]], r"uv_coords must be \(T, 2\)"),
+            ([[0, 1]], None, None, "faces must have 3 or 4 columns"),
+        ],
+    )
+    def test_rejects_what_load_obj_would_not_read_back(self, tmp_path, faces, uv_coords, face_uvs, match):
+        mesh = Mesh(self.SQUARE, np.array(faces), uv_coords, None if face_uvs is None else np.array(face_uvs))
+        path = tmp_path / "bad.obj"
+        with pytest.raises(ValueError, match=match):
+            write_obj(mesh, path)
+        assert not path.exists()
+
+    def test_rejects_positions_not_three_wide(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        with pytest.raises(ValueError, match=r"positions must be \(V, 3\)"):
+            write_obj(Mesh(self.SQUARE[:, :2], np.array([[0, 1, 2]])), path)
+        assert not path.exists()
+
 
 class TestUvIslands:
     def _cube_quads(self):
