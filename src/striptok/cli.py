@@ -1,10 +1,10 @@
 """Command-line front end: encode, decode, roundtrip, stats, filter, compare.
 
 All commands process files independently (``--jobs`` parallelizes across
-files; only ``stats --ref``'s neighbor pass also uses threads within one,
-each process an equal share of the CPUs) and emit machine-readable reports
-ordered by input filename, so parallel and serial runs produce identical
-bytes.  Exit codes:
+files; only ``stats --ref``'s sampling and neighbor pass also use threads
+within one, each process an equal share of the CPUs) and emit
+machine-readable reports ordered by input filename, so parallel and serial
+runs produce identical bytes.  Exit codes:
 0 success, 1 any file-level failure, 2 usage error.  :func:`encode_mesh` and
 :func:`decode_tokens` are the one encode and decode chain every command uses.
 A call imports only what it runs: :mod:`striptok.metrics`, and with it
@@ -281,10 +281,9 @@ def _cpus() -> int:
 
 def _run_jobs(paths, args):
     """Every file's row, in order: on ``min(jobs, files)`` processes, each
-    with an equal share of the CPUs as its thread budget, ``args.threads``."""
+    with the thread budget ``args.threads``."""
     paths = [str(p) for p in paths]
     procs = min(args.jobs, len(paths))
-    args.threads = max(1, _cpus() // procs)
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -397,13 +396,17 @@ def main(argv=None) -> int:
     if clash := _output_clash(paths, args):
         print(f"output clash: {clash}", file=sys.stderr)
         return 2
+    # each of the min(jobs, files) processes gets an equal share of the CPUs
+    args.threads = max(1, _cpus() // min(args.jobs, len(paths)))
     if cmd == "stats" and args.ref:  # one sample set for every input, drawn through the module
         from . import metrics  # imported before the pool starts, so its workers inherit it
 
         args.samples = args.samples or metrics.DEFAULT_SAMPLES
         args.tau = args.tau or metrics.DEFAULT_TAU
         try:
-            args.reference = metrics.sample_surface(load_obj(Path(args.ref)), n=args.samples, seed=args.seed)
+            args.reference = metrics.sample_surface(
+                load_obj(Path(args.ref)), n=args.samples, seed=args.seed, workers=args.threads
+            )
         except (OSError, ValueError) as exc:
             print(f"bad reference {args.ref}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

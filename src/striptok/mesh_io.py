@@ -18,9 +18,9 @@ block is one ``uint8`` matrix of ASCII rows, NUL-padded, whose non-NUL
 bytes are the block's text.  Floats are formatted once per distinct bit
 pattern and indices read from a decimal table.  It raises ``ValueError``,
 before it opens the file, on a mesh :func:`load_obj` would not read back
-as given: a negative index other than a -1 pad in the last of 4 columns,
-an index out of range, or ``face_uvs`` whose shape or pads differ from
-``faces``.
+as given: a non-finite position, a negative index other than a -1 pad
+in the last of 4 columns, an index out of range, ``face_uvs`` without
+``uv_coords``, or ``face_uvs`` whose shape or pads differ from ``faces``.
 
 Face adjacency (UV islands, the manifold check, and the strip walk in
 ``strips``) is read from one stably sorted table of packed undirected edge
@@ -450,24 +450,32 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
     values per axis.  Face indices are looked up in one decimal table per
     index space, and each ``g`` line is formatted once per island.
 
+    ``uv_coords`` without ``face_uvs``, as :func:`load_obj` returns an OBJ
+    whose faces name no uvs, writes its ``vt`` records and plain corners.
+
     Raises ``ValueError``, before the file is opened, on a mesh that
     :func:`load_obj` would not read back as given: no positions or faces,
-    ``positions`` not ``(V, 3)`` or ``uv_coords`` not ``(T, 2)``, a face or
-    uv index out of range, a pad other than -1 in the last of 4 columns,
-    ``face_uvs`` whose shape or pads differ from ``faces``, or a partition
-    of another length.
+    ``positions`` not ``(V, 3)`` or ``uv_coords`` not ``(T, 2)``, a
+    position that is NaN or infinite, a face or uv index out of range, a
+    pad other than -1 in the last of 4 columns, ``face_uvs`` without
+    ``uv_coords`` or whose shape or pads differ from ``faces``, or a
+    partition of another length.
     """
     if not len(mesh.positions) or not len(mesh.faces):
         raise ValueError("empty mesh")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):
         raise ValueError("partition does not match face count")
-    has_uvs = mesh.uv_coords is not None and mesh.face_uvs is not None
+    has_uvs = mesh.face_uvs is not None
     if mesh.positions.ndim != 2 or mesh.positions.shape[1] != 3:
         raise ValueError(f"positions must be (V, 3), got shape {mesh.positions.shape}")
+    if not np.isfinite(mesh.positions).all():
+        raise ValueError("non-finite vertex coordinate")
     _check_corners(mesh.faces, len(mesh.positions), "faces")
+    if has_uvs and mesh.uv_coords is None:
+        raise ValueError("face_uvs without uv_coords")
+    if mesh.uv_coords is not None and (mesh.uv_coords.ndim != 2 or mesh.uv_coords.shape[1] != 2):
+        raise ValueError(f"uv_coords must be (T, 2), got shape {mesh.uv_coords.shape}")
     if has_uvs:
-        if mesh.uv_coords.ndim != 2 or mesh.uv_coords.shape[1] != 2:
-            raise ValueError(f"uv_coords must be (T, 2), got shape {mesh.uv_coords.shape}")
         _check_corners(mesh.face_uvs, len(mesh.uv_coords), "face_uvs")
         if not np.array_equal(mesh.face_uvs < 0, mesh.faces < 0):
             raise ValueError("face_uvs must have the shape and the pads of faces")
@@ -483,8 +491,9 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
         groups = np.zeros((len(faces), titles.shape[1]), dtype=np.uint8)
         groups[starts] = titles  # NUL on every row that does not open an island
     corners = np.take(_index_table(len(mesh.positions), " "), faces + 1, axis=0)
-    if has_uvs:
+    if mesh.uv_coords is not None:
         blocks.append(_lines(len(mesh.uv_coords), b"vt", _float_cells(mesh.uv_coords), b"\n"))
+    if has_uvs:
         slashes = np.take(_index_table(len(mesh.uv_coords), "/"), face_uvs + 1, axis=0)
         corners = np.concatenate([corners, slashes], axis=2)
     blocks.append(_lines(len(faces), groups, b"f", corners, b"\n"))

@@ -10,10 +10,15 @@ the other tree in the leaf order of their own tree, so neighboring queries
 walk the same nodes, and the results are scattered back to sample order.
 Given ``workers`` > 1 threads, the pass builds two missing trees at once,
 one thread each (``cKDTree`` releases the GIL while it builds), and each
-query splits its points across ``workers`` threads.  Every point is still
-searched on its own against an unchanged tree, so the distances and
-tie-broken indices are those of one serial query in sample order, at any
-thread count.
+query splits its points into ``workers`` contiguous runs of that leaf
+order, each gathered, queried and scattered back on its own thread.  Every
+point is still searched on its own against an unchanged tree, so the
+distances and tie-broken indices are those of one serial query in sample
+order, at any thread count.  Sampling splits its rows across ``workers``
+threads the same way: the face draw is ``Generator.choice``'s own (one
+normalized cumulative sum, searched for one ``random(n)`` draw), so the
+samples too are the same at any thread count.  :func:`_on_rows` is the one
+helper that runs row slices on threads.
 Conventions pinned here because they vary across codebases:
 Chamfer averages the two directed means, NC uses the absolute dot product
 (winding-robust), and F-score counts points within the threshold
@@ -55,61 +60,96 @@ class MetricReport:
 
 
 def _triangles(mesh: Mesh) -> np.ndarray:
+    """``(3, T, 3)``: the first, second and third corners of each triangle."""
     if not len(mesh.faces):
         raise ValueError("mesh has no faces")
-    return mesh.positions[split_quad_faces(mesh.faces)]
+    return mesh.positions[split_quad_faces(mesh.faces).T]
 
 
-def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> SampleSet:
+def _check_workers(workers) -> None:
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError("workers must be a positive int")
+
+
+def _on_rows(fn, n: int, workers: int) -> None:
+    """Call ``fn(rows)`` on ``min(workers, n)`` contiguous slices that cover
+    ``range(n)``, each on a thread of its own (a lone slice runs on the
+    calling thread)."""
+    parts = min(workers, n)
+    bounds = [n * k // parts for k in range(parts + 1)]
+    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if parts == 1:
+        fn(slices[0])
+        return
+    with ThreadPoolExecutor(parts) as pool:
+        list(pool.map(fn, slices))  # re-raises a slice's error
+
+
+def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1) -> SampleSet:
     """Draw n area-weighted points with face normals; deterministic per seed.
 
     Quads are split along the (v1, v3) diagonal before sampling, as in the
     dual decode, so a quad decode samples exactly like its stride-1 decode.
+    Faces are drawn as ``Generator.choice(p=areas / total)`` draws them (the
+    normalized cumulative sum searched for ``random(n)``); that search and
+    the blend of each sample's corners run on ``workers`` threads, over
+    contiguous rows, so the samples are the same at any number.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_workers(workers)
     corners = _triangles(mesh)
     # huge finite coordinates overflow here; the total below rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = corners[:, 1] - corners[:, 0]
-        e2 = corners[:, 2] - corners[:, 0]
+        e1 = corners[1] - corners[0]
+        e2 = corners[2] - corners[0]
         cross = np.cross(e1, e2)
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
+        norms = np.linalg.norm(cross, axis=1)
+        areas = 0.5 * norms
         total = areas.sum()
     if not np.isfinite(total):
         raise ValueError("non-finite surface area")
     if total <= 0.0:
         raise ValueError("zero-area mesh")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a face of zero area is never drawn
+        unit = cross / norms[:, None]
 
+    cdf = np.cumsum(areas / total)
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(areas), size=n, p=areas / total)
+    u = rng.random(n)
     r1 = np.sqrt(rng.random(n))
     r2 = rng.random(n)
-    a = corners[chosen, 0]
-    b = corners[chosen, 1]
-    c = corners[chosen, 2]
-    points = (
-        a * (1.0 - r1)[:, None]
-        + b * (r1 * (1.0 - r2))[:, None]
-        + c * (r1 * r2)[:, None]
-    )
-    normals = cross[chosen]
-    norms = np.linalg.norm(normals, axis=1)
-    normals = normals / norms[:, None]
+    points = np.empty((n, 3))
+    normals = np.empty((n, 3))
+
+    def draw(rows):
+        chosen = cdf.searchsorted(u[rows], side="right")
+        a, b, c = np.take(corners, chosen, axis=1)
+        s, t = r1[rows], r2[rows]
+        points[rows] = a * (1.0 - s)[:, None] + b * (s * (1.0 - t))[:, None] + c * (s * t)[:, None]
+        normals[rows] = np.take(unit, chosen, axis=0)
+
+    _on_rows(draw, n, workers)
     return SampleSet(points=points, normals=normals)
 
 
 def _query(tree: cKDTree, s: SampleSet, workers: int):
     """Nearest neighbors in ``tree`` of the points of ``s``, in sample order.
 
-    The points are queried in the leaf order of their own tree, on
-    ``workers`` threads, then the results are put back where each point
-    stands in ``s``.
+    The points are queried in the leaf order of their own tree; each of
+    ``workers`` threads gathers a contiguous run of that order, queries it
+    and puts the results back where each point stands in ``s``.
     """
     order = s.tree.indices
     d = np.empty(len(order))
     i = np.empty(len(order), dtype=np.intp)
-    d[order], i[order] = tree.query(s.points[order], workers=workers)
+
+    def query(rows):
+        at = order[rows]
+        d[at], i[at] = tree.query(s.points[at])
+
+    _on_rows(query, len(order), workers)
     return d, i
 
 
@@ -119,6 +159,7 @@ def _nn(a: SampleSet, b: SampleSet, workers: int = 1):
     ``workers`` is the number of threads the pass may run on; the results
     are the same at any number.
     """
+    _check_workers(workers)
     if len(a.points) == 0 or len(b.points) == 0:
         raise ValueError("empty sample set")
     if workers > 1 and a is not b and "tree" not in vars(a) and "tree" not in vars(b):
@@ -188,20 +229,21 @@ def compare_meshes(
 
     ``ref`` may also be ``sample_surface(ref, n, seed)`` itself, drawn once
     to score many predictions against one reference; its k-d tree is then
-    built once too.  Arguments are checked before any sampling; one
-    neighbor pass, on up to ``workers`` threads, serves all four metrics.
-    Sampling runs on the calling thread.
+    built once too.  Arguments are checked before any sampling.  Sampling
+    and one neighbor pass, which serves all four metrics, run on up to
+    ``workers`` threads; the report is the same at any number.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_tau(tau)
+    _check_workers(workers)
     if isinstance(ref, SampleSet):
         if len(ref.points) != n:
             raise ValueError(f"reference has {len(ref.points)} samples, not n={n}")
         a = ref
     else:
-        a = sample_surface(ref, n=n, seed=seed)
-    b = sample_surface(pred, n=n, seed=seed)
+        a = sample_surface(ref, n=n, seed=seed, workers=workers)
+    b = sample_surface(pred, n=n, seed=seed, workers=workers)
     nn = _nn(a, b, workers)
     cd, hd = chamfer_hausdorff(a, b, nn)
     return MetricReport(

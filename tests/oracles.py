@@ -11,9 +11,10 @@ per-token and per-vertex codec path: ``StripSet.face_count``,
 ``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
 kept unchanged apart from their imports, the list form of strips and the
 strip walk's direction rule (it enters only a face that runs along the
-frontier edge against the face it leaves), and the sample-order neighbor
-pass of ``metrics._nn``.  The per-point helpers they are built on
-(``normalize``, ``to_grid``, ``dequantize``, ``key_order``,
+frontier edge against the face it leaves), the sample-order neighbor pass
+of ``metrics._nn`` and the one-thread, ``Generator.choice`` draw of
+``metrics.sample_surface`` (both on arrays).  The per-point helpers they
+are built on (``normalize``, ``to_grid``, ``dequantize``, ``key_order``,
 ``strip_faces``, and the two float maps that were ``Transform`` methods)
 live here too, with ``IDENTITY_TRANSFORM``, the transform of meshes the
 tests build directly on the grid: nothing in ``striptok`` uses them.  The
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from striptok.decode import EV_ISLAND, EV_STRIP, EV_VERTEX, DecodeReport, VertexStream
-from striptok.mesh_io import IslandPartition, Mesh
+from striptok.mesh_io import IslandPartition, Mesh, split_quad_faces
 from striptok.metrics import SampleSet
 from striptok.quantize import EPS, GRID, QuantizedMesh, Transform
 from striptok.strips import _AXIS, StripSet
@@ -703,6 +704,27 @@ def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
         face_count=face_count(s),
     )
     return TokenSequence(tokens=tokens, header=header)
+
+
+# --- metrics.sample_surface -----------------------------------------------
+
+
+def sample_surface(mesh: Mesh, n: int, seed: int):
+    """Area-weighted samples as ``Generator.choice`` draws them, on one
+    thread: ``(points, normals)``, each normal taken over the drawn rows."""
+    corners = mesh.positions[split_quad_faces(mesh.faces)]
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(areas), size=n, p=areas / areas.sum())
+    r1 = np.sqrt(rng.random(n))
+    r2 = rng.random(n)
+    a = corners[chosen, 0]
+    b = corners[chosen, 1]
+    c = corners[chosen, 2]
+    points = a * (1.0 - r1)[:, None] + b * (r1 * (1.0 - r2))[:, None] + c * (r1 * r2)[:, None]
+    normals = cross[chosen]
+    return points, normals / np.linalg.norm(normals, axis=1)[:, None]
 
 
 # --- metrics._nn ---------------------------------------------------------

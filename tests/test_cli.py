@@ -31,7 +31,7 @@ from striptok import (
     write_obj,
     write_tokens,
 )
-from striptok import cli
+from striptok import cli, metrics
 from striptok.cli import main
 
 from oracles import as_arrays
@@ -331,17 +331,33 @@ class TestParallel:
         assert recording_pool == [{"max_workers": 2, "threads": max(1, cli._cpus() // 2), "reference_tree": True}]
 
     def test_serial_run_takes_every_cpu(self, obj_dir, tmp_path, monkeypatch):
-        asked = []
+        asked, sampled = [], []
 
         def recording_compare(*args, workers, **kwargs):
             asked.append(workers)
             return compare_meshes(*args, workers=workers, **kwargs)
 
+        def recording_sample(*args, workers, **kwargs):
+            sampled.append(workers)
+            return sample_surface(*args, workers=workers, **kwargs)
+
         monkeypatch.setattr(cli, "compare_meshes", recording_compare)
+        monkeypatch.setattr(metrics, "sample_surface", recording_sample)
         ref = str(obj_dir / "grid.obj")
         argv = ["stats", ref, "--ref", ref, "--samples", "500", "--jobs", "4", "--report", str(tmp_path / "r.jsonl")]
         assert main(argv) == 0
         assert asked == [cli._cpus()] and cli._cpus() == len(os.sched_getaffinity(0))
+        assert sampled == [cli._cpus()] * 2  # the reference, then the input
+
+    def test_stats_ref_report_is_the_same_at_any_thread_budget(self, obj_dir, tmp_path, monkeypatch):
+        ref = str(obj_dir / "grid.obj")
+        reports = []
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            report = tmp_path / f"cpus{cpus}.jsonl"
+            assert main(["stats", str(obj_dir), "--ref", ref, "--samples", "3000", "--report", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports == [reports[0]] * 4
 
     def test_parallel_roundtrip(self, obj_dir, tmp_path):
         r1 = tmp_path / "s.jsonl"

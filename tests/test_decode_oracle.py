@@ -303,20 +303,23 @@ def test_dequantize_mesh_bit_identical(keys, center, scale):
 
 # --- write_obj ----------------------------------------------------------
 
-_COORD = st.one_of(
-    st.floats(),
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(10**6), 10**6),
-    st.floats(width=32).map(np.float32),
-    st.floats().map(np.float64),
-    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.0 / 3.0, 1e22]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.0 / 3.0, 1e22]),
 )
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_COORD = st.one_of(_FINITE, _NON_FINITE)
 
 
 @st.composite
 def obj_meshes(draw):
-    """Meshes with mixed tri/quad faces, optional UVs and an optional partition."""
+    """Meshes with finite positions, mixed tri/quad faces, optional UVs
+    (NaN and infinities among them) and an optional partition."""
     n = draw(st.integers(1, 8))
-    positions = draw(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=n, max_size=n))
+    positions = draw(st.lists(st.tuples(_FINITE, _FINITE, _FINITE), min_size=n, max_size=n))
     faces = draw(
         st.lists(
             st.one_of(
@@ -353,6 +356,21 @@ def _obj_bytes(writer, mesh, partition):
 def test_write_obj_matches_oracle(case):
     mesh, partition = case
     assert _obj_bytes(write_obj, mesh, partition) == _obj_bytes(oracles.write_obj, mesh, partition)
+
+
+@given(obj_meshes(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_write_obj_rejects_non_finite_positions(case, data):
+    """A NaN or infinite position, which ``load_obj`` would not read back,
+    raises before the file is opened (NaN and infinite uvs it reads)."""
+    mesh, partition = case
+    row = data.draw(st.integers(0, len(mesh.positions) - 1))
+    mesh.positions[row, data.draw(st.integers(0, 2))] = data.draw(_NON_FINITE)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.obj"
+        with pytest.raises(ValueError, match="non-finite vertex coordinate"):
+            write_obj(mesh, path, partition)
+        assert not path.exists()
 
 
 def test_write_obj_decoded_mixed_faces_match_oracle():

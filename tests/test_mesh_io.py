@@ -374,6 +374,8 @@ class TestWriteObj:
             ([[0, 1, 2]], TWO_UVS, [[0, 1, 0], [1, 0, 1]], "the pads of faces"),  # a uv row too many
             ([[0, 1, 2]], TWO_UVS[:, :1], [[0, 1, 0]], r"uv_coords must be \(T, 2\)"),
             ([[0, 1]], None, None, "faces must have 3 or 4 columns"),
+            ([[0, 1, 2]], TWO_UVS[:, :1], None, r"uv_coords must be \(T, 2\)"),  # vt 0 and vt 1 with f 1 2 3
+            ([[0, 1, 2]], None, [[0, 1, 0]], "face_uvs without uv_coords"),  # f 1 2 3, its uvs lost
         ],
     )
     def test_rejects_what_load_obj_would_not_read_back(self, tmp_path, faces, uv_coords, face_uvs, match):
@@ -382,6 +384,26 @@ class TestWriteObj:
         with pytest.raises(ValueError, match=match):
             write_obj(mesh, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_positions(self, tmp_path, bad):
+        # load_obj rejects the "v nan 0 0" or "v inf 0 0" line this would write
+        positions = self.SQUARE.copy()
+        positions[2, 0] = bad
+        path = tmp_path / "bad.obj"
+        with pytest.raises(ValueError, match="non-finite vertex coordinate"):
+            write_obj(Mesh(positions, np.array([[0, 1, 2]])), path)
+        assert not path.exists()
+
+    def test_uvs_without_face_uvs_round_trip(self, tmp_path):
+        # vt records with plain face corners: load_obj keeps the uvs but no
+        # face_uvs, and write_obj writes the vt block back
+        text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0.25 0\nvt 1 0.5\nvt -0 1e-07\nf 1 2 3 4\nf 1 3 2\n"
+        first = load_obj(write_text(tmp_path / "a.obj", text))
+        assert first.face_uvs is None and first.uv_coords.shape == (3, 2)
+        write_obj(first, tmp_path / "b.obj")
+        assert (tmp_path / "b.obj").read_text() == text
+        assert mesh_signature(load_obj(tmp_path / "b.obj")) == mesh_signature(first)
 
     def test_rejects_positions_not_three_wide(self, tmp_path):
         path = tmp_path / "bad.obj"

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +30,7 @@ import striptok.cli as cli
 from striptok.cli import main
 from striptok.mesh_io import load_obj, split_quad_faces
 
+import oracles
 from oracles import as_arrays, nearest_neighbors
 import synth
 
@@ -62,7 +64,55 @@ def cube_surface():
     return as_arrays(Mesh(positions=positions, faces=faces))
 
 
+@st.composite
+def sampled_meshes(draw):
+    """Small meshes of random triangles or quads, some of them of zero
+    area, whose surface has area."""
+    v = draw(st.integers(3, 10))
+    coord = st.floats(-10.0, 10.0)
+    positions = draw(arrays(np.float64, (v, 3), elements=coord))
+    degree = draw(st.sampled_from([3, 4]))
+    faces = draw(arrays(np.int64, st.tuples(st.integers(1, 20), st.just(degree)), elements=st.integers(0, v - 1)))
+    mesh = Mesh(positions=positions, faces=faces)
+    corners = positions[split_quad_faces(faces)]
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    assume(np.linalg.norm(cross, axis=1).sum() > 0.0)  # also 0 where the squares underflow
+    return mesh
+
+
+def strip_of_triangles(areas):
+    """Triangle ``i`` spans x in [3i, 3i + 1] and has area exactly ``areas[i]``."""
+    corners = np.zeros((len(areas), 3, 3))
+    corners[:, :, 0] = 3.0 * np.arange(len(areas))[:, None]
+    corners[:, 1, 0] += 1.0
+    corners[:, 2, 1] = 2.0 * areas
+    return Mesh(positions=corners.reshape(-1, 3), faces=np.arange(3 * len(areas)).reshape(-1, 3))
+
+
+SAMPLE_COUNTS = st.sampled_from([1, 2, 3, 7, 1000])
+
+
 class TestSampling:
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-150, 1e150)), min_size=1, max_size=40),
+        st.integers(0, 2**64 - 1),
+        SAMPLE_COUNTS,
+        st.integers(1, 4),
+    )
+    def test_face_draw_is_generator_choice(self, areas, seed, n, workers):
+        areas = np.array(areas)
+        assume(areas.any())
+        s = sample_surface(strip_of_triangles(areas), n=n, seed=seed, workers=workers)
+        want = np.random.default_rng(seed).choice(len(areas), size=n, p=areas / areas.sum())
+        assert np.array_equal(np.rint(s.points[:, 0] / 3.0), want)
+
+    @given(sampled_meshes(), st.integers(0, 2**64 - 1), SAMPLE_COUNTS, st.integers(1, 4))
+    def test_samples_match_oracle(self, mesh, seed, n, workers):
+        s = sample_surface(mesh, n=n, seed=seed, workers=workers)
+        points, normals = oracles.sample_surface(mesh, n, seed)
+        assert s.points.tobytes() == points.tobytes()
+        assert s.normals.tobytes() == normals.tobytes()
+
     def test_area_weighted_counts(self):
         # unit square as two equal triangles: each side gets ~n/2 samples
         mesh = as_arrays(
@@ -134,6 +184,18 @@ class TestSampling:
         split = as_arrays(Mesh(positions=positions, faces=[(0, 1, 3), (1, 2, 3), (1, 4, 2)]))
         a, b = sample_surface(mixed, n=500, seed=2), sample_surface(split, n=500, seed=2)
         assert np.array_equal(a.points, b.points) and np.array_equal(a.normals, b.normals)
+
+    def test_faces_of_zero_area_are_never_drawn_and_warn_nothing(self):
+        # (0, 0, 1) repeats a corner; (4, 5, 3) has a cross product of
+        # (0, 0, 5e-324), whose norm underflows to 0
+        positions = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 5e-324, 0.0), (0.0, 0.0, 0.0)]
+        mesh = as_arrays(Mesh(positions=positions, faces=[(0, 0, 1), (0, 1, 2), (4, 5, 3)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sample_surface(mesh, n=1000, seed=3, workers=2)
+        assert np.array_equal(s.normals, np.tile([0.0, 0.0, 1.0], (1000, 1)))
+        points, _ = oracles.sample_surface(mesh, 1000, 3)
+        assert s.points.tobytes() == points.tobytes()
 
     def test_zero_area_error(self):
         mesh = as_arrays(Mesh(positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], faces=[(0, 1, 2)]))
@@ -384,6 +446,20 @@ class TestSharedNeighbors:
             compare_meshes(load_obj(mesh), load_obj(mesh), **argument)
         assert sampled == [] and kdtree_count == []
 
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, None])
+    def test_bad_workers_fail_before_sampling(self, monkeypatch, kdtree_count, workers):
+        ref, pred = near_pair()
+        a, b = point_set([(0.0, 0.0, 0.0)]), point_set([(1.0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="workers must be a positive int"):
+            sample_surface(ref, n=100, workers=workers)
+        with pytest.raises(ValueError, match="workers must be a positive int"):
+            metrics._nn(a, b, workers)
+        sampled = []
+        monkeypatch.setattr(metrics, "sample_surface", lambda *a, **k: sampled.append(1))
+        with pytest.raises(ValueError, match="workers must be a positive int"):
+            compare_meshes(ref, pred, n=100, workers=workers)
+        assert sampled == [] and kdtree_count == []
+
 
 @st.composite
 def tie_heavy_pairs(draw):
@@ -412,10 +488,12 @@ class TestNeighborPass:
 
     @given(tie_heavy_pairs())
     def test_threaded_pass_matches_sample_order_queries(self, pair):
-        a, b = pair
-        got, want = metrics._nn(a, b, workers=2), nearest_neighbors(a, b)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert [g.dtype for g in got] == [w.dtype for w in want]
+        want = nearest_neighbors(*pair)
+        for workers in (2, 3, 4):
+            a, b = (SampleSet(s.points, s.normals) for s in pair)  # no tree built yet
+            got = metrics._nn(a, b, workers=workers)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert [g.dtype for g in got] == [w.dtype for w in want]
 
     def test_threaded_pass_builds_each_tree_once(self, kdtree_count):
         rng = np.random.default_rng(3)
@@ -427,6 +505,23 @@ class TestNeighborPass:
         assert all(np.array_equal(f, g) for f, g in zip(first, again))
         metrics._nn(a, a, workers=2)
         assert len(kdtree_count) == 2
+
+    def test_threads_beyond_the_cores_on_a_short_switch_interval(self):
+        # every thread writes its own rows of shared arrays; a row written
+        # twice or not at all would show against the one-thread results
+        ref, pred = near_pair()
+        want = sample_surface(ref, n=5003, seed=8), sample_surface(pred, n=5003, seed=8)
+        want_nn = metrics._nn(*want)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_surface(ref, n=5003, seed=8, workers=9), sample_surface(pred, n=5003, seed=8, workers=9)
+            got_nn = metrics._nn(*got, workers=9)
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert g.points.tobytes() == w.points.tobytes() and g.normals.tobytes() == w.normals.tobytes()
+        assert all(np.array_equal(g, w) for g, w in zip(got_nn, want_nn))
 
     def test_queries_run_in_leaf_order(self, monkeypatch):
         queried = []
