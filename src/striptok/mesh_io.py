@@ -491,7 +491,7 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
         groups = np.zeros((len(faces), titles.shape[1]), dtype=np.uint8)
         groups[starts] = titles  # NUL on every row that does not open an island
     corners = np.take(_index_table(len(mesh.positions), " "), faces + 1, axis=0)
-    if mesh.uv_coords is not None:
+    if mesh.uv_coords is not None and len(mesh.uv_coords):
         blocks.append(_lines(len(mesh.uv_coords), b"vt", _float_cells(mesh.uv_coords), b"\n"))
     if has_uvs:
         slashes = np.take(_index_table(len(mesh.uv_coords), "/"), face_uvs + 1, axis=0)

@@ -27,6 +27,7 @@ inclusively.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,9 +67,16 @@ def _triangles(mesh: Mesh) -> np.ndarray:
     return mesh.positions[split_quad_faces(mesh.faces).T]
 
 
-def _check_workers(workers) -> None:
-    if not isinstance(workers, int) or workers < 1:
+def _check_workers(workers) -> int:
+    """``workers`` as an ``int`` (NumPy integers included), or ``ValueError``
+    if it is not a positive integer; a bool is not a thread count."""
+    try:
+        count = operator.index(workers)
+    except TypeError:
+        count = 0
+    if isinstance(workers, bool) or count < 1:
         raise ValueError("workers must be a positive int")
+    return count
 
 
 def _on_rows(fn, n: int, workers: int) -> None:
@@ -97,7 +105,7 @@ def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0, workers:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_workers(workers)
+    workers = _check_workers(workers)
     corners = _triangles(mesh)
     # huge finite coordinates overflow here; the total below rejects them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,7 +167,7 @@ def _nn(a: SampleSet, b: SampleSet, workers: int = 1):
     ``workers`` is the number of threads the pass may run on; the results
     are the same at any number.
     """
-    _check_workers(workers)
+    workers = _check_workers(workers)
     if len(a.points) == 0 or len(b.points) == 0:
         raise ValueError("empty sample set")
     if workers > 1 and a is not b and "tree" not in vars(a) and "tree" not in vars(b):
@@ -236,7 +244,7 @@ def compare_meshes(
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_tau(tau)
-    _check_workers(workers)
+    workers = _check_workers(workers)
     if isinstance(ref, SampleSet):
         if len(ref.points) != n:
             raise ValueError(f"reference has {len(ref.points)} samples, not n={n}")

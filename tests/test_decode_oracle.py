@@ -10,6 +10,7 @@ same floats bit for bit, and the same OBJ bytes.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -303,6 +304,13 @@ def test_dequantize_mesh_bit_identical(keys, center, scale):
 
 # --- write_obj ----------------------------------------------------------
 
+_COORD = st.one_of(
+    st.floats(),
+    st.integers(-(10**6), 10**6),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.0 / 3.0, 1e22]),
+)
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(10**6), 10**6),
@@ -310,8 +318,10 @@ _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     st.sampled_from([-0.0, 0.0, 5e-324, 1.0 / 3.0, 1e22]),
 )
-_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
-_COORD = st.one_of(_FINITE, _NON_FINITE)
+_NON_FINITE = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.floats().filter(lambda x: not math.isfinite(x)),
+)
 
 
 @st.composite

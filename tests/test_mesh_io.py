@@ -405,6 +405,12 @@ class TestWriteObj:
         assert (tmp_path / "b.obj").read_text() == text
         assert mesh_signature(load_obj(tmp_path / "b.obj")) == mesh_signature(first)
 
+    def test_empty_uvs_without_face_uvs_write_no_vt_block(self, tmp_path):
+        mesh = Mesh(self.SQUARE, np.array([[0, 1, 2]]), np.empty((0, 2)))
+        write_obj(mesh, tmp_path / "m.obj")
+        assert b"vt" not in (tmp_path / "m.obj").read_bytes()
+        assert load_obj(tmp_path / "m.obj").uv_coords is None
+
     def test_rejects_positions_not_three_wide(self, tmp_path):
         path = tmp_path / "bad.obj"
         with pytest.raises(ValueError, match=r"positions must be \(V, 3\)"):

@@ -446,7 +446,7 @@ class TestSharedNeighbors:
             compare_meshes(load_obj(mesh), load_obj(mesh), **argument)
         assert sampled == [] and kdtree_count == []
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.0, None])
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, None, True, np.int64(0)])
     def test_bad_workers_fail_before_sampling(self, monkeypatch, kdtree_count, workers):
         ref, pred = near_pair()
         a, b = point_set([(0.0, 0.0, 0.0)]), point_set([(1.0, 0.0, 0.0)])
@@ -494,6 +494,11 @@ class TestNeighborPass:
             got = metrics._nn(a, b, workers=workers)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert [g.dtype for g in got] == [w.dtype for w in want]
+
+    def test_numpy_integer_workers(self):
+        ref, pred = near_pair()
+        want = compare_meshes(ref, pred, n=500, workers=2)
+        assert compare_meshes(ref, pred, n=500, workers=np.int64(2)) == want
 
     def test_threaded_pass_builds_each_tree_once(self, kdtree_count):
         rng = np.random.default_rng(3)
