@@ -8,10 +8,10 @@ is supplied.
 :func:`load_obj` reads a file once and parses its records in bulk when
 they are plain: each ``v``, ``vt`` and ``f`` line starts with its tag and
 one space, ``v`` has 3 numbers, ``vt`` 2, and every ``f`` 3 or 4
-positive, in-range corners of one form (triangles and quads may mix).
-Everything else, and every error, goes through the per-line loop, which
-alone words the errors and numbers the lines; both return the same
-:class:`Mesh`.
+positive, in-range corners of one form (triangles and quads may mix),
+parted by any whitespace.  Everything else, and every error, goes through
+the per-line loop, which alone words the errors and numbers the lines;
+both return the same :class:`Mesh`.
 
 :func:`write_obj` makes no Python object per number or line: each record
 block is one ``uint8`` matrix of ASCII rows, NUL-padded, whose non-NUL
@@ -22,9 +22,10 @@ as given: a non-finite position, a negative index other than a -1 pad
 in the last of 4 columns, an index out of range, ``face_uvs`` without
 ``uv_coords``, or ``face_uvs`` whose shape or pads differ from ``faces``.
 
-Face adjacency (UV islands, the manifold check, and the strip walk in
-``strips``) is read from one stably sorted table of packed undirected edge
-keys, :func:`sorted_edge_keys`.
+Face adjacency (UV islands and the strip walk in ``strips``) is read from
+one stably sorted table of packed undirected edge keys,
+:func:`sorted_edge_keys`; the manifold check sorts the same keys, but
+needs no order.
 
 Every stable order from OBJ to tokens and back to the comparison is one
 rule, :func:`stable_order` (rows: :func:`sort_rows`): NumPy's stable
@@ -215,13 +216,10 @@ _TAGS = ("v", "vt", "f")
 # a maximal run of lines that each start with one record tag and one space
 _RUN = re.compile(r"^(vt?|f) [^\n]*(?:\n\1 [^\n]*)*", re.MULTILINE)
 _NO_DIGITS = str.maketrans("", "", "0123456789")
-# (separators of a corner, adjacent "//") -> (numbers per corner, has a uv index)
-_CORNER_FORMS = {
-    ("", False): (1, False),
-    ("/", False): (2, True),
-    ("//", True): (2, False),
-    ("//", False): (3, True),
-}
+_TO_SPACES = str.maketrans("f/", "  ")
+# separators of a corner -> (numbers per corner, has a uv index); "//" is
+# a//c when every corner has "//", else a/b/c
+_CORNER_FORMS = {"": (1, False), "/": (2, True), "//": (3, True)}
 
 
 def _all_skipped(text: str) -> bool:
@@ -233,17 +231,12 @@ def _all_skipped(text: str) -> bool:
     return True
 
 
-def _block(runs: list[str]) -> tuple[list[str], int]:
-    """The tokens of one tag's runs of lines, and the number of lines."""
-    text = "\n".join(runs)
-    return text.split(), text.count("\n") + 1 if runs else 0
-
-
 def _floats(runs: list[str], width: int) -> np.ndarray | None:
     """The numbers of the records in ``runs`` as an ``(n, width)`` float64
     array, or None unless every line is its tag and ``width`` numbers that
     ``float`` parses."""
-    tokens, n = _block(runs)
+    text = "\n".join(runs)
+    tokens, n = text.split(), text.count("\n") + 1 if runs else 0
     if len(tokens) != n * (width + 1):
         return None
     # no tag parses as a float, so if the numbers parse, the n tags sit
@@ -259,42 +252,47 @@ def _corners(runs: list[str]) -> tuple[np.ndarray, np.ndarray, bool] | None:
     """Face corners in file order as a ``(C, k)`` array of their ``k``
     numbers, the number of corners of each face, and whether the second
     number is a uv index; or None unless every line is ``f`` and 3 or 4
-    corners, all in the first corner's form."""
-    tokens, n = _block(runs)
-    # each line starts with an "f" token; if no corner is or starts with
-    # "f" (no corner of digits and "/" does), the tokens between two tags
-    # are one line's corners
-    d1, rem = divmod(len(tokens), n)
-    if not rem and tokens[::d1].count("f") == n:
-        del tokens[::d1]
-        degrees = np.full(n, d1 - 1)
-        payload = " ".join(tokens)
-    elif tokens.count("f") == n:  # triangles and quads mixed
-        lines = (" " + " ".join(tokens)).split(" f")[1:]
-        degrees = np.fromiter(map(str.count, lines, repeat(" ")), dtype=np.int64)
-        if degrees.sum() != len(tokens) - n:
-            return None
-        payload = "".join(lines)[1:]
+    corners, all in the first corner's form.
+
+    Corners may be parted by any whitespace the per-line loop splits on,
+    trailing whitespace included: when the lines are not ``f`` and single
+    spaced corners, they are checked again with their whitespace runs made
+    single spaces, as the loop's ``str.split`` reads them.
+    """
+    text = "\n".join(runs)
+    parsed = _face_records(text)
+    if parsed is None:
+        parsed = _face_records("\n".join(" ".join(line.split()) for line in text.split("\n")))
+    return parsed
+
+
+def _face_records(text: str) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """:func:`_corners` of ``f`` lines with single spaces.
+
+    Without its digits, each line must be ``"f" + (" " + separators) *
+    degree``, degree 3 or 4, with the first corner's separators, so every
+    corner is digits between them; each line's degree is read from its
+    length.  Then one ``np.fromstring`` reads every number, with ``f`` and
+    ``/`` as spaces.
+    """
+    skeleton = text.translate(_NO_DIGITS)
+    separators = skeleton[2 : skeleton.find(" ", 2)]
+    if separators not in _CORNER_FORMS:
+        return None
+    forms = {"f" + (" " + separators) * degree: degree for degree in (3, 4)}
+    n = skeleton.count("\n") + 1
+    for form, degree in forms.items():
+        if skeleton == "\n".join(repeat(form, n)):  # one degree: no split
+            degrees = np.full(n, degree)
+            break
     else:
-        return None
+        skeletons = skeleton.split("\n")
+        if not forms.keys() >= set(skeletons):
+            return None
+        degrees = (np.fromiter(map(len, skeletons), dtype=np.int64, count=n) - 1) // (len(separators) + 1)
     n_corners = int(degrees.sum())
-    first = payload[: payload.find(" ")]
-    separators = first.translate(_NO_DIGITS)
-    adjacent = "//" in first
-    form = _CORNER_FORMS.get((separators, adjacent))
-    # every corner is digits between the first one's separators (the NumPy
-    # parse is only fed digits, spaces and "/")
-    if (
-        form is None
-        or degrees.min() < 3
-        or degrees.max() > 4
-        or not payload.isascii()
-        or payload.translate(_NO_DIGITS) + " " != (separators + " ") * n_corners
-        or (adjacent and payload.count("//") != n_corners)
-    ):
-        return None
-    width, has_uv = form
-    values = np.fromstring(payload.replace("/", " "), dtype=np.int64, sep=" ")
+    width, has_uv = (2, False) if separators == "//" and text.count("//") == n_corners else _CORNER_FORMS[separators]
+    values = np.fromstring(text.translate(_TO_SPACES), dtype=np.int64, sep=" ")
     # an empty number (other than the uv field of a//c) parses as nothing
     if len(values) != n_corners * width:
         return None
@@ -316,8 +314,11 @@ def _parse_bulk(text: str) -> Mesh | None:
     Parses all ``v``, ``vt`` and ``f`` records at once when each starts its
     line with the tag and one space; ``v`` has 3 numbers, ``vt`` 2, and
     every ``f`` 3 or 4 positive, in-range corners of one form (``a``,
-    ``a/b``, ``a//c`` or ``a/b/c``).  Every other line must be one
-    the per-line loop skips.  Any other file gives None; this never raises.
+    ``a/b``, ``a//c`` or ``a/b/c``).  An ``f`` line's corners may be parted
+    by runs of any whitespace ``str.split`` splits on, and be followed by
+    more; :func:`_corners` checks its lines by their skeleton, the text
+    without digits.  Every other line must be one the per-line loop skips.
+    Any other file gives None; this never raises.
     """
     runs: dict[str, list[str]] = {tag: [] for tag in _TAGS}
     gaps = []
@@ -587,6 +588,20 @@ def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, heads
 
 
+def _edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Packed undirected keys of the face edges that exist, in edge order,
+    and their indices into the flattened edge list (None when every edge
+    exists); see :func:`sorted_edge_keys`."""
+    b = np.roll(faces, -1, axis=1)
+    edges = None
+    if (faces < 0).any():
+        # a padded row's third edge closes on its first corner
+        b = np.where(b < 0, faces[:, :1], b)
+        edges = np.flatnonzero(faces >= 0)
+    keys = (np.minimum(faces, b) * n + np.maximum(faces, b)).reshape(-1)
+    return (keys, None) if edges is None else (keys[edges], edges)
+
+
 def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed undirected keys of every face edge, in stable sorted order.
 
@@ -602,17 +617,9 @@ def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     The order is :func:`stable_order`'s, so it packs each key with its
     index and falls back to a stable argsort when that overflows.
     """
-    b = np.roll(faces, -1, axis=1)
-    edges = None
-    if (faces < 0).any():
-        # a padded row's third edge closes on its first corner
-        b = np.where(b < 0, faces[:, :1], b)
-        edges = np.flatnonzero(faces >= 0)
-    keys = (np.minimum(faces, b) * n + np.maximum(faces, b)).reshape(-1)
-    if edges is None:
-        return stable_order(keys)
-    order, ordered = stable_order(keys[edges])
-    return edges[order], ordered
+    keys, edges = _edge_keys(faces, n)
+    order, ordered = stable_order(keys)
+    return (order, ordered) if edges is None else (edges[order], ordered)
 
 
 def _component_roots(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -679,12 +686,17 @@ def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
     and the merged vertex count.
 
     Positions merge iff their bytes are equal; ``+ 0.0`` first turns -0.0
-    into 0.0, so the two merge, as equal floats do.
+    into 0.0, so the two merge, as equal floats do.  Each column of the
+    positions' bits is ranked, and :func:`sort_rows` packs a row's three
+    ranks into one key, so equal rows are one run of the sorted keys.
     """
-    points = np.ascontiguousarray(mesh.positions) + 0.0
-    rows = points.view(np.dtype((np.void, points.itemsize * 3))).reshape(-1)
-    uniq, remap = np.unique(rows, return_inverse=True)
-    return np.where(mesh.faces < 0, -1, remap.reshape(-1)[mesh.faces]), len(uniq)
+    bits = (np.asarray(mesh.positions, dtype=np.float64) + 0.0).view(np.int64)
+    ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in bits.T], axis=1)
+    order, heads = sort_rows(ranks)
+    merged = np.empty(len(order) + 1, dtype=np.int64)
+    merged[order] = np.cumsum(heads) - 1
+    merged[-1] = -1  # a -1 pad reads it
+    return merged[mesh.faces], int(heads.sum())
 
 
 def _edge_manifold(faces: np.ndarray, n: int) -> bool:
@@ -694,7 +706,7 @@ def _edge_manifold(faces: np.ndarray, n: int) -> bool:
     """
     if not faces.size:
         return True
-    _, keys = sorted_edge_keys(faces, n)
+    keys = np.sort(_edge_keys(faces, n)[0])
     keys = keys[keys // n != keys % n]
     return not (keys[2:] == keys[:-2]).any()
 

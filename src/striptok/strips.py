@@ -157,8 +157,12 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     # from each seed.  The walk reads a few entries of each table, so they
     # are memoryviews, not lists.
     face_at, j = np.divmod(slot_order, degree)
-    exits = [face_at * degree + (j + shift) % degree for shift in ((2, 1) if stride == 1 else (2, 2))]
+    # slot j + shift of a face is slot_order plus a step taken by column j
+    corner = np.arange(degree)
+    exits = [slot_order + ((corner + shift) % degree - corner)[j] for shift in ((2, 1) if stride == 1 else (2,))]
     after = [(memoryview(lo[s]), memoryview(hi[s])) for s in exits]
+    if stride == 2:  # both parities exit at j + 2
+        after *= 2
     seed_slot = np.arange(nfaces) * degree + (lowest_corner + stride) % degree
     seed_lo, seed_hi = memoryview(lo[seed_slot]), memoryview(hi[seed_slot])
     entry_face = memoryview(face_at)

@@ -10,9 +10,13 @@ multisets line up row for row.  The source holds one face per key set, as
 :func:`~striptok.quantize.quantize_mesh` returns it (a source that repeats
 a key set raises ``ValueError``), so matched rows are one face on each
 side.  A winding matches when the decoded row is a cyclic rotation of its
-matched source row, and the island partitions match when the (source
-label, decoded label) pairs over the matched faces form a bijection.  Only
-the loop over rotations runs in Python.
+matched source row.  Each source row is rotated once, to start where it
+holds the decoded row's first code, and compared in one pass; only the
+rows this misses, as it can where a source row repeats that code, are
+tried at every rotation.  The island partitions match when the (source
+label, decoded label) pairs over the matched faces form a bijection: as
+many distinct pairs as distinct labels on either side.  No loop runs per
+face.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):
 def _face_codes(q: QuantizedMesh, codes: np.ndarray, width: int) -> np.ndarray:
     """Each face corner's key code in ``width`` columns; pads are -1, and so
     are the columns that narrower faces lack."""
-    faces = np.pad(q.faces, ((0, 0), (0, width - q.faces.shape[1])), constant_values=-1)
-    return np.where(faces < 0, -1, codes[faces.clip(0)])
+    faces = q.faces
+    if faces.shape[1] < width:
+        faces = np.pad(faces, ((0, 0), (0, width - faces.shape[1])), constant_values=-1)
+    return np.append(codes, -1)[faces]  # a -1 pad reads the appended -1
 
 
 def _set_rows(faces: np.ndarray) -> np.ndarray:
@@ -55,12 +61,21 @@ def _set_rows(faces: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _rotated_equal(ref: np.ndarray, got: np.ndarray, start) -> np.ndarray:
+    """Whether each ``got`` row is its ``ref`` row rotated within its corners
+    to start at column ``start`` (per row or for all); a trailing pad stays put."""
+    corners = (ref >= 0).sum(axis=1, keepdims=True)
+    cols = np.arange(ref.shape[1])
+    turned = np.where(cols < corners, (cols + start) % corners, cols)
+    return (got == np.take_along_axis(ref, turned, axis=1)).all(axis=1)
+
+
 def _is_bijection(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the pairs ``(a[i], b[i])`` match a's values one-to-one with b's."""
-    a_values, a = np.unique(a, return_inverse=True)
-    b_values, b = np.unique(b, return_inverse=True)
-    pairs = np.unique(a.reshape(-1) * len(b_values) + b.reshape(-1))
-    return len(pairs) == len(a_values) == len(b_values)
+    """Whether the pairs ``(a[i], b[i])`` match a's values one-to-one with
+    b's: there are as many distinct pairs as distinct values on either side."""
+    order, heads = sort_rows(np.stack([a, b], axis=1))
+    a, b = a[order[heads]], b[order[heads]]  # the distinct pairs, ascending by a
+    return len(a) == 1 + np.count_nonzero(a[1:] != a[:-1]) == len(np.unique(b))
 
 
 def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bool, str]:
@@ -69,7 +84,9 @@ def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bo
     Returns (ok, detail); detail names the first divergence.  Raises
     ``ValueError`` when the source repeats a face key set.  With one source
     face per key set, matching partitions also give each island the same
-    vertex keys on both sides.
+    vertex keys on both sides.  A decoded face is wound as its source face
+    when it is any rotation of it, also where the source face repeats a key
+    (``quantize_mesh`` keeps no such face, but a caller may pass one).
     """
     if not len(source.faces) and not len(decoded.faces):
         return True, ""
@@ -91,13 +108,14 @@ def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bo
 
     # equal rows: each source face is matched with the one decoded face of its key set
     ref, got = src[src_order], dec[dec_order]
-    # rotate each source row within its corners; a trailing pad stays put
-    corners = (ref >= 0).sum(axis=1, keepdims=True)
-    cols = np.arange(width)
-    wound = np.zeros(len(got), dtype=bool)
-    for k in range(width):
-        rotated = np.where(cols < corners, (cols + k) % corners, cols)
-        wound |= (got == np.take_along_axis(ref, rotated, axis=1)).all(axis=1)
+    # rotate each source row so that the decoded row's first code comes first
+    wound = _rotated_equal(ref, got, (ref == got[:, :1]).argmax(axis=1)[:, None])
+    missed = np.flatnonzero(~wound)
+    if len(missed):
+        # a source row that repeats that code may match from another
+        # occurrence of it: the rows missed are tried at every rotation
+        for k in range(width):
+            wound[missed] |= _rotated_equal(ref[missed], got[missed], k)
     if not wound.all():
         face = decoded.faces[dec_order[~wound].min()]
         keys = set(map(tuple, decoded.vertex_keys[face[face >= 0]].tolist()))

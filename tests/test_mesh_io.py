@@ -228,6 +228,22 @@ class TestBulkPath:
         mesh = self.assert_bulk(write_text(tmp_path / "c.obj", text))
         assert mesh.faces.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
 
+    @pytest.mark.parametrize("face", ["f 1  2 3", "f 1 2 3 ", "f 1\t2 3"])
+    def test_face_whitespace(self, tmp_path, face):
+        # runs of spaces or tabs and trailing whitespace part corners as
+        # single spaces do
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\n" + face + "\n"
+        assert self.assert_bulk(write_text(tmp_path / "w.obj", text)).faces.tolist() == [[0, 1, 2]]
+
+    def test_mixed_degrees_with_uvs_and_trailing_spaces(self, tmp_path):
+        text = (
+            "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\n"
+            "f 1/1 2/2 3/3 4/4 \nf 1/1 3/3 4/4  \nf 4/4  3/3 2/2\t\n"
+        )
+        mesh = self.assert_bulk(write_text(tmp_path / "m.obj", text))
+        assert mesh.faces.tolist() == [[0, 1, 2, 3], [0, 2, 3, -1], [3, 2, 1, -1]]
+        assert np.array_equal(mesh.face_uvs, mesh.faces)
+
 
 # odd tokens the per-line loop accepts, rejects or reads differently
 _ODD_NUMBERS = ["1_0", "+1", "-0", ".5", "1E-2", "nan", "-inf", "Infinity", "1e400", "zero", "1..2", "\u0661", ""]

@@ -165,6 +165,10 @@ def test_edge_cases_match_oracle():
         (_mesh(SQUARE, [(0, 1, 2, 3), (0, 1, 2), (1, 2, 0)], [0, 1, 1]), _mesh(SQUARE, [(0, 1, 2), (3, 0, 1, 2), (0, 1, 2)], [2, 0, 2])),
         (_mesh(SQUARE, [(0, 1, 2, 3), (0, 1, 2), (1, 2, 0)], [0, 1, 2]), _mesh(SQUARE, [(0, 1, 2), (3, 0, 1, 2), (0, 1, 2)], [2, 0, 2])),
         (_mesh(SQUARE, [(0, 1, 2, 2), (0, 1, 2)]), _mesh(SQUARE, [(0, 1, 2), (0, 1, 2, 2)])),
+        # a source row that repeats a code is a rotation of the decoded row
+        # that starts at the code's other occurrence
+        (_mesh(SQUARE, [(0, 1, 0, 2)]), _mesh(SQUARE, [(0, 2, 0, 1)])),
+        (_mesh(SQUARE, [(0, 1, 2, 2)]), _mesh(SQUARE, [(2, 0, 1, 2)])),
     ]
     for source, decoded in cases:
         assert_matches_oracle(source, decoded)
