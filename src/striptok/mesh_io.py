@@ -31,10 +31,11 @@ Every stable order from OBJ to tokens and back to the comparison is one
 rule, :func:`stable_order` (rows: :func:`sort_rows`): NumPy's stable
 argsort, taken from one ``np.sort`` of ``key << b | index`` where that fits.
 
-Every numbering is one rule, :func:`first_occurrence`: equal keys share a
-dense id, and ids count up in order of first occurrence.  It numbers
-quantized vertices (one per grid cell), decoded vertices (one per welded
-``(island, key)`` pair) and the islands of :func:`uv_islands`.
+Dense ids have two rules, both through that order: equal keys share an id,
+and ids count up in value order (:func:`rank_rows`: grid cells, ``(vertex,
+uv)`` corners, merged positions, island labels) or in order of first
+occurrence (:func:`first_occurrence`: quantized and decoded vertices, and
+the islands of :func:`uv_islands`).
 """
 
 from __future__ import annotations
@@ -529,19 +530,6 @@ def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, keys[order]
 
 
-def unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_index=True, return_inverse=True)`` of a 1-D
-    int64 array, through :func:`stable_order`: the distinct keys ascending,
-    the index of each one's first occurrence, and each key's position among
-    them."""
-    order, ordered = stable_order(keys)
-    heads = np.ones(len(keys), dtype=bool)
-    heads[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(heads) - 1
-    return ordered[heads], order[heads], inverse
-
-
 def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(ids, first)`` of a 1-D int64 array: ``ids`` numbers equal keys
     alike, densely from 0 in order of first occurrence, and id ``j`` first
@@ -586,6 +574,16 @@ def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = rows[order]
     heads[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return order, heads
+
+
+def rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row's rank among the distinct rows of a 2-D integer array:
+    exactly ``np.unique(rows, axis=0, return_inverse=True)[1]``, as int64,
+    ranked through :func:`sort_rows`."""
+    order, heads = sort_rows(rows)
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(heads) - 1
+    return ranks
 
 
 def _edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -662,11 +660,9 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
         return IslandPartition(island_of_face=np.zeros(0, dtype=np.int64), island_count=0)
 
     # one node per distinct (vertex, uv) corner; pads stay -1
-    t0 = fuvs.min()
-    packed = (faces - faces.min()) * (fuvs.max() - t0 + 1) + (fuvs - t0)
-    uniq, nodes = np.unique(packed, return_inverse=True)
+    nodes = rank_rows(np.stack([faces.reshape(-1), fuvs.reshape(-1)], axis=1))
     nodes = np.where(faces < 0, -1, nodes.reshape(faces.shape))
-    order, keys = sorted_edge_keys(nodes, len(uniq))
+    order, keys = sorted_edge_keys(nodes, int(nodes.max()) + 1)
 
     # faces of neighbouring equal keys share that (vertex, uv) edge
     same = np.flatnonzero(keys[1:] == keys[:-1])
@@ -677,8 +673,9 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
 
 
 def single_island(mesh: Mesh) -> IslandPartition:
-    """Trivial partition placing every face in island 0."""
-    return IslandPartition(island_of_face=np.zeros(len(mesh.faces), dtype=np.int64), island_count=1)
+    """Trivial partition placing every face in island 0 (no island without faces)."""
+    n = len(mesh.faces)
+    return IslandPartition(island_of_face=np.zeros(n, dtype=np.int64), island_count=min(n, 1))
 
 
 def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
@@ -687,16 +684,13 @@ def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
 
     Positions merge iff their bytes are equal; ``+ 0.0`` first turns -0.0
     into 0.0, so the two merge, as equal floats do.  Each column of the
-    positions' bits is ranked, and :func:`sort_rows` packs a row's three
-    ranks into one key, so equal rows are one run of the sorted keys.
+    positions' bits is ranked by ``np.unique`` (negative bits do not pack),
+    and :func:`rank_rows` ranks the rows of those narrow ranks.
     """
     bits = (np.asarray(mesh.positions, dtype=np.float64) + 0.0).view(np.int64)
     ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in bits.T], axis=1)
-    order, heads = sort_rows(ranks)
-    merged = np.empty(len(order) + 1, dtype=np.int64)
-    merged[order] = np.cumsum(heads) - 1
-    merged[-1] = -1  # a -1 pad reads it
-    return merged[mesh.faces], int(heads.sum())
+    merged = np.append(rank_rows(ranks), -1)  # a -1 pad reads the appended -1
+    return merged[mesh.faces], int(merged.max()) + 1
 
 
 def _edge_manifold(faces: np.ndarray, n: int) -> bool:

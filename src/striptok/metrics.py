@@ -67,16 +67,27 @@ def _triangles(mesh: Mesh) -> np.ndarray:
     return mesh.positions[split_quad_faces(mesh.faces).T]
 
 
-def _check_workers(workers) -> int:
-    """``workers`` as an ``int`` (NumPy integers included), or ``ValueError``
-    if it is not a positive integer; a bool is not a thread count."""
+def _count(value, name: str, below_one: str) -> int:
+    """``value`` as an ``int`` (NumPy integers included), or ``ValueError``:
+    ``"<name> must be a positive int"`` if it is not an integer (a bool is
+    not a count), ``below_one`` if it is below 1."""
     try:
-        count = operator.index(workers)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        count = 0
-    if isinstance(workers, bool) or count < 1:
-        raise ValueError("workers must be a positive int")
+        count = None
+    if count is None:
+        raise ValueError(f"{name} must be a positive int")
+    if count < 1:
+        raise ValueError(below_one)
     return count
+
+
+def _check_workers(workers) -> int:
+    return _count(workers, "workers", "workers must be a positive int")
+
+
+def _check_n(n) -> int:
+    return _count(n, "n", "n must be at least 1")
 
 
 def _on_rows(fn, n: int, workers: int) -> None:
@@ -103,9 +114,7 @@ def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0, workers:
     the blend of each sample's corners run on ``workers`` threads, over
     contiguous rows, so the samples are the same at any number.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    workers = _check_workers(workers)
+    n, workers = _check_n(n), _check_workers(workers)
     corners = _triangles(mesh)
     # huge finite coordinates overflow here; the total below rejects them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,10 +250,8 @@ def compare_meshes(
     and one neighbor pass, which serves all four metrics, run on up to
     ``workers`` threads; the report is the same at any number.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n, workers = _check_n(n), _check_workers(workers)
     _check_tau(tau)
-    workers = _check_workers(workers)
     if isinstance(ref, SampleSet):
         if len(ref.points) != n:
             raise ValueError(f"reference has {len(ref.points)} samples, not n={n}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, Mesh, first_occurrence, sort_rows, unique_first
+from .mesh_io import IslandPartition, Mesh, first_occurrence, rank_rows, sort_rows
 
 GRID = 512
 EPS = 1e-9
@@ -140,12 +140,13 @@ def quantize_mesh(
     the given transform instead, which makes re-quantizing a dequantized
     mesh reproduce its keys exactly.
 
-    The work is done on arrays of packed keys (:func:`pack_keys`), ranked
-    densely, with the results of the per-face definition: keys are
-    numbered by the rule in :mod:`striptok.mesh_io` over the corners of
-    the kept faces, row-major, so the key table holds exactly the keys
-    those faces use.  Normalization is ``(p - center) / scale`` per axis,
-    and a coordinate snaps to cell ``int(c * GRID)`` clamped to
+    The work is done on each vertex's rank among the distinct grid keys,
+    with the results of the per-face definition.  Ids follow the two rules
+    of :mod:`striptok.mesh_io`: keys are numbered by first occurrence over
+    the corners of the kept faces, row-major, so the key table holds
+    exactly the keys those faces use, and island labels by rank (value
+    order).  Normalization is ``(p - center) / scale`` per axis, and a
+    coordinate snaps to cell ``int(c * GRID)`` clamped to
     ``[0, GRID - 1]`` (within ``EPS`` of the unit interval; farther out
     raises ``ValueError``).  Faces must share one degree: a mesh that mixes
     triangles and quads (padded rows) raises ``ValueError``.  Non-finite
@@ -182,8 +183,7 @@ def quantize_mesh(
 
     # each vertex's key as its rank among the distinct keys: equal and
     # ordered as the keys are, and narrow enough that sort_rows packs a face
-    distinct, _, rank = unique_first(pack_keys(grid))
-    corners = rank[mesh.faces]
+    corners = rank_rows(grid)[mesh.faces]
     nondegenerate, kept = distinct_faces(corners)
     if not len(nondegenerate):
         raise ValueError("all faces degenerate after quantization")
@@ -196,10 +196,10 @@ def quantize_mesh(
     else:
         # asarray: a caller may pass the labels as a list (perfbench/workloads.py does)
         labels = np.asarray(partition.island_of_face)[kept]
-        island_of_face = np.unique(labels, return_inverse=True)[1].reshape(-1)
+        island_of_face = rank_rows(labels[:, None])
 
     return QuantizedMesh(
-        vertex_keys=_unpack_keys(distinct[corners.reshape(-1)[first]]),
+        vertex_keys=grid[mesh.faces[kept].reshape(-1)[first]],
         faces=ids.reshape(corners.shape),
         island_of_face=island_of_face,
         transform=transform,

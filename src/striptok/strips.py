@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import sort_rows, sorted_edge_keys, stable_order, unique_first
+from .mesh_io import first_occurrence, rank_rows, sort_rows, sorted_edge_keys, stable_order
 from .quantize import QuantizedMesh, Transform
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
@@ -83,7 +83,8 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     lowest face), and stops at boundaries and visited faces.  The decoder
     winds each face by its strip position, so a strip holds only faces of
     one orientation, and a face wound against its neighbours starts its own
-    strip.  A face that repeats a corner raises ``ValueError``.
+    strip.  A face that repeats a corner, a stride other than 1 or 2, or
+    an ``up_axis`` other than x, y or z raises ``ValueError``.
 
     "Lowest face" compares sorted vertex-rank tuples, ties going to the
     lower face index.  The faces are renumbered once in seed order (island
@@ -102,6 +103,8 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
+    if up_axis not in _AXIS:
+        raise ValueError(f"up_axis must be x, y or z, got {up_axis!r}")
     degree = 3 if stride == 1 else 4
     faces, nfaces, nkeys = q.faces, len(q.faces), len(q.vertex_keys)
     if not nfaces:
@@ -119,16 +122,16 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     rank_arr = _rank_array(q, up_axis)
     order, heads = sort_rows(np.sort(rank_arr[faces], axis=1))
 
-    # islands by their lowest face; equal lowest rank tuples (one key set in
-    # two islands) keep the order in which the islands first appear
-    _, first, island_idx = unique_first(q.island_of_face)
-    # an island's lowest face is its first in order, ranked by cumsum(heads)
-    _, lowest, _ = unique_first(island_idx[order])
-    by_lowest, _ = sort_rows(np.stack([np.cumsum(heads)[lowest], first], axis=1))
-    position = np.argsort(by_lowest)[island_idx]  # each face's island position
+    # islands by their lowest face, then (one key set in two islands) in the
+    # order they first appear, which first_occurrence's ids ascend in
+    island = first_occurrence(q.island_of_face)[0][order]
+    # an island's lowest face is its first in order, grouped by cumsum(heads)
+    ids, lowest = first_occurrence(island)
+    position = rank_rows(np.stack([np.cumsum(heads)[lowest], island[lowest]], axis=1))[ids]
     # renumber the faces in seed order: island position, then lowest first
-    seeds = order[stable_order(position[order])[0]]
-    faces, position = faces[seeds], position[seeds]
+    resort, position = stable_order(position)
+    seeds = order[resort]
+    faces = faces[seeds]
     # a seed starts at its lowest-ranked corner
     lowest_corner = np.argmin(rank_arr[faces], axis=1)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import unique_first
+from .mesh_io import first_occurrence
 from .quantize import Transform, encode_hier
 from .strips import StripSet
 
@@ -74,7 +74,7 @@ def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
     # an island's first strip is its first occurrence in strip order
     base = np.full(len(s.islands), C1_T_BASE)
     if uv_mode:
-        base[unique_first(s.islands)[1]] = C1_UV_BASE
+        base[first_occurrence(s.islands)[1]] = C1_UV_BASE
     starts = s.offsets[:-1]
     filled = starts < s.offsets[1:]
     heads, coarse = starts[filled], np.full(len(s.keys), C1_GEO_BASE)

@@ -1,12 +1,12 @@
 """Exact comparison of a quantized mesh against its decoded reconstruction.
 
 Both meshes become ``(F, d)`` arrays of key codes, each corner's rank among
-both meshes' distinct packed grid keys
-(:func:`~striptok.quantize.pack_keys`), -1 where a face has no corner (the
-pad of a stride-2 decode's trailing triangle).  Faces are matched by their
-unordered key sets: each row's distinct codes are sorted and both sides are
-sorted as rows (:func:`~striptok.mesh_io.sort_rows`), so equal face
-multisets line up row for row.  The source holds one face per key set, as
+both meshes' distinct vertex keys (:func:`~striptok.mesh_io.rank_rows`), -1
+where a face has no corner (the pad of a stride-2 decode's trailing
+triangle).  Faces are matched by their unordered key sets: each row's
+distinct codes are sorted and both sides are sorted as rows
+(:func:`~striptok.mesh_io.sort_rows`), so equal face multisets line up row
+for row.  The source holds one face per key set, as
 :func:`~striptok.quantize.quantize_mesh` returns it (a source that repeats
 a key set raises ``ValueError``), so matched rows are one face on each
 side.  A winding matches when the decoded row is a cyclic rotation of its
@@ -23,21 +23,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh_io import sort_rows
-from .quantize import GRID, QuantizedMesh, pack_keys
+from .mesh_io import rank_rows, sort_rows
+from .quantize import QuantizedMesh
 
 
 def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):
     """The rank of each mesh's vertex keys among both meshes' distinct keys:
     equal exactly where the keys are, ordered as they are, and narrow enough
     that ``sort_rows`` packs a face of 3 or 4 of them into one key."""
-    keys = np.concatenate([source.vertex_keys, decoded.vertex_keys])
-    if keys.size and (keys.min() < 0 or keys.max() >= GRID):
-        # not grid keys, so packing could collide: rank them as rows instead
-        codes = np.unique(keys, axis=0, return_inverse=True)[1]
-    else:
-        codes = np.unique(pack_keys(keys), return_inverse=True)[1]
-    codes = codes.reshape(-1)
+    codes = rank_rows(np.concatenate([source.vertex_keys, decoded.vertex_keys]))
     n = len(source.vertex_keys)
     return codes[:n], codes[n:]
 

@@ -293,12 +293,19 @@ class TestRoundtrip:
         d.mkdir()
         write_obj(mesh, d / "a.obj")
         write_obj(Mesh(positions=mesh.positions, faces=mesh.faces[order]), d / "b.obj")
+        # the same file with a doubled space, a tab and trailing spaces in each f line
+        lines = (d / "a.obj").read_text().split("\n")
+        for i, line in enumerate(lines):
+            if line.startswith("f "):
+                v1, v2, v3 = line[2:].split()
+                lines[i] = f"f {v1}  {v2}\t{v3}  "
+        (d / "c.obj").write_text("\n".join(lines))
         out = tmp_path / "tok"
         rc = main(["encode", str(d), "--output", str(out), "--report", str(tmp_path / "e.jsonl")])
         assert rc == 0
         a = (out / "a.sato").read_bytes()
-        b = (out / "b.sato").read_bytes()
-        assert a == b
+        assert (out / "b.sato").read_bytes() == a
+        assert (out / "c.sato").read_bytes() == a
 
 
 class TestParallel:

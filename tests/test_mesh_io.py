@@ -502,6 +502,12 @@ class TestUvIslands:
         assert p.island_of_face.dtype == np.int64
         assert p.island_of_face.tolist() == [0] * len(mesh.faces)
 
+    def test_single_island_of_no_faces_is_no_island(self):
+        # as uv_islands and QuantizedMesh.island_count() count it
+        mesh = synth.tri_grid(2, 2)
+        p = single_island(Mesh(mesh.positions, mesh.faces[:0]))
+        assert p.island_count == 0 and len(p.island_of_face) == 0
+
 
 def grid_with_faces(count):
     """A manifold triangle mesh with exactly `count` faces."""

@@ -212,10 +212,22 @@ class TestSampling:
             with pytest.raises(ValueError, match="non-finite surface area"):
                 sample_surface(mesh, n=10)
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_n_below_one_error(self, n):
-        with pytest.raises(ValueError, match="n must be at least 1"):
-            sample_surface(synth.icosphere(1), n=n)
+    @pytest.mark.parametrize(
+        "n, message",
+        [(0, "n must be at least 1"), (-1, "n must be at least 1"),
+         (2.5, "n must be a positive int"), (True, "n must be a positive int"), (None, "n must be a positive int")],
+        ids=["0", "-1", "2.5", "True", "None"],
+    )
+    def test_n_below_one_error(self, monkeypatch, n, message):
+        # n is read as workers is, before any sampling
+        mesh = synth.icosphere(1)
+        with pytest.raises(ValueError, match=message):
+            sample_surface(mesh, n=n)
+        sampled = []
+        monkeypatch.setattr(metrics, "sample_surface", lambda *a, **k: sampled.append(1))
+        with pytest.raises(ValueError, match=message):
+            compare_meshes(mesh, mesh, n=n)
+        assert sampled == []
 
     def test_unit_normals(self):
         s = sample_surface(synth.icosphere(2), n=3000, seed=4)

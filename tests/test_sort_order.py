@@ -1,7 +1,7 @@
-"""The stable-order contract: ``stable_order``, ``unique_first`` and
-``sort_rows`` give exactly NumPy's stable argsort, ``np.unique`` and
-``np.lexsort`` results, on the packed branch and on the fallback, and
-``first_occurrence`` numbers keys as a scalar dict does.
+"""The stable-order contract: ``stable_order``, ``sort_rows`` and
+``rank_rows`` give exactly NumPy's stable argsort, ``np.lexsort`` and
+``np.unique(axis=0)`` results, on the packed branch and on the fallback,
+and ``first_occurrence`` numbers keys as a scalar dict does.
 
 Array sizes are drawn on both sides of ``PACKED_SORT_MIN``; the values of
 a large array come from a generator seeded by the draw, so they vary as
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from striptok.mesh_io import PACKED_SORT_MIN, first_occurrence, sort_rows, stable_order, unique_first
+from striptok.mesh_io import PACKED_SORT_MIN, first_occurrence, rank_rows, sort_rows, stable_order
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 SIZES = st.one_of(st.integers(0, 40), st.integers(PACKED_SORT_MIN, PACKED_SORT_MIN + 600))
@@ -87,15 +87,6 @@ class TestStableOrder:
         else:
             keys = data.draw(int_arrays(0, top, st.just(n), values=[0, 1, top - 1, top]))
         assert_stable_order(keys)
-
-
-class TestUniqueFirst:
-    @given(st.one_of(int_arrays(0, 5), int_arrays(-3, 3), int_arrays(INT64_MIN, INT64_MAX)))
-    def test_equals_numpy_unique(self, keys):
-        values, first, inverse = unique_first(keys)
-        expected = np.unique(keys, return_index=True, return_inverse=True)
-        for got, want in zip((values, first, inverse), expected):
-            np.testing.assert_array_equal(got, want.reshape(-1))
 
 
 def numbered_by_dict(keys: np.ndarray) -> tuple[list[int], list[int]]:
@@ -188,3 +179,23 @@ class TestSortRows:
         rows = data.draw(int_arrays(lo, hi, shape, values=[lo, lo + 1, 0, hi]))
         assume(rows.size >= 2)
         assert_sort_rows(rows)
+
+
+def assert_rank_rows(rows: np.ndarray) -> None:
+    ranks = rank_rows(rows)
+    assert ranks.dtype == np.int64
+    np.testing.assert_array_equal(ranks, np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1))
+
+
+class TestRankRows:
+    @given(st.one_of(int_arrays(-1, 4, ROW_SHAPES), int_arrays(0, 511, ROW_SHAPES)))
+    def test_packed_rows(self, rows):
+        assert_rank_rows(rows)
+
+    @given(st.one_of(int_arrays(INT64_MIN, INT64_MAX, ROW_SHAPES), int_arrays(-1, 2**40, ROW_SHAPES)))
+    def test_rows_too_wide_to_pack(self, rows):
+        assert_rank_rows(rows)
+
+    @given(int_arrays(-1, 7, ROW_SHAPES))
+    def test_int32_rows(self, rows):
+        assert_rank_rows(rows.astype(np.int32))

@@ -238,6 +238,15 @@ class TestExtractTriangles:
         with pytest.raises(ValueError, match="stride 2"):
             extract_strips(quantize(tri), 2)
 
+    @pytest.mark.parametrize("up_axis", ["w", "Y", ""])
+    def test_unknown_up_axis(self, up_axis):
+        # rejected before any work, as a bad stride is, also with no faces
+        q = quantize(synth.tri_grid(2, 2))
+        empty = QuantizedMesh(q.vertex_keys, q.faces[:0], q.island_of_face[:0], q.transform)
+        for mesh in (q, empty):
+            with pytest.raises(ValueError, match="up_axis must be x, y or z"):
+                extract_strips(mesh, 1, up_axis)
+
 
 class TestExtractQuads:
     def test_quad_ribbon_single_strip(self):
