@@ -12,7 +12,6 @@ from .mesh_io import (
     ObjParseError,
     corpus_filter,
     load_obj,
-    single_island,
     split_quad_faces,
     uv_islands,
     write_obj,
@@ -31,8 +30,6 @@ from .tokens import (
     TokenHeader,
     TokenSequence,
     TokenStats,
-    VOCAB,
-    VocabLayout,
     compression_stats,
     read_tokens,
     serialize,

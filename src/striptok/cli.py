@@ -25,14 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 from .decode import decode, parse_tokens
-from .mesh_io import (
-    corpus_filter,
-    is_edge_manifold,
-    load_obj,
-    single_island,
-    uv_islands,
-    write_obj,
-)
+from .mesh_io import corpus_filter, is_edge_manifold, load_obj, uv_islands, write_obj
 from .quantize import dequantize_mesh, quantize_mesh
 from .strips import extract_strips
 from .tokens import compression_stats, read_tokens, serialize, write_tokens
@@ -118,11 +111,7 @@ def decode_tokens(seq, stride=None):
 
 def _encode_one(src, args, row):
     mesh = load_obj(src)
-    partition = warning = None
-    if args.uv and mesh.face_uvs is None:
-        partition, warning = single_island(mesh), "no uv data; falling back to a single island"
-    elif args.uv:
-        partition = uv_islands(mesh)
+    partition = uv_islands(mesh) if args.uv else None
     q, strips, seq = encode_mesh(mesh, args.stride, partition, args.up_axis)
     out_path = _output_path(src, args)
     write_tokens(seq, out_path)
@@ -139,8 +128,8 @@ def _encode_one(src, args, row):
     )
     if args.stride == 2:
         row["comp_rate_quad12"] = round(stats.comp_rate_quad12, 6)
-    if warning:
-        row["warning"] = warning
+    if args.uv and mesh.face_uvs is None:
+        row["warning"] = "no uv data; falling back to a single island"
 
 
 def _decode_one(src, args, row):
@@ -150,7 +139,7 @@ def _decode_one(src, args, row):
     row.update(
         faces=len(mesh_q.faces),
         vertices=len(mesh_q.vertex_keys),
-        islands=partition.island_count,
+        islands=mesh_q.island_count(),
         discarded=report.discarded_tokens,
         dropped_strips=report.dropped_strips,
         degenerate_faces=report.degenerate_faces,

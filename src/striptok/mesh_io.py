@@ -648,16 +648,15 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
     Two faces are joined iff they share a 3D edge and reference identical uv
     indices at both endpoints of that edge; islands are the connected
     components of that relation, numbered by :func:`first_occurrence` of
-    their lowest face.
+    their lowest face.  A mesh without uv indices is one island (none
+    without faces).
     """
-    if mesh.face_uvs is None:
-        raise ValueError("mesh has no uv indices; use single_island instead")
     faces, fuvs = mesh.faces, mesh.face_uvs
     nfaces = len(faces)
-    if faces.shape != fuvs.shape or ((faces < 0) != (fuvs < 0)).any():
+    if fuvs is not None and (faces.shape != fuvs.shape or ((faces < 0) != (fuvs < 0)).any()):
         raise ValueError("face_uvs does not match faces")
-    if not nfaces:
-        return IslandPartition(island_of_face=np.zeros(0, dtype=np.int64), island_count=0)
+    if fuvs is None or not nfaces:
+        return IslandPartition(island_of_face=np.zeros(nfaces, dtype=np.int64), island_count=min(nfaces, 1))
 
     # one node per distinct (vertex, uv) corner; pads stay -1
     nodes = rank_rows(np.stack([faces.reshape(-1), fuvs.reshape(-1)], axis=1))
@@ -672,12 +671,6 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
     return IslandPartition(island_of_face=labels, island_count=len(first))
 
 
-def single_island(mesh: Mesh) -> IslandPartition:
-    """Trivial partition placing every face in island 0 (no island without faces)."""
-    n = len(mesh.faces)
-    return IslandPartition(island_of_face=np.zeros(n, dtype=np.int64), island_count=min(n, 1))
-
-
 def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
     """Faces remapped through exact duplicate-position merging (pads kept),
     and the merged vertex count.
@@ -685,8 +678,11 @@ def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
     Positions merge iff their bytes are equal; ``+ 0.0`` first turns -0.0
     into 0.0, so the two merge, as equal floats do.  Each column of the
     positions' bits is ranked by ``np.unique`` (negative bits do not pack),
-    and :func:`rank_rows` ranks the rows of those narrow ranks.
+    and :func:`rank_rows` ranks the rows of those narrow ranks.  A face
+    index out of range, or a pad other than :class:`Mesh`'s, raises
+    ``ValueError``.
     """
+    _check_corners(mesh.faces, len(mesh.positions), "faces")
     bits = (np.asarray(mesh.positions, dtype=np.float64) + 0.0).view(np.int64)
     ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in bits.T], axis=1)
     merged = np.append(rank_rows(ranks), -1)  # a -1 pad reads the appended -1
@@ -721,8 +717,8 @@ def corpus_filter(mesh: Mesh, partition: IslandPartition | None = None) -> Filte
 
     Checks, in order: edge-manifoldness after exact duplicate-vertex merge,
     face count in [500, 16000], merged vertex/face ratio <= 1.0, and island
-    count in [10, 300] when a partition is supplied.  Rejection names the
-    first failing rule; it is a value, not an error.
+    count, the distinct labels of a supplied partition, in [10, 300].
+    Rejection names the first failing rule; it is a value, not an error.
     """
     merged, vertex_count = _merged_faces(mesh)
     if not _edge_manifold(merged, vertex_count):
@@ -736,7 +732,8 @@ def corpus_filter(mesh: Mesh, partition: IslandPartition | None = None) -> Filte
         return FilterResult(False, "vertex_face_ratio")
 
     if partition is not None:
-        if not ISLAND_COUNT_RANGE[0] <= partition.island_count <= ISLAND_COUNT_RANGE[1]:
+        islands = len(first_occurrence(np.asarray(partition.island_of_face, dtype=np.int64))[1])
+        if not ISLAND_COUNT_RANGE[0] <= islands <= ISLAND_COUNT_RANGE[1]:
             return FilterResult(False, "island_count")
 
     return FilterResult(True)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh_io import Mesh, split_quad_faces
+from .mesh_io import Mesh, _check_corners, split_quad_faces
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_TAU = 0.003
@@ -64,17 +64,24 @@ def _triangles(mesh: Mesh) -> np.ndarray:
     """``(3, T, 3)``: the first, second and third corners of each triangle."""
     if not len(mesh.faces):
         raise ValueError("mesh has no faces")
+    _check_corners(mesh.faces, len(mesh.positions), "faces")
     return mesh.positions[split_quad_faces(mesh.faces).T]
 
 
-def _count(value, name: str, below_one: str) -> int:
-    """``value`` as an ``int`` (NumPy integers included), or ``ValueError``:
-    ``"<name> must be a positive int"`` if it is not an integer (a bool is
-    not a count), ``below_one`` if it is below 1."""
+def _integer(value) -> int | None:
+    """``value`` as an ``int`` if it is an integer (NumPy integers included,
+    a bool not), else None."""
     try:
-        count = None if isinstance(value, bool) else operator.index(value)
+        return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        count = None
+        return None
+
+
+def _count(value, name: str, below_one: str) -> int:
+    """``value`` as an ``int``, or ``ValueError``: ``"<name> must be a
+    positive int"`` if :func:`_integer` takes it for none, ``below_one`` if
+    it is below 1."""
+    count = _integer(value)
     if count is None:
         raise ValueError(f"{name} must be a positive int")
     if count < 1:
@@ -88,6 +95,13 @@ def _check_workers(workers) -> int:
 
 def _check_n(n) -> int:
     return _count(n, "n", "n must be at least 1")
+
+
+def _check_seed(seed) -> int:
+    value = _integer(seed)
+    if value is None or value < 0:
+        raise ValueError("seed must be a non-negative int")
+    return value
 
 
 def _on_rows(fn, n: int, workers: int) -> None:
@@ -112,9 +126,10 @@ def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0, workers:
     Faces are drawn as ``Generator.choice(p=areas / total)`` draws them (the
     normalized cumulative sum searched for ``random(n)``); that search and
     the blend of each sample's corners run on ``workers`` threads, over
-    contiguous rows, so the samples are the same at any number.
+    contiguous rows, so the samples are the same at any number.  ``seed``
+    must be a non-negative int (NumPy integers too, a bool not).
     """
-    n, workers = _check_n(n), _check_workers(workers)
+    n, seed, workers = _check_n(n), _check_seed(seed), _check_workers(workers)
     corners = _triangles(mesh)
     # huge finite coordinates overflow here; the total below rejects them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,7 +265,7 @@ def compare_meshes(
     and one neighbor pass, which serves all four metrics, run on up to
     ``workers`` threads; the report is the same at any number.
     """
-    n, workers = _check_n(n), _check_workers(workers)
+    n, seed, workers = _check_n(n), _check_seed(seed), _check_workers(workers)
     _check_tau(tau)
     if isinstance(ref, SampleSet):
         if len(ref.points) != n:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, Mesh, first_occurrence, rank_rows, sort_rows
+from .mesh_io import IslandPartition, Mesh, _check_corners, first_occurrence, rank_rows, sort_rows
 
 GRID = 512
 EPS = 1e-9
@@ -68,8 +68,11 @@ _LEVEL_WEIGHTS = np.array([[16, 64, 256], [4, 8, 16], [1, 1, 1]], dtype=np.int64
 
 def encode_hier(grid) -> np.ndarray:
     """The ``(n, 3)`` codes (c1, c2, c3) of ``(n, 3)`` grid coordinates;
-    :func:`decode_hier` is the inverse."""
+    :func:`decode_hier` is the inverse.  A coordinate outside ``[0, GRID)``
+    raises ``ValueError``."""
     g = np.asarray(grid, dtype=np.int64).reshape(-1, 3)
+    if len(g) and (g.min() < 0 or g.max() >= GRID):
+        raise ValueError(f"grid coordinates must be in [0, {GRID})")
     levels = np.stack([g >> 7, g >> 4 & 7, g & 15], axis=2)  # (n, axis, level)
     return (levels * _LEVEL_WEIGHTS).sum(axis=1)
 
@@ -88,25 +91,16 @@ _LEVEL_TABLES = (_level_table(2, 7), _level_table(3, 4), _level_table(4, 0))
 def decode_hier(codes) -> np.ndarray:
     """Exact inverse of :func:`encode_hier` over an ``(n, 3)`` array of codes.
 
-    Returns the grid coordinates as packed keys (:func:`pack_keys` layout).
-    Each code must lie in its level's range.
+    Returns the grid coordinates as packed keys, ``x << 18 | y << 9 | z``:
+    one int64 each, ordered like the ``(x, y, z)`` tuples.  Each code must
+    lie in its level's range.
     """
     h = np.asarray(codes, dtype=np.int64).reshape(-1, 3)
     t1, t2, t3 = _LEVEL_TABLES
     return t1[h[:, 0]] | t2[h[:, 1]] | t3[h[:, 2]]
 
 
-def pack_keys(grid) -> np.ndarray:
-    """Pack grid coordinates, an ``(n, 3)`` array, into one int64 each.
-
-    The code is ``x << 18 | y << 9 | z``: one-to-one on the 512^3 grid, and
-    ordered like the ``(x, y, z)`` tuples, so sorting codes sorts keys.
-    """
-    g = np.asarray(grid, dtype=np.int64).reshape(-1, 3)
-    return g[:, 0] << 18 | g[:, 1] << 9 | g[:, 2]
-
-
-KEY_BITS = 27  # of a pack_keys code: 9 per axis
+KEY_BITS = 27  # of a packed key, x << 18 | y << 9 | z: 9 per axis
 _PACK_SHIFTS = np.array([18, 9, 0], dtype=np.int64)
 
 
@@ -148,13 +142,15 @@ def quantize_mesh(
     order).  Normalization is ``(p - center) / scale`` per axis, and a
     coordinate snaps to cell ``int(c * GRID)`` clamped to
     ``[0, GRID - 1]`` (within ``EPS`` of the unit interval; farther out
-    raises ``ValueError``).  Faces must share one degree: a mesh that mixes
+    raises ``ValueError``).  A face index out of range raises
+    ``ValueError``, and faces must share one degree: a mesh that mixes
     triangles and quads (padded rows) raises ``ValueError``.  Non-finite
     positions, or a transform that makes them non-finite, raise
     ``ValueError``.
     """
     if not len(mesh.faces):
         raise ValueError("empty mesh")
+    _check_corners(mesh.faces, len(mesh.positions), "faces")
     if (mesh.faces < 0).any():
         raise ValueError("mixed triangle/quad faces: encoding takes faces of one degree")
     if partition is not None and len(partition.island_of_face) != len(mesh.faces):

@@ -24,26 +24,15 @@ from .quantize import Transform, encode_hier
 from .strips import StripSet
 
 
-@dataclass(frozen=True)
-class VocabLayout:
-    """Id ranges of the token vocabulary (half-open intervals)."""
-
-    c1_geo: tuple[int, int] = (0, 64)
-    c1_strip: tuple[int, int] = (64, 128)
-    c1_island: tuple[int, int] = (128, 192)
-    c2: tuple[int, int] = (192, 704)
-    c3: tuple[int, int] = (704, 4800)
-    total_size: int = 4800
-
-
-VOCAB = VocabLayout()
-
-C1_GEO_BASE = VOCAB.c1_geo[0]
-C1_T_BASE = VOCAB.c1_strip[0]
-C1_UV_BASE = VOCAB.c1_island[0]
-C2_BASE = VOCAB.c2[0]
-C3_BASE = VOCAB.c3[0]
-VOCAB_SIZE = VOCAB.total_size
+# id ranges, each from its base to the next: coarse plain geometry [0, 64),
+# strip-transition [64, 128) and island-transition [128, 192), mid
+# [192, 704) and fine [704, 4800)
+C1_GEO_BASE = 0
+C1_T_BASE = 64
+C1_UV_BASE = 128
+C2_BASE = 192
+C3_BASE = 704
+VOCAB_SIZE = 4800
 
 
 @dataclass

@@ -7,9 +7,11 @@ rule ``distinct_faces``), ``mesh_io.uv_islands``,
 ``vertex_ranks``, its seed order ``seed_order`` and its island order
 ``island_order``), and the
 per-token and per-vertex codec path: ``StripSet.face_count``,
-``tokens.serialize``, ``quantize.encode_hier``, ``quantize.decode_hier``,
+``tokens.serialize``, ``quantize.encode_hier``, ``quantize.decode_hier``
+(with ``pack_keys``, the layout of its keys),
 ``decode.parse_tokens``, ``decode._decode_impl`` and ``mesh_io.write_obj``,
-kept unchanged apart from their imports, the list form of strips and the
+kept unchanged apart from their imports, ``uv_islands``' one island for a
+mesh without uv indices, the list form of strips and the
 strip walk's direction rule (it enters only a face that runs along the
 frontier edge against the face it leaves), the sample-order neighbor pass
 of ``metrics._nn`` and the one-thread, ``Generator.choice`` draw of
@@ -445,10 +447,12 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
 
     Two faces are joined iff they share a 3D edge and reference identical uv
     indices at both endpoints of that edge; islands are the connected
-    components of that relation.
+    components of that relation.  A mesh without uv indices is one island
+    (none without faces).
     """
     if mesh.face_uvs is None:
-        raise ValueError("mesh has no uv indices; use single_island instead")
+        nfaces = len(mesh.faces)
+        return IslandPartition(island_of_face=[0] * nfaces, island_count=min(nfaces, 1))
 
     adjacency: dict[int, list[int]] = defaultdict(list)
     for users in _uv_edge_map(mesh).values():
@@ -759,6 +763,14 @@ def decode_hier(h: HierCode) -> GridCoord:
     gy = ((c1 // 4) % 4) * 128 + ((c2 // 8) % 8) * 16 + (c3 // 16) % 16
     gz = (c1 % 4) * 128 + (c2 % 8) * 16 + c3 % 16
     return (gx, gy, gz)
+
+
+def pack_keys(grid) -> np.ndarray:
+    """Pack grid coordinates, an ``(n, 3)`` array, into one int64 each, as
+    ``decode_hier`` returns them: ``x << 18 | y << 9 | z``, one-to-one on
+    the 512^3 grid and ordered like the ``(x, y, z)`` tuples."""
+    g = np.asarray(grid, dtype=np.int64).reshape(-1, 3)
+    return g[:, 0] << 18 | g[:, 1] << 9 | g[:, 2]
 
 
 def parse_tokens(t: TokenSequence | list[int]) -> VertexStream:

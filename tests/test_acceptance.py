@@ -15,7 +15,6 @@ import pytest
 
 from striptok import (
     Mesh,
-    VOCAB,
     chamfer_hausdorff,
     compare_meshes,
     decode,
@@ -33,12 +32,11 @@ from striptok import (
 )
 from striptok.cli import main as cli_main
 from striptok.metrics import SampleSet
-from striptok.quantize import pack_keys
-from striptok.tokens import compression_stats
+from striptok.tokens import VOCAB_SIZE, compression_stats
 from striptok.verify import compare_quantized
 
 import synth
-from oracles import IDENTITY_TRANSFORM, as_lists, dequantize, normalize, seed_order, to_grid, vertex_ranks
+from oracles import IDENTITY_TRANSFORM, as_lists, dequantize, normalize, pack_keys, seed_order, to_grid, vertex_ranks
 from test_decode import validate_quantized
 from test_tokens import VOCAB_RANGES
 from strategies import corrupted_stream, structured_stream, uniform_stream
@@ -50,11 +48,11 @@ def ok(n, msg):
 
 
 def test_criterion_01_vocabulary():
-    assert VOCAB.total_size == 4800
+    assert VOCAB_SIZE == 4800
     spans = sorted(VOCAB_RANGES.values())
     assert spans[0][0] == 0 and spans[-1][1] == 4800
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    ok(1, "vocabulary layout covers [0, 4800) exactly, total_size = 4800")
+    ok(1, "vocabulary layout covers [0, 4800) exactly, VOCAB_SIZE = 4800")
 
 
 def test_criterion_02_triangle_round_trip(tri_corpus):

@@ -31,11 +31,10 @@ from striptok import (
     write_obj,
 )
 from striptok.decode import _decode_impl
-from striptok.quantize import pack_keys
 from striptok.tokens import C1_T_BASE, C1_UV_BASE, C2_BASE, C3_BASE
 
 import oracles
-from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists, dequantize, encode_hier
+from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists, dequantize, encode_hier, pack_keys
 import synth
 
 # --- token streams ------------------------------------------------------

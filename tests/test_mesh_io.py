@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from striptok import (
+    IslandPartition,
     Mesh,
     ObjParseError,
     corpus_filter,
     decode_tokens,
     dequantize_mesh,
     load_obj,
+    quantize_mesh,
+    sample_surface,
     serialize,
-    single_island,
     uv_islands,
     write_obj,
 )
@@ -434,6 +436,17 @@ class TestWriteObj:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("index", [-3, "V"])
+@pytest.mark.parametrize("entry", [quantize_mesh, is_edge_manifold, sample_surface])
+def test_entry_points_check_face_indices(entry, index):
+    # as write_obj does: no index counts from the end or reads past the positions
+    mesh = synth.tri_grid(3, 3)
+    faces = mesh.faces.copy()
+    faces[2, 1] = len(mesh.positions) if index == "V" else index
+    with pytest.raises(ValueError, match=r"^faces row 2 is "):
+        entry(Mesh(mesh.positions, faces))
+
+
 class TestUvIslands:
     def _cube_quads(self):
         positions = [
@@ -491,21 +504,19 @@ class TestUvIslands:
         assert labels == set(range(partition.island_count))
         assert len(partition.island_of_face) == len(base.faces)
 
-    def test_missing_uv_error(self):
-        with pytest.raises(ValueError, match="single_island"):
-            uv_islands(synth.tri_grid(2, 2))
-
-    def test_single_island_fallback(self):
+    def test_no_uv_indices_is_one_island(self):
         mesh = synth.tri_grid(2, 2)
-        p = single_island(mesh)
+        p = uv_islands(mesh)
         assert p.island_count == 1
         assert p.island_of_face.dtype == np.int64
         assert p.island_of_face.tolist() == [0] * len(mesh.faces)
 
-    def test_single_island_of_no_faces_is_no_island(self):
-        # as uv_islands and QuantizedMesh.island_count() count it
+    @pytest.mark.parametrize("with_uvs", [False, True])
+    def test_no_faces_is_no_island(self, with_uvs):
+        # as QuantizedMesh.island_count() counts it
         mesh = synth.tri_grid(2, 2)
-        p = single_island(Mesh(mesh.positions, mesh.faces[:0]))
+        face_uvs = mesh.faces[:0] if with_uvs else None
+        p = uv_islands(Mesh(mesh.positions, mesh.faces[:0], mesh.positions[:, :2], face_uvs))
         assert p.island_count == 0 and len(p.island_of_face) == 0
 
 
@@ -557,6 +568,15 @@ class TestCorpusFilter:
         mesh = synth.with_uv_groups(base, [0] * len(base.faces))
         res = corpus_filter(mesh, uv_islands(mesh))
         assert not res.accepted and res.reason == "island_count"
+
+    def test_island_count_is_read_from_the_labels(self):
+        mesh = synth.torus(32, 16)  # 512 quads: passes every other rule
+        assert corpus_filter(mesh).accepted
+        nfaces = len(mesh.faces)
+        res = corpus_filter(mesh, IslandPartition(np.zeros(nfaces, dtype=np.int64), island_count=12))
+        assert not res.accepted and res.reason == "island_count"
+        twelve = np.arange(nfaces) * 12 // nfaces
+        assert corpus_filter(mesh, IslandPartition(twelve, island_count=1)).accepted
 
     def test_island_count_upper_bound(self):
         base = synth.torus(50, 10, quads=False)  # 1000 faces

@@ -136,7 +136,7 @@ class TestSampling:
     def test_deterministic_per_seed(self):
         mesh = synth.icosphere(1)
         a = sample_surface(mesh, n=1000, seed=9)
-        b = sample_surface(mesh, n=1000, seed=9)
+        b = sample_surface(mesh, n=1000, seed=np.int64(9))
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.normals, b.normals)
         c = sample_surface(mesh, n=1000, seed=10)
@@ -227,6 +227,18 @@ class TestSampling:
         monkeypatch.setattr(metrics, "sample_surface", lambda *a, **k: sampled.append(1))
         with pytest.raises(ValueError, match=message):
             compare_meshes(mesh, mesh, n=n)
+        assert sampled == []
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1], ids=["None", "True", "1.5", "-1"])
+    def test_seed_not_a_non_negative_int_error(self, monkeypatch, seed):
+        # seed is read as n is, before any sampling
+        mesh = synth.icosphere(1)
+        with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
+            sample_surface(mesh, n=10, seed=seed)
+        sampled = []
+        monkeypatch.setattr(metrics, "sample_surface", lambda *a, **k: sampled.append(1))
+        with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
+            compare_meshes(mesh, mesh, n=10, seed=seed)
         assert sampled == []
 
     def test_unit_normals(self):

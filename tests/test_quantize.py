@@ -16,13 +16,12 @@ from striptok import (
     dequantize_mesh,
     encode_hier,
     quantize_mesh,
-    single_island,
     uv_islands,
 )
-from striptok.quantize import distinct_faces, pack_keys
+from striptok.quantize import distinct_faces
 
 import oracles
-from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists, dequantize, normalize, to_grid
+from oracles import IDENTITY_TRANSFORM, as_arrays, as_lists, dequantize, normalize, pack_keys, to_grid
 import synth
 
 
@@ -274,7 +273,7 @@ class TestMixedFaces:
         mesh = as_arrays(Mesh(positions=positions, faces=[(0, 1, 2, 3), (1, 4, 2)]))
         assert mesh.faces.tolist() == [[0, 1, 2, 3], [1, 4, 2, -1]]
         message = "^mixed triangle/quad faces: encoding takes faces of one degree$"
-        for partition in (None, single_island(mesh)):
+        for partition in (None, uv_islands(mesh)):
             with pytest.raises(ValueError, match=message):
                 quantize_mesh(mesh, partition)
 

@@ -247,6 +247,14 @@ class TestExtractTriangles:
             with pytest.raises(ValueError, match="up_axis must be x, y or z"):
                 extract_strips(mesh, 1, up_axis)
 
+    @pytest.mark.parametrize("labels", ["short", "long"])
+    def test_one_island_label_per_face(self, labels):
+        q = quantize(synth.tri_grid(2, 2))
+        island_of_face = q.island_of_face[:-1] if labels == "short" else np.append(q.island_of_face, 0)
+        bad = QuantizedMesh(q.vertex_keys, q.faces, island_of_face, q.transform)
+        with pytest.raises(ValueError, match=rf"^{len(island_of_face)} island labels for 8 faces$"):
+            extract_strips(bad, 1)
+
 
 class TestExtractQuads:
     def test_quad_ribbon_single_strip(self):

@@ -14,7 +14,6 @@ from striptok import (
     TokenHeader,
     TokenSequence,
     Transform,
-    VOCAB,
     compression_stats,
     extract_strips,
     parse_tokens,
@@ -26,19 +25,20 @@ from striptok import (
     write_tokens,
 )
 from striptok import cli
+from striptok.tokens import C1_GEO_BASE, C1_T_BASE, C1_UV_BASE, C2_BASE, C3_BASE, VOCAB_SIZE
 
 import oracles
 import synth
 from oracles import IDENTITY_TRANSFORM, encode_hier, strip_set
 from strategies import random_surfaces
 
-# the vocabulary's id ranges by name (half-open)
+# the vocabulary's id ranges by name (half-open), each from its base to the next
 VOCAB_RANGES = {
-    "C1_GEO": VOCAB.c1_geo,
-    "C1_T": VOCAB.c1_strip,
-    "C1_UV": VOCAB.c1_island,
-    "C2": VOCAB.c2,
-    "C3": VOCAB.c3,
+    "C1_GEO": (C1_GEO_BASE, C1_T_BASE),
+    "C1_T": (C1_T_BASE, C1_UV_BASE),
+    "C1_UV": (C1_UV_BASE, C2_BASE),
+    "C2": (C2_BASE, C3_BASE),
+    "C3": (C3_BASE, VOCAB_SIZE),
 }
 
 
@@ -84,20 +84,22 @@ def assert_serialize_matches_oracle(ss, uv_mode):
 
 class TestVocab:
     def test_total_size(self):
-        assert VOCAB.total_size == 4800
+        assert VOCAB_SIZE == 4800
 
     def test_ranges_partition_the_vocab(self):
         ranges = sorted(VOCAB_RANGES.values())
         assert ranges[0][0] == 0
         for (a0, a1), (b0, b1) in zip(ranges, ranges[1:]):
             assert a1 == b0
-        assert ranges[-1][1] == VOCAB.total_size
+        assert ranges[-1][1] == VOCAB_SIZE
 
     def test_range_sizes(self):
         r = VOCAB_RANGES
         assert r["C1_GEO"] == (0, 64)
         assert r["C1_T"] == (64, 128)
         assert r["C1_UV"] == (128, 192)
+        assert r["C2"] == (192, 704)
+        assert r["C3"] == (704, 4800)
         assert r["C2"] == (192, 704)
         assert r["C3"] == (704, 4800)
 
@@ -202,11 +204,20 @@ class TestSerialize:
         with pytest.raises(ValueError, match="empty"):
             serialize(manual_strip_set([]))
 
+    @pytest.mark.parametrize("shift", [512, -5])
+    def test_off_grid_keys_error(self, shift):
+        # off the grid a key's codes leave their level ranges: +512 makes the
+        # first token an island marker, and -5 wraps in uint16
+        q = quantize_mesh(synth.tri_grid(2, 2))
+        strips = extract_strips(replace(q, vertex_keys=q.vertex_keys + shift), 1)
+        with pytest.raises(ValueError, match=r"^grid coordinates must be in \[0, 512\)$"):
+            serialize(strips)
+
     def test_grammar_and_parse_lossless(self, full_corpus):
         for entry in full_corpus[::3]:
             q = quantize_mesh(entry.mesh, entry.partition)
             seq = serialize(extract_strips(q, entry.stride), uv_mode=entry.uv_mode)
-            assert all(0 <= t < VOCAB.total_size for t in seq.tokens)
+            assert all(0 <= t < VOCAB_SIZE for t in seq.tokens)
             stream = parse_tokens(seq)
             assert stream.discarded == 0, entry.name
             assert stream.consumed_tokens == len(seq.tokens)
@@ -223,7 +234,7 @@ class TestBaseline:
         for fi in oracles.seed_order(q):
             for v in ql.faces[fi]:
                 c1, c2, c3 = encode_hier(ql.vertex_keys[v])
-                tokens += [c1, VOCAB.c2[0] + c2, VOCAB.c3[0] + c3]
+                tokens += [c1, C2_BASE + c2, C3_BASE + c3]
         header = TokenHeader(False, 1, IDENTITY_TRANSFORM, len(q.faces))
         seq = TokenSequence(np.asarray(tokens, dtype=np.uint16), header)
         assert len(seq.tokens) == 9 * len(q.faces)

@@ -55,10 +55,9 @@ def assert_mesh_topology_matches(mesh: Mesh):
     """The package on ``mesh`` equals the per-face oracles on its list form."""
     lists = as_lists(mesh)
     assert is_edge_manifold(mesh) == oracles.is_edge_manifold(lists)
-    if mesh.face_uvs is not None:
-        got = uv_islands(mesh)
-        assert got.island_of_face.dtype == np.int64 and got.island_of_face.shape == (len(mesh.faces),)
-        assert as_lists(got) == oracles.uv_islands(lists)
+    got = uv_islands(mesh)
+    assert got.island_of_face.dtype == np.int64 and got.island_of_face.shape == (len(mesh.faces),)
+    assert as_lists(got) == oracles.uv_islands(lists)
 
 
 @given(st.one_of(random_grids(), random_surfaces()))
