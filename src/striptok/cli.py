@@ -1,15 +1,17 @@
 """Command-line front end: encode, decode, roundtrip, stats, filter, compare.
 
-All commands process files independently (``--jobs`` parallelizes across
-files; only ``stats --ref``'s sampling and neighbor pass also use threads
-within one, each process an equal share of the CPUs) and emit
-machine-readable reports ordered by input filename, so parallel and serial
-runs produce identical bytes.  Exit codes:
+All commands process files independently and emit machine-readable reports
+ordered by input filename, so parallel and serial runs produce identical
+bytes.  ``--jobs`` runs the files on that many processes, each with an
+equal share of the CPUs as its thread budget; a lone process runs its files
+on the budget's threads, and ``stats --ref`` spends a file's share of the
+budget on its sampling and neighbor pass.  Exit codes:
 0 success, 1 any file-level failure, 2 usage error.  :func:`encode_mesh` and
 :func:`decode_tokens` are the one encode and decode chain every command uses.
 A call imports only what it runs: :mod:`striptok.metrics`, and with it
-SciPy, loads for ``stats --ref`` or ``--tau``, and the process pool's
-module for ``--jobs`` above 1 with more than one file.
+SciPy, loads for ``stats --ref`` or ``--tau``, the process pool's module for
+``--jobs`` above 1 with more than one file, and the thread pool's module for
+a lone process with a budget above 1 and more than one file.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import shutil
@@ -269,18 +272,43 @@ def _cpus() -> int:
 
 
 def _run_jobs(paths, args):
-    """Every file's row, in order: on ``min(jobs, files)`` processes, each
-    with the thread budget ``args.threads``."""
+    """Every file's row, in order.
+
+    On ``min(jobs, files)`` processes, each with the thread budget
+    ``args.threads``.  A lone process runs its files on
+    ``k = min(args.threads, files)`` threads, the calling thread among them,
+    and gives each file the budget ``args.threads // k``: each thread takes
+    the next file from one shared counter and stores its row in that file's
+    slot, so rows come out in input order whichever thread ran them.
+    """
     paths = [str(p) for p in paths]
     procs = min(args.jobs, len(paths))
+    threads = min(args.threads, len(paths))
+    if args.ref and len(paths) > 1:  # built once here, so every file's worker shares it
+        args.reference.tree
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        if args.ref:  # built once here, so the forked workers inherit it
-            args.reference.tree
         with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(args,)) as pool:
             return list(pool.map(_run_in_worker, paths))
-    return [_run_one(path, args) for path in paths]
+    if threads == 1:
+        return [_run_one(path, args) for path in paths]
+    from concurrent.futures import ThreadPoolExecutor
+
+    file_args = argparse.Namespace(**{**vars(args), "threads": args.threads // threads})
+    rows = [None] * len(paths)
+    taken = itertools.count()
+
+    def take_files():
+        while (i := next(taken)) < len(paths):
+            rows[i] = _run_one(paths[i], file_args)
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        others = [pool.submit(take_files) for _ in range(threads - 1)]
+        take_files()
+        for other in others:
+            other.result()  # re-raises a pool thread's error
+    return rows
 
 
 def positive_int(text: str) -> int:

@@ -461,12 +461,17 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
     position that is NaN or infinite, a face or uv index out of range, a
     pad other than -1 in the last of 4 columns, ``face_uvs`` without
     ``uv_coords`` or whose shape or pads differ from ``faces``, or a
-    partition of another length.
+    partition whose labels are not a 1-D integer array of one label per
+    face.
     """
     if not len(mesh.positions) or not len(mesh.faces):
         raise ValueError("empty mesh")
-    if partition is not None and len(partition.island_of_face) != len(mesh.faces):
-        raise ValueError("partition does not match face count")
+    if partition is not None:
+        labels = partition.island_of_face
+        if not isinstance(labels, np.ndarray) or labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError("partition labels must be a 1-D integer array")
+        if len(labels) != len(mesh.faces):
+            raise ValueError("partition does not match face count")
     has_uvs = mesh.face_uvs is not None
     if mesh.positions.ndim != 2 or mesh.positions.shape[1] != 3:
         raise ValueError(f"positions must be (V, 3), got shape {mesh.positions.shape}")

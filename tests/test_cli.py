@@ -97,6 +97,47 @@ def recording_pool(monkeypatch):
     return started
 
 
+@pytest.fixture()
+def recording_threads(monkeypatch):
+    """Stands in for the CLI's thread pool: records each pool's size as it
+    starts and runs each submitted call at once, on the calling thread."""
+    started = []
+
+    class RecordingThreads:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            future = concurrent.futures.Future()
+            future.set_result(fn())
+            return future
+
+    # the CLI imports the pool class where the threads start, from here
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingThreads)
+    return started
+
+
+@pytest.fixture()
+def recording_budgets(monkeypatch):
+    """``(file name, thread budget)`` of every file the CLI runs, in the
+    order they start."""
+    ran = []
+    run_one = cli._run_one
+
+    def recording_run_one(path, args):
+        ran.append((Path(path).name, args.threads))
+        return run_one(path, args)
+
+    monkeypatch.setattr(cli, "_run_one", recording_run_one)
+    return ran
+
+
 METRIC_NAMES = (
     "MetricReport",
     "SampleSet",
@@ -116,10 +157,12 @@ from pathlib import Path
 import striptok, striptok.cli
 
 def loaded():
-    return [name for name in ("scipy", "concurrent.futures.process") if name in sys.modules]
+    names = ("scipy", "concurrent.futures.process", "concurrent.futures.thread")
+    return [name for name in names if name in sys.modules]
 
 meshes, quads, out = map(Path, sys.argv[1:])
 seen = {{"after import": loaded()}}
+striptok.cli._cpus = lambda: 1  # a thread budget of 1: every file on the calling thread
 runs = [
     ["encode", meshes, "--output", out / "enc1", "--report", out / "enc1.jsonl"],
     ["encode", quads, "--stride", "2", "--output", out / "enc2", "--report", out / "enc2.jsonl"],
@@ -132,6 +175,9 @@ runs = [
 ]
 codes = [striptok.cli.main([*map(str, argv), "--jobs", "1"]) for argv in runs]
 seen["after commands"] = loaded()
+striptok.cli._cpus = lambda: 2  # a budget of 2 runs the four token files on two threads
+codes.append(striptok.cli.main(["decode", str(out / "enc1"), "--output", str(out / "dec2"), "--report", str(out / "dec2.jsonl")]))
+seen["after a decode on two threads"] = loaded()
 ref = ["stats", out / "dec" / "grid.decoded.obj", "--ref", meshes / "grid.obj", "--samples", "200"]
 codes.append(striptok.cli.main([*map(str, ref), "--report", str(out / "scores.jsonl")]))
 seen["scipy after stats --ref"] = "scipy" in sys.modules
@@ -374,6 +420,118 @@ class TestParallel:
         assert r1.read_bytes() == r2.read_bytes()
 
 
+@pytest.fixture()
+def budget_inputs(obj_dir, quad_dir, tmp_path):
+    """obj_dir with a mesh ``filter`` accepts, and its tokens alongside those
+    of quad_dir: five meshes and seven token files."""
+    torus = synth.torus(25, 20, quads=False)
+    write_obj(synth.with_uv_groups(torus, [f // 84 for f in range(len(torus.faces))]), obj_dir / "torus.obj")
+    tokens = tmp_path / "tokens"
+    assert main(["encode", str(obj_dir), "--uv", "--output", str(tokens), "--report", str(tmp_path / "e1.jsonl")]) == 0
+    argv = ["encode", str(quad_dir), "--stride", "2", "--output", str(tokens), "--report", str(tmp_path / "e2.jsonl")]
+    assert main(argv) == 0
+    return obj_dir, tokens
+
+
+def budget_argv(command, meshes, tokens, out):
+    """One ``--jobs 1`` call of ``command`` whose every output is under ``out``."""
+    report = ["--report", str(out / "report.jsonl")]
+    argv = {
+        "encode": ["encode", meshes, "--uv", "--output", out / "files", *report],
+        "decode": ["decode", tokens, "--output", out / "files", *report],
+        "decode_as_triangles": ["decode", tokens, "--stride", "1", "--output", out / "files", *report],
+        "roundtrip": ["roundtrip", meshes, *report],
+        "filter": ["filter", meshes, "--output", out / "files", *report],
+        "compare": ["compare", meshes, "--output", out / "compare.csv"],
+        "stats": ["stats", tokens, *report],
+        "stats_ref": ["stats", meshes, "--ref", meshes / "ico.obj", "--samples", "3000", *report],
+    }[command]
+    return [*map(str, argv), "--jobs", "1"]
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestThreadBudget:
+    """A lone process runs its files on ``min(budget, files)`` threads, the
+    calling thread among them, and each file gets ``budget // threads``."""
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6], ids=["default_switch", "short_switch"])
+    @pytest.mark.parametrize(
+        "command",
+        ["encode", "decode", "decode_as_triangles", "roundtrip", "filter", "compare", "stats", "stats_ref"],
+    )
+    def test_same_bytes_at_any_budget(self, budget_inputs, tmp_path, monkeypatch, command, switch_interval):
+        # a short switch interval makes the threads trade the GIL often, so a
+        # row or a file written out of turn would show
+        meshes, tokens = budget_inputs
+        runs = []
+        interval = sys.getswitchinterval()
+        if switch_interval:
+            sys.setswitchinterval(switch_interval)
+        try:
+            for cpus in (1, 2, 3, 4):
+                monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+                out = tmp_path / f"cpus{cpus}"
+                assert main(budget_argv(command, meshes, tokens, out)) == 0
+                runs.append(tree_bytes(out))
+        finally:
+            sys.setswitchinterval(interval)
+        files = {"encode": 6, "decode": 8, "decode_as_triangles": 8, "filter": 2}.get(command, 1)  # the report too
+        assert len(runs[0]) == files
+        assert runs == [runs[0]] * 4
+
+    @pytest.mark.parametrize(
+        "cpus, files, pools, budget",
+        [
+            (1, 4, [], 1),
+            (2, 4, [1], 1),
+            (3, 4, [2], 1),
+            (4, 4, [3], 1),
+            (4, 3, [2], 1),
+            (4, 2, [1], 2),
+            (5, 2, [1], 2),
+            (4, 1, [], 4),
+        ],
+    )
+    def test_pool_size_and_file_budgets(
+        self, obj_dir, tmp_path, monkeypatch, recording_threads, recording_budgets, cpus, files, pools, budget
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        inputs = sorted(obj_dir.glob("*.obj"))[:files]
+        assert main(["roundtrip", *map(str, inputs), "--report", str(tmp_path / "r.jsonl")]) == 0
+        assert recording_threads == pools  # min(cpus, files) - 1 pool threads, none for one thread
+        assert recording_budgets == [(p.name, budget) for p in inputs]
+
+    def test_process_pool_workers_start_no_threads(
+        self, obj_dir, tmp_path, monkeypatch, recording_pool, recording_threads, recording_budgets
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: 4)
+        assert main(["roundtrip", str(obj_dir), "--jobs", "2", "--report", str(tmp_path / "r.jsonl")]) == 0
+        assert [pool["max_workers"] for pool in recording_pool] == [2]
+        assert recording_threads == []
+        assert [threads for _, threads in recording_budgets] == [2] * 4
+
+    @pytest.mark.parametrize("files, workers", [(4, 1), (2, 2)])
+    def test_stats_ref_files_share_the_budget_and_the_reference_tree(
+        self, obj_dir, tmp_path, monkeypatch, recording_threads, files, workers
+    ):
+        asked = []
+
+        def recording_compare(reference, *args, workers, **kwargs):
+            asked.append((workers, "tree" in vars(reference)))
+            return compare_meshes(reference, *args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(cli, "compare_meshes", recording_compare)
+        monkeypatch.setattr(cli, "_cpus", lambda: 4)
+        inputs = sorted(obj_dir.glob("*.obj"))[:files]
+        argv = ["stats", *map(str, inputs), "--ref", str(obj_dir / "grid.obj"), "--samples", "500"]
+        assert main([*argv, "--report", str(tmp_path / "r.jsonl")]) == 0
+        assert recording_threads == [files - 1]
+        assert asked == [(workers, True)] * files  # the tree was built before the first file ran
+
+
 class TestFilter:
     def test_filter_rules(self, tmp_path, capsys):
         d = tmp_path / "corpus"
@@ -489,9 +647,11 @@ class TestExitCodes:
 
     def test_commands_import_only_what_they_run(self, obj_dir, quad_dir, tmp_path):
         # a fresh interpreter: importing the package and its CLI, and every
-        # command but ``stats --ref`` on one process, load neither SciPy nor
-        # the process pool; ``stats --ref`` loads SciPy, and the metric names
-        # served by the package are the ones in ``striptok.metrics``
+        # command but ``stats --ref`` on one process with a thread budget of
+        # 1, load neither SciPy nor a pool; a budget of 2 over four files
+        # loads the thread pool alone; ``stats --ref`` loads SciPy, and the
+        # metric names served by the package are the ones in
+        # ``striptok.metrics``
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(obj_dir), str(quad_dir), str(tmp_path / "out")]
@@ -500,9 +660,10 @@ class TestExitCodes:
         assert json.loads(run.stdout) == {
             "after import": [],
             "after commands": [],
+            "after a decode on two threads": ["concurrent.futures.thread"],
             "scipy after stats --ref": True,
             "metric names": list(METRIC_NAMES),
-            "exit codes": [0] * 9,
+            "exit codes": [0] * 10,
         }
 
     def test_missing_inputs(self, tmp_path):

@@ -403,6 +403,31 @@ class TestWriteObj:
             write_obj(mesh, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            ([0] * 8, "1-D integer array"),  # a list, as quantize_mesh takes
+            (np.zeros(8), "1-D integer array"),
+            (np.zeros(8, dtype=bool), "1-D integer array"),
+            (np.zeros((8, 1), dtype=np.int64), "1-D integer array"),
+            (np.zeros(7, dtype=np.int64), "partition does not match face count"),
+            (np.zeros(9, dtype=np.int32), "partition does not match face count"),
+        ],
+        ids=["list", "float", "bool", "2d", "short", "long"],
+    )
+    def test_rejects_labels_that_are_not_one_int_per_face(self, tmp_path, labels, match):
+        path = tmp_path / "bad.obj"
+        with pytest.raises(ValueError, match=match):
+            write_obj(synth.tri_grid(2, 2), path, IslandPartition(labels, 1))
+        assert not path.exists()
+
+    def test_int32_labels_write_as_int64(self, tmp_path):
+        mesh = synth.tri_grid(2, 2)
+        labels = np.arange(8) % 3
+        write_obj(mesh, tmp_path / "a.obj", IslandPartition(labels.astype(np.int32), 3))
+        write_obj(mesh, tmp_path / "b.obj", IslandPartition(labels, 3))
+        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_positions(self, tmp_path, bad):
         # load_obj rejects the "v nan 0 0" or "v inf 0 0" line this would write
