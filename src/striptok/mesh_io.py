@@ -17,10 +17,9 @@ both return the same :class:`Mesh`.
 block is one ``uint8`` matrix of ASCII rows, NUL-padded, whose non-NUL
 bytes are the block's text.  Floats are formatted once per distinct bit
 pattern and indices read from a decimal table.  It raises ``ValueError``,
-before it opens the file, on a mesh :func:`load_obj` would not read back
-as given: a non-finite position, a negative index other than a -1 pad
-in the last of 4 columns, an index out of range, ``face_uvs`` without
-``uv_coords``, or ``face_uvs`` whose shape or pads differ from ``faces``.
+before it opens the file, on a mesh that fails :func:`check_mesh`: the
+array contract of a :class:`Mesh`, which every function that takes a
+caller's mesh checks first.
 
 Face adjacency (UV islands and the strip walk in ``strips``) is read from
 one stably sorted table of packed undirected edge keys,
@@ -421,11 +420,13 @@ def _index_table(count: int, separator: str) -> np.ndarray:
 
 
 def _check_corners(indices: np.ndarray, count: int, name: str) -> None:
-    """Raise ``ValueError`` unless ``indices`` is ``(F, 3)`` or ``(F, 4)``
-    with every entry in ``[0, count)``, but for -1 pads in the last of 4
-    columns."""
+    """Raise ``ValueError`` unless ``indices`` is an ``(F, 3)`` or ``(F, 4)``
+    integer array with every entry in ``[0, count)``, but for -1 pads in the
+    last of 4 columns."""
     if indices.ndim != 2 or indices.shape[1] not in (3, 4):
         raise ValueError(f"{name} must have 3 or 4 columns, got shape {indices.shape}")
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(f"{name} must be an integer array, got dtype {indices.dtype}")
     low = np.zeros(indices.shape[1], dtype=np.int64)
     low[3:] = -1
     bad = (indices < low) | (indices >= count)
@@ -435,6 +436,44 @@ def _check_corners(indices: np.ndarray, count: int, name: str) -> None:
             f"{name} row {row} is {indices[row].tolist()}: each index must be in [0, {count}),"
             " and a -1 pad may stand only in the last of 4 columns"
         )
+
+
+def _check_labels(labels, nfaces: int, mismatch: str) -> None:
+    """Raise ``ValueError`` unless ``labels`` is a 1-D integer array of
+    ``nfaces`` island labels; a wrong length raises ``mismatch``, formatted
+    with the label and face counts."""
+    if not isinstance(labels, np.ndarray) or labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("partition labels must be a 1-D integer array")
+    if len(labels) != nfaces:
+        raise ValueError(mismatch.format(len(labels), nfaces))
+
+
+def check_mesh(mesh: Mesh, labels: np.ndarray | None = None) -> None:
+    """Raise ``ValueError`` unless ``mesh`` holds the arrays :class:`Mesh`
+    describes, so :func:`load_obj` would read it back as given.
+
+    ``positions`` is ``(V, 3)`` and finite; ``faces`` is an integer ``(F,
+    3)`` or ``(F, 4)`` array of indices in ``[0, V)`` but for the -1 pad;
+    ``uv_coords`` is None or ``(T, 2)``; ``face_uvs`` is None, or with
+    ``uv_coords`` an integer array of indices in ``[0, T)`` with the shape
+    and the pads of ``faces``.  ``labels``, when given, are an island
+    partition's: a 1-D integer array of one label per face.
+    """
+    if labels is not None:
+        _check_labels(labels, len(mesh.faces), "partition does not match face count")
+    if mesh.positions.ndim != 2 or mesh.positions.shape[1] != 3:
+        raise ValueError(f"positions must be (V, 3), got shape {mesh.positions.shape}")
+    if not np.isfinite(mesh.positions).all():
+        raise ValueError("non-finite vertex coordinate")
+    _check_corners(mesh.faces, len(mesh.positions), "faces")
+    if mesh.face_uvs is not None and mesh.uv_coords is None:
+        raise ValueError("face_uvs without uv_coords")
+    if mesh.uv_coords is not None and (mesh.uv_coords.ndim != 2 or mesh.uv_coords.shape[1] != 2):
+        raise ValueError(f"uv_coords must be (T, 2), got shape {mesh.uv_coords.shape}")
+    if mesh.face_uvs is not None:
+        _check_corners(mesh.face_uvs, len(mesh.uv_coords), "face_uvs")
+        if not np.array_equal(mesh.face_uvs < 0, mesh.faces < 0):
+            raise ValueError("face_uvs must have the shape and the pads of faces")
 
 
 def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> None:
@@ -455,37 +494,14 @@ def write_obj(mesh: Mesh, path, partition: IslandPartition | None = None) -> Non
     ``uv_coords`` without ``face_uvs``, as :func:`load_obj` returns an OBJ
     whose faces name no uvs, writes its ``vt`` records and plain corners.
 
-    Raises ``ValueError``, before the file is opened, on a mesh that
-    :func:`load_obj` would not read back as given: no positions or faces,
-    ``positions`` not ``(V, 3)`` or ``uv_coords`` not ``(T, 2)``, a
-    position that is NaN or infinite, a face or uv index out of range, a
-    pad other than -1 in the last of 4 columns, ``face_uvs`` without
-    ``uv_coords`` or whose shape or pads differ from ``faces``, or a
-    partition whose labels are not a 1-D integer array of one label per
-    face.
+    Raises ``ValueError``, before the file is opened, on a mesh with no
+    positions or faces, or one that fails :func:`check_mesh` with the
+    partition's labels.
     """
     if not len(mesh.positions) or not len(mesh.faces):
         raise ValueError("empty mesh")
-    if partition is not None:
-        labels = partition.island_of_face
-        if not isinstance(labels, np.ndarray) or labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("partition labels must be a 1-D integer array")
-        if len(labels) != len(mesh.faces):
-            raise ValueError("partition does not match face count")
+    check_mesh(mesh, None if partition is None else partition.island_of_face)
     has_uvs = mesh.face_uvs is not None
-    if mesh.positions.ndim != 2 or mesh.positions.shape[1] != 3:
-        raise ValueError(f"positions must be (V, 3), got shape {mesh.positions.shape}")
-    if not np.isfinite(mesh.positions).all():
-        raise ValueError("non-finite vertex coordinate")
-    _check_corners(mesh.faces, len(mesh.positions), "faces")
-    if has_uvs and mesh.uv_coords is None:
-        raise ValueError("face_uvs without uv_coords")
-    if mesh.uv_coords is not None and (mesh.uv_coords.ndim != 2 or mesh.uv_coords.shape[1] != 2):
-        raise ValueError(f"uv_coords must be (T, 2), got shape {mesh.uv_coords.shape}")
-    if has_uvs:
-        _check_corners(mesh.face_uvs, len(mesh.uv_coords), "face_uvs")
-        if not np.array_equal(mesh.face_uvs < 0, mesh.faces < 0):
-            raise ValueError("face_uvs must have the shape and the pads of faces")
 
     blocks = [_lines(len(mesh.positions), b"v", _float_cells(mesh.positions), b"\n")]
     faces, face_uvs = mesh.faces, mesh.face_uvs
@@ -654,12 +670,12 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
     indices at both endpoints of that edge; islands are the connected
     components of that relation, numbered by :func:`first_occurrence` of
     their lowest face.  A mesh without uv indices is one island (none
-    without faces).
+    without faces).  A mesh that fails :func:`check_mesh` raises
+    ``ValueError``.
     """
+    check_mesh(mesh)
     faces, fuvs = mesh.faces, mesh.face_uvs
     nfaces = len(faces)
-    if fuvs is not None and (faces.shape != fuvs.shape or ((faces < 0) != (fuvs < 0)).any()):
-        raise ValueError("face_uvs does not match faces")
     if fuvs is None or not nfaces:
         return IslandPartition(island_of_face=np.zeros(nfaces, dtype=np.int64), island_count=min(nfaces, 1))
 
@@ -683,11 +699,9 @@ def _merged_faces(mesh: Mesh) -> tuple[np.ndarray, int]:
     Positions merge iff their bytes are equal; ``+ 0.0`` first turns -0.0
     into 0.0, so the two merge, as equal floats do.  Each column of the
     positions' bits is ranked by ``np.unique`` (negative bits do not pack),
-    and :func:`rank_rows` ranks the rows of those narrow ranks.  A face
-    index out of range, or a pad other than :class:`Mesh`'s, raises
-    ``ValueError``.
+    and :func:`rank_rows` ranks the rows of those narrow ranks.  The mesh
+    must have passed :func:`check_mesh`.
     """
-    _check_corners(mesh.faces, len(mesh.positions), "faces")
     bits = (np.asarray(mesh.positions, dtype=np.float64) + 0.0).view(np.int64)
     ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in bits.T], axis=1)
     merged = np.append(rank_rows(ranks), -1)  # a -1 pad reads the appended -1
@@ -707,7 +721,9 @@ def _edge_manifold(faces: np.ndarray, n: int) -> bool:
 
 
 def is_edge_manifold(mesh: Mesh) -> bool:
-    """True iff every edge bounds at most two faces after duplicate merge."""
+    """True iff every edge bounds at most two faces after duplicate merge.
+    A mesh that fails :func:`check_mesh` raises ``ValueError``."""
+    check_mesh(mesh)
     return _edge_manifold(*_merged_faces(mesh))
 
 
@@ -724,7 +740,10 @@ def corpus_filter(mesh: Mesh, partition: IslandPartition | None = None) -> Filte
     face count in [500, 16000], merged vertex/face ratio <= 1.0, and island
     count, the distinct labels of a supplied partition, in [10, 300].
     Rejection names the first failing rule; it is a value, not an error.
+    A mesh and partition labels that fail :func:`check_mesh` raise
+    ``ValueError`` before any rule is applied.
     """
+    check_mesh(mesh, None if partition is None else partition.island_of_face)
     merged, vertex_count = _merged_faces(mesh)
     if not _edge_manifold(merged, vertex_count):
         return FilterResult(False, "manifold")
@@ -737,7 +756,7 @@ def corpus_filter(mesh: Mesh, partition: IslandPartition | None = None) -> Filte
         return FilterResult(False, "vertex_face_ratio")
 
     if partition is not None:
-        islands = len(first_occurrence(np.asarray(partition.island_of_face, dtype=np.int64))[1])
+        islands = len(np.unique(partition.island_of_face))
         if not ISLAND_COUNT_RANGE[0] <= islands <= ISLAND_COUNT_RANGE[1]:
             return FilterResult(False, "island_count")
 

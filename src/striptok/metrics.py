@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh_io import Mesh, _check_corners, split_quad_faces
+from .mesh_io import Mesh, check_mesh, split_quad_faces
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_TAU = 0.003
@@ -61,10 +61,11 @@ class MetricReport:
 
 
 def _triangles(mesh: Mesh) -> np.ndarray:
-    """``(3, T, 3)``: the first, second and third corners of each triangle."""
+    """``(3, T, 3)``: the first, second and third corners of each triangle;
+    ``ValueError`` on no faces or a mesh that fails ``check_mesh``."""
     if not len(mesh.faces):
         raise ValueError("mesh has no faces")
-    _check_corners(mesh.faces, len(mesh.positions), "faces")
+    check_mesh(mesh)
     return mesh.positions[split_quad_faces(mesh.faces).T]
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, Mesh, _check_corners, first_occurrence, rank_rows, sort_rows
+from .mesh_io import IslandPartition, Mesh, check_mesh, first_occurrence, rank_rows, sort_rows
+from .mesh_io import _check_corners, _check_labels
 
 GRID = 512
 EPS = 1e-9
@@ -60,6 +61,17 @@ class QuantizedMesh:
                 f" + dropped degenerate {self.dropped_degenerate}"
                 f" + dropped duplicate {self.dropped_duplicate}"
             )
+
+
+def check_quantized(q: QuantizedMesh) -> None:
+    """Raise ``ValueError`` unless ``q`` holds ``(V, 3)`` ``vertex_keys``,
+    ``faces`` of indices into them under the :class:`~striptok.mesh_io.Mesh`
+    rules, and a 1-D integer array of one island label per face.  Keys off
+    the grid are rejected where they are coded, by :func:`encode_hier`."""
+    if q.vertex_keys.ndim != 2 or q.vertex_keys.shape[1] != 3:
+        raise ValueError(f"vertex_keys must be (V, 3), got shape {q.vertex_keys.shape}")
+    _check_corners(q.faces, len(q.vertex_keys), "faces")
+    _check_labels(q.island_of_face, len(q.faces), "{} island labels for {} faces")
 
 
 # weight of each axis (row) within each level's code (column): x-major
@@ -142,25 +154,21 @@ def quantize_mesh(
     order).  Normalization is ``(p - center) / scale`` per axis, and a
     coordinate snaps to cell ``int(c * GRID)`` clamped to
     ``[0, GRID - 1]`` (within ``EPS`` of the unit interval; farther out
-    raises ``ValueError``).  A face index out of range raises
-    ``ValueError``, and faces must share one degree: a mesh that mixes
-    triangles and quads (padded rows) raises ``ValueError``.  Non-finite
-    positions, or a transform that makes them non-finite, raise
-    ``ValueError``.
+    raises ``ValueError``).  A mesh with no faces, or one that fails
+    :func:`~striptok.mesh_io.check_mesh` with the partition's labels,
+    raises ``ValueError``; so do faces of more than one degree (a mesh
+    that mixes triangles and quads in padded rows) and a transform that
+    makes positions non-finite.
     """
     if not len(mesh.faces):
         raise ValueError("empty mesh")
-    _check_corners(mesh.faces, len(mesh.positions), "faces")
+    # asarray: a caller may pass the labels as a list (perfbench/workloads.py does)
+    labels = None if partition is None else np.asarray(partition.island_of_face)
+    check_mesh(mesh, labels)
     if (mesh.faces < 0).any():
         raise ValueError("mixed triangle/quad faces: encoding takes faces of one degree")
-    if partition is not None and len(partition.island_of_face) != len(mesh.faces):
-        raise ValueError("partition does not match face count")
     points = mesh.positions
-    if not np.isfinite(points).all():
-        raise ValueError("non-finite vertex coordinate")
     if transform is None:
-        if not len(points):
-            raise ValueError("empty mesh")
         lo = points.min(axis=0)
         extent = (points.max(axis=0) - lo).max().item()
         if extent <= 0.0:
@@ -187,12 +195,10 @@ def quantize_mesh(
 
     ids, first = first_occurrence(corners.reshape(-1))
 
-    if partition is None:
+    if labels is None:
         island_of_face = np.zeros(len(kept), dtype=np.int64)
     else:
-        # asarray: a caller may pass the labels as a list (perfbench/workloads.py does)
-        labels = np.asarray(partition.island_of_face)[kept]
-        island_of_face = rank_rows(labels[:, None])
+        island_of_face = rank_rows(labels[kept, None])
 
     return QuantizedMesh(
         vertex_keys=grid[mesh.faces[kept].reshape(-1)[first]],

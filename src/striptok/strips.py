@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_io import first_occurrence, rank_rows, sort_rows, sorted_edge_keys, stable_order
-from .quantize import QuantizedMesh, Transform
+from .quantize import QuantizedMesh, Transform, check_quantized
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
 
@@ -83,9 +83,10 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     lowest face), and stops at boundaries and visited faces.  The decoder
     winds each face by its strip position, so a strip holds only faces of
     one orientation, and a face wound against its neighbours starts its own
-    strip.  A face that repeats a corner, a stride other than 1 or 2, an
-    ``up_axis`` other than x, y or z, or island labels that are not one per
-    face raise ``ValueError``.
+    strip.  A stride other than 1 or 2, an ``up_axis`` other than x, y or
+    z, a mesh that fails :func:`~striptok.quantize.check_quantized`, faces
+    not of the stride's degree, or a face that repeats a corner raise
+    ``ValueError``.
 
     "Lowest face" compares sorted vertex-rank tuples, ties going to the
     lower face index.  The faces are renumbered once in seed order (island
@@ -106,10 +107,9 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
         raise ValueError(f"stride must be 1 or 2, got {stride}")
     if up_axis not in _AXIS:
         raise ValueError(f"up_axis must be x, y or z, got {up_axis!r}")
+    check_quantized(q)
     degree = 3 if stride == 1 else 4
     faces, nfaces, nkeys = q.faces, len(q.faces), len(q.vertex_keys)
-    if len(q.island_of_face) != nfaces:
-        raise ValueError(f"{len(q.island_of_face)} island labels for {nfaces} faces")
     if not nfaces:
         empty = np.zeros(0, dtype=np.int64)
         return StripSet(empty, np.zeros(1, dtype=np.int64), empty, q.vertex_keys, stride, q.transform)

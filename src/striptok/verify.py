@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh_io import rank_rows, sort_rows
-from .quantize import QuantizedMesh
+from .quantize import QuantizedMesh, check_quantized
 
 
 def _key_codes(source: QuantizedMesh, decoded: QuantizedMesh):
@@ -76,12 +76,16 @@ def compare_quantized(source: QuantizedMesh, decoded: QuantizedMesh) -> tuple[bo
     """Check face multiset, winding, and island partition.
 
     Returns (ok, detail); detail names the first divergence.  Raises
-    ``ValueError`` when the source repeats a face key set.  With one source
-    face per key set, matching partitions also give each island the same
-    vertex keys on both sides.  A decoded face is wound as its source face
-    when it is any rotation of it, also where the source face repeats a key
-    (``quantize_mesh`` keeps no such face, but a caller may pass one).
+    ``ValueError`` when either mesh fails
+    :func:`~striptok.quantize.check_quantized` or the source repeats a face
+    key set.  With one source face per key set, matching partitions also
+    give each island the same vertex keys on both sides.  A decoded face is
+    wound as its source face when it is any rotation of it, also where the
+    source face repeats a key (``quantize_mesh`` keeps no such face, but a
+    caller may pass one).
     """
+    check_quantized(source)
+    check_quantized(decoded)
     if not len(source.faces) and not len(decoded.faces):
         return True, ""
     src_codes, dec_codes = _key_codes(source, decoded)

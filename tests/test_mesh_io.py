@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
 import random
 import tempfile
 from pathlib import Path
@@ -8,13 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import striptok
 from striptok import (
     IslandPartition,
     Mesh,
     ObjParseError,
+    compare_meshes,
     corpus_filter,
     decode_tokens,
     dequantize_mesh,
+    extract_strips,
     load_obj,
     quantize_mesh,
     sample_surface,
@@ -24,6 +29,7 @@ from striptok import (
 )
 from striptok import mesh_io
 from striptok.mesh_io import is_edge_manifold
+from striptok.verify import compare_quantized
 
 from oracles import as_arrays, as_lists, mesh_signature
 import synth
@@ -329,6 +335,19 @@ def test_bulk_parse_equals_per_line_loop(text):
         assert _outcome(load_obj, path) == want
 
 
+# every function a caller's Mesh enters by, as a call of (mesh, path): only
+# write_obj writes to the path
+MESH_ENTRY_POINTS = {
+    "write_obj": write_obj,
+    "uv_islands": lambda mesh, path: uv_islands(mesh),
+    "quantize_mesh": lambda mesh, path: quantize_mesh(mesh),
+    "is_edge_manifold": lambda mesh, path: is_edge_manifold(mesh),
+    "corpus_filter": lambda mesh, path: corpus_filter(mesh),
+    "sample_surface": lambda mesh, path: sample_surface(mesh, n=16),
+    "compare_meshes": lambda mesh, path: compare_meshes(synth.tri_grid(1, 1), mesh, n=16),
+}
+
+
 class TestWriteObj:
     def test_round_trip_identity(self, tmp_path):
         mesh = synth.icosphere(1)
@@ -373,11 +392,13 @@ class TestWriteObj:
             write_obj(as_arrays(Mesh(positions=[], faces=[])), tmp_path / "e.obj")
 
     # Meshes that load_obj would not read back as given: write_obj raises
-    # before it opens the file.  A trailing "f ..." comment is the line that
-    # writing the mesh unchecked would give.
+    # before it opens the file, and every other entry point raises too.  A
+    # trailing "f ..." comment is the line that writing the mesh unchecked
+    # would give.
     SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     TWO_UVS = np.array([[0.0, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("entry", MESH_ENTRY_POINTS)
     @pytest.mark.parametrize(
         "faces, uv_coords, face_uvs, match",
         [
@@ -394,13 +415,15 @@ class TestWriteObj:
             ([[0, 1]], None, None, "faces must have 3 or 4 columns"),
             ([[0, 1, 2]], TWO_UVS[:, :1], None, r"uv_coords must be \(T, 2\)"),  # vt 0 and vt 1 with f 1 2 3
             ([[0, 1, 2]], None, [[0, 1, 0]], "face_uvs without uv_coords"),  # f 1 2 3, its uvs lost
+            ([[0.0, 1.0, 2.0]], None, None, "faces must be an integer array"),  # f 1.0 2.0 3.0
+            ([[0, 1, 2]], TWO_UVS, [[0.0, 1.0, 0.0]], "face_uvs must be an integer array"),
         ],
     )
-    def test_rejects_what_load_obj_would_not_read_back(self, tmp_path, faces, uv_coords, face_uvs, match):
+    def test_rejects_what_load_obj_would_not_read_back(self, tmp_path, faces, uv_coords, face_uvs, match, entry):
         mesh = Mesh(self.SQUARE, np.array(faces), uv_coords, None if face_uvs is None else np.array(face_uvs))
         path = tmp_path / "bad.obj"
         with pytest.raises(ValueError, match=match):
-            write_obj(mesh, path)
+            MESH_ENTRY_POINTS[entry](mesh, path)
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -461,8 +484,21 @@ class TestWriteObj:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("entry", MESH_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "bad, match", [("nan", "^non-finite vertex coordinate$"), ("2d", r"^positions must be \(V, 3\)")]
+)
+def test_entry_points_check_positions(tmp_path, bad, match, entry):
+    mesh = synth.tri_grid(3, 3)
+    positions = mesh.positions.copy()
+    positions[4, 1] = np.nan
+    mesh = Mesh(positions if bad == "nan" else mesh.positions[:, :2], mesh.faces)
+    with pytest.raises(ValueError, match=match):
+        MESH_ENTRY_POINTS[entry](mesh, tmp_path / "bad.obj")
+
+
 @pytest.mark.parametrize("index", [-3, "V"])
-@pytest.mark.parametrize("entry", [quantize_mesh, is_edge_manifold, sample_surface])
+@pytest.mark.parametrize("entry", [quantize_mesh, is_edge_manifold, sample_surface, uv_islands, corpus_filter])
 def test_entry_points_check_face_indices(entry, index):
     # as write_obj does: no index counts from the end or reads past the positions
     mesh = synth.tri_grid(3, 3)
@@ -470,6 +506,46 @@ def test_entry_points_check_face_indices(entry, index):
     faces[2, 1] = len(mesh.positions) if index == "V" else index
     with pytest.raises(ValueError, match=r"^faces row 2 is "):
         entry(Mesh(mesh.positions, faces))
+
+
+@pytest.mark.parametrize("index", [-3, "V"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda bad, good: extract_strips(bad, 1),
+        lambda bad, good: compare_quantized(bad, good),
+        lambda bad, good: compare_quantized(good, bad),
+    ],
+    ids=["extract_strips", "compare_quantized_source", "compare_quantized_decoded"],
+)
+def test_quantized_entry_points_check_face_indices(entry, index):
+    # no face index counts from the end or reads past the vertex keys
+    good = quantize_mesh(synth.tri_grid(3, 3))
+    faces = good.faces.copy()
+    faces[2, 1] = len(good.vertex_keys) if index == "V" else index
+    with pytest.raises(ValueError, match=r"^faces row 2 is "):
+        entry(dataclasses.replace(good, faces=faces), good)
+
+
+def test_array_contract_is_checked_in_one_place():
+    # the index-row rules (_check_corners) and the label rules (_check_labels)
+    # are called only by the check of each mesh type, which every entry
+    # point calls: an inline copy elsewhere would be a second wording
+    helpers = ("_check_corners", "_check_labels")
+    callers = {name: set() for name in helpers}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in helpers:
+                    callers[name].add(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    for path in sorted(Path(striptok.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    checks = {"mesh_io.check_mesh", "quantize.check_quantized"}
+    assert callers == {name: checks for name in helpers}
 
 
 class TestUvIslands:
@@ -625,6 +701,20 @@ class TestCorpusFilter:
             faces=np.array([(0, 1, 2), (5, 6, 3), (0, 1, 4)]),
         )
         assert not is_edge_manifold(dup)
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            (np.zeros(7, dtype=np.int64), "partition does not match face count"),
+            (np.zeros(9, dtype=np.int64), "partition does not match face count"),
+            (np.zeros(8), "1-D integer array"),
+        ],
+        ids=["short", "long", "float"],
+    )
+    def test_partition_is_checked_before_any_rule(self, labels, match):
+        # 8 faces fail the face count, which is not reached
+        with pytest.raises(ValueError, match=match):
+            corpus_filter(synth.tri_grid(2, 2), IslandPartition(labels, 1))
 
     def test_order_independence(self):
         mesh = grid_with_faces(600)

@@ -255,6 +255,12 @@ class TestExtractTriangles:
         with pytest.raises(ValueError, match=rf"^{len(island_of_face)} island labels for 8 faces$"):
             extract_strips(bad, 1)
 
+    def test_integer_island_labels(self):
+        q = quantize(synth.tri_grid(2, 2))
+        bad = QuantizedMesh(q.vertex_keys, q.faces, q.island_of_face.astype(np.float64), q.transform)
+        with pytest.raises(ValueError, match="^partition labels must be a 1-D integer array$"):
+            extract_strips(bad, 1)
+
 
 class TestExtractQuads:
     def test_quad_ribbon_single_strip(self):

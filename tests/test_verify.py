@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +174,23 @@ def test_edge_cases_match_oracle():
     for source, decoded in cases:
         assert_matches_oracle(source, decoded)
         assert_matches_oracle(decoded, source)
+
+
+@pytest.mark.parametrize("side", ["source", "decoded"])
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        ([0], "^1 island labels for 2 faces$"),
+        ([0, 1, 1], "^3 island labels for 2 faces$"),
+        ([0.0, 1.0], "^partition labels must be a 1-D integer array$"),
+    ],
+    ids=["short", "long", "float"],
+)
+def test_one_integer_island_label_per_face(labels, match, side):
+    good = as_arrays(_mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], [0, 1]))
+    bad = replace(good, island_of_face=np.array(labels))
+    with pytest.raises(ValueError, match=match):
+        compare_quantized(bad, good) if side == "source" else compare_quantized(good, bad)
 
 
 def test_repeated_key_set_raises_in_the_source_only():
