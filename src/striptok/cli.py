@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", help="reference OBJ; inputs are then meshes to score")
     p.add_argument("--samples", type=positive_int)  # unset: metrics.DEFAULT_SAMPLES
     p.add_argument("--tau", type=tau)  # unset: metrics.DEFAULT_TAU
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # unset: 0
 
     p = sub.add_parser("filter", help="apply corpus admission rules")
     common(p, with_axis=False)
@@ -403,6 +403,11 @@ def _compare_csv(rows) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = args.command
+    if cmd == "stats" and not args.ref:
+        for flag in ("samples", "tau", "seed"):
+            if getattr(args, flag) is not None:
+                print(f"--{flag} applies only with --ref", file=sys.stderr)
+                return 2
 
     suffix = TOKEN_SUFFIX if cmd in ("decode", "stats") and not args.ref else ".obj"
     paths = _collect(args.inputs, suffix)
@@ -420,6 +425,7 @@ def main(argv=None) -> int:
 
         args.samples = args.samples or metrics.DEFAULT_SAMPLES
         args.tau = args.tau or metrics.DEFAULT_TAU
+        args.seed = args.seed or 0
         try:
             args.reference = metrics.sample_surface(
                 load_obj(Path(args.ref)), n=args.samples, seed=args.seed, workers=args.threads

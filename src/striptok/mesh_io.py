@@ -21,10 +21,11 @@ before it opens the file, on a mesh that fails :func:`check_mesh`: the
 array contract of a :class:`Mesh`, which every function that takes a
 caller's mesh checks first.
 
-Face adjacency (UV islands and the strip walk in ``strips``) is read from
-one stably sorted table of packed undirected edge keys,
-:func:`sorted_edge_keys`; the manifold check sorts the same keys, but
-needs no order.
+Face adjacency is read from packed undirected edge keys,
+:func:`_edge_keys`.  UV islands join the faces of equal keys and the
+manifold check counts them, so neither needs an order among equal keys;
+the strip walk in ``strips`` sorts them with each edge's direction, stably
+in face order, and keeps to an island by what it has visited.
 
 Every stable order from OBJ to tokens and back to the comparison is one
 rule, :func:`stable_order` (rows: :func:`sort_rows`): NumPy's stable
@@ -610,7 +611,15 @@ def rank_rows(rows: np.ndarray) -> np.ndarray:
 def _edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Packed undirected keys of the face edges that exist, in edge order,
     and their indices into the flattened edge list (None when every edge
-    exists); see :func:`sorted_edge_keys`."""
+    exists).
+
+    ``faces`` is an ``(F, d)`` array of node ids in ``[0, n)``, with the -1
+    pad of :class:`Mesh`.  Edge ``k`` of face ``f`` joins corners ``k`` and
+    ``k + 1`` (mod the face's degree) and is entry ``f * d + k`` of the
+    flattened edge list; a padded row has its three triangle edges, and its
+    pad starts none.  An edge's key is ``min * n + max`` of its two nodes,
+    so both directions of an edge share one key.
+    """
     b = np.roll(faces, -1, axis=1)
     edges = None
     if (faces < 0).any():
@@ -619,26 +628,6 @@ def _edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None
         edges = np.flatnonzero(faces >= 0)
     keys = (np.minimum(faces, b) * n + np.maximum(faces, b)).reshape(-1)
     return (keys, None) if edges is None else (keys[edges], edges)
-
-
-def sorted_edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed undirected keys of every face edge, in stable sorted order.
-
-    ``faces`` is an ``(F, d)`` array of node ids in ``[0, n)``, with the -1
-    pad of :class:`Mesh`.  Edge ``k`` of face ``f`` joins corners ``k`` and
-    ``k + 1`` (mod the face's degree) and is entry ``f * d + k`` of the
-    flattened edge list; a padded row has its three triangle edges, and its
-    pad starts none.  An edge's key is ``min * n + max`` of its two nodes,
-    so both directions of an edge share one key.  Returns ``(order, keys)``:
-    the edge indices sorted by key, and the sorted keys.  Equal keys keep
-    ascending edge, so face, order: the preference order of
-    :func:`~striptok.strips.extract_strips`, which numbers faces by it.
-    The order is :func:`stable_order`'s, so it packs each key with its
-    index and falls back to a stable argsort when that overflows.
-    """
-    keys, edges = _edge_keys(faces, n)
-    order, ordered = stable_order(keys)
-    return (order, ordered) if edges is None else (edges[order], ordered)
 
 
 def _component_roots(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -682,12 +671,13 @@ def uv_islands(mesh: Mesh) -> IslandPartition:
     # one node per distinct (vertex, uv) corner; pads stay -1
     nodes = rank_rows(np.stack([faces.reshape(-1), fuvs.reshape(-1)], axis=1))
     nodes = np.where(faces < 0, -1, nodes.reshape(faces.shape))
-    order, keys = sorted_edge_keys(nodes, int(nodes.max()) + 1)
+    keys, edges = _edge_keys(nodes, int(nodes.max()) + 1)
+    order, keys = stable_order(keys)
+    face = (order if edges is None else edges[order]) // faces.shape[1]
 
     # faces of neighbouring equal keys share that (vertex, uv) edge
     same = np.flatnonzero(keys[1:] == keys[:-1])
-    degree = faces.shape[1]
-    roots = _component_roots(nfaces, order[same] // degree, order[same + 1] // degree)
+    roots = _component_roots(nfaces, face[same], face[same + 1])
     labels, first = first_occurrence(roots)
     return IslandPartition(island_of_face=labels, island_count=len(first))
 

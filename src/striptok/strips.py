@@ -7,20 +7,22 @@ faces under a coordinate order, islands are traversed bottom-to-top along
 the configured vertical axis, and strips never leave their island.  A step
 enters only a face that runs along the frontier edge the other way from
 the face it leaves, so a strip decodes to its faces' own windings.
-Faces are renumbered in seed order, and growth steps over face-edge
-slots sorted by edge key, island and direction: the faces a step may
-enter are one range of them.  The walk records its seeds and entry slots,
-and NumPy gathers the keys afterwards.  A :class:`StripSet` holds the
-strips as flat arrays, one strip's keys after another's.
+Faces are renumbered in seed order, so an island's faces are one run, and
+growth steps over face-edge slots sorted by edge key and direction: the
+faces a step may enter are one range of them.  Every face outside the run
+being walked reads as visited, so a strip keeps to its island.  NumPy
+gathers the keys after the walk.  A :class:`StripSet` holds the strips as
+flat arrays, one strip's keys after another's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from .mesh_io import first_occurrence, rank_rows, sort_rows, sorted_edge_keys, stable_order
+from .mesh_io import _edge_keys, first_occurrence, rank_rows, sort_rows, stable_order
 from .quantize import QuantizedMesh, Transform, check_quantized
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
@@ -92,16 +94,16 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     lower face index.  The faces are renumbered once in seed order (island
     position, then lowest first), so the walk prefers the lower index.
     Slot ``f * d + j`` is edge ``j`` of face ``f``, from ``face[j]`` to
-    ``face[j + 1]``.  The slots are sorted by edge key, island position and
-    direction, stably in face order, so the faces that may follow slot
-    ``s`` are one range of the sorted slots: the adjacent group with ``s``'s
-    key and island and the other direction.  The next face is the first
-    unvisited one there.  Every step enters its face the same way, so the
-    next frontier depends on the step's parity alone, not on the face's
-    corners: at stride 1, edge ``j + 2`` after an odd step and ``j + 1``
-    after an even one; at stride 2, always ``j + 2``.  The walk reads no
-    key: it records a trail of seeds and entry slots, and the keys are
-    gathered from the faces after it.
+    ``face[j + 1]``.  The slots are sorted by edge key and direction,
+    stably in face order, so the faces that may follow slot ``s`` are one
+    range of the sorted slots: the adjacent group with ``s``'s key and the
+    other direction.  The next face is the first unvisited one there, and
+    faces of other islands count as visited.  Every step enters its face
+    the same way, so the next frontier depends on the step's parity alone,
+    not on the face's corners: at stride 1, edge ``j + 2`` after an odd
+    step and ``j + 1`` after an even one; at stride 2, always ``j + 2``.
+    The walk reads no key: it records a trail of seeds and entry slots, and
+    the keys are gathered from the faces after it.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -138,25 +140,20 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     # a seed starts at its lowest-ranked corner
     lowest_corner = np.argmin(rank_arr[faces], axis=1)
 
-    # slots by edge key, island position, then direction (up, face[j] <
-    # face[j + 1], before down), stably in face order: an edge's slots are
-    # in face order, so in island order, and the direction sort moves slots
-    # only within one (key, island) pair
-    slot_order, edge_keys = sorted_edge_keys(faces, nkeys)
-    down = (faces > np.roll(faces, -1, axis=1)).reshape(-1)[slot_order]
-    slot_island = position[slot_order // degree]
-    pair_head = np.r_[True, (edge_keys[1:] != edge_keys[:-1]) | (slot_island[1:] != slot_island[:-1])]
-    pair = np.cumsum(pair_head) - 1
-    resort, _ = stable_order(2 * pair + down)
-    slot_order, up = slot_order[resort], ~down[resort]
-    # the slots across slot s's edge that run the other way:
-    # slot_order[lo[s]:hi[s]], a pair's up slots before its down slots
-    starts = np.flatnonzero(pair_head)
+    # slots by edge key, then direction (up, face[j] < face[j + 1], before
+    # down), stably in face order: an edge's up slots, then its down slots
+    down = faces > np.roll(faces, -1, axis=1)
+    slot_order, ordered = stable_order(2 * _edge_keys(faces, nkeys)[0] + down.reshape(-1))
+    # the slots across slot s's edge that run the other way: slot_order[lo[s]:hi[s]]
+    edge_key, down = np.divmod(ordered, 2)
+    edge_head = np.r_[True, edge_key[1:] != edge_key[:-1]]
+    edge = np.cumsum(edge_head) - 1
+    starts = np.flatnonzero(edge_head)
     stops = np.r_[starts[1:], len(slot_order)]
-    mids = (starts + np.add.reduceat(up, starts))[pair]
+    mids = (stops - np.add.reduceat(down, starts))[edge]
     lo, hi = np.empty_like(slot_order), np.empty_like(slot_order)
-    lo[slot_order] = np.where(up, mids, starts[pair])
-    hi[slot_order] = np.where(up, stops[pair], mids)
+    lo[slot_order] = np.where(down, starts[edge], mids)
+    hi[slot_order] = np.where(down, mids, stops[edge])
 
     # sorted slot c enters face face_at[c] across its edge j[c]; the range
     # the walk tries next, after an odd step and after an even one, and
@@ -173,25 +170,28 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     seed_lo, seed_hi = memoryview(lo[seed_slot]), memoryview(hi[seed_slot])
     entry_face = memoryview(face_at)
 
-    visited = [False] * nfaces
+    # faces outside the island being walked read as visited: its run is cleared as the walk reaches it
+    visited = [True] * nfaces
     # a seed as -1 - seed, a step as its sorted slot
     trail: list[int] = []
-    for seed in range(nfaces):
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        trail.append(-1 - seed)
-        a, b, even = seed_lo[seed], seed_hi[seed], 0
-        while True:
-            for c in range(a, b):
-                if not visited[entry_face[c]]:
+    for first, stop in pairwise(np.r_[0, np.cumsum(np.bincount(position))].tolist()):
+        visited[first:stop] = [False] * (stop - first)
+        for seed in range(first, stop):
+            if visited[seed]:
+                continue
+            visited[seed] = True
+            trail.append(-1 - seed)
+            a, b, even = seed_lo[seed], seed_hi[seed], 0
+            while True:
+                for c in range(a, b):
+                    if not visited[entry_face[c]]:
+                        break
+                else:
                     break
-            else:
-                break
-            visited[entry_face[c]] = True
-            trail.append(c)
-            nlo, nhi = after[even]
-            a, b, even = nlo[c], nhi[c], even ^ 1
+                visited[entry_face[c]] = True
+                trail.append(c)
+                nlo, nhi = after[even]
+                a, b, even = nlo[c], nhi[c], even ^ 1
 
     # a seed's keys run from its lowest corner, the last two swapped at
     # stride 2; a step's are face[j - 1], then face[j - 2] at stride 2

@@ -633,6 +633,15 @@ class TestStats:
         assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "500"), ("--tau", "0.01"), ("--seed", "3")])
+    def test_metric_arguments_need_ref(self, obj_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "tok"
+        main(["encode", str(obj_dir / "grid.obj"), "--output", str(out), "--report", str(tmp_path / "e.jsonl")])
+        report = tmp_path / "s.jsonl"
+        assert main(["stats", str(out), flag, value, "--report", str(report)]) == 2
+        assert f"{flag} applies only with --ref" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestExitCodes:
     def test_run_as_a_module(self):

@@ -339,18 +339,27 @@ class TestDeterminism:
 
 
 class TestIslands:
-    def test_strips_never_cross_islands(self):
-        base = synth.tri_grid(6, 6)
-        tagged = synth.with_uv_groups(base, [0 if fi < 36 else 1 for fi in range(72)])
+    @pytest.mark.parametrize(
+        "mesh, stride, group",
+        [
+            # a seam along the row strips, then seams across them
+            (synth.tri_grid(6, 6), 1, lambda f: int(f >= 36)),
+            (synth.tri_grid(6, 6), 1, lambda f: f % 12 // 6),
+            (synth.quad_grid(6, 6), 2, lambda f: f % 6 // 3),
+        ],
+        ids=["tri-along", "tri-across", "quad-across"],
+    )
+    def test_strips_never_cross_islands(self, mesh, stride, group):
+        tagged = synth.with_uv_groups(mesh, [group(f) for f in range(len(mesh.faces))])
         partition = uv_islands(tagged)
         q = quantize(tagged, partition)
-        ss = extract_strips(q, 1)
+        ss = extract_strips(q, stride)
         # every strip face must be a face of the strip's own island
         faces_of_island = {}
         for f, l in zip(q.faces, q.island_of_face):
             faces_of_island.setdefault(l, set()).add(frozenset(f))
         for keys, island in strip_lists(ss):
-            for f in strip_faces(keys, 1):
+            for f in strip_faces(keys, stride):
                 assert frozenset(f) in faces_of_island[island]
         # islands appear contiguously and in bottom-up order
         islands_seen = ss.islands.tolist()
