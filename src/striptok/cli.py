@@ -5,13 +5,15 @@ ordered by input filename, so parallel and serial runs produce identical
 bytes.  ``--jobs`` runs the files on that many processes, each with an
 equal share of the CPUs as its thread budget; a lone process runs its files
 on the budget's threads, and ``stats --ref`` spends a file's share of the
-budget on its sampling and neighbor pass.  Exit codes:
-0 success, 1 any file-level failure, 2 usage error.  :func:`encode_mesh` and
-:func:`decode_tokens` are the one encode and decode chain every command uses.
-A call imports only what it runs: :mod:`striptok.metrics`, and with it
-SciPy, loads for ``stats --ref`` or ``--tau``, the process pool's module for
-``--jobs`` above 1 with more than one file, and the thread pool's module for
-a lone process with a budget above 1 and more than one file.
+budget on its sampling and neighbor pass.  One runner,
+:func:`~striptok.mesh_io.on_threads`, with the calling thread as one of its
+threads, runs the files, sample rows, query runs and missing tree builds.
+Exit codes: 0 success, 1 any file-level failure, 2 usage error.
+:func:`encode_mesh` and :func:`decode_tokens` are the one encode and decode
+chain every command uses.  A call imports only what it runs:
+:mod:`striptok.metrics`, and with it SciPy, loads for ``stats --ref``, the
+process pool's module for ``--jobs`` above 1 with more than one file, and
+the thread pool's module where the runner starts a second thread.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import os
 import shutil
@@ -28,7 +29,7 @@ from collections import Counter
 from pathlib import Path
 
 from .decode import decode, parse_tokens
-from .mesh_io import corpus_filter, is_edge_manifold, load_obj, uv_islands, write_obj
+from .mesh_io import _check_tau, corpus_filter, is_edge_manifold, load_obj, on_threads, uv_islands, write_obj
 from .quantize import dequantize_mesh, quantize_mesh
 from .strips import extract_strips
 from .tokens import compression_stats, read_tokens, serialize, write_tokens
@@ -275,15 +276,14 @@ def _run_jobs(paths, args):
     """Every file's row, in order.
 
     On ``min(jobs, files)`` processes, each with the thread budget
-    ``args.threads``.  A lone process runs its files on
-    ``k = min(args.threads, files)`` threads, the calling thread among them,
-    and gives each file the budget ``args.threads // k``: each thread takes
-    the next file from one shared counter and stores its row in that file's
-    slot, so rows come out in input order whichever thread ran them.
+    ``args.threads``.  A lone process runs its files through
+    :func:`~striptok.mesh_io.on_threads` on ``k = min(args.threads, files)``
+    threads, the calling thread among them, and gives each file the budget
+    ``args.threads // k``; each file's row goes to that file's slot, so rows
+    come out in input order whichever thread ran them.
     """
     paths = [str(p) for p in paths]
     procs = min(args.jobs, len(paths))
-    threads = min(args.threads, len(paths))
     if args.ref and len(paths) > 1:  # built once here, so every file's worker shares it
         args.reference.tree
     if procs > 1:
@@ -291,23 +291,14 @@ def _run_jobs(paths, args):
 
         with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(args,)) as pool:
             return list(pool.map(_run_in_worker, paths))
-    if threads == 1:
-        return [_run_one(path, args) for path in paths]
-    from concurrent.futures import ThreadPoolExecutor
-
+    threads = min(args.threads, len(paths))
     file_args = argparse.Namespace(**{**vars(args), "threads": args.threads // threads})
     rows = [None] * len(paths)
-    taken = itertools.count()
 
-    def take_files():
-        while (i := next(taken)) < len(paths):
-            rows[i] = _run_one(paths[i], file_args)
+    def run(i):
+        rows[i] = _run_one(paths[i], file_args)
 
-    with ThreadPoolExecutor(threads - 1) as pool:
-        others = [pool.submit(take_files) for _ in range(threads - 1)]
-        take_files()
-        for other in others:
-            other.result()  # re-raises a pool thread's error
+    on_threads(run, len(paths), threads)
     return rows
 
 
@@ -319,8 +310,6 @@ def positive_int(text: str) -> int:
 
 
 def tau(text: str) -> float:
-    from .metrics import _check_tau
-
     value = float(text)
     try:
         _check_tau(value)

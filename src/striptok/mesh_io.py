@@ -36,14 +36,18 @@ and ids count up in value order (:func:`rank_rows`: grid cells, ``(vertex,
 uv)`` corners, merged positions, island labels) or in order of first
 occurrence (:func:`first_occurrence`: quantized and decoded vertices, and
 the islands of :func:`uv_islands`).
+
+:func:`on_threads` is the package's one thread runner, with the calling
+thread as one of its threads: the CLI runs a lone process's files on it,
+and ``metrics`` its sample rows, query runs and missing tree builds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -283,7 +287,7 @@ def _face_records(text: str) -> tuple[np.ndarray, np.ndarray, bool] | None:
     forms = {"f" + (" " + separators) * degree: degree for degree in (3, 4)}
     n = skeleton.count("\n") + 1
     for form, degree in forms.items():
-        if skeleton == "\n".join(repeat(form, n)):  # one degree: no split
+        if skeleton == "\n".join(itertools.repeat(form, n)):  # one degree: no split
             degrees = np.full(n, degree)
             break
     else:
@@ -606,6 +610,38 @@ def rank_rows(rows: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(rows), dtype=np.int64)
     ranks[order] = np.cumsum(heads) - 1
     return ranks
+
+
+def on_threads(fn, n: int, threads: int) -> None:
+    """Call ``fn(i)`` once for each ``i < n`` on ``min(threads, n)`` threads,
+    the calling thread among them: each takes the next index from one shared
+    counter.  Below two threads no pool starts, and ``concurrent.futures``
+    is imported only when one does; an item's error is re-raised once every
+    thread has returned."""
+    taken = itertools.count()  # one next() is one atomic step under the GIL
+
+    def take():
+        while (i := next(taken)) < n:
+            fn(i)
+
+    helpers = min(threads, n) - 1
+    if helpers < 1:
+        take()
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(helpers) as pool:
+        others = [pool.submit(take) for _ in range(helpers)]
+        take()
+    for other in others:
+        other.result()  # re-raises a helper's error
+
+
+def _check_tau(tau: float) -> None:
+    """``ValueError`` unless the F-score threshold ``tau`` is positive; here,
+    not in ``metrics``, so the CLI checks ``--tau`` without loading SciPy."""
+    if not tau > 0.0:  # also rejects NaN
+        raise ValueError("tau must be positive")
 
 
 def _edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:

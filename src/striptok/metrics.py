@@ -8,8 +8,8 @@ way) and shares it across all four metrics; each metric function also
 computes the pass itself when called on its own.  Each side's points query
 the other tree in the leaf order of their own tree, so neighboring queries
 walk the same nodes, and the results are scattered back to sample order.
-Given ``workers`` > 1 threads, the pass builds two missing trees at once,
-one thread each (``cKDTree`` releases the GIL while it builds), and each
+Given ``workers`` > 1 threads, the pass builds every tree it lacks at once,
+one per thread (``cKDTree`` releases the GIL while it builds), and each
 query splits its points into ``workers`` contiguous runs of that leaf
 order, each gathered, queried and scattered back on its own thread.  Every
 point is still searched on its own against an unchanged tree, so the
@@ -17,8 +17,9 @@ distances and tie-broken indices are those of one serial query in sample
 order, at any thread count.  Sampling splits its rows across ``workers``
 threads the same way: the face draw is ``Generator.choice``'s own (one
 normalized cumulative sum, searched for one ``random(n)`` draw), so the
-samples too are the same at any thread count.  :func:`_on_rows` is the one
-helper that runs row slices on threads.
+samples too are the same at any thread count.  Sample rows, query runs and
+tree builds all run through :func:`~striptok.mesh_io.on_threads`, with the
+calling thread as one of the threads.
 Conventions pinned here because they vary across codebases:
 Chamfer averages the two directed means, NC uses the absolute dot product
 (winding-robust), and F-score counts points within the threshold
@@ -28,14 +29,13 @@ inclusively.
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh_io import Mesh, check_mesh, split_quad_faces
+from .mesh_io import Mesh, _check_tau, check_mesh, on_threads, split_quad_faces
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_TAU = 0.003
@@ -107,16 +107,10 @@ def _check_seed(seed) -> int:
 
 def _on_rows(fn, n: int, workers: int) -> None:
     """Call ``fn(rows)`` on ``min(workers, n)`` contiguous slices that cover
-    ``range(n)``, each on a thread of its own (a lone slice runs on the
-    calling thread)."""
+    ``range(n)``, on as many threads, the calling thread among them."""
     parts = min(workers, n)
     bounds = [n * k // parts for k in range(parts + 1)]
-    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if parts == 1:
-        fn(slices[0])
-        return
-    with ThreadPoolExecutor(parts) as pool:
-        list(pool.map(fn, slices))  # re-raises a slice's error
+    on_threads(lambda k: fn(slice(bounds[k], bounds[k + 1])), parts, parts)
 
 
 def sample_surface(mesh: Mesh, n: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1) -> SampleSet:
@@ -195,12 +189,15 @@ def _nn(a: SampleSet, b: SampleSet, workers: int = 1):
     workers = _check_workers(workers)
     if len(a.points) == 0 or len(b.points) == 0:
         raise ValueError("empty sample set")
-    if workers > 1 and a is not b and "tree" not in vars(a) and "tree" not in vars(b):
-        # both trees at once, put where the ``tree`` cached_property keeps
-        # them: building through it would run one build after the other,
-        # since before Python 3.12 its lock is shared by every instance
-        with ThreadPoolExecutor(2) as pool:
-            vars(a)["tree"], vars(b)["tree"] = pool.map(cKDTree, (a.points, b.points))
+    # every missing tree at once, put where the ``tree`` cached_property
+    # keeps them: building through it would run one build after the other,
+    # since before Python 3.12 its lock is shared by every instance
+    missing = [s for s in ((a,) if a is b else (a, b)) if "tree" not in vars(s)]
+
+    def build(k):
+        vars(missing[k])["tree"] = cKDTree(missing[k].points)
+
+    on_threads(build, len(missing), workers)
     d_ab, i_ab = _query(b.tree, a, workers)
     d_ba, i_ba = _query(a.tree, b, workers)
     return d_ab, i_ab, d_ba, i_ba
@@ -228,11 +225,6 @@ def normal_consistency(a: SampleSet, b: SampleSet, nn=None) -> float:
     fwd = np.abs(np.einsum("ij,ij->i", a.normals, b.normals[i_ab])).mean()
     bwd = np.abs(np.einsum("ij,ij->i", b.normals, a.normals[i_ba])).mean()
     return 0.5 * (float(fwd) + float(bwd))
-
-
-def _check_tau(tau: float) -> None:
-    if not tau > 0.0:  # also rejects NaN
-        raise ValueError("tau must be positive")
 
 
 def f_score(a: SampleSet, b: SampleSet, tau: float = DEFAULT_TAU, nn=None) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import os
 from dataclasses import dataclass
 
@@ -14,6 +15,35 @@ import synth
 # failure prints the blob that replays it locally (@reproduce_failure).
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture()
+def recording_threads(monkeypatch):
+    """Stands in for every thread pool the package starts in this process:
+    records each pool's size as it starts and runs each submitted call at
+    once, on the calling thread.  ``mesh_io.on_threads``, which runs the
+    CLI's files and the metrics' sample rows, query runs and tree builds,
+    imports the pool class from ``concurrent.futures`` where its threads
+    start, so every pool it starts is recorded."""
+    started = []
+
+    class RecordingThreads:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            future = concurrent.futures.Future()
+            future.set_result(fn())
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingThreads)
+    return started
 
 
 @dataclass

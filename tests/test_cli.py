@@ -98,32 +98,6 @@ def recording_pool(monkeypatch):
 
 
 @pytest.fixture()
-def recording_threads(monkeypatch):
-    """Stands in for the CLI's thread pool: records each pool's size as it
-    starts and runs each submitted call at once, on the calling thread."""
-    started = []
-
-    class RecordingThreads:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn):
-            future = concurrent.futures.Future()
-            future.set_result(fn())
-            return future
-
-    # the CLI imports the pool class where the threads start, from here
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingThreads)
-    return started
-
-
-@pytest.fixture()
 def recording_budgets(monkeypatch):
     """``(file name, thread budget)`` of every file the CLI runs, in the
     order they start."""
@@ -175,6 +149,8 @@ runs = [
 ]
 codes = [striptok.cli.main([*map(str, argv), "--jobs", "1"]) for argv in runs]
 seen["after commands"] = loaded()
+codes.append(striptok.cli.main(["stats", str(out / "enc2"), "--tau", "0.01"]))  # --tau without --ref
+seen["scipy after stats --tau"] = "scipy" in sys.modules
 striptok.cli._cpus = lambda: 2  # a budget of 2 runs the four token files on two threads
 codes.append(striptok.cli.main(["decode", str(out / "enc1"), "--output", str(out / "dec2"), "--report", str(out / "dec2.jsonl")]))
 seen["after a decode on two threads"] = loaded()
@@ -513,9 +489,16 @@ class TestThreadBudget:
         assert recording_threads == []
         assert [threads for _, threads in recording_budgets] == [2] * 4
 
-    @pytest.mark.parametrize("files, workers", [(4, 1), (2, 2)])
+    # every pool of the call: the reference's sampling on the whole budget
+    # (3), the file threads (files - 1), then per file at a budget of 2 its
+    # sampling and the two queries (1 each); its tree build, the only one
+    # its pass lacks, runs on the calling thread
+    @pytest.mark.parametrize(
+        "files, workers, pools",
+        [pytest.param(4, 1, [3, 3], id="4-1"), pytest.param(2, 2, [3, 1, 1, 1, 1, 1, 1, 1], id="2-2")],
+    )
     def test_stats_ref_files_share_the_budget_and_the_reference_tree(
-        self, obj_dir, tmp_path, monkeypatch, recording_threads, files, workers
+        self, obj_dir, tmp_path, monkeypatch, recording_threads, files, workers, pools
     ):
         asked = []
 
@@ -528,7 +511,7 @@ class TestThreadBudget:
         inputs = sorted(obj_dir.glob("*.obj"))[:files]
         argv = ["stats", *map(str, inputs), "--ref", str(obj_dir / "grid.obj"), "--samples", "500"]
         assert main([*argv, "--report", str(tmp_path / "r.jsonl")]) == 0
-        assert recording_threads == [files - 1]
+        assert recording_threads == pools
         assert asked == [(workers, True)] * files  # the tree was built before the first file ran
 
 
@@ -657,9 +640,10 @@ class TestExitCodes:
     def test_commands_import_only_what_they_run(self, obj_dir, quad_dir, tmp_path):
         # a fresh interpreter: importing the package and its CLI, and every
         # command but ``stats --ref`` on one process with a thread budget of
-        # 1, load neither SciPy nor a pool; a budget of 2 over four files
-        # loads the thread pool alone; ``stats --ref`` loads SciPy, and the
-        # metric names served by the package are the ones in
+        # 1, load neither SciPy nor a pool; ``stats --tau`` without ``--ref``
+        # checks the value and exits 2, still without SciPy; a budget of 2
+        # over four files loads the thread pool alone; ``stats --ref`` loads
+        # SciPy, and the metric names served by the package are the ones in
         # ``striptok.metrics``
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -669,10 +653,11 @@ class TestExitCodes:
         assert json.loads(run.stdout) == {
             "after import": [],
             "after commands": [],
+            "scipy after stats --tau": False,
             "after a decode on two threads": ["concurrent.futures.thread"],
             "scipy after stats --ref": True,
             "metric names": list(METRIC_NAMES),
-            "exit codes": [0] * 10,
+            "exit codes": [0] * 8 + [2, 0, 0],
         }
 
     def test_missing_inputs(self, tmp_path):

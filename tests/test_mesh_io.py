@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import random
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from striptok import (
     write_obj,
 )
 from striptok import mesh_io
-from striptok.mesh_io import is_edge_manifold
+from striptok.mesh_io import is_edge_manifold, on_threads
 from striptok.verify import compare_quantized
 
 from oracles import as_arrays, as_lists, mesh_signature
@@ -546,6 +548,69 @@ def test_array_contract_is_checked_in_one_place():
         visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     checks = {"mesh_io.check_mesh", "quantize.check_quantized"}
     assert callers == {name: checks for name in helpers}
+
+
+class TestOnThreads:
+    @pytest.mark.parametrize("n", range(8))
+    def test_each_index_once_on_min_threads_n_the_caller_among_them(self, n):
+        # the first k items meet at a k-party barrier, so they run at once on
+        # k distinct threads; with one thread fewer, or the caller idle, the
+        # barrier breaks
+        caller = threading.get_ident()
+        for threads in range(1, 10):
+            k = min(threads, n)
+            meet = threading.Barrier(max(k, 1), timeout=5)
+            ran = []
+
+            def item(i):
+                ran.append((i, threading.get_ident()))
+                if i < k:
+                    meet.wait()
+
+            on_threads(item, n, threads)
+            assert sorted(i for i, _ in ran) == list(range(n))
+            idents = {ident for _, ident in ran}
+            assert len(idents) == k
+            assert caller in idents or n == 0
+
+    @pytest.mark.parametrize("n, threads", [(0, 1), (0, 4), (1, 9), (5, 1), (2, 2), (7, 3), (3, 9)])
+    def test_a_pool_starts_only_for_two_threads_or_more(self, recording_threads, n, threads):
+        ran = []
+        on_threads(ran.append, n, threads)
+        assert sorted(ran) == list(range(n))
+        k = min(threads, n)
+        assert recording_threads == ([k - 1] if k > 1 else [])
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_an_items_error_is_reraised_after_the_others_return(self, failing):
+        caller = threading.get_ident()
+        meet = threading.Barrier(2, timeout=5)
+        done = []
+
+        def item(i):
+            meet.wait()  # one item on each thread
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise ValueError(f"item {i} failed")
+            time.sleep(0.05)
+            done.append(i)
+
+        with pytest.raises(ValueError, match=r"^item [01] failed$"):
+            on_threads(item, 2, 2)
+        assert len(done) == 1
+
+    def test_the_runner_is_the_one_thread_pool(self):
+        # ``ThreadPoolExecutor`` is named in one function under ``src/``: the runner
+        starts = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Name) and child.id == "ThreadPoolExecutor":
+                    starts.add(f"{path.stem}.{scope}")
+                visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+        for path in sorted(Path(striptok.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+        assert starts == {"mesh_io.on_threads"}
 
 
 class TestUvIslands:

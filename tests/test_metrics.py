@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +536,28 @@ class TestNeighborPass:
         assert all(np.array_equal(f, g) for f, g in zip(first, again))
         metrics._nn(a, a, workers=2)
         assert len(kdtree_count) == 2
+
+    def test_passes_on_two_threads_build_their_trees_at_once(self, monkeypatch):
+        # two inputs scored at once against one built reference, as a lone
+        # CLI process runs them: each build waits for the other, so builds
+        # run one after the other (through the ``tree`` cached_property,
+        # whose lock before Python 3.12 is every instance's) break the barrier
+        rng = np.random.default_rng(6)
+        ref = point_set(rng.random((300, 3)))
+        ref.tree
+        preds = [point_set(rng.random((200, 3))) for _ in range(2)]
+        meet = threading.Barrier(2, timeout=5)
+        build = metrics.cKDTree
+
+        def meeting_build(points):
+            meet.wait()
+            return build(points)
+
+        monkeypatch.setattr(metrics, "cKDTree", meeting_build)
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda pred: metrics._nn(ref, pred, workers=1), preds))
+        for pred, nn in zip(preds, got):
+            assert all(np.array_equal(g, w) for g, w in zip(nn, nearest_neighbors(ref, pred)))
 
     def test_threads_beyond_the_cores_on_a_short_switch_interval(self):
         # every thread writes its own rows of shared arrays; a row written
