@@ -138,8 +138,7 @@ def _encode_one(src, args, row):
 
 def _decode_one(src, args, row):
     mesh_q, partition, report = decode_tokens(read_tokens(src), args.stride)
-    out_path = _output_path(src, args)
-    write_obj(dequantize_mesh(mesh_q), out_path, partition)
+    # the decode's counts are kept when the write fails (a stream that keeps no face)
     row.update(
         faces=len(mesh_q.faces),
         vertices=len(mesh_q.vertex_keys),
@@ -149,8 +148,10 @@ def _decode_one(src, args, row):
         degenerate_faces=report.degenerate_faces,
         duplicate_faces=report.duplicate_faces,
         welds=report.welds,
-        output=out_path.name,
     )
+    out_path = _output_path(src, args)
+    write_obj(dequantize_mesh(mesh_q), out_path, partition)
+    row["output"] = out_path.name
 
 
 def _roundtrip_one(src, args, row):
@@ -309,6 +310,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative int, got {value}")
+    return value
+
+
 def tau(text: str) -> float:
     value = float(text)
     try:
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", help="reference OBJ; inputs are then meshes to score")
     p.add_argument("--samples", type=positive_int)  # unset: metrics.DEFAULT_SAMPLES
     p.add_argument("--tau", type=tau)  # unset: metrics.DEFAULT_TAU
-    p.add_argument("--seed", type=int)  # unset: 0
+    p.add_argument("--seed", type=seed)  # unset: 0
 
     p = sub.add_parser("filter", help="apply corpus admission rules")
     common(p, with_axis=False)

@@ -272,46 +272,3 @@ def oracle_consistent_winding(mesh: Mesh) -> bool:
                 return False
             seen.add(e)
     return True
-
-
-def oracle_closed_manifold(mesh: Mesh) -> bool:
-    """Every edge bounds exactly two faces."""
-    mesh = as_lists(mesh)
-    count = defaultdict(int)
-    for face in mesh.faces:
-        n = len(face)
-        for k in range(n):
-            a, b = face[k], face[(k + 1) % n]
-            count[(a, b) if a < b else (b, a)] += 1
-    return all(c == 2 for c in count.values())
-
-
-def oracle_uv_components(mesh: Mesh) -> list[set[int]]:
-    """Brute-force UV-island face groups (flood fill over uv-matched edges)."""
-    mesh = as_lists(mesh)
-    joined = defaultdict(set)
-    edge_users = defaultdict(list)
-    for fi, (face, fuv) in enumerate(zip(mesh.faces, mesh.face_uvs)):
-        n = len(face)
-        for k in range(n):
-            a = (face[k], fuv[k])
-            b = (face[(k + 1) % n], fuv[(k + 1) % n])
-            edge_users[frozenset((a, b))].append(fi)
-    for users in edge_users.values():
-        for i in users:
-            joined[i].update(users)
-    remaining = set(range(len(mesh.faces)))
-    components = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            f = frontier.pop()
-            for g in joined[f]:
-                if g not in comp:
-                    comp.add(g)
-                    frontier.append(g)
-        components.append(comp)
-        remaining -= comp
-    return components

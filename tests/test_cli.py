@@ -295,6 +295,22 @@ class TestRoundtrip:
         assert len(rows) == 6
         assert all(r["status"] == "pass" for r in rows)
 
+    def test_decode_counters_fail_an_exact_round_trip(self, obj_dir, tmp_path, monkeypatch):
+        # a stray mid id after the stream is discarded: every face, winding
+        # and island still matches, and the counters alone fail the file
+        serialize = cli.serialize
+
+        def with_stray_mid(strips, uv_mode=False):
+            seq = serialize(strips, uv_mode)
+            return TokenSequence(np.append(seq.tokens, np.uint16(192)), seq.header)
+
+        monkeypatch.setattr(cli, "serialize", with_stray_mid)
+        report = tmp_path / "rt.jsonl"
+        assert main(["roundtrip", str(obj_dir / "grid.obj"), "--report", str(report)]) == 1
+        [row] = read_jsonl(report)
+        assert row["status"] == "fail"
+        assert row["detail"].startswith("decode counters nonzero: DecodeReport(discarded_tokens=1, ")
+
     def test_non_manifold_noted(self, tmp_path):
         d = tmp_path / "nm"
         d.mkdir()
@@ -604,8 +620,9 @@ class TestStats:
             ("--samples", "0", "must be at least 1, got 0"),
             ("--tau", "0", "tau must be positive, got 0"),
             ("--tau", "nan", "tau must be positive, got nan"),
+            ("--seed", "-1", "must be a non-negative int, got -1"),
         ],
-        ids=["samples_0", "tau_0", "tau_nan"],
+        ids=["samples_0", "tau_0", "tau_nan", "seed_-1"],
     )
     def test_bad_metric_arguments_fail_at_parse_time(self, obj_dir, tmp_path, capsys, flag, value, message, jobs):
         grid = str(obj_dir / "grid.obj")
@@ -934,21 +951,31 @@ _EXACT = Transform((0.0, 0.0, 0.0), 512.0)
 
 @given(acceptance_streams(), st.sampled_from([1, 2]))
 @example([], 2)
+@example([5, 6, 7], 1)  # no face kept, three ids discarded
 @example(serialize(manual_strip_set([[(0, 0, 0), (1, 0, 0), (2, 0, 0)]])).tokens, 1)  # collinear
 @settings(max_examples=100, deadline=None)
 def test_decode_output_reloads_and_scores(tokens, stride):
     """Every decode either writes an OBJ that reloads to the same face rows
     and scores against the dequantized decode (or both are zero-area), or is
-    empty and gets the ``empty mesh`` error row."""
+    empty and gets the ``empty mesh`` error row, which keeps the decode's
+    counts."""
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
         header = TokenHeader(uv_mode=True, source_stride=stride, transform=_EXACT, face_count=0)
         write_tokens(TokenSequence(tokens, header), d / "s.sato")
         rc = main(["decode", str(d / "s.sato"), "--report", str(d / "r.jsonl")])
         [row] = read_jsonl(d / "r.jsonl")
-        decoded, _, _ = decode_tokens(read_tokens(d / "s.sato"))
+        decoded, _, report = decode_tokens(read_tokens(d / "s.sato"))
         if not len(decoded.faces):
-            assert rc == 1 and row["error"] == "ValueError: empty mesh"
+            counts = dict(
+                discarded=report.discarded_tokens,
+                dropped_strips=report.dropped_strips,
+                degenerate_faces=report.degenerate_faces,
+                duplicate_faces=report.duplicate_faces,
+                welds=report.welds,
+            )
+            want = {"file": "s.sato", "error": "ValueError: empty mesh", "faces": 0, "vertices": 0, "islands": 0}
+            assert rc == 1 and row == {**want, **counts}
             assert not (d / "s.decoded.obj").exists()
             return
         assert rc == 0 and "error" not in row

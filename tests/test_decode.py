@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from striptok import (
     DecodeReport,
+    TokenSequence,
     decode,
+    decode_tokens,
     dual_decode_check,
-    extract_strips,
+    encode_mesh,
     parse_tokens,
-    quantize_mesh,
     serialize,
     uv_islands,
 )
@@ -148,10 +149,7 @@ class TestDecode:
         tokens = []
         tokens += triple(a[0], base=64) + [704 + encode_hier(a[1])[2], 704 + encode_hier(a[2])[2]]
         tokens += triple(b[0], base=64) + [704 + encode_hier(b[1])[2], 704 + encode_hier(b[2])[2]]
-        from striptok import TokenHeader, TokenSequence
-
-        seq = TokenSequence(tokens=tokens, header=TokenHeader(False, 1, IDENTITY_TRANSFORM, 2))
-        mesh, _, report = decode(parse_tokens(seq), 1, IDENTITY_TRANSFORM)
+        mesh, _, report = decode(parse_tokens(tokens), 1, IDENTITY_TRANSFORM)
         assert report.welds == 1
         assert as_lists(mesh).vertex_keys.count((2, 0, 0)) == 1
         assert len(mesh.vertex_keys) == 5
@@ -202,14 +200,14 @@ class TestDecode:
         tokens = triple(a[0], base=64)
         for c in a[1:]:
             tokens += [704 + encode_hier(c)[2]]
-        mesh, _, report = decode(parse_tokens(tokens_seq(tokens)), 1, IDENTITY_TRANSFORM)
+        mesh, _, report = decode(parse_tokens(tokens), 1, IDENTITY_TRANSFORM)
         assert report.degenerate_faces == 1
         assert mesh.faces.tolist() == [[0, 1, 2]]
 
     def test_stream_start_opens_island_zero(self):
         # plain geometry head at stream start still decodes
         tokens = triple((0, 0, 0)) + [704 + encode_hier((1, 0, 0))[2], 704 + encode_hier((2, 0, 0))[2]]
-        mesh, partition, report = decode(parse_tokens(tokens_seq(tokens)), 1, IDENTITY_TRANSFORM)
+        mesh, partition, report = decode(parse_tokens(tokens), 1, IDENTITY_TRANSFORM)
         assert len(mesh.faces) == 1
         assert partition.island_count == 1
         assert report.discarded_tokens == 0
@@ -281,9 +279,8 @@ class TestArrayContract:
         mesh = synth.quad_grid(4, 4) if stride == 2 else synth.tri_grid(4, 4)
         groups = [f * 3 // len(mesh.faces) for f in range(len(mesh.faces))]
         mesh = synth.with_uv_groups(mesh, groups)
-        q = quantize_mesh(mesh, uv_islands(mesh))
-        seq = serialize(extract_strips(q, stride), uv_mode=True)
-        decoded, partition, _ = decode(parse_tokens(seq), stride, seq.header.transform)
+        q, _, seq = encode_mesh(mesh, stride, uv_islands(mesh))
+        decoded, partition, _ = decode_tokens(seq)
         # vertices on an island seam are one per island
         assert_arrays(decoded, len(decoded.vertex_keys), len(mesh.faces), stride)
         assert len(decoded.vertex_keys) > len(q.vertex_keys) and compare_quantized(q, decoded) == (True, "")
@@ -292,50 +289,18 @@ class TestArrayContract:
         assert np.array_equal(decoded.island_of_face, partition.island_of_face)
 
 
-def tokens_seq(tokens):
-    from striptok import TokenHeader, TokenSequence
-
-    return TokenSequence(
-        tokens=tokens, header=TokenHeader(False, 1, IDENTITY_TRANSFORM, max(1, len(tokens) // 3))
-    )
-
-
 class TestRoundTrip:
-    def test_triangles(self, tri_corpus):
-        for entry in tri_corpus:
-            q = quantize_mesh(entry.mesh, entry.partition)
-            seq = serialize(extract_strips(q, 1), uv_mode=entry.uv_mode)
-            decoded, _, report = decode(parse_tokens(seq), 1, seq.header.transform)
-            assert report.clean(), entry.name
-            ok, detail = compare_quantized(q, decoded)
-            assert ok, f"{entry.name}: {detail}"
-
-    def test_quads(self, quad_corpus):
-        for entry in quad_corpus:
-            q = quantize_mesh(entry.mesh, entry.partition)
-            seq = serialize(extract_strips(q, 2), uv_mode=entry.uv_mode)
-            decoded, _, report = decode(parse_tokens(seq), 2, seq.header.transform)
-            assert report.clean(), entry.name
-            ok, detail = compare_quantized(q, decoded)
-            assert ok, f"{entry.name}: {detail}"
-
+    # the corpus round trips are acceptance 02 and 03
     def test_transform_carried(self):
-        mesh = synth.shift(synth.icosphere(1), dx=3.0, dy=-1.0)
-        q = quantize_mesh(mesh)
-        seq = serialize(extract_strips(q, 1))
-        decoded, _, _ = decode(parse_tokens(seq), 1, seq.header.transform)
-        assert decoded.transform == q.transform
+        q, _, seq = encode_mesh(synth.shift(synth.icosphere(1), dx=3.0, dy=-1.0), 1)
+        assert decode_tokens(seq)[0].transform == q.transform
 
 
 class TestDualDecode:
+    # the quad corpus, quad_ribbon_10 among it, is acceptance 04
     def test_single_quad(self):
         coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
         seq = serialize(manual_strip_set([coords], stride=2), uv_mode=False)
-        assert dual_decode_check(seq) is True
-
-    def test_quad_ribbon(self):
-        q = quantize_mesh(synth.quad_ribbon(10))
-        seq = serialize(extract_strips(q, 2))
         assert dual_decode_check(seq) is True
 
     def test_odd_trailing_vertex(self):
@@ -343,24 +308,15 @@ class TestDualDecode:
         seq = serialize(manual_strip_set([coords], stride=2), uv_mode=False)
         assert dual_decode_check(seq) is True
 
-    def test_whole_quad_corpus(self, quad_corpus):
-        for entry in quad_corpus:
-            q = quantize_mesh(entry.mesh, entry.partition)
-            seq = serialize(extract_strips(q, 2), uv_mode=entry.uv_mode)
-            assert dual_decode_check(seq) is True, entry.name
-
     def test_requires_stride2_header(self):
-        q = quantize_mesh(synth.tri_grid(2, 2))
-        seq = serialize(extract_strips(q, 1))
+        seq = encode_mesh(synth.tri_grid(2, 2), 1)[2]
         with pytest.raises(ValueError, match="stride-2"):
             dual_decode_check(seq)
 
     def test_splits_match_triangle_decode(self):
-        q = quantize_mesh(synth.quad_grid(4, 3))
-        seq = serialize(extract_strips(q, 2))
-        stream = parse_tokens(seq)
-        tri, _, _ = decode(stream, 1, seq.header.transform)
-        quad, _, _ = decode(stream, 2, seq.header.transform)
+        seq = encode_mesh(synth.quad_grid(4, 3), 2)[2]
+        tri, _, _ = decode_tokens(seq, 1)
+        quad, _, _ = decode_tokens(seq, 2)
         split = []
         for f in as_lists(quad).faces:
             split += [(f[0], f[1], f[3]), (f[1], f[2], f[3])]
@@ -433,14 +389,11 @@ class TestFuzzSmoke:
                 validate_quantized(mesh, stride)
 
     def test_corrupted_valid_sequences(self):
-        q = quantize_mesh(synth.tri_grid(6, 6))
-        seq = serialize(extract_strips(q, 1))
+        seq = encode_mesh(synth.tri_grid(6, 6), 1)[2]
         rng = np.random.default_rng(3)
         for _ in range(200):
-            tokens = list(seq.tokens)
+            tokens = seq.tokens.tolist()
             for _ in range(int(rng.integers(1, 6))):
                 tokens[int(rng.integers(0, len(tokens)))] = int(rng.integers(0, 4800))
-            stream = parse_tokens(tokens)
-            assert stream.consumed_tokens + stream.discarded == len(tokens)
-            mesh, _, report = decode(stream, 1, seq.header.transform)
-            validate_quantized(mesh, 1)
+            parse_tokens(tokens).check(len(tokens))
+            validate_quantized(decode_tokens(TokenSequence(tokens, seq.header))[0], 1)

@@ -33,6 +33,7 @@ from striptok import mesh_io
 from striptok.mesh_io import is_edge_manifold, on_threads
 from striptok.verify import compare_quantized
 
+import oracles
 from oracles import as_arrays, as_lists, mesh_signature
 import synth
 from test_tokens import manual_strip_set
@@ -160,6 +161,20 @@ class TestLoadObj:
         marked = load_obj(write_text(tmp_path / "bom.obj", "\ufeff" + text))
         assert mesh_signature(marked) == mesh_signature(plain)
         assert marked.positions[0].tolist() == [9.0, 9.0, 9.0]
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ("vt 0\nf 1 2 3\n", "line 4: uv needs 2 coordinates"),
+            ("vt 0 x\nf 1 2 3\n", "line 4: bad uv coordinate"),
+            ("vt 0 0\nf 1/1 2/1 3/1\nf 1 2 3\n", "line 6: face without uv after faces with uv"),
+        ],
+        ids=["uv_one_coordinate", "uv_not_a_number", "face_without_uv"],
+    )
+    def test_malformed_uv_records(self, tmp_path, records, message):
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\n" + records
+        with pytest.raises(ObjParseError, match=f"^{message}$"):
+            load_obj(write_text(tmp_path / "uv.obj", text))
 
     def test_line_numbers_count_newlines_only(self, tmp_path):
         # \u2028, \x85 and \x0c split str.splitlines() but not OBJ lines
@@ -510,23 +525,30 @@ def test_entry_points_check_face_indices(entry, index):
         entry(Mesh(mesh.positions, faces))
 
 
+QUANTIZED_ENTRY_POINTS = {
+    "extract_strips": lambda bad, good: extract_strips(bad, 1),
+    "compare_quantized_source": lambda bad, good: compare_quantized(bad, good),
+    "compare_quantized_decoded": lambda bad, good: compare_quantized(good, bad),
+}
+
+
 @pytest.mark.parametrize("index", [-3, "V"])
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda bad, good: extract_strips(bad, 1),
-        lambda bad, good: compare_quantized(bad, good),
-        lambda bad, good: compare_quantized(good, bad),
-    ],
-    ids=["extract_strips", "compare_quantized_source", "compare_quantized_decoded"],
-)
+@pytest.mark.parametrize("entry", QUANTIZED_ENTRY_POINTS)
 def test_quantized_entry_points_check_face_indices(entry, index):
     # no face index counts from the end or reads past the vertex keys
     good = quantize_mesh(synth.tri_grid(3, 3))
     faces = good.faces.copy()
     faces[2, 1] = len(good.vertex_keys) if index == "V" else index
     with pytest.raises(ValueError, match=r"^faces row 2 is "):
-        entry(dataclasses.replace(good, faces=faces), good)
+        QUANTIZED_ENTRY_POINTS[entry](dataclasses.replace(good, faces=faces), good)
+
+
+@pytest.mark.parametrize("entry", QUANTIZED_ENTRY_POINTS)
+def test_quantized_entry_points_check_vertex_keys(entry):
+    good = quantize_mesh(synth.tri_grid(3, 3))
+    bad = dataclasses.replace(good, vertex_keys=good.vertex_keys[:, :2])
+    with pytest.raises(ValueError, match=r"^vertex_keys must be \(V, 3\), got shape \(16, 2\)$"):
+        QUANTIZED_ENTRY_POINTS[entry](bad, good)
 
 
 def test_array_contract_is_checked_in_one_place():
@@ -643,13 +665,7 @@ class TestUvIslands:
         mesh = synth.with_uv_groups(as_arrays(Mesh(positions=positions, faces=faces)), list(range(6)))
         partition = uv_islands(mesh)
         assert partition.island_count == 6
-        # oracle: brute-force flood fill over uv-matched edges
-        comps = synth.oracle_uv_components(mesh)
-        assert len(comps) == 6
-        groups = {}
-        for fi, l in enumerate(partition.island_of_face.tolist()):
-            groups.setdefault(l, set()).add(fi)
-        assert sorted(map(sorted, comps)) == sorted(map(sorted, groups.values()))
+        assert as_lists(partition) == oracles.uv_islands(as_lists(mesh))
 
     def test_seam_splits_two_triangles(self):
         base = as_arrays(

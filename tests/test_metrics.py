@@ -204,6 +204,11 @@ class TestSampling:
         with pytest.raises(ValueError, match="zero-area"):
             sample_surface(mesh, n=10)
 
+    def test_no_faces_error(self):
+        grid = synth.tri_grid(2, 2)
+        with pytest.raises(ValueError, match="^mesh has no faces$"):
+            sample_surface(Mesh(grid.positions, grid.faces[:0]), n=10)
+
     def test_overflowing_area_error(self, tmp_path):
         # finite coordinates whose cross products overflow to inf
         path = tmp_path / "huge.obj"

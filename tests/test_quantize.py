@@ -60,10 +60,15 @@ class TestNormalize:
         mesh = Mesh(positions=[(1.0, 1.0, 1.0)] * 3, faces=[(0, 1, 2)])
         with pytest.raises(ValueError, match="degenerate extent"):
             normalize(mesh)
+        with pytest.raises(ValueError, match="^degenerate extent: all points identical$"):
+            quantize_mesh(as_arrays(mesh))
 
     def test_empty_mesh(self):
         with pytest.raises(ValueError, match="empty"):
             normalize(Mesh(positions=[], faces=[]))
+        tri = synth.tri_grid(1, 1)
+        with pytest.raises(ValueError, match="^empty mesh$"):
+            quantize_mesh(Mesh(tri.positions, tri.faces[:0]))
 
 
 class TestToGrid:

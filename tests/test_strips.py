@@ -237,6 +237,8 @@ class TestExtractTriangles:
         tri = synth.tri_grid(2, 2)
         with pytest.raises(ValueError, match="stride 2"):
             extract_strips(quantize(tri), 2)
+        with pytest.raises(ValueError, match="^stride must be 1 or 2, got 3$"):
+            extract_strips(quantize(tri), 3)
 
     @pytest.mark.parametrize("up_axis", ["w", "Y", ""])
     def test_unknown_up_axis(self, up_axis):

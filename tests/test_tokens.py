@@ -338,6 +338,13 @@ class TestTokenFile:
         with pytest.raises(TokenFileError, match="version"):
             read_tokens(p)
 
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "t.sato"
+        write_tokens(self._sample(), p)
+        p.write_bytes(p.read_bytes()[:8])
+        with pytest.raises(TokenFileError, match="^truncated header$"):
+            read_tokens(p)
+
     def test_truncated_payload(self, tmp_path):
         seq = self._sample()
         p = tmp_path / "t.sato"

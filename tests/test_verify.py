@@ -193,6 +193,22 @@ def test_one_integer_island_label_per_face(labels, match, side):
         compare_quantized(bad, good) if side == "source" else compare_quantized(good, bad)
 
 
+@pytest.mark.parametrize(
+    "source_labels, decoded_labels, verdict",
+    [
+        ([0, 1], [0, 0], (False, "island partition mismatch")),
+        ([0, 0], [0, 1], (False, "island partition mismatch")),
+        ([0, 1], [1, 0], (True, "")),
+    ],
+    ids=["merged", "split", "relabelled"],
+)
+def test_island_partitions_match_up_to_relabelling(source_labels, decoded_labels, verdict):
+    source = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], source_labels)
+    decoded = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3)], decoded_labels)
+    assert compare_quantized(as_arrays(source), as_arrays(decoded)) == verdict
+    assert oracles.compare_quantized(source, decoded) == verdict
+
+
 def test_repeated_key_set_raises_in_the_source_only():
     once = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3)])
     twice = _mesh(SQUARE, [(0, 1, 2), (0, 2, 3), (1, 2, 0)])
