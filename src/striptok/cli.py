@@ -224,12 +224,12 @@ def _stats_one(src, args, row):
             uv_mode=seq.header.uv_mode,
             tokens=stats.token_length,
             transitions=stats.transitions,
-            comp_rate=round(stats.comp_rate, 6),
+            comp_rate=None if stats.comp_rate is None else round(stats.comp_rate, 6),
             level_shares=_shares_dict(stats),
             discarded=stream.discarded,
         )
         if seq.header.source_stride == 2:
-            row["comp_rate_quad12"] = round(stats.comp_rate_quad12, 6)
+            row["comp_rate_quad12"] = None if stats.comp_rate_quad12 is None else round(stats.comp_rate_quad12, 6)
 
 
 _WORKERS = {

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import IslandPartition, first_occurrence, split_quad_faces
+from .mesh_io import IslandPartition, _integer, first_occurrence, split_quad_faces
 from .quantize import KEY_BITS, QuantizedMesh, Transform, _unpack_keys, decode_hier, distinct_faces
 from .tokens import C1_GEO_BASE, C1_T_BASE, C2_BASE, C3_BASE, TokenSequence, VOCAB_SIZE, vocab_ids
 
@@ -262,9 +262,10 @@ def decode(
     dropped is counted in the report.  Welding merges identical coordinates
     within an island only; :mod:`striptok.mesh_io` states how the welded
     vertices are numbered.  Faces have ``stride + 2`` columns, or 3 at
-    stride 2 when no quad is kept (an empty decode has ``stride + 2``).
+    stride 2 when no quad is kept (an empty decode has ``stride + 2``).  A
+    stride other than the integer 1 or 2 (:func:`~striptok.mesh_io._integer`) raises ``ValueError``.
     """
-    if stride not in (1, 2):
+    if _integer(stride) not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
     return _decode_impl(stream, stride, transform, drop_duplicates=True)
 
@@ -275,7 +276,7 @@ def dual_decode_check(t: TokenSequence) -> bool:
     Duplicate-face dropping is disabled on both sides so the raw
     triangulations are compared face by face.
     """
-    if t.header.source_stride != 2:
+    if _integer(t.header.source_stride) != 2:
         raise ValueError("dual decode check requires a stride-2 sequence")
     stream = parse_tokens(t)
     tri, _, _ = _decode_impl(stream, 1, t.header.transform, drop_duplicates=False)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -642,6 +643,25 @@ def _check_tau(tau: float) -> None:
     not in ``metrics``, so the CLI checks ``--tau`` without loading SciPy."""
     if not tau > 0.0:  # also rejects NaN
         raise ValueError("tau must be positive")
+
+
+def _integer(value) -> int | None:
+    """``value`` as an ``int`` if it is an ``int`` or a NumPy integer (never a
+    bool or a float, ``2.0`` too), else None: the one rule for every integer
+    argument, strides, the header face count and the metrics' n, seed and workers."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_int(value, low: int, message: str, below: str | None = None) -> int:
+    """``value`` as an ``int``, or ``ValueError``: ``message`` if :func:`_integer`
+    takes it for none, ``below`` (default ``message``) if it is below ``low``."""
+    number = _integer(value)
+    if number is None or number < low:
+        raise ValueError(message if number is None else below or message)
+    return number
 
 
 def _edge_keys(faces: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:

@@ -28,14 +28,13 @@ inclusively.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh_io import Mesh, _check_tau, check_mesh, on_threads, split_quad_faces
+from .mesh_io import Mesh, _check_int, _check_tau, check_mesh, on_threads, split_quad_faces
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_TAU = 0.003
@@ -69,40 +68,16 @@ def _triangles(mesh: Mesh) -> np.ndarray:
     return mesh.positions[split_quad_faces(mesh.faces).T]
 
 
-def _integer(value) -> int | None:
-    """``value`` as an ``int`` if it is an integer (NumPy integers included,
-    a bool not), else None."""
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
-
-
-def _count(value, name: str, below_one: str) -> int:
-    """``value`` as an ``int``, or ``ValueError``: ``"<name> must be a
-    positive int"`` if :func:`_integer` takes it for none, ``below_one`` if
-    it is below 1."""
-    count = _integer(value)
-    if count is None:
-        raise ValueError(f"{name} must be a positive int")
-    if count < 1:
-        raise ValueError(below_one)
-    return count
-
-
 def _check_workers(workers) -> int:
-    return _count(workers, "workers", "workers must be a positive int")
+    return _check_int(workers, 1, "workers must be a positive int")
 
 
 def _check_n(n) -> int:
-    return _count(n, "n", "n must be at least 1")
+    return _check_int(n, 1, "n must be a positive int", "n must be at least 1")
 
 
 def _check_seed(seed) -> int:
-    value = _integer(seed)
-    if value is None or value < 0:
-        raise ValueError("seed must be a non-negative int")
-    return value
+    return _check_int(seed, 0, "seed must be a non-negative int")
 
 
 def _on_rows(fn, n: int, workers: int) -> None:

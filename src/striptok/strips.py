@@ -22,7 +22,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .mesh_io import _edge_keys, first_occurrence, rank_rows, sort_rows, stable_order
+from .mesh_io import _edge_keys, _integer, first_occurrence, rank_rows, sort_rows, stable_order
 from .quantize import QuantizedMesh, Transform, check_quantized
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
@@ -85,10 +85,11 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     lowest face), and stops at boundaries and visited faces.  The decoder
     winds each face by its strip position, so a strip holds only faces of
     one orientation, and a face wound against its neighbours starts its own
-    strip.  A stride other than 1 or 2, an ``up_axis`` other than x, y or
-    z, a mesh that fails :func:`~striptok.quantize.check_quantized`, faces
-    not of the stride's degree, or a face that repeats a corner raise
-    ``ValueError``.
+    strip.  A stride that is not the integer 1 or 2 (an integer by
+    :func:`~striptok.mesh_io._integer`: a bool or ``2.0`` is none), an
+    ``up_axis`` other than x, y or z, a mesh that fails
+    :func:`~striptok.quantize.check_quantized`, faces not of the stride's
+    degree, or a face that repeats a corner raise ``ValueError``.
 
     "Lowest face" compares sorted vertex-rank tuples, ties going to the
     lower face index.  The faces are renumbered once in seed order (island
@@ -105,7 +106,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     The walk reads no key: it records a trail of seeds and entry slots, and
     the keys are gathered from the faces after it.
     """
-    if stride not in (1, 2):
+    if _integer(stride) not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
     if up_axis not in _AXIS:
         raise ValueError(f"up_axis must be x, y or z, got {up_axis!r}")
@@ -119,13 +120,14 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
         # a -1 pads a triangle among quads
         found = faces.shape[1] if faces.shape[1] != degree else 3
         raise ValueError(f"stride {stride} requires degree-{degree} faces, found degree {found}")
-    corners = np.sort(faces, axis=1)
+    # vertex ranks are a permutation, so a face repeats a corner where its sorted ranks do
+    ranks = _rank_array(q, up_axis)[faces]
+    corners = np.sort(ranks, axis=1)
     repeats = (corners[:, 1:] == corners[:, :-1]).any(axis=1)
     if repeats.any():
         bad = int(repeats.argmax())
         raise ValueError(f"face {bad} repeats a corner: {tuple(faces[bad].tolist())}")
-    rank_arr = _rank_array(q, up_axis)
-    order, heads = sort_rows(np.sort(rank_arr[faces], axis=1))
+    order, heads = sort_rows(corners)
 
     # islands by their lowest face, then (one key set in two islands) in the
     # order they first appear, which first_occurrence's ids ascend in
@@ -138,7 +140,7 @@ def extract_strips(q: QuantizedMesh, stride: int, up_axis: str = "y") -> StripSe
     seeds = order[resort]
     faces = faces[seeds]
     # a seed starts at its lowest-ranked corner
-    lowest_corner = np.argmin(rank_arr[faces], axis=1)
+    lowest_corner = np.argmin(ranks[seeds], axis=1)
 
     # slots by edge key, then direction (up, face[j] < face[j + 1], before
     # down), stably in face order: an edge's up slots, then its down slots

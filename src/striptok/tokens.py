@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import first_occurrence
+from .mesh_io import _integer, first_occurrence
 from .quantize import Transform, encode_hier
 from .strips import StripSet
 
@@ -92,19 +92,19 @@ def serialize(s: StripSet, uv_mode: bool = False) -> TokenSequence:
 class TokenStats:
     token_length: int
     transitions: int
-    comp_rate: float
+    comp_rate: float | None
     level_shares: tuple[float, float, float]
-    comp_rate_quad12: float = 0.0
+    comp_rate_quad12: float | None = 0.0
 
 
 def compression_stats(t: TokenSequence) -> TokenStats:
     """Length, marker count, and compression rate (tokens / (9 * faces)).
 
     ``level_shares`` is the fraction of coarse/mid/fine tokens;
-    ``comp_rate_quad12`` is the 12-per-face variant for quad sources.
+    ``comp_rate_quad12`` is the 12-per-face variant for quad sources.  Both
+    are None unless the header face count is positive (a generated file may carry 0).
     """
-    if t.header.face_count <= 0:
-        raise ValueError("zero faces")
+    faces = t.header.face_count
     # classes: plain coarse, marker (strip or island), mid, fine
     level = np.searchsorted((C1_T_BASE, C2_BASE, C3_BASE), t.tokens, side="right")
     geo, transitions, n2, n3 = np.bincount(level, minlength=4).tolist()
@@ -114,9 +114,9 @@ def compression_stats(t: TokenSequence) -> TokenStats:
     return TokenStats(
         token_length=total,
         transitions=transitions,
-        comp_rate=total / (9 * t.header.face_count),
+        comp_rate=total / (9 * faces) if faces > 0 else None,
         level_shares=shares,
-        comp_rate_quad12=total / (12 * t.header.face_count),
+        comp_rate_quad12=total / (12 * faces) if faces > 0 else None,
     )
 
 
@@ -163,11 +163,11 @@ def write_tokens(t: TokenSequence, path) -> None:
     what :func:`read_tokens` would reject, or the header cannot hold,
     raises :class:`TokenFileError` and writes nothing."""
     ids = _check_payload(t.tokens, t.header.transform)
-    if t.header.source_stride not in (1, 2):
+    if _integer(t.header.source_stride) not in (1, 2):
         raise TokenFileError(f"source stride must be 1 or 2, got {t.header.source_stride}")
-    face_count = t.header.face_count
-    if not (isinstance(face_count, (int, np.integer)) and 0 <= face_count < 2**32):
-        raise TokenFileError(f"face count {face_count} does not fit the header")
+    face_count = _integer(t.header.face_count)
+    if face_count is None or not 0 <= face_count < 2**32:
+        raise TokenFileError(f"face count {t.header.face_count} does not fit the header")
     flags = (1 if t.header.uv_mode else 0) | (2 if t.header.source_stride == 2 else 0)
     transform = t.header.transform
     head = _HEADER.pack(MAGIC, VERSION, flags, face_count, *transform.center, transform.scale, len(ids))

@@ -603,6 +603,30 @@ class TestStats:
             assert 0.0 < row["comp_rate"] <= 1.0
             assert row["stride"] == 1
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_header_without_faces(self, tmp_path, stride):
+        # a model-generated file may carry a header face count of 0: its row
+        # has every field, the rates as null
+        (tmp_path / "tok").mkdir()
+        header = TokenHeader(False, stride, Transform((0.0, 0.0, 0.0), 1.0), 0)
+        write_tokens(TokenSequence([64, 192, 704, 705, 706], header), tmp_path / "tok" / "s.sato")
+        report = tmp_path / "s.jsonl"
+        assert main(["stats", str(tmp_path / "tok"), "--report", str(report)]) == 0
+        want = {
+            "file": "s.sato",
+            "faces": 0,
+            "stride": stride,
+            "uv_mode": False,
+            "tokens": 5,
+            "transitions": 1,
+            "comp_rate": None,
+            "level_shares": {"c1": 0.2, "c2": 0.2, "c3": 0.6},
+            "discarded": 0,
+        }
+        if stride == 2:
+            want["comp_rate_quad12"] = None
+        assert read_jsonl(report) == [want]
+
     def test_metric_stats(self, obj_dir, tmp_path):
         report = tmp_path / "m.jsonl"
         rc = main([

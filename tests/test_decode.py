@@ -130,6 +130,19 @@ class TestDecode:
         assert report.clean()
         assert mesh.faces.tolist() == [[0, 1, 3, 2]]
 
+    @pytest.mark.parametrize("stride", [True, 2.0, np.float64(2.0)], ids=["True", "2.0", "np.float64"])
+    def test_stride_is_an_integer(self, stride):
+        # an integer argument is an int or a NumPy integer, never a bool or a float
+        coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+        seq = serialize(manual_strip_set([coords], stride=2), uv_mode=False)
+        with pytest.raises(ValueError, match=f"^stride must be 1 or 2, got {stride}$"):
+            decode(parse_tokens(seq), stride, IDENTITY_TRANSFORM)
+        seq.header.source_stride = stride
+        with pytest.raises(ValueError, match="^dual decode check requires a stride-2 sequence$"):
+            dual_decode_check(seq)
+        mesh, _, _ = decode(parse_tokens(seq), np.int64(2), IDENTITY_TRANSFORM)
+        assert mesh.faces.tolist() == [[0, 1, 3, 2]]
+
     def test_welding_within_island(self):
         shared = (5, 5, 5)
         a = [(0, 0, 0), (1, 0, 0), shared]

@@ -168,8 +168,10 @@ class TestLoadObj:
             ("vt 0\nf 1 2 3\n", "line 4: uv needs 2 coordinates"),
             ("vt 0 x\nf 1 2 3\n", "line 4: bad uv coordinate"),
             ("vt 0 0\nf 1/1 2/1 3/1\nf 1 2 3\n", "line 6: face without uv after faces with uv"),
+            ("vt 0 0\nf 1 2 3\nf 1/1 2/1 3/1\n", "line 6: face with uv after faces without uv"),
+            ("vt 0 0\nf 1/x 2/1 3/1\n", "line 5: bad uv index in '1/x'"),
         ],
-        ids=["uv_one_coordinate", "uv_not_a_number", "face_without_uv"],
+        ids=["uv_one_coordinate", "uv_not_a_number", "face_without_uv", "face_with_uv", "uv_index_not_a_number"],
     )
     def test_malformed_uv_records(self, tmp_path, records, message):
         text = "v 0 0 0\nv 1 0 0\nv 0 1 0\n" + records
@@ -551,25 +553,41 @@ def test_quantized_entry_points_check_vertex_keys(entry):
         QUANTIZED_ENTRY_POINTS[entry](bad, good)
 
 
-def test_array_contract_is_checked_in_one_place():
-    # the index-row rules (_check_corners) and the label rules (_check_labels)
-    # are called only by the check of each mesh type, which every entry
-    # point calls: an inline copy elsewhere would be a second wording
-    helpers = ("_check_corners", "_check_labels")
-    callers = {name: set() for name in helpers}
+def scopes_where(match) -> set[str]:
+    """``module.function`` (``module.<module>`` at top level) of every node
+    under the package's source that ``match`` accepts."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name in helpers:
-                    callers[name].add(f"{path.stem}.{scope}")
+            if match(child):
+                found.add(f"{path.stem}.{scope}")
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
 
     for path in sorted(Path(striptok.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def calls(name):
+    """A node test for a call of ``name``, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def test_array_contract_is_checked_in_one_place():
+    # the index-row rules (_check_corners) and the label rules (_check_labels)
+    # are called only by the check of each mesh type, which every entry
+    # point calls: an inline copy elsewhere would be a second wording
     checks = {"mesh_io.check_mesh", "quantize.check_quantized"}
-    assert callers == {name: checks for name in helpers}
+    for helper in ("_check_corners", "_check_labels"):
+        assert scopes_where(calls(helper)) == checks, helper
+
+
+def test_integer_arguments_are_read_in_one_place():
+    # strides, the header face count and the metrics' n, seed and workers are
+    # integers by one rule, mesh_io._integer, the one caller of operator.index
+    # (an ``index`` method of a sequence would be caught here too)
+    assert scopes_where(calls("index")) == {"mesh_io._integer"}
 
 
 class TestOnThreads:
@@ -622,17 +640,8 @@ class TestOnThreads:
 
     def test_the_runner_is_the_one_thread_pool(self):
         # ``ThreadPoolExecutor`` is named in one function under ``src/``: the runner
-        starts = set()
-
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.Name) and child.id == "ThreadPoolExecutor":
-                    starts.add(f"{path.stem}.{scope}")
-                visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
-
-        for path in sorted(Path(striptok.__file__).parent.glob("*.py")):
-            visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-        assert starts == {"mesh_io.on_threads"}
+        pool = scopes_where(lambda node: isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor")
+        assert pool == {"mesh_io.on_threads"}
 
 
 class TestUvIslands:

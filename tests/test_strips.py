@@ -240,6 +240,14 @@ class TestExtractTriangles:
         with pytest.raises(ValueError, match="^stride must be 1 or 2, got 3$"):
             extract_strips(quantize(tri), 3)
 
+    @pytest.mark.parametrize("stride", [True, 2.0, np.float64(2.0)], ids=["True", "2.0", "np.float64"])
+    def test_stride_is_an_integer(self, stride):
+        # an integer argument is an int or a NumPy integer, never a bool or a float
+        q = quantize(synth.quad_grid(2, 2))
+        with pytest.raises(ValueError, match=f"^stride must be 1 or 2, got {stride}$"):
+            extract_strips(q, stride)
+        assert extract_strips(q, np.int64(2)).keys.tolist() == extract_strips(q, 2).keys.tolist()
+
     @pytest.mark.parametrize("up_axis", ["w", "Y", ""])
     def test_unknown_up_axis(self, up_axis):
         # rejected before any work, as a bad stride is, also with no faces

@@ -295,11 +295,14 @@ class TestCompressionStats:
             if np.diff(ss.offsets).max() > 3:
                 assert rate < 1.0, entry.name
 
-    def test_zero_faces_error(self):
+    def test_zero_faces_give_no_rate(self):
+        # a model-generated file may carry a header face count of 0
         seq = serialize(manual_strip_set([[(0, 0, 0), (1, 0, 0), (2, 0, 0)]]))
         seq.header.face_count = 0
-        with pytest.raises(ValueError, match="zero faces"):
-            compression_stats(seq)
+        stats = compression_stats(seq)
+        assert stats.comp_rate is None and stats.comp_rate_quad12 is None
+        assert stats.token_length == len(seq.tokens) == 5
+        assert stats.transitions == 1
 
 
 class TestTokenFile:
@@ -449,7 +452,10 @@ class TestTokenFile:
         with pytest.raises(TokenFileError, match=f"^unknown flag bits {flags:#04x}$"):
             read_tokens(p)
 
-    @pytest.mark.parametrize("stride", [0, 3, -1])
+    # an integer is an int or a NumPy integer, never a bool or a float
+    @pytest.mark.parametrize(
+        "stride", [0, 3, -1, True, 2.0, np.float64(2.0)], ids=["0", "3", "-1", "True", "2.0", "np.float64"]
+    )
     def test_writer_rejects_a_stride_the_flags_cannot_hold(self, tmp_path, stride):
         seq = self._sample()
         seq = replace(seq, header=replace(seq.header, source_stride=stride))
@@ -458,7 +464,7 @@ class TestTokenFile:
             write_tokens(seq, p)
         assert not p.exists()
 
-    @pytest.mark.parametrize("face_count", [-1, 2**32, 2**70, 3.0])
+    @pytest.mark.parametrize("face_count", [-1, 2**32, 2**70, 3.0, True])
     def test_writer_rejects_a_face_count_the_header_cannot_hold(self, tmp_path, face_count):
         seq = self._sample()
         seq = replace(seq, header=replace(seq.header, face_count=face_count))
